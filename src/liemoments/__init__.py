@@ -16,9 +16,9 @@ from .asymptotics import (AsymptoticEstimate, ClassFunction, HypothesisError,
                           leading_term_I, leading_term_K, mehta_closed_form,
                           nu_character, vanish_leading_constant)
 from .charring import (CycleType, SupportCapExceeded, adams, decompose, dual,
-                       exact_moment, greedy_decompose, invariant_dimension,
+                       exact_moment, invariant_dimension, moment_terms,
                        permutation_trace_bruteforce, product,
-                       trivial_multiplicity)
+                       tensor_decompose, trivial_multiplicity)
 from .harness import (ConvergenceReport, ExperimentConfig, HypothesisVerdict,
                       check_hypotheses, run_experiment)
 from .repweights import (SecondMoment, WeightSystem, a_lambda, is_regular,
@@ -40,10 +40,11 @@ __all__ = [
     "a_lambda", "adams", "biane_dimension_estimate", "build_root_system",
     "character_at", "check_hypotheses", "cycle_constants", "decompose",
     "default_grid", "dominant_representative", "dual", "exact_moment",
-    "fundamental_group", "greedy_decompose", "invariant_dimension", "kappa",
+    "fundamental_group", "invariant_dimension", "kappa",
     "leading_term_I", "leading_term_K", "mehta_closed_form",
-    "mehta_quadrature", "nu_character", "pairing",
+    "mehta_quadrature", "moment_terms", "nu_character", "pairing",
     "permutation_trace_bruteforce", "product", "quad_I_N", "quad_K_N",
-    "run_experiment", "trivial_multiplicity", "vanish_leading_constant",
+    "run_experiment", "tensor_decompose", "trivial_multiplicity",
+    "vanish_leading_constant",
     "weight_system", "weyl_dimension", "weyl_denominator_sq", "weyl_orbit",
 ]

@@ -3,8 +3,12 @@
 A product of traces  prod_j Tr(rho(g^j))^{a_j} * prod_j conj(Tr(rho(g^j)))^{b_j}
 is the character of a (virtual) representation built from Adams operations,
 duals and tensor products; its Haar integral is the multiplicity of the
-trivial representation, extracted by alternating reflection of shifted
-weights.  Everything here is exact integer arithmetic on weight systems.
+trivial representation.  The exact engine never builds that weight system:
+it applies one Klimyk step per trace factor to a state of highest weights
+with signed multiplicities (:func:`klimyk_step`), and pairs two such
+decompositions for the two-sided moment (:func:`moment_terms`).  Weight-system
+convolution (:func:`product`) stays available as a character-ring operation.
+Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from .repweights import WeightSystem, check_dominant_integral, weight_system
 
 
 class SupportCapExceeded(RuntimeError):
-    """Raised when a convolution would exceed the configured support cap."""
+    """Raised before a convolution or Klimyk step whose work (pairs of
+    weights, or of highest weights and weights) exceeds the support cap."""
 
 
 @dataclass(frozen=True)
@@ -145,22 +150,51 @@ def product_all(factors, rank, support_cap=10 ** 7):
     return heap[0][2]
 
 
-def trivial_multiplicity(rs, ws):
-    """Multiplicity of the trivial representation in a virtual character.
+def klimyk_step(rs, state, x, support_cap=10 ** 7, step=1):
+    """Decompose ``sum_mu state[mu] V_mu (x) X`` into irreducibles.
 
-    Shift by rho, reflect to the dominant chamber with sign, drop weights
-    whose shift lands on a chamber wall, and collect the signed count at rho.
+    ``state`` maps highest weights to signed multiplicities and ``x`` maps
+    weights to signed multiplicities of a W-invariant (possibly virtual)
+    character X.  Klimyk's formula gives
+    V_mu (x) X = sum_w m_X(w) * sign * V_{dom(mu + w + rho) - rho}, with the
+    terms whose shift lands on a chamber wall dropped.  Refuses before any
+    work when |state| * |support(X)| exceeds ``support_cap``; ``step`` only
+    labels the refusal.
     """
-    acc = 0
-    rho = rs.rho
-    for mu, c in ws.entries.items():
-        shifted = tuple(m + 1 for m in mu)
-        dom, sign = rootsys.dominant_representative(rs, shifted)
-        if 0 in dom:
-            continue
-        if dom == rho:
-            acc += sign * c
-    return acc
+    pairs = len(state) * len(x)
+    if pairs > support_cap:
+        raise SupportCapExceeded(
+            f"Klimyk step {step}: state of {len(state)} highest weights "
+            f"times {len(x)} weights is {pairs} pairs, over support_cap "
+            f"{support_cap}")
+    out = {}
+    for mu, c in state.items():
+        shifted_mu = tuple(m + 1 for m in mu)
+        for w, m in x.items():
+            dom, sign = rootsys.dominant_representative(
+                rs, tuple(s + y for s, y in zip(shifted_mu, w)))
+            if 0 in dom:
+                continue
+            hw = tuple(d - 1 for d in dom)
+            v = out.get(hw, 0) + sign * c * m
+            if v:
+                out[hw] = v
+            else:
+                out.pop(hw, None)
+    return out
+
+
+def tensor_decompose(rs, factors, support_cap=10 ** 7):
+    """Decomposition of ``X_1 (x) ... (x) X_k`` into irreducibles.
+
+    ``factors`` are weight systems (virtual ones allowed); the result maps
+    highest weights to signed multiplicities.  One :func:`klimyk_step` per
+    factor, starting from the trivial representation.
+    """
+    state = {(0,) * rs.rank: 1}
+    for step, ws in enumerate(factors, start=1):
+        state = klimyk_step(rs, state, ws.entries, support_cap, step)
+    return state
 
 
 def decompose(rs, ws):
@@ -168,100 +202,86 @@ def decompose(rs, ws):
 
     Returns a dict mapping highest weights to signed multiplicities.
     """
-    acc = {}
-    for mu, c in ws.entries.items():
-        shifted = tuple(m + 1 for m in mu)
-        dom, sign = rootsys.dominant_representative(rs, shifted)
-        if 0 in dom:
-            continue
-        hw = tuple(d - 1 for d in dom)
-        v = acc.get(hw, 0) + sign * c
-        if v:
-            acc[hw] = v
-        else:
-            acc.pop(hw, None)
-    return acc
+    return tensor_decompose(rs, [ws])
 
 
-def greedy_decompose(rs, ws):
-    """Decompose a genuine character by peeling highest weights.
+def trivial_multiplicity(rs, ws):
+    """Multiplicity of the trivial representation in a virtual character."""
+    return decompose(rs, ws).get((0,) * rs.rank, 0)
 
-    Independent of :func:`decompose`: repeatedly take the weight of maximal
-    height (then lexicographically largest), which for a genuine character is
-    a dominant highest weight, and subtract that irreducible's full weight
-    system.  Raises ValueError if the input turns out not to be a genuine
-    character.
-    """
-    remaining = dict(ws.entries)
-    rho_cov = rs.rho_covector
 
-    def height(w):
-        return sum(c * x for c, x in zip(w, rho_cov))
-
-    out = {}
-    while remaining:
-        mu = max(remaining, key=lambda w: (height(w), w))
-        c = remaining[mu]
-        if c < 0 or any(x < 0 for x in mu):
-            raise ValueError("not the character of a genuine representation")
-        out[mu] = c
-        for nu, m in weight_system(rs, mu).entries.items():
-            v = remaining.get(nu, 0) - c * m
-            if v:
-                remaining[nu] = v
-            else:
-                remaining.pop(nu, None)
-    return out
+def _power_factors(ws, a):
+    """Adams dilates of ``ws``, one per trace factor of the cycle type."""
+    factors = []
+    for j, aj in enumerate(a.exps, start=1):
+        factors.extend([adams(ws, j)] * aj)
+    return factors
 
 
 def moment_weight_system(rs, lam, a, b=CycleType(()), support_cap=10 ** 7):
     """Weight system of prod_j Tr(g^j)^{a_j} * conj(Tr(g^j))^{b_j}."""
     ws = weight_system(rs, lam)
-    factors = []
-    for j, aj in enumerate(a.exps, start=1):
-        factors.extend([adams(ws, j)] * aj)
-    if b.exps:
-        dws = dual(ws)
-        for j, bj in enumerate(b.exps, start=1):
-            factors.extend([adams(dws, j)] * bj)
+    factors = _power_factors(ws, a) + _power_factors(dual(ws), b)
     return product_all(factors, rs.rank, support_cap=support_cap)
+
+
+def moment_terms(rs, lam, a, b=CycleType(()), weights=None,
+                 support_cap=10 ** 7):
+    """Haar integrals of P_a * conj(P_b) * chi_nu for each nu in ``weights``.
+
+    P_a = prod_j Tr(g^j)^{a_j} in the irreducible with highest weight
+    ``lam``; ``weights`` defaults to the trivial weight alone.  With
+    dec(P) the decomposition of P into irreducibles, each integral is the
+    inner product  sum_mu dec(P_a (x) V_nu)[mu] * dec(P_b)[mu]:  one extra
+    Klimyk step and a lookup per nu.  dec(P_b) is dec(P_a) when a == b.
+    Returns a list of exact integers.
+    """
+    zero = (0,) * rs.rank
+    if weights is None:
+        weights = [zero]
+    ws = weight_system(rs, lam)
+    dec_a = tensor_decompose(rs, _power_factors(ws, a),
+                             support_cap=support_cap)
+    if b == a:
+        dec_b = dec_a
+    else:
+        dec_b = tensor_decompose(rs, _power_factors(ws, b),
+                                 support_cap=support_cap)
+    out = []
+    for nu in weights:
+        nu = check_dominant_integral(rs, nu)
+        left = dec_a
+        if nu != zero:
+            left = klimyk_step(rs, dec_a, weight_system(rs, nu).entries,
+                               support_cap, step=a.size + 1)
+        if len(left) > len(dec_b):
+            left, right = dec_b, left
+        else:
+            right = dec_b
+        out.append(sum(c * right.get(mu, 0) for mu, c in left.items()))
+    return out
 
 
 def exact_moment(rs, lam, a, b=CycleType(()), support_cap=10 ** 7):
     """Haar integral of the trace monomial, as an exact integer."""
-    lam = check_dominant_integral(rs, lam)
-    return trivial_multiplicity(
-        rs, moment_weight_system(rs, lam, a, b, support_cap=support_cap))
+    return moment_terms(rs, lam, a, b, support_cap=support_cap)[0]
 
 
 def invariant_dimension(rs, lam, n):
     """Dimension of the invariant subspace of the n-th tensor power.
 
-    Iterates the one-step decomposition rule (add one weight system, shift by
-    rho, reflect, unshift) on the multiset of constituents, which stays small,
-    so this handles much larger n than convolving the full weight system.
+    Iterates the Klimyk step on the multiset of constituents, which stays
+    small, so this handles much larger n than convolving the full weight
+    system.  A genuine representation must decompose with positive
+    multiplicities; anything else raises RuntimeError.
     """
     lam = check_dominant_integral(rs, lam)
-    ws = weight_system(rs, lam)
-    rank = rs.rank
-    state = {(0,) * rank: 1}
-    for _ in range(n):
-        nxt = {}
-        for mu, mult in state.items():
-            for w, c in ws.entries.items():
-                shifted = tuple(m + x + 1 for m, x in zip(mu, w))
-                dom, sign = rootsys.dominant_representative(rs, shifted)
-                if 0 in dom:
-                    continue
-                hw = tuple(d - 1 for d in dom)
-                v = nxt.get(hw, 0) + sign * mult * c
-                if v:
-                    nxt[hw] = v
-                else:
-                    nxt.pop(hw, None)
-        state = nxt
-        assert all(v > 0 for v in state.values())
-    return state.get((0,) * rank, 0)
+    state = tensor_decompose(rs, [weight_system(rs, lam)] * n)
+    if any(v <= 0 for v in state.values()):
+        raise RuntimeError(
+            f"tensor power {n} of {lam} decomposed with a non-positive "
+            f"multiplicity")
+    return state.get((0,) * rs.rank, 0)
 
 
 def canonical_permutation(a):

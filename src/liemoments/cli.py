@@ -13,6 +13,7 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -110,17 +111,8 @@ def _cmd_asym(args):
 
 def _cmd_converge(args):
     cfg = harness.ExperimentConfig.from_file(args.config)
-    if args.out:
-        cfg = harness.ExperimentConfig(
-            group=cfg.group, lam=cfg.lam, a=cfg.a, b=cfg.b,
-            schedule=cfg.schedule, f=cfg.f, paths=cfg.paths,
-            grid_sizes=cfg.grid_sizes, out=args.out,
-            fmt=args.format or cfg.fmt)
-    elif args.format:
-        cfg = harness.ExperimentConfig(
-            group=cfg.group, lam=cfg.lam, a=cfg.a, b=cfg.b,
-            schedule=cfg.schedule, f=cfg.f, paths=cfg.paths,
-            grid_sizes=cfg.grid_sizes, out=cfg.out, fmt=args.format)
+    cfg = dataclasses.replace(cfg, out=args.out or cfg.out,
+                              fmt=args.format or cfg.fmt)
     report = harness.run_experiment(cfg)
     text = harness.write_report(report, cfg, include_timings=args.timings)
     if not cfg.out:

@@ -298,22 +298,19 @@ class ConvergenceReport:
 
 
 def _log_abs(x):
-    if isinstance(x, int):
-        return math.log(abs(x)) if x else float("-inf")
     return math.log(abs(x)) if x else float("-inf")
 
 
-def _exact_value(rs, lam, a, b, n, f):
+def _exact_value(rs, lam, a, b, n, f, support_cap=10 ** 7):
     """Exact moment with the class-function factor folded in."""
-    total = charring.moment_weight_system(rs, lam, a.scaled(n), b.scaled(n))
+    a, b = a.scaled(n), b.scaled(n)
     if f is None or f.is_trivial_one():
-        return charring.trivial_multiplicity(rs, total)
-    from .repweights import weight_system
-    acc = 0
+        return charring.exact_moment(rs, lam, a, b, support_cap=support_cap)
+    mults = charring.moment_terms(rs, lam, a, b, [nu for nu, _ in f.terms],
+                                  support_cap=support_cap)
     exact_coeffs = all(float(c).is_integer() for _, c in f.terms)
-    for nu, c in f.terms:
-        mult = charring.trivial_multiplicity(
-            rs, charring.product(total, weight_system(rs, nu)))
+    acc = 0
+    for (_, c), mult in zip(f.terms, mults):
         acc += (int(c) if exact_coeffs else c) * mult
     return acc
 

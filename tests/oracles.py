@@ -208,3 +208,78 @@ def all_cycle_types_with_weight(k):
 
     rec(1, k, [])
     return out
+
+
+def greedy_decompose(rs, ws):
+    """Decompose a genuine character by peeling highest weights.
+
+    Repeatedly take the weight of maximal height (then lexicographically
+    largest), which for a genuine character is a dominant highest weight,
+    and subtract that irreducible's weight system from the Weyl character
+    formula.  Raises ValueError if the input turns out not to be a genuine
+    character.
+    """
+    remaining = dict(ws.entries)
+    rho_cov = rs.rho_covector
+
+    def height(w):
+        return sum(c * x for c, x in zip(w, rho_cov))
+
+    out = {}
+    while remaining:
+        mu = max(remaining, key=lambda w: (height(w), w))
+        c = remaining[mu]
+        if c < 0 or any(x < 0 for x in mu):
+            raise ValueError("not the character of a genuine representation")
+        out[mu] = c
+        for nu, m in weyl_formula_multiplicities(rs, mu).items():
+            v = remaining.get(nu, 0) - c * m
+            if v:
+                remaining[nu] = v
+            else:
+                remaining.pop(nu, None)
+    return out
+
+
+def _convolve(x, y):
+    out = {}
+    for w1, m1 in x.items():
+        for w2, m2 in y.items():
+            w = tuple(p + q for p, q in zip(w1, w2))
+            out[w] = out.get(w, 0) + m1 * m2
+    return {w: m for w, m in out.items() if m}
+
+
+def alternating_trivial_multiplicity(rs, chi):
+    """Multiplicity of the trivial representation in a virtual character.
+
+    chi * sum_w sign(w) e^{w rho} = sum_lam d_lam A_{lam + rho}, and e^rho
+    occurs on the right only in A_rho, so d_0 = sum_w sign(w) m_chi(rho - w
+    rho).  No weight of chi is ever reflected.
+    """
+    rho = (1,) * rs.rank
+    return sum(sign * chi.get(tuple(r - x for r, x in zip(rho, w)), 0)
+               for w, sign in signed_orbit(rs, rho).items())
+
+
+def convolution_moment(rs, lam, a, b, f_terms):
+    """sum_nu c_nu * Haar integral of P_a * conj(P_b) * chi_nu, by full
+    weight-system convolution.
+
+    ``a`` and ``b`` are exponent tuples (a_1, a_2, ...); ``f_terms`` is a
+    sequence of (highest weight, coefficient).  Weight multiplicities come
+    from the Weyl character formula, Adams dilates and duals act on them
+    directly, and the trivial multiplicity comes from
+    :func:`alternating_trivial_multiplicity`.
+    """
+    ws = weyl_formula_multiplicities(rs, lam)
+    total = {(0,) * rs.rank: 1}
+    for exps, sign in ((a, 1), (b, -1)):
+        for j, aj in enumerate(exps, start=1):
+            dilate = {tuple(sign * j * c for c in w): m
+                      for w, m in ws.items()}
+            for _ in range(aj):
+                total = _convolve(total, dilate)
+    return sum(c * alternating_trivial_multiplicity(
+                   rs, _convolve(total, weyl_formula_multiplicities(rs, nu)))
+               for nu, c in f_terms)

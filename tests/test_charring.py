@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from liemoments import rootsys
 from liemoments.charring import (CycleType, SupportCapExceeded, adams,
                                  canonical_permutation, decompose, dual,
-                                 exact_moment, greedy_decompose,
-                                 invariant_dimension,
+                                 exact_moment, invariant_dimension,
+                                 klimyk_step,
                                  permutation_trace_bruteforce, product,
                                  product_all, trivial_multiplicity)
 from liemoments.repweights import weight_system
@@ -71,6 +72,25 @@ def test_product_cap():
         product(big, big, support_cap=100)
 
 
+def test_klimyk_cap_refuses_before_the_step(monkeypatch):
+    rs = build_root_system("A1")
+    # states before each step of std^6: sizes 1, 1, 2, 2, 3, 3
+    with pytest.raises(SupportCapExceeded,
+                       match=r"Klimyk step 5: state of 3 highest weights "
+                             r"times 2 weights is 6 pairs, over "
+                             r"support_cap 5"):
+        exact_moment(rs, (1,), CycleType((6,)), support_cap=5)
+    assert exact_moment(rs, (1,), CycleType((6,)), support_cap=6) == 5
+
+    def reflect(*args):
+        raise AssertionError("the refused step did work")
+
+    monkeypatch.setattr(rootsys, "dominant_representative", reflect)
+    with pytest.raises(SupportCapExceeded, match="step 7: state of 2 "):
+        klimyk_step(rs, {(0,): 1, (2,): 1}, weight_system(rs, (1,)).entries,
+                    support_cap=3, step=7)
+
+
 def test_product_all_empty_is_trivial():
     ws = product_all([], 2)
     assert ws.entries == {(0, 0): 1}
@@ -85,7 +105,7 @@ def test_decompose_matches_greedy_on_genuine_characters():
             mu = tuple(int(c) for c in rng.integers(0, 3, size=rs.rank))
             ws = product(weight_system(rs, lam), weight_system(rs, mu))
             dec = decompose(rs, ws)
-            assert dec == greedy_decompose(rs, ws)
+            assert dec == oracles.greedy_decompose(rs, ws)
             assert all(v > 0 for v in dec.values())
 
 
@@ -93,7 +113,7 @@ def test_greedy_rejects_virtual():
     rs = build_root_system("A1")
     virt = adams(weight_system(rs, (1,)), 2)
     with pytest.raises(ValueError):
-        greedy_decompose(rs, virt)
+        oracles.greedy_decompose(rs, virt)
 
 
 def test_catalan_moments():

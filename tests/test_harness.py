@@ -1,8 +1,11 @@
+import functools
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from liemoments import harness
 from liemoments.charring import CycleType
 from liemoments.cli import main
 from liemoments.harness import (ConvergenceReport, ExperimentConfig,
@@ -12,6 +15,8 @@ from liemoments.harness import (ConvergenceReport, ExperimentConfig,
 from liemoments.rootsys import ConfigurationError, build_root_system
 
 import oracles
+
+DATA = Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------- parsers
@@ -291,6 +296,36 @@ def test_cli_converge(tmp_path, capsys):
     assert main(["converge", str(cfgfile), "--out", str(out),
                  "--format", "csv"]) == 0
     assert out.read_text().startswith("N,exact,")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_converge_output_is_byte_identical_to_seed(tmp_path, capsys,
+                                                       fmt):
+    # converge_seed.* were rendered by the convolution-based exact route
+    cfg = str(DATA / "converge.cfg")
+    want = (DATA / f"converge_seed.{fmt}").read_bytes()
+    flags = [] if fmt == "json" else ["--format", fmt]
+    assert main(["converge", cfg] + flags) == 0
+    assert capsys.readouterr().out.encode() == want
+    out = tmp_path / f"report.{fmt}"
+    assert main(["converge", cfg, "--out", str(out)] + flags) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == want
+
+
+def test_support_cap_refusal_becomes_row_note(monkeypatch):
+    monkeypatch.setattr(harness, "_exact_value",
+                        functools.partial(harness._exact_value,
+                                          support_cap=3))
+    cfg = ExperimentConfig(group="A1", lam=(1,), a=CycleType((1,)),
+                           b=CycleType((1,)), schedule=(1, 6),
+                           paths=("exact",))
+    first, second = run_experiment(cfg).rows
+    assert first.exact == 1 and first.notes == ()
+    assert second.exact is None
+    assert second.notes == (
+        "exact skipped: Klimyk step 3: state of 2 highest weights times 2 "
+        "weights is 4 pairs, over support_cap 3",)
 
 
 def test_cli_error_codes(capsys):
