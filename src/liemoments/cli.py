@@ -78,33 +78,21 @@ def _cmd_weights(args):
 
 def _cmd_exact(args):
     rs, lam, a, b, f = _moment_inputs(args)
-    n = args.N if args.N is not None else 1
-    value = harness._exact_value(rs, lam, a, b, n, f)
-    print(value)
+    print(harness.route_value("exact", rs, lam, a, b, args.N, f))
     return 0
 
 
 def _cmd_quad(args):
     rs, lam, a, b, f = _moment_inputs(args)
-    grid = None
-    if args.grid:
-        sizes = tuple(int(x) for x in args.grid.split(","))
-        bw = torusquad.required_bandwidth(rs, lam, a, b, args.N, f)
-        grid = torusquad.TorusGrid(sizes=sizes, bandwidth_bound=bw)
-    if b.exps:
-        value = torusquad.quad_K_N(rs, lam, a, b, args.N, f=f, grid=grid)
-    else:
-        value = torusquad.quad_I_N(rs, lam, a, args.N, f=f, grid=grid)
-    print(repr(value))
+    sizes = harness.parse_grid(args.grid, rs.rank) if args.grid else None
+    print(repr(harness.route_value("quad", rs, lam, a, b, args.N, f,
+                                   grid_sizes=sizes)))
     return 0
 
 
 def _cmd_asym(args):
     rs, lam, a, b, f = _moment_inputs(args)
-    if b.exps:
-        est = asymptotics.leading_term_K(rs, lam, a, b, args.N, f=f)
-    else:
-        est = asymptotics.leading_term_I(rs, lam, a, args.N, f=f)
+    est = harness.route_value("asymptotic", rs, lam, a, b, args.N, f)
     print(json.dumps(est.to_dict(), indent=2, sort_keys=True))
     return 0
 

@@ -26,31 +26,36 @@ from .repweights import check_dominant_integral, is_regular
 _PATHS = ("exact", "quad", "asymptotic")
 
 
-def parse_weight(text, rank=None):
-    parts = [p.strip() for p in str(text).split(",")]
+def _parse_ints(text, what, count=None, sep=","):
     try:
-        lam = tuple(int(p) for p in parts)
+        vals = tuple(int(p) for p in str(text).split(sep))
     except ValueError:
-        raise rootsys.ConfigurationError(f"bad weight {text!r}") from None
-    if rank is not None and len(lam) != rank:
+        raise rootsys.ConfigurationError(f"bad {what} {text!r}") from None
+    if count is not None and len(vals) != count:
         raise rootsys.ConfigurationError(
-            f"weight {text!r} has {len(lam)} coordinates, expected {rank}")
-    return lam
+            f"{what} {text!r} has {len(vals)} coordinates, expected {count}")
+    return vals
+
+
+def parse_weight(text, rank=None):
+    return _parse_ints(text, "weight", rank)
+
+
+def parse_grid(text, rank):
+    """Parse per-axis grid sizes ``"64,64"``, one per torus axis."""
+    return _parse_ints(text, "grid", rank)
 
 
 def parse_schedule(text):
     """Parse ``"1,2,4"`` or an inclusive range ``"2:160:2"``."""
     text = str(text).strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) not in (2, 3):
-            raise rootsys.ConfigurationError(f"bad schedule {text!r}")
-        start, stop = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
-        if step <= 0 or stop < start:
-            raise rootsys.ConfigurationError(f"bad schedule {text!r}")
-        return tuple(range(start, stop + 1, step))
-    return tuple(int(p) for p in text.split(","))
+    if ":" not in text:
+        return _parse_ints(text, "schedule")
+    nums = _parse_ints(text, "schedule", sep=":")
+    start, stop, step = (nums + (1,))[:3]
+    if len(nums) > 3 or step <= 0 or stop < start:
+        raise rootsys.ConfigurationError(f"bad schedule {text!r}")
+    return tuple(range(start, stop + 1, step))
 
 
 def parse_class_function(text, rank):
@@ -67,7 +72,13 @@ def parse_class_function(text, rank):
             raise rootsys.ConfigurationError(
                 f"bad class-function term {chunk!r} (want coords:coeff)")
         coords, coeff = chunk.rsplit(":", 1)
-        terms.append((parse_weight(coords, rank), float(coeff)))
+        try:
+            coeff = float(coeff)
+        except ValueError:
+            raise rootsys.ConfigurationError(
+                f"bad class-function coefficient {coeff.strip()!r} in "
+                f"{chunk!r}") from None
+        terms.append((parse_weight(coords, rank), coeff))
     if not terms:
         raise rootsys.ConfigurationError(f"empty class function {text!r}")
     return ClassFunction(tuple(terms))
@@ -100,7 +111,8 @@ class ExperimentConfig:
                 f"paths must be a nonempty subset of {_PATHS}, got "
                 f"{self.paths}")
         if self.fmt not in ("json", "csv"):
-            raise rootsys.ConfigurationError(f"format must be json or csv")
+            raise rootsys.ConfigurationError(
+                f"format must be json or csv, got {self.fmt!r}")
 
     @staticmethod
     def from_mapping(m):
@@ -117,9 +129,8 @@ class ExperimentConfig:
         paths = tuple(p.strip() for p in
                       str(m.get("paths", ",".join(_PATHS))).split(",")
                       if p.strip())
-        grid = m.get("grid", "").strip() if m.get("grid") else None
-        grid_sizes = (tuple(int(x) for x in grid.split(","))
-                      if grid else None)
+        grid = str(m.get("grid") or "").strip()
+        grid_sizes = parse_grid(grid, rs.rank) if grid else None
         return ExperimentConfig(group=group, lam=lam, a=a, b=b,
                                 schedule=schedule, f=f, paths=paths,
                                 grid_sizes=grid_sizes,
@@ -303,16 +314,41 @@ def _log_abs(x):
 
 def _exact_value(rs, lam, a, b, n, f, support_cap=10 ** 7):
     """Exact moment with the class-function factor folded in."""
-    a, b = a.scaled(n), b.scaled(n)
-    if f is None or f.is_trivial_one():
-        return charring.exact_moment(rs, lam, a, b, support_cap=support_cap)
-    mults = charring.moment_terms(rs, lam, a, b, [nu for nu, _ in f.terms],
+    mults = charring.moment_terms(rs, lam, a.scaled(n), b.scaled(n),
+                                  [nu for nu, _ in f.terms],
                                   support_cap=support_cap)
     exact_coeffs = all(float(c).is_integer() for _, c in f.terms)
-    acc = 0
-    for (_, c), mult in zip(f.terms, mults):
-        acc += (int(c) if exact_coeffs else c) * mult
-    return acc
+    return sum((int(c) if exact_coeffs else c) * mult
+               for (_, c), mult in zip(f.terms, mults))
+
+
+# route -> (ExperimentRow field it fills, the typed refusal it may raise)
+_ROUTES = {
+    "exact": ("exact", charring.SupportCapExceeded),
+    "quad": ("quad", torusquad.GridError),
+    "asymptotic": ("estimate", HypothesisError),
+}
+
+
+def route_value(path, rs, lam, a, b, n, f, grid_sizes=None):
+    """Value of one route at index ``n``: the exact integer (a float when f
+    has non-integer coefficients), the quadrature float, or the
+    :class:`AsymptoticEstimate`.  Refusals propagate as typed errors.
+
+    ``grid_sizes`` fixes the quadrature grid instead of the default one;
+    the quadrature integrand with an empty ``b`` is the one-sided moment.
+    """
+    if path == "exact":
+        return _exact_value(rs, lam, a, b, n, f)
+    if path == "quad":
+        grid = None
+        if grid_sizes:
+            bw = torusquad.required_bandwidth(rs, lam, a, b, n, f)
+            grid = torusquad.TorusGrid(sizes=grid_sizes, bandwidth_bound=bw)
+        return torusquad.quad_K_N(rs, lam, a, b, n, f=f, grid=grid)
+    if b.exps:
+        return leading_term_K(rs, lam, a, b, n, f=f)
+    return leading_term_I(rs, lam, a, n, f=f)
 
 
 def run_experiment(cfg):
@@ -321,47 +357,22 @@ def run_experiment(cfg):
     lam = check_dominant_integral(rs, cfg.lam)
     f = cfg.f if cfg.f is not None else ClassFunction.one(rs.rank)
     verdict = check_hypotheses(rs, lam, cfg.a, cfg.b)
-    two_sided = bool(cfg.b.exps)
     timings = {p: 0.0 for p in cfg.paths}
     rows = []
     for n in cfg.schedule:
         row = ExperimentRow(n=n)
         notes = []
-        if "exact" in cfg.paths:
+        for path in _PATHS:
+            if path not in cfg.paths:
+                continue
+            attr, refusal = _ROUTES[path]
             t0 = time.perf_counter()
             try:
-                row.exact = _exact_value(rs, lam, cfg.a, cfg.b, n, f)
-            except charring.SupportCapExceeded as exc:
-                notes.append(f"exact skipped: {exc}")
-            timings["exact"] += time.perf_counter() - t0
-        if "quad" in cfg.paths:
-            t0 = time.perf_counter()
-            grid = None
-            if cfg.grid_sizes:
-                bw = torusquad.required_bandwidth(rs, lam, cfg.a, cfg.b, n, f)
-                grid = torusquad.TorusGrid(sizes=cfg.grid_sizes,
-                                           bandwidth_bound=bw)
-            try:
-                if two_sided:
-                    row.quad = torusquad.quad_K_N(rs, lam, cfg.a, cfg.b, n,
-                                                  f=f, grid=grid)
-                else:
-                    row.quad = torusquad.quad_I_N(rs, lam, cfg.a, n, f=f,
-                                                  grid=grid)
-            except torusquad.GridError as exc:
-                notes.append(f"quad skipped: {exc}")
-            timings["quad"] += time.perf_counter() - t0
-        if "asymptotic" in cfg.paths:
-            t0 = time.perf_counter()
-            try:
-                if two_sided:
-                    row.estimate = leading_term_K(rs, lam, cfg.a, cfg.b, n,
-                                                  f=f)
-                else:
-                    row.estimate = leading_term_I(rs, lam, cfg.a, n, f=f)
-            except HypothesisError as exc:
-                notes.append(f"asymptotic skipped: {exc}")
-            timings["asymptotic"] += time.perf_counter() - t0
+                setattr(row, attr, route_value(path, rs, lam, cfg.a, cfg.b,
+                                               n, f, cfg.grid_sizes))
+            except refusal as exc:
+                notes.append(f"{path} skipped: {exc}")
+            timings[path] += time.perf_counter() - t0
 
         ref = row.exact if row.exact is not None else row.quad
         if ref is not None and row.estimate is not None:

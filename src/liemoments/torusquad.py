@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
-from . import rootsys
 from .asymptotics import ClassFunction
 from .charring import CycleType
 from .repweights import check_dominant_integral, weight_system, weyl_dimension
@@ -91,55 +91,31 @@ def default_grid(rs, lam, a, b, n, f=None):
 
 
 def character_at(ws, phi):
-    """Value of the character with weight system ``ws`` at torus point
-    ``phi`` (coordinates on the simple coroots)."""
-    out = complex(0, 0)
-    for w, m in ws.entries.items():
-        out += m * np.exp(2j * math.pi * sum(c * p for c, p in zip(w, phi)))
-    return complex(out)
+    """Character with weight system ``ws`` at torus point(s) ``phi`` in
+    simple-coroot coordinates: a complex for one point, a length-P complex
+    array for a ``(P, rank)`` array of points."""
+    pts = np.asarray(phi, dtype=float)
+    weights = np.array(list(ws.entries), dtype=float)
+    mults = np.array(list(ws.entries.values()), dtype=float)
+    theta = pts @ weights.T
+    theta *= 2 * math.pi
+    vals = np.cos(theta) @ mults + 1j * (np.sin(theta) @ mults)
+    return complex(vals) if pts.ndim == 1 else vals
 
 
 def weyl_denominator_sq(rs, phi):
-    """prod over positive roots of 4 sin^2(pi <alpha, phi>)."""
-    out = 1.0
-    for alpha in rs.positive_roots:
-        out *= 4 * math.sin(math.pi
-                            * sum(c * p for c, p in zip(alpha, phi))) ** 2
-    return out
-
-
-def _tree_sum(values, chunk=1024):
-    """Deterministic reduction: Kahan within fixed chunks, pairwise merge."""
-    sums = []
-    for start in range(0, len(values), chunk):
-        s = complex(0, 0)
-        c = complex(0, 0)
-        for v in values[start:start + chunk]:
-            v = complex(v)
-            y = v - c
-            t = s + y
-            c = (t - s) - y
-            s = t
-        sums.append(s)
-    if not sums:
-        return complex(0, 0)
-    while len(sums) > 1:
-        sums = [sums[i] + sums[i + 1] if i + 1 < len(sums) else sums[i]
-                for i in range(0, len(sums), 2)]
-    return sums[0]
+    """prod over positive roots of 4 sin^2(pi <alpha, phi>): a float for one
+    point, a length-P array for a ``(P, rank)`` array of points."""
+    pts = np.asarray(phi, dtype=float)
+    roots = np.array(rs.positive_roots, dtype=float)
+    vals = np.prod(4 * np.sin(math.pi * (pts @ roots.T)) ** 2, axis=-1)
+    return float(vals) if pts.ndim == 1 else vals
 
 
 def _grid_points(grid):
     axes = [np.arange(m, dtype=float) / m for m in grid.sizes]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, len(grid.sizes))
-
-
-def _char_values(ws, pts, dilation=1):
-    w = np.array(list(ws.entries.keys()), dtype=float)
-    m = np.array(list(ws.entries.values()), dtype=float)
-    phases = np.exp(2j * math.pi * dilation * (pts @ w.T))
-    return phases @ m
 
 
 def _quad_core(rs, lam, a, b, n, f, grid, max_log, max_points):
@@ -155,6 +131,9 @@ def _quad_core(rs, lam, a, b, n, f, grid, max_log, max_points):
             f"exp({max_log}); refusing rather than overflow")
     if grid is None:
         grid = default_grid(rs, lam, a, b, n, f)
+    elif len(grid.sizes) != rs.rank:
+        raise GridError(f"grid {grid.sizes} has {len(grid.sizes)} axes, "
+                        f"the torus of {rs.describe()} has rank {rs.rank}")
     else:
         bw = required_bandwidth(rs, lam, a, b, n, f)
         bad = [i for i in range(rs.rank) if grid.sizes[i] <= bw[i]]
@@ -169,26 +148,22 @@ def _quad_core(rs, lam, a, b, n, f, grid, max_log, max_points):
 
     pts = _grid_points(grid)
     ws = weight_system(rs, lam)
-    integrand = np.ones(len(pts), dtype=complex)
-    for j, aj in enumerate(a.exps, start=1):
+    integrand = sum(c * character_at(weight_system(rs, nu), pts)
+                    for nu, c in f.terms)
+    integrand *= weyl_denominator_sq(rs, pts)
+    # chi(g^j) = character_at(ws, j * phi): one synthesis per Adams degree
+    for j, (aj, bj) in enumerate(zip_longest(a.exps, b.exps, fillvalue=0),
+                                 start=1):
+        if not (aj or bj):
+            continue
+        chi = character_at(ws, j * pts)
         if aj:
-            integrand *= _char_values(ws, pts, dilation=j) ** (n * aj)
-    for j, bj in enumerate(b.exps, start=1):
+            integrand *= chi ** (n * aj)
         if bj:
-            integrand *= np.conj(_char_values(ws, pts, dilation=j)) ** (n * bj)
+            integrand *= np.conj(chi, out=chi) ** (n * bj)
 
-    if not f.is_trivial_one():
-        fv = np.zeros(len(pts), dtype=complex)
-        for nu, c in f.terms:
-            fv += c * _char_values(weight_system(rs, nu), pts)
-        integrand *= fv
-
-    dsq = np.ones(len(pts), dtype=float)
-    for alpha in rs.positive_roots:
-        dsq *= 4 * np.sin(math.pi * (pts @ np.array(alpha, dtype=float))) ** 2
-    integrand *= dsq
-
-    total = _tree_sum(integrand) / (len(pts) * rs.weyl_order)
+    total = complex(math.fsum(integrand.real), math.fsum(integrand.imag))
+    total /= len(pts) * rs.weyl_order
     residual = abs(total.imag)
     if residual > 1e-10 * max(1.0, abs(total.real)):
         raise GridError(

@@ -10,6 +10,8 @@ genuine two-route check:
   multiplicities without Freudenthal.
 * A re-assembly of the leading-order constant from raw transformed data, for
   the basis-independence certificate.
+* Torus evaluators as scalar per-weight and per-root loops: the character
+  and the squared Weyl denominator at one point.
 """
 
 from __future__ import annotations
@@ -283,3 +285,18 @@ def convolution_moment(rs, lam, a, b, f_terms):
     return sum(c * alternating_trivial_multiplicity(
                    rs, _convolve(total, weyl_formula_multiplicities(rs, nu)))
                for nu, c in f_terms)
+
+
+def character_sum(entries, phi):
+    """Character at one torus point as a plain sum of weight phases:
+    sum_w m(w) exp(2 pi i <w, phi>), for ``entries`` {weight: mult}."""
+    return sum(m * cmath.exp(2j * math.pi
+                             * sum(c * p for c, p in zip(w, phi)))
+               for w, m in entries.items())
+
+
+def denominator_product(rs, phi):
+    """prod over positive roots of 4 sin^2(pi <alpha, phi>), term by term."""
+    return math.prod(4 * math.sin(math.pi * sum(c * p for c, p in
+                                                zip(alpha, phi))) ** 2
+                     for alpha in rs.positive_roots)

@@ -328,6 +328,40 @@ def test_support_cap_refusal_becomes_row_note(monkeypatch):
         "weights is 4 pairs, over support_cap 3",)
 
 
+def test_cli_quad_grid_with_wrong_axis_count_exits_2(capsys):
+    for group, lam, grid, rank in (("A2", "1,0", "64", 2),
+                                   ("A1", "1", "64,64", 1)):
+        args = ["quad", "--group", group, "--lam", lam, "--a", "1",
+                "--N", "2", "--grid", grid]
+        assert main(args) == 2
+        assert f"expected {rank}" in capsys.readouterr().err
+
+
+def test_converge_grid_with_wrong_axis_count_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text("group = A2\nlambda = 1,0\na = 1\nN = 1:2\n"
+                       "paths = quad\ngrid = 64\n")
+    assert main(["converge", str(cfgfile)]) == 2
+    assert "expected 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    ("N", "1,x", "1,x"),
+    ("N", "1:x:2", "1:x:2"),
+    ("f", "2:abc", "abc"),
+    ("grid", "64,y", "64,y"),
+    ("format", "xml", "xml"),
+])
+def test_converge_malformed_numbers_exit_2(tmp_path, capsys, key, value,
+                                           shown):
+    lines = {"group": "A1", "lambda": "1", "a": "1", "N": "1:3",
+             "paths": "exact", key: value}
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    assert main(["converge", str(cfgfile)]) == 2
+    assert repr(shown) in capsys.readouterr().err
+
+
 def test_cli_error_codes(capsys):
     assert main(["info", "Z9"]) == 2
     assert "error" in capsys.readouterr().err

@@ -102,6 +102,47 @@ def test_weyl_denominator_sq():
         assert weyl_denominator_sq(rs, phi) >= 0.0
 
 
+@pytest.mark.parametrize("spec, lam", [("A2", (2, 1)), ("B2", (1, 1)),
+                                       ("G2", (1, 0))])
+def test_array_form_matches_point_form(spec, lam):
+    rs = build_root_system(spec)
+    ws = weight_system(rs, lam)
+    pts = np.random.default_rng(29).uniform(0, 1, (16, rs.rank))
+    chi = character_at(ws, pts)
+    dsq = weyl_denominator_sq(rs, pts)
+    assert chi.shape == dsq.shape == (16,)
+    for i, phi in enumerate(pts):
+        one_chi = character_at(ws, phi)
+        one_dsq = weyl_denominator_sq(rs, phi)
+        assert isinstance(one_chi, complex) and isinstance(one_dsq, float)
+        assert chi[i] == pytest.approx(one_chi, abs=1e-12)
+        assert dsq[i] == pytest.approx(one_dsq, abs=1e-12)
+        assert one_chi == pytest.approx(
+            oracles.character_sum(ws.entries, phi), abs=1e-12)
+        assert one_dsq == pytest.approx(
+            oracles.denominator_product(rs, phi), abs=1e-12)
+    # the quadrature integrand evaluates Adams dilates this way
+    for j in (2, 3):
+        np.testing.assert_allclose(character_at(adams(ws, j), pts),
+                                   character_at(ws, j * pts), atol=1e-10)
+
+
+def test_grid_with_wrong_axis_count_is_refused():
+    rs = build_root_system("A2")
+    a = CycleType((1,))
+    flat = TorusGrid(sizes=(64,), bandwidth_bound=(0,))
+    with pytest.raises(GridError, match="has rank 2"):
+        quad_K_N(rs, (1, 0), a, a, 2, grid=flat)
+
+
+def test_one_sided_is_two_sided_with_empty_b():
+    rs = build_root_system("A2")
+    f = ClassFunction((((1, 1), 2.0),))
+    for a, n in ((CycleType((1,)), 3), (CycleType((0, 1)), 2)):
+        assert quad_K_N(rs, (1, 1), a, CycleType(()), n, f=f) == \
+            quad_I_N(rs, (1, 1), a, n, f=f)
+
+
 def test_quadrature_of_constant_is_one():
     # with all exponents zero the integrand reduces to the normalized
     # squared Weyl denominator, whose Haar mass is exactly 1
