@@ -143,12 +143,15 @@ def _log_fraction(fr):
     return math.log(fr.numerator) - math.log(fr.denominator)
 
 
+def _exact_peak_data(rs, lam):
+    """(dim V_lam, kappa(A_lam^{-1} rho), det A_lam), all exact."""
+    sm = a_lambda(rs, lam)
+    return weyl_dimension(rs, lam), rootsys.kappa(rs, sm.solve(rs.rho)), sm.det
+
+
 def _leading_core(rs, lam, num_factors, l_total, pi_sum, n):
     """Shared assembly for the one- and two-sided leading terms."""
-    dim = weyl_dimension(rs, lam)
-    sm = a_lambda(rs, lam)
-    kap = rootsys.kappa(rs, sm.solve(rs.rho))
-    det_a = sm.det
+    dim, kap, det_a = _exact_peak_data(rs, lam)
     d = rs.num_positive_roots
     log_dim_power = n * num_factors * math.log(dim)
     prefactor = ((2 * math.pi) ** d
@@ -229,14 +232,12 @@ def biane_dimension_estimate(rs, lam, n):
     if not rootsys.in_root_lattice(rs, lam):
         raise HypothesisError(
             f"highest weight {lam} must lie in the root lattice")
-    dim = weyl_dimension(rs, lam)
-    sm = a_lambda(rs, lam)
-    kap = rootsys.kappa(rs, sm.solve(rs.rho))
+    dim, kap, det_a = _exact_peak_data(rs, lam)
     log_val = (math.log(rs.center.order) + n * math.log(dim)
                + _log_fraction(kap)
                - (rs.rank / 2) * math.log(2 * math.pi)
                - (rs.dim_group / 2) * math.log(n)
-               - _log_fraction(sm.det) / 2)
+               - _log_fraction(det_a) / 2)
     try:
         return math.exp(log_val)
     except OverflowError:

@@ -337,7 +337,11 @@ def route_value(path, rs, lam, a, b, n, f, grid_sizes=None):
 
     ``grid_sizes`` fixes the quadrature grid instead of the default one;
     the quadrature integrand with an empty ``b`` is the one-sided moment.
+    A negative ``n`` is refused the same way on every route.
     """
+    if n < 0:
+        raise rootsys.ConfigurationError(
+            f"power index N must be >= 0, got {n}")
     if path == "exact":
         return _exact_value(rs, lam, a, b, n, f)
     if path == "quad":

@@ -4,7 +4,8 @@ Multiplicities come from Freudenthal's recursion run over the dominant
 weights (found by closing the highest weight under subtraction of positive
 roots), then expanded along Weyl orbits.  Everything is exact: weights are
 integer tuples in fundamental-weight coordinates, multiplicities are ints,
-and the second-moment matrix is a Fraction matrix.
+and the second-moment matrix is a Fraction matrix.  That matrix comes from
+root data alone (the Casimir identity), never from a weight system.
 """
 
 from __future__ import annotations
@@ -218,26 +219,29 @@ class SecondMoment:
 def a_lambda(rs, lam):
     """Averaged weight-square matrix of the irreducible with h.w. ``lam``.
 
-    Entry (i, j) is  sum_mu m(mu) mu_i mu_j / dim.  For regular ``lam`` the
-    result must be positive definite; that is checked exactly and a failure
-    raises RuntimeError (it would indicate corrupted multiplicities).
+    Entry (i, j) is  sum_mu m(mu) mu_i mu_j / dim.  The matrix is
+    W-invariant, so on each simple factor it is a multiple of the invariant
+    form on coroots, (alpha_i^vee, alpha_j^vee) = cartan[i][j] / d_j; the
+    trace identity  Tr_V(H H') = dim V (lam, lam + 2 rho) / dim G (H, H')
+    (the Dynkin index) fixes the multiple.  Blocks between factors vanish
+    because sum_mu m(mu) mu = 0 on each factor.  Only root data enter, no
+    weight system.  For regular ``lam`` the result must be positive
+    definite; that is checked exactly and a failure raises RuntimeError (it
+    would indicate corrupted tables).
     """
-    ws = weight_system(rs, lam)
-    dim = ws.dimension()
-    rank = rs.rank
-    m = [[Fraction(0)] * rank for _ in range(rank)]
-    for mu, c in ws.entries.items():
-        for i in range(rank):
-            if mu[i] == 0:
-                continue
-            for j in range(i, rank):
-                m[i][j] += c * mu[i] * mu[j]
-    for i in range(rank):
-        for j in range(i, rank):
-            m[i][j] /= dim
-            m[j][i] = m[i][j]
+    lam = check_dominant_integral(rs, lam)
+    d = rs.symmetrizers
+    m = [[Fraction(0)] * rs.rank for _ in range(rs.rank)]
+    for block, dim_factor in rootsys.factor_blocks(rs):
+        # (lam, lam + 2 rho) restricted to this factor
+        casimir = sum(lam[i] * (lam[j] + 2) * d[i] * rs.cartan_inv[i][j]
+                      for i in block for j in block)
+        scale = casimir / dim_factor
+        for i in block:
+            for j in block:
+                m[i][j] = scale * rs.cartan[i][j] / d[j]
     sm = SecondMoment(matrix=tuple(tuple(row) for row in m))
     if is_regular(rs, lam) and not is_positive_definite(sm.matrix):
         raise RuntimeError(f"second-moment matrix for {lam} not positive "
-                           f"definite")
+                           f"definite: corrupted root tables")
     return sm

@@ -317,6 +317,18 @@ def _fundamental_group(cartan):
                             invariant_factors=tuple(d for d in diag if d > 1))
 
 
+def factor_blocks(rs):
+    """(index range, dimension) of each simple factor, in factor order.
+
+    Every matrix built from the root datum (Cartan matrix, its inverse, the
+    symmetrizers) is block diagonal along these ranges.
+    """
+    off = 0
+    for letter, n in rs.factors:
+        yield range(off, off + n), _dim_simple(letter, n)
+        off += n
+
+
 def pairing(mu, x):
     """Natural pairing of a weight with a covector (plain dot product)."""
     if len(mu) != len(x):

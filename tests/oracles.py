@@ -7,7 +7,8 @@ genuine two-route check:
 * Catalan / Fourier-coefficient formulas: plain binomials.
 * su(2) ladder walks: invariant counts by explicit Clebsch-Gordan recursion.
 * Weyl character formula by Laurent-polynomial division: weight
-  multiplicities without Freudenthal.
+  multiplicities without Freudenthal, and the second-moment matrix summed
+  over them.
 * A re-assembly of the leading-order constant from raw transformed data, for
   the basis-independence certificate.
 * Torus evaluators as scalar per-weight and per-root loops: the character
@@ -117,6 +118,17 @@ def weyl_formula_multiplicities(rs, lam):
             else:
                 num.pop(key, None)
     return {k: v for k, v in quot.items() if v}
+
+
+def weight_sum_second_moment(rs, lam):
+    """sum_mu m(mu) mu_i mu_j / dim as a Fraction matrix, summed over the
+    Weyl-character-formula multiplicities."""
+    mults = weyl_formula_multiplicities(rs, lam)
+    dim = sum(mults.values())
+    return tuple(tuple(Fraction(sum(m * mu[i] * mu[j]
+                                    for mu, m in mults.items()), dim)
+                       for j in range(rs.rank))
+                 for i in range(rs.rank))
 
 
 def random_unimodular(rng, n, shears=6):

@@ -8,6 +8,7 @@ from liemoments.asymptotics import (ClassFunction, HypothesisError,
                                     leading_term_I, leading_term_K,
                                     mehta_closed_form, nu_character,
                                     vanish_leading_constant, weyl_equivariant)
+from liemoments import charring, repweights, rootsys, torusquad
 from liemoments.charring import CycleType
 from liemoments.repweights import a_lambda, weyl_dimension
 from liemoments.rootsys import build_root_system, kappa
@@ -201,3 +202,20 @@ def test_pi_sum_real_for_real_class_functions():
     f = ClassFunction((((1, 0), 1.5), ((1, 1), 0.25)))
     est = leading_term_I(rs, (1, 1), CycleType((1,)), 3, f=f)
     assert abs(est.pi_sum.imag) < 1e-14 * max(1.0, abs(est.pi_sum.real))
+
+
+@pytest.mark.parametrize("spec", ["E7", "E8"])
+def test_leading_term_needs_no_weight_system(monkeypatch, spec):
+    # A_lambda comes from root data: no weight system, no Weyl orbit walk
+    # (the orbit of rho has 696,729,600 points on E8).
+    def refuse(*args, **kwargs):
+        raise AssertionError("the asymptotic route walked a weight system")
+
+    for module in (repweights, charring, torusquad):
+        monkeypatch.setattr(module, "weight_system", refuse)
+    monkeypatch.setattr(rootsys, "weyl_orbit", refuse)
+    rs = build_root_system(spec)
+    est = leading_term_I(rs, rs.rho, CycleType((1,)), 5)
+    assert est.det_a > 0
+    assert est.kappa_term > 0
+    assert weyl_equivariant(rs, a_lambda(rs, rs.rho).matrix)

@@ -362,6 +362,20 @@ def test_converge_malformed_numbers_exit_2(tmp_path, capsys, key, value,
     assert repr(shown) in capsys.readouterr().err
 
 
+def test_cli_asym_e8_rho(capsys):
+    args = ["asym", "--group", "E8", "--lam", "1,1,1,1,1,1,1,1", "--a", "1",
+            "--N", "5"]
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["N"] == 5
+
+
+@pytest.mark.parametrize("command", ["exact", "quad", "asym"])
+def test_negative_power_index_exits_2_on_every_route(capsys, command):
+    args = [command, "--group", "A1", "--lam", "1", "--a", "1", "--N", "-1"]
+    assert main(args) == 2
+    assert "power index N must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_cli_error_codes(capsys):
     assert main(["info", "Z9"]) == 2
     assert "error" in capsys.readouterr().err

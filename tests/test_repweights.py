@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liemoments.exactla import mat_vec
 from liemoments.rootsys import (ConfigurationError, build_root_system,
@@ -92,6 +94,26 @@ def test_a_lambda_small_cases():
     m = a_lambda(a2, (1, 0)).matrix
     assert m == ((Fraction(2, 3), Fraction(-1, 3)),
                  (Fraction(-1, 3), Fraction(2, 3)))
+
+
+ORACLE_GROUPS = {spec: build_root_system(spec)
+                 for spec in ("A1", "A2", "A3", "B2", "B3", "C3", "G2",
+                              "A1xA1", "A1xG2")}
+
+
+@st.composite
+def group_and_weight(draw):
+    rs = ORACLE_GROUPS[draw(st.sampled_from(sorted(ORACLE_GROUPS)))]
+    return rs, draw(st.tuples(*[st.integers(0, 2)] * rs.rank))
+
+
+@settings(max_examples=60, deadline=None)
+@given(group_and_weight())
+def test_a_lambda_matches_weight_sum_oracle(case):
+    # closed form from the Casimir identity == the sum over the weights
+    rs, lam = case
+    assert a_lambda(rs, lam).matrix == \
+        oracles.weight_sum_second_moment(rs, lam)
 
 
 def test_a_lambda_positive_definite_and_symmetric():
