@@ -345,10 +345,7 @@ def route_value(path, rs, lam, a, b, n, f, grid_sizes=None):
     if path == "exact":
         return _exact_value(rs, lam, a, b, n, f)
     if path == "quad":
-        grid = None
-        if grid_sizes:
-            bw = torusquad.required_bandwidth(rs, lam, a, b, n, f)
-            grid = torusquad.TorusGrid(sizes=grid_sizes, bandwidth_bound=bw)
+        grid = torusquad.TorusGrid(sizes=grid_sizes) if grid_sizes else None
         return torusquad.quad_K_N(rs, lam, a, b, n, f=f, grid=grid)
     if b.exps:
         return leading_term_K(rs, lam, a, b, n, f=f)

@@ -10,10 +10,9 @@ root data alone (the Casimir identity), never from a weight system.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import rootsys
 from .exactla import (det_fraction, inv_fraction, is_positive_definite,
@@ -99,27 +98,10 @@ def weyl_dimension(rs, lam):
     return int(dim)
 
 
-_ws_cache = {}
-_ws_lock = threading.Lock()
-
-
 def weight_system(rs, lam):
-    """Weight multiplicities of the irreducible with highest weight ``lam``.
-
-    Results are memoized per (group, weight); lookups are lock-free, the
-    computation itself is serialized.
-    """
-    lam = check_dominant_integral(rs, lam)
-    key = (rs.factors, lam)
-    ws = _ws_cache.get(key)
-    if ws is not None:
-        return ws
-    with _ws_lock:
-        ws = _ws_cache.get(key)
-        if ws is None:
-            ws = _freudenthal(rs, lam)
-            _ws_cache[key] = ws
-    return ws
+    """Weight multiplicities of the irreducible with highest weight ``lam``,
+    memoized per (rs.factors, lam): a root system hashes by its factors."""
+    return _freudenthal(rs, check_dominant_integral(rs, lam))
 
 
 def _level(rs, lam, mu):
@@ -131,6 +113,7 @@ def _level(rs, lam, mu):
     return int(sum(coords))
 
 
+@cache
 def _freudenthal(rs, lam):
     rank = rs.rank
     sym = rs.symmetrizers

@@ -163,9 +163,13 @@ class FundamentalGroup:
         return self.elements[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSystem:
-    """Immutable root datum of a product of simple factors."""
+    """Immutable root datum of a product of simple factors.
+
+    Every field is a function of ``factors``, so root systems compare and
+    hash by their factors alone.
+    """
     factors: tuple              # e.g. (("A", 2), ("B", 3))
     rank: int
     dim_group: int
@@ -180,6 +184,14 @@ class RootSystem:
     rho_covector: tuple         # pairs to 1 with every simple root
     weyl_order: int
     center: FundamentalGroup
+
+    def __eq__(self, other):
+        if not isinstance(other, RootSystem):
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self):
+        return hash(self.factors)
 
     @property
     def num_positive_roots(self):

@@ -6,6 +6,19 @@ denominator), so a uniform tensor grid with more points per axis than the
 per-axis bandwidth integrates them *exactly* up to roundoff.  The bandwidth
 is computed from the weight systems involved, never guessed.
 
+The sum runs over one point per Weyl orbit.  On each simple factor k take
+one size m_k, the largest grid size on its axes (still above the bandwidth
+on every axis); the lattice (1/m_k) Q^vee / Q^vee is W-stable.  The
+integrand F |Delta|^2 is W-invariant, and |Delta|^2 vanishes exactly at the
+non-regular points, where W acts with a stabiliser.  Every regular point
+has a free orbit that meets the open fundamental alcove once, so
+
+    (1 / (P |W|)) sum_grid F |Delta|^2 = (1 / P) sum_alcove F |Delta|^2,
+
+with P = prod_k m_k^rank_k; a product group takes the Cartesian product of
+its factors' alcoves.  At most P / |W| points are evaluated, and the
+point budget still counts the per-axis torus grid.
+
 This path shares no code with the character-ring route beyond the weight
 systems themselves, which is the point: the two must agree to roundoff.
 """
@@ -18,6 +31,7 @@ from itertools import zip_longest
 
 import numpy as np
 
+from . import rootsys
 from .asymptotics import ClassFunction
 from .charring import CycleType
 from .repweights import check_dominant_integral, weight_system, weyl_dimension
@@ -32,10 +46,12 @@ class TorusGrid:
     """A uniform tensor grid on the torus with its aliasing certificate.
 
     sizes[i] points on axis i at spacing 1/sizes[i]; exactness holds when
-    sizes[i] exceeds bandwidth_bound[i] (strictly) on every axis.
+    sizes[i] exceeds bandwidth_bound[i] (strictly) on every axis.  A grid
+    built without a bound gets it from the quadrature call, which also
+    refuses a stated bound that differs from the integrand's.
     """
     sizes: tuple
-    bandwidth_bound: tuple
+    bandwidth_bound: tuple | None = None
 
     @property
     def num_points(self):
@@ -112,10 +128,60 @@ def weyl_denominator_sq(rs, phi):
     return float(vals) if pts.ndim == 1 else vals
 
 
-def _grid_points(grid):
-    axes = [np.arange(m, dtype=float) / m for m in grid.sizes]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, len(grid.sizes))
+def _alcove_factor(rs, block, m):
+    """Points of the grid (1/m) Z^r in the open fundamental alcove of the
+    simple factor on the coroot axes ``block``, as an integer array k with
+    the points at k / m.
+
+    In root-value coordinates z_j = m <alpha_j, x> the open alcove is
+    z_j >= 1 and sum_j a_j z_j <= m - 1, with a_j the marks of the highest
+    root; the grid points among these are the z whose k = (C^T)^{-1} z is
+    integral.  That test runs on integers: with D the common denominator of
+    C^{-1}, D k = (D C^{-1})^T z must be divisible by D.
+    """
+    theta = max((c for c in rs.positive_rootcoords
+                 if any(c[i] for i in block)), key=sum)
+    marks = [theta[i] for i in block]
+    z = np.zeros((1, 0), dtype=np.int64)
+    room = np.array([m - 1], dtype=np.int64)
+    for j, aj in enumerate(marks):
+        # z_j runs over 1 .. top, leaving room for z_i = 1 on later axes
+        top = np.maximum((room - sum(marks[j + 1:])) // aj, 0)
+        rows = np.repeat(np.arange(len(z)), top)
+        starts = np.repeat(np.cumsum(top) - top, top)
+        zj = np.arange(len(rows), dtype=np.int64) - starts + 1
+        z = np.column_stack([z[rows], zj])
+        room = room[rows] - aj * zj
+    inv = [[rs.cartan_inv[i][j] for j in block] for i in block]
+    den = math.lcm(*(x.denominator for row in inv for x in row))
+    scaled = np.array([[int(x * den) for x in row] for row in inv],
+                      dtype=np.int64)
+    k = z @ scaled
+    return k[np.all(k % den == 0, axis=1)] // den
+
+
+def _alcove_points(rs, sizes, max_points):
+    """Grid points in the open fundamental alcove, in simple-coroot
+    coordinates, and the number P of torus-grid points they stand for.
+
+    Each simple factor k uses one size m_k, the largest of its axes' sizes;
+    a product group takes the Cartesian product of its factors' alcoves.
+    The alcove holds at most P / |W| points; a caller grid whose sizes
+    within a factor differ so much that this exceeds ``max_points`` is
+    refused before any point is enumerated.
+    """
+    factor_sizes = [(block, max(sizes[i] for i in block))
+                    for block, _dim in rootsys.factor_blocks(rs)]
+    cells = math.prod(m ** len(block) for block, m in factor_sizes)
+    if cells // rs.weyl_order > max_points:
+        raise GridError(
+            f"grid {sizes} puts up to {cells // rs.weyl_order} points in "
+            f"the alcove (largest size of each simple factor on all its "
+            f"axes), budget is {max_points}")
+    parts = [_alcove_factor(rs, block, m) / m for block, m in factor_sizes]
+    mesh = np.meshgrid(*(np.arange(len(p)) for p in parts), indexing="ij")
+    pts = np.hstack([p[idx.ravel()] for p, idx in zip(parts, mesh)])
+    return pts, cells
 
 
 def _quad_core(rs, lam, a, b, n, f, grid, max_log, max_points):
@@ -142,11 +208,16 @@ def _quad_core(rs, lam, a, b, n, f, grid, max_log, max_points):
             raise GridError(
                 f"grid {grid.sizes} aliases on axes {bad}: integrand "
                 f"bandwidth is {bw}, need at least {need} points per axis")
+        if (grid.bandwidth_bound is not None
+                and tuple(grid.bandwidth_bound) != bw):
+            raise GridError(
+                f"grid states bandwidth bound {grid.bandwidth_bound}, the "
+                f"integrand bandwidth is {bw}")
     if grid.num_points > max_points:
         raise GridError(
             f"grid has {grid.num_points} points, budget is {max_points}")
 
-    pts = _grid_points(grid)
+    pts, cells = _alcove_points(rs, grid.sizes, max_points)
     ws = weight_system(rs, lam)
     integrand = sum(c * character_at(weight_system(rs, nu), pts)
                     for nu, c in f.terms)
@@ -163,7 +234,7 @@ def _quad_core(rs, lam, a, b, n, f, grid, max_log, max_points):
             integrand *= np.conj(chi, out=chi) ** (n * bj)
 
     total = complex(math.fsum(integrand.real), math.fsum(integrand.imag))
-    total /= len(pts) * rs.weyl_order
+    total /= cells
     residual = abs(total.imag)
     if residual > 1e-10 * max(1.0, abs(total.real)):
         raise GridError(

@@ -1,8 +1,16 @@
-"""Shared pytest wiring: per-criterion verdict lines for the acceptance
-suite.  Every test in test_acceptance.py contributes exactly one
-``ACCEPTANCE <name>: PASS|FAIL`` line to the terminal summary."""
+"""Shared pytest wiring: one hypothesis profile for every property test,
+and per-criterion verdict lines for the acceptance suite.  Every test in
+test_acceptance.py contributes exactly one ``ACCEPTANCE <name>: PASS|FAIL``
+line to the terminal summary."""
 
 import pytest
+from hypothesis import settings
+
+# Examples are exact computations whose cost varies by orders of magnitude
+# across groups, so no per-example deadline; a failure prints the
+# @reproduce_failure blob that replays it.
+settings.register_profile("liemoments", deadline=None, print_blob=True)
+settings.load_profile("liemoments")
 
 _ACCEPTANCE_RESULTS = {}
 

@@ -13,6 +13,8 @@ genuine two-route check:
   the basis-independence certificate.
 * Torus evaluators as scalar per-weight and per-root loops: the character
   and the squared Weyl denominator at one point.
+* Torus quadrature over the whole uniform grid, every point of every Weyl
+  orbit, with characters from the Weyl character formula.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
+
+import numpy as np
 
 from liemoments.exactla import det_fraction, inv_fraction, mat_vec
 
@@ -312,3 +317,42 @@ def denominator_product(rs, phi):
     return math.prod(4 * math.sin(math.pi * sum(c * p for c, p in
                                                 zip(alpha, phi))) ** 2
                      for alpha in rs.positive_roots)
+
+
+def full_grid_points(sizes):
+    """Integer coordinates k of every point k_i / sizes[i] of the uniform
+    torus grid, as a (prod(sizes), len(sizes)) array."""
+    mesh = np.meshgrid(*(np.arange(m) for m in sizes), indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(-1, len(sizes))
+
+
+def full_grid_quadrature(rs, lam, a, b, n, f_terms, sizes):
+    """Moment integrand summed over the whole torus grid of ``sizes``,
+    divided by (points * |W|): the Weyl integration formula without the
+    W-orbit reduction.
+
+    The integrand is  f * |Delta|^2 * prod_j chi(g^j)^(n a_j)
+    * conj(chi(g^j))^(n b_j), with characters summed from the Weyl
+    character formula multiplicities and |Delta|^2 as
+    prod |1 - exp(2 pi i <alpha, x>)|^2.  Returns the complex value and the
+    mean of |integrand| / |W|, the scale its roundoff is relative to.
+    """
+    x = full_grid_points(sizes) / np.array(sizes, dtype=float)
+
+    def chi(weight, pts):
+        mults = weyl_formula_multiplicities(rs, weight)
+        w = np.array(list(mults), dtype=float)
+        m = np.array(list(mults.values()), dtype=float)
+        return np.exp(2j * np.pi * (pts @ w.T)) @ m
+
+    integrand = sum(c * chi(nu, x) for nu, c in f_terms)
+    roots = np.array(rs.positive_roots, dtype=float)
+    integrand = integrand * np.prod(
+        np.abs(1 - np.exp(2j * np.pi * (x @ roots.T))) ** 2, axis=1)
+    for j, (aj, bj) in enumerate(zip_longest(a, b, fillvalue=0), start=1):
+        if aj or bj:
+            dilate = chi(lam, j * x)
+            integrand = (integrand * dilate ** (n * aj)
+                         * np.conj(dilate) ** (n * bj))
+    norm = len(x) * rs.weyl_order
+    return integrand.sum() / norm, np.abs(integrand).sum() / norm

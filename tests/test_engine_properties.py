@@ -45,7 +45,7 @@ def moment_cases(draw):
     return rs, lam, a.scaled(n), b.scaled(n), terms
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(moment_cases())
 def test_engine_matches_convolution_oracle(case):
     rs, lam, a, b, terms = case
@@ -54,7 +54,7 @@ def test_engine_matches_convolution_oracle(case):
     assert got == oracles.convolution_moment(rs, lam, a.exps, b.exps, terms)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(lam1=small_weights(1, top=2), lam2=small_weights(2),
        a=cycle_types(), b=cycle_types(), n=st.integers(1, 3))
 def test_moment_factors_over_product_group(lam1, lam2, a, b, n):

@@ -337,6 +337,20 @@ def test_cli_quad_grid_with_wrong_axis_count_exits_2(capsys):
         assert f"expected {rank}" in capsys.readouterr().err
 
 
+def test_cli_quad_unequal_sizes_within_one_factor(capsys):
+    # B2 spin, K_2: bandwidth (8, 10), default grid (9, 12); the fixed grid
+    # has two different sizes on the axes of one simple factor
+    args = ["quad", "--group", "B2", "--lam", "0,1", "--a", "1", "--b", "1",
+            "--N", "2"]
+    assert main(args) == 0
+    default = float(capsys.readouterr().out)
+    assert main(args + ["--grid", "14,12"]) == 0
+    fixed = float(capsys.readouterr().out)
+    assert fixed == pytest.approx(default, rel=1e-12)
+    assert main(["exact"] + args[1:]) == 0
+    assert fixed == pytest.approx(int(capsys.readouterr().out), rel=1e-12)
+
+
 def test_converge_grid_with_wrong_axis_count_exits_2(tmp_path, capsys):
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text("group = A2\nlambda = 1,0\na = 1\nN = 1:2\n"

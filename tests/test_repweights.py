@@ -107,7 +107,7 @@ def group_and_weight(draw):
     return rs, draw(st.tuples(*[st.integers(0, 2)] * rs.rank))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(group_and_weight())
 def test_a_lambda_matches_weight_sum_oracle(case):
     # closed form from the Casimir identity == the sum over the weights

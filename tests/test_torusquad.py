@@ -135,6 +135,22 @@ def test_grid_with_wrong_axis_count_is_refused():
         quad_K_N(rs, (1, 0), a, a, 2, grid=flat)
 
 
+def test_grid_with_wrong_bandwidth_bound_is_refused():
+    rs = build_root_system("A2")
+    a = CycleType((1,))
+    grid = default_grid(rs, (1, 0), a, a, 3)
+    stated = tuple(b_ - 1 for b_ in grid.bandwidth_bound)
+    wrong = TorusGrid(sizes=grid.sizes, bandwidth_bound=stated)
+    with pytest.raises(GridError) as err:
+        quad_K_N(rs, (1, 0), a, a, 3, grid=wrong)
+    assert str(stated) in str(err.value)
+    assert str(grid.bandwidth_bound) in str(err.value)
+    # a grid that states no bound gets the computed one
+    unstated = TorusGrid(sizes=grid.sizes)
+    assert quad_K_N(rs, (1, 0), a, a, 3, grid=unstated) == \
+        quad_K_N(rs, (1, 0), a, a, 3, grid=grid)
+
+
 def test_one_sided_is_two_sided_with_empty_b():
     rs = build_root_system("A2")
     f = ClassFunction((((1, 1), 2.0),))
@@ -239,6 +255,17 @@ def test_point_budget_refusal():
     with pytest.raises(GridError) as err:
         quad_I_N(rs, (1,), CycleType((1,)), 3, max_points=4)
     assert "budget" in str(err.value)
+
+
+def test_alcove_budget_refuses_lopsided_grid():
+    # 4e6 torus points pass the point budget, but one size of 250000 on
+    # both axes of B2 would put up to 250000^2 / 8 points in the alcove
+    rs = build_root_system("B2")
+    lopsided = TorusGrid(sizes=(16, 250_000))
+    with pytest.raises(GridError) as err:
+        quad_I_N(rs, (0, 1), CycleType((1,)), 1, grid=lopsided)
+    assert "7812500000 points in the alcove" in str(err.value)
+    assert "budget is 4000000" in str(err.value)
 
 
 def test_mehta_quadrature_a1():
