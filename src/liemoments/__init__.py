@@ -16,8 +16,8 @@ from .asymptotics import (AsymptoticEstimate, ClassFunction, HypothesisError,
                           leading_term_I, leading_term_K, mehta_closed_form,
                           nu_character, vanish_leading_constant)
 from .charring import (CycleType, SupportCapExceeded, adams, decompose, dual,
-                       exact_moment, invariant_dimension, moment_terms,
-                       permutation_trace_bruteforce, product,
+                       exact_moment, invariant_dimension, moment_sequence,
+                       moment_terms, permutation_trace_bruteforce, product,
                        tensor_decompose, trivial_multiplicity)
 from .harness import (ConvergenceReport, ExperimentConfig, HypothesisVerdict,
                       check_hypotheses, run_experiment)
@@ -42,7 +42,8 @@ __all__ = [
     "default_grid", "dominant_representative", "dual", "exact_moment",
     "fundamental_group", "invariant_dimension", "kappa",
     "leading_term_I", "leading_term_K", "mehta_closed_form",
-    "mehta_quadrature", "moment_terms", "nu_character", "pairing",
+    "mehta_quadrature", "moment_sequence", "moment_terms", "nu_character",
+    "pairing",
     "permutation_trace_bruteforce", "product", "quad_I_N", "quad_K_N",
     "run_experiment", "tensor_decompose", "trivial_multiplicity",
     "vanish_leading_constant",

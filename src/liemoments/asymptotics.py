@@ -143,15 +143,17 @@ def _log_fraction(fr):
     return math.log(fr.numerator) - math.log(fr.denominator)
 
 
-def _exact_peak_data(rs, lam):
-    """(dim V_lam, kappa(A_lam^{-1} rho), det A_lam), all exact."""
+def peak_data(rs, lam):
+    """(dim V_lam, kappa(A_lam^{-1} rho), det A_lam), all exact.  None of
+    them depends on N, so a caller evaluating many N builds them once and
+    passes them to the leading terms as ``peak``."""
     sm = a_lambda(rs, lam)
     return weyl_dimension(rs, lam), rootsys.kappa(rs, sm.solve(rs.rho)), sm.det
 
 
-def _leading_core(rs, lam, num_factors, l_total, pi_sum, n):
+def _leading_core(rs, lam, num_factors, l_total, pi_sum, n, peak):
     """Shared assembly for the one- and two-sided leading terms."""
-    dim, kap, det_a = _exact_peak_data(rs, lam)
+    dim, kap, det_a = peak if peak is not None else peak_data(rs, lam)
     d = rs.num_positive_roots
     log_dim_power = n * num_factors * math.log(dim)
     prefactor = ((2 * math.pi) ** d
@@ -178,11 +180,12 @@ def _check_common(rs, lam, n):
     return lam
 
 
-def leading_term_I(rs, lam, a, n, f=None):
+def leading_term_I(rs, lam, a, n, f=None, peak=None):
     """Leading term of the one-sided moment with exponents N * a.
 
     Requires a regular highest weight and gcd 1 on the supported powers of
     the cycle type; ``f`` defaults to the constant class function 1.
+    ``peak``, when given, must be :func:`peak_data` of ``(rs, lam)``.
     """
     lam = _check_common(rs, lam, n)
     if a.gcd_support != 1:
@@ -195,14 +198,15 @@ def leading_term_I(rs, lam, a, n, f=None):
     for psi in rs.center.elements:
         pi_sum += (nu_character(rs, lam, n * k, psi)
                    * f.central_value(rs, psi))
-    return _leading_core(rs, lam, size, l, pi_sum, n)
+    return _leading_core(rs, lam, size, l, pi_sum, n, peak)
 
 
-def leading_term_K(rs, lam, a, b, n, f=None):
+def leading_term_K(rs, lam, a, b, n, f=None, peak=None):
     """Leading term of the two-sided (conjugate-balanced) moment.
 
     Requires k_a = k_b (else the phases do not cancel and the scaling is
-    different) and gcd 1 over the union of supported powers.
+    different) and gcd 1 over the union of supported powers.  ``peak`` is
+    as for :func:`leading_term_I`.
     """
     lam = _check_common(rs, lam, n)
     if a.weight != b.weight:
@@ -219,7 +223,7 @@ def leading_term_K(rs, lam, a, b, n, f=None):
     for psi in rs.center.elements:
         pi_sum += f.central_value(rs, psi)
     return _leading_core(rs, lam, a.size + b.size, a.quad + b.quad,
-                         pi_sum, n)
+                         pi_sum, n, peak)
 
 
 def biane_dimension_estimate(rs, lam, n):
@@ -232,7 +236,7 @@ def biane_dimension_estimate(rs, lam, n):
     if not rootsys.in_root_lattice(rs, lam):
         raise HypothesisError(
             f"highest weight {lam} must lie in the root lattice")
-    dim, kap, det_a = _exact_peak_data(rs, lam)
+    dim, kap, det_a = peak_data(rs, lam)
     log_val = (math.log(rs.center.order) + n * math.log(dim)
                + _log_fraction(kap)
                - (rs.rank / 2) * math.log(2 * math.pi)

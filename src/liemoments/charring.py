@@ -6,7 +6,8 @@ duals and tensor products; its Haar integral is the multiplicity of the
 trivial representation.  The exact engine never builds that weight system:
 it applies one Klimyk step per trace factor to a state of highest weights
 with signed multiplicities (:func:`klimyk_step`), and pairs two such
-decompositions for the two-sided moment (:func:`moment_terms`).  Weight-system
+decompositions for the two-sided moment (:func:`moment_sequence`, which
+extends one chain across a whole N schedule).  Weight-system
 convolution (:func:`product`) stays available as a character-ring operation.
 Everything here is exact integer arithmetic.
 """
@@ -24,8 +25,10 @@ from .repweights import WeightSystem, check_dominant_integral, weight_system
 
 
 class SupportCapExceeded(RuntimeError):
-    """Raised before a convolution or Klimyk step whose work (pairs of
-    weights, or of highest weights and weights) exceeds the support cap."""
+    """The exact route's budget refusal: raised before a Klimyk step whose
+    work (highest weights in the state times weights of the factor) exceeds
+    ``support_cap``.  The character-ring :func:`product` raises it for its
+    own pair budget too."""
 
 
 @dataclass(frozen=True)
@@ -184,6 +187,14 @@ def klimyk_step(rs, state, x, support_cap=10 ** 7, step=1):
     return out
 
 
+def _extend(rs, state, factors, support_cap, first_step):
+    """``state (x) X_1 (x) ... (x) X_k`` by one :func:`klimyk_step` per
+    factor; the steps are labelled from ``first_step`` on."""
+    for step, ws in enumerate(factors, start=first_step):
+        state = klimyk_step(rs, state, ws.entries, support_cap, step)
+    return state
+
+
 def tensor_decompose(rs, factors, support_cap=10 ** 7):
     """Decomposition of ``X_1 (x) ... (x) X_k`` into irreducibles.
 
@@ -191,10 +202,7 @@ def tensor_decompose(rs, factors, support_cap=10 ** 7):
     highest weights to signed multiplicities.  One :func:`klimyk_step` per
     factor, starting from the trivial representation.
     """
-    state = {(0,) * rs.rank: 1}
-    for step, ws in enumerate(factors, start=1):
-        state = klimyk_step(rs, state, ws.entries, support_cap, step)
-    return state
+    return _extend(rs, {(0,) * rs.rank: 1}, factors, support_cap, 1)
 
 
 def decompose(rs, ws):
@@ -225,41 +233,92 @@ def moment_weight_system(rs, lam, a, b=CycleType(()), support_cap=10 ** 7):
     return product_all(factors, rs.rank, support_cap=support_cap)
 
 
-def moment_terms(rs, lam, a, b=CycleType(()), weights=None,
-                 support_cap=10 ** 7):
-    """Haar integrals of P_a * conj(P_b) * chi_nu for each nu in ``weights``.
+def moment_sequence(rs, lam, a, b=CycleType(()), ns=(1,), weights=None,
+                    support_cap=10 ** 7):
+    """Haar integrals of P_{a n} * conj(P_{b n}) * chi_nu for each n in
+    ``ns`` and each nu in ``weights``, from one Klimyk chain per side.
 
     P_a = prod_j Tr(g^j)^{a_j} in the irreducible with highest weight
-    ``lam``; ``weights`` defaults to the trivial weight alone.  With
-    dec(P) the decomposition of P into irreducibles, each integral is the
-    inner product  sum_mu dec(P_a (x) V_nu)[mu] * dec(P_b)[mu]:  one extra
-    Klimyk step and a lookup per nu.  dec(P_b) is dec(P_a) when a == b.
-    Returns a list of exact integers.
+    ``lam``; ``weights`` defaults to the trivial weight alone.  With dec(P)
+    the decomposition of P into irreducibles, each integral is the inner
+    product  sum_mu dec(P_{a n} (x) V_nu)[mu] * dec(P_{b n})[mu]:  one extra
+    Klimyk step and a lookup per nu.  dec(P_{a n}) is dec(P_{a (n-1)})
+    extended by the |a| trace factors of P_a, so a strictly increasing
+    schedule costs max(ns) * (|a| + |b|) chain steps in all, gaps included;
+    dec(P_{b n}) is dec(P_{a n}) when a == b.  Steps are numbered along
+    each chain, whose factors come in rounds of P_a's factors, one round
+    per unit of n.  For a cycle type with one part (a_j = 0 for all but one
+    j) step k is the same step with the same state as in the one-element
+    schedule ``ns = (n,)``; with two or more parts the order of the trace
+    factors, and so the step at which a cap refuses, differs from that of
+    ``a.scaled(n)`` (all Tr(g) factors first), while the integers agree.
+
+    Yields, per n, a list of exact integers (one per nu) or the
+    :class:`SupportCapExceeded` that refused the row.  A refusal inside a
+    chain refuses that row and every later one (the a side's first, as a
+    one-element schedule would raise it, and the b side is then no longer
+    built); a refusal in a nu step refuses its own row only.
     """
     zero = (0,) * rs.rank
     if weights is None:
         weights = [zero]
     ws = weight_system(rs, lam)
-    dec_a = tensor_decompose(rs, _power_factors(ws, a),
-                             support_cap=support_cap)
-    if b == a:
-        dec_b = dec_a
-    else:
-        dec_b = tensor_decompose(rs, _power_factors(ws, b),
-                                 support_cap=support_cap)
-    out = []
-    for nu in weights:
-        nu = check_dominant_integral(rs, nu)
-        left = dec_a
-        if nu != zero:
-            left = klimyk_step(rs, dec_a, weight_system(rs, nu).entries,
-                               support_cap, step=a.size + 1)
-        if len(left) > len(dec_b):
-            left, right = dec_b, left
-        else:
-            right = dec_b
-        out.append(sum(c * right.get(mu, 0) for mu, c in left.items()))
-    return out
+    sides = [_power_factors(ws, a)]
+    if b != a:
+        sides.append(_power_factors(ws, b))
+    decs = [{zero: 1} for _ in sides]   # dec(P^done), or its refusal
+    prev = -1
+    for n in ns:
+        if n <= prev:
+            raise ValueError(
+                f"schedule must be strictly increasing and >= 0: {ns}")
+        done, prev = max(prev, 0), n
+        for i, factors in enumerate(sides):
+            if isinstance(decs[0], SupportCapExceeded):
+                break   # its refusal answers every later row: stop building
+            if isinstance(decs[i], SupportCapExceeded):
+                continue
+            try:
+                decs[i] = _extend(rs, decs[i], factors * (n - done),
+                                  support_cap, done * len(factors) + 1)
+            except SupportCapExceeded as exc:
+                decs[i] = exc
+        refusal = next((d for d in decs if isinstance(d, SupportCapExceeded)),
+                       None)
+        if refusal is not None:
+            yield refusal
+            continue
+        dec_a, dec_b = decs[0], decs[-1]
+        out = []
+        for nu in weights:
+            nu = check_dominant_integral(rs, nu)
+            left = dec_a
+            if nu != zero:
+                try:
+                    left = klimyk_step(rs, dec_a,
+                                       weight_system(rs, nu).entries,
+                                       support_cap, step=n * a.size + 1)
+                except SupportCapExceeded as exc:
+                    out = exc
+                    break
+            if len(left) > len(dec_b):
+                left, right = dec_b, left
+            else:
+                right = dec_b
+            out.append(sum(c * right.get(mu, 0) for mu, c in left.items()))
+        yield out
+
+
+def moment_terms(rs, lam, a, b=CycleType(()), weights=None,
+                 support_cap=10 ** 7):
+    """Haar integrals of P_a * conj(P_b) * chi_nu for each nu in
+    ``weights``: the one-element schedule ``ns = (1,)`` of
+    :func:`moment_sequence`, with its refusal raised.  Returns a list of
+    exact integers."""
+    (terms,) = moment_sequence(rs, lam, a, b, (1,), weights, support_cap)
+    if isinstance(terms, SupportCapExceeded):
+        raise terms
+    return terms
 
 
 def exact_moment(rs, lam, a, b=CycleType(()), support_cap=10 ** 7):

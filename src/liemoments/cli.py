@@ -161,6 +161,11 @@ def main(argv=None):
             charring.SupportCapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        # a failed internal cross-check (SupportCapExceeded, a subclass,
+        # is a refusal and is handled above)
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

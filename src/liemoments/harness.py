@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import charring, rootsys, torusquad
+from . import asymptotics, charring, rootsys, torusquad
 from .asymptotics import (AsymptoticEstimate, ClassFunction, HypothesisError,
                           leading_term_I, leading_term_K)
 from .charring import CycleType
@@ -312,14 +312,20 @@ def _log_abs(x):
     return math.log(abs(x)) if x else float("-inf")
 
 
-def _exact_value(rs, lam, a, b, n, f, support_cap=10 ** 7):
-    """Exact moment with the class-function factor folded in."""
-    mults = charring.moment_terms(rs, lam, a.scaled(n), b.scaled(n),
-                                  [nu for nu, _ in f.terms],
-                                  support_cap=support_cap)
+def _exact_values(rs, lam, a, b, ns, f, support_cap=10 ** 7):
+    """Exact moments at each n of ``ns``, with the class-function factor
+    folded in, from one Klimyk chain (:func:`charring.moment_sequence`).
+    Yields per n the value or the :class:`charring.SupportCapExceeded`
+    that refused it."""
     exact_coeffs = all(float(c).is_integer() for _, c in f.terms)
-    return sum((int(c) if exact_coeffs else c) * mult
-               for (_, c), mult in zip(f.terms, mults))
+    for mults in charring.moment_sequence(rs, lam, a, b, ns,
+                                          [nu for nu, _ in f.terms],
+                                          support_cap=support_cap):
+        if isinstance(mults, charring.SupportCapExceeded):
+            yield mults
+        else:
+            yield sum((int(c) if exact_coeffs else c) * mult
+                      for (_, c), mult in zip(f.terms, mults))
 
 
 # route -> (ExperimentRow field it fills, the typed refusal it may raise)
@@ -343,13 +349,48 @@ def route_value(path, rs, lam, a, b, n, f, grid_sizes=None):
         raise rootsys.ConfigurationError(
             f"power index N must be >= 0, got {n}")
     if path == "exact":
-        return _exact_value(rs, lam, a, b, n, f)
+        # one chain of the scaled types: the factor order, and so every
+        # refusal, is that of moment_terms(rs, lam, a.scaled(n), ...)
+        (value,) = _exact_values(rs, lam, a.scaled(n), b.scaled(n), (1,), f)
+        if isinstance(value, charring.SupportCapExceeded):
+            raise value
+        return value
     if path == "quad":
         grid = torusquad.TorusGrid(sizes=grid_sizes) if grid_sizes else None
         return torusquad.quad_K_N(rs, lam, a, b, n, f=f, grid=grid)
+    return _leading_term(rs, lam, a, b, n, f)
+
+
+def _leading_term(rs, lam, a, b, n, f, peak=None):
     if b.exps:
-        return leading_term_K(rs, lam, a, b, n, f=f)
-    return leading_term_I(rs, lam, a, n, f=f)
+        return leading_term_K(rs, lam, a, b, n, f=f, peak=peak)
+    return leading_term_I(rs, lam, a, n, f=f, peak=peak)
+
+
+def _quad_column(rs, lam, cfg, f):
+    """Quadrature over the schedule, one :func:`route_value` call per N;
+    yields per N the value or the :class:`torusquad.GridError`."""
+    for n in cfg.schedule:
+        try:
+            yield route_value("quad", rs, lam, cfg.a, cfg.b, n, f,
+                              cfg.grid_sizes)
+        except torusquad.GridError as exc:
+            yield exc
+
+
+def _asymptotic_column(rs, lam, cfg, f, verdict):
+    """Leading terms over the schedule.  When the hypotheses hold, the
+    N-independent peak data (:func:`asymptotics.peak_data`) is built once
+    here, not once per row; otherwise every row refuses as it would alone.
+    Yields per N the estimate or the :class:`HypothesisError`."""
+    problems = (verdict.problems_two_sided if cfg.b.exps
+                else verdict.problems_one_sided)
+    peak = None if problems else asymptotics.peak_data(rs, lam)
+    for n in cfg.schedule:
+        try:
+            yield _leading_term(rs, lam, cfg.a, cfg.b, n, f, peak)
+        except HypothesisError as exc:
+            yield exc
 
 
 def run_experiment(cfg):
@@ -359,20 +400,26 @@ def run_experiment(cfg):
     f = cfg.f if cfg.f is not None else ClassFunction.one(rs.rank)
     verdict = check_hypotheses(rs, lam, cfg.a, cfg.b)
     timings = {p: 0.0 for p in cfg.paths}
+    columns = {}
+    if "exact" in cfg.paths:
+        columns["exact"] = _exact_values(rs, lam, cfg.a, cfg.b, cfg.schedule,
+                                         f)
+    if "quad" in cfg.paths:
+        columns["quad"] = _quad_column(rs, lam, cfg, f)
+    if "asymptotic" in cfg.paths:
+        columns["asymptotic"] = _asymptotic_column(rs, lam, cfg, f, verdict)
     rows = []
     for n in cfg.schedule:
         row = ExperimentRow(n=n)
         notes = []
-        for path in _PATHS:
-            if path not in cfg.paths:
-                continue
+        for path, column in columns.items():
             attr, refusal = _ROUTES[path]
             t0 = time.perf_counter()
-            try:
-                setattr(row, attr, route_value(path, rs, lam, cfg.a, cfg.b,
-                                               n, f, cfg.grid_sizes))
-            except refusal as exc:
-                notes.append(f"{path} skipped: {exc}")
+            value = next(column)
+            if isinstance(value, refusal):
+                notes.append(f"{path} skipped: {value}")
+            else:
+                setattr(row, attr, value)
             timings[path] += time.perf_counter() - t0
 
         ref = row.exact if row.exact is not None else row.quad

@@ -88,14 +88,16 @@ def is_regular(rs, lam):
 def weyl_dimension(rs, lam):
     """Dimension of the irreducible with highest weight ``lam`` (exact)."""
     lam = check_dominant_integral(rs, lam)
-    num = Fraction(1)
-    den = Fraction(1)
+    num = den = 1
     for cr in rs.positive_coroots:
         num *= sum((l + 1) * c for l, c in zip(lam, cr))
         den *= sum(cr)
-    dim = num / den
-    assert dim.denominator == 1 and dim > 0
-    return int(dim)
+    dim, rem = divmod(num, den)
+    if rem or dim <= 0:
+        raise RuntimeError(
+            f"Weyl dimension of {lam} is {num}/{den}, not a positive "
+            f"integer: corrupted root tables")
+    return dim
 
 
 def weight_system(rs, lam):
@@ -163,7 +165,10 @@ def _freudenthal(rs, lam):
         shifted = tuple(l + m + 2 for l, m in zip(lam, mu))
         denom = sum(diff[j] * sym[j] * shifted[j] for j in range(rank))
         m_mu = 2 * total / denom
-        assert m_mu.denominator == 1 and m_mu > 0, (lam, mu, m_mu)
+        if m_mu.denominator != 1 or m_mu <= 0:
+            raise RuntimeError(
+                f"Freudenthal multiplicity of {mu} in {lam} is {m_mu}, not "
+                f"a positive integer: corrupted root tables")
         mult[mu] = int(m_mu)
 
     entries = {}

@@ -22,6 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .exactla import (det_fraction, inv_fraction, mat_vec, smith_normal_form,
                       solve_fraction)
@@ -240,8 +241,16 @@ def build_root_system(spec):
     The positive-root count is cross-checked against the dimension table
     (dim G = 2 * #positive + rank) and the center order against |det Cartan|;
     a mismatch raises RuntimeError, as it would mean corrupted tables.
+    The spec is parsed on every call, so a malformed one always raises; the
+    datum is memoised per parsed factors, since it is immutable and a
+    function of them alone.
     """
     factors = parse_group(spec) if isinstance(spec, str) else tuple(spec)
+    return _root_system(factors)
+
+
+@cache
+def _root_system(factors):
     cartan = _block_diag([_cartan_simple(l, n) for l, n in factors])
     rank = len(cartan)
     dim_group = sum(_dim_simple(l, n) for l, n in factors)

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from liemoments import rootsys
+from liemoments import charring, harness, rootsys
 from liemoments.charring import (CycleType, SupportCapExceeded, adams,
                                  canonical_permutation, decompose, dual,
                                  exact_moment, invariant_dimension,
-                                 klimyk_step,
+                                 klimyk_step, moment_sequence, moment_terms,
                                  permutation_trace_bruteforce, product,
                                  product_all, trivial_multiplicity)
 from liemoments.repweights import weight_system
@@ -89,6 +89,99 @@ def test_klimyk_cap_refuses_before_the_step(monkeypatch):
     with pytest.raises(SupportCapExceeded, match="step 7: state of 2 "):
         klimyk_step(rs, {(0,): 1, (2,): 1}, weight_system(rs, (1,)).entries,
                     support_cap=3, step=7)
+
+
+@pytest.mark.parametrize("group, lam, a, b, f", [
+    ("A1", (1,), (1,), (1,), "0:1; 2:1"),
+    ("A2", (1, 0), (1, 1), (0, 1), "1"),
+    ("B2", (0, 1), (1,), (), "0,0:2; 1,0:1; 0,1:-1"),
+])
+def test_sweep_extends_one_chain(monkeypatch, group, lam, a, b, f):
+    # a sweep over N = 1..m: |a| chain steps per unit of N, |b| more when
+    # b != a, and one step per nontrivial class-function term per row
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return klimyk_step(*args, **kwargs)
+
+    monkeypatch.setattr(charring, "klimyk_step", counted)
+    m = 5
+    rs = build_root_system(group)
+    a, b = CycleType(a), CycleType(b)
+    cfg = harness.ExperimentConfig(
+        group=group, lam=lam, a=a, b=b, schedule=tuple(range(1, m + 1)),
+        paths=("exact",), f=harness.parse_class_function(f, rs.rank))
+    rows = harness.run_experiment(cfg).rows
+    nontrivial = sum(any(nu) for nu, _ in cfg.f.terms)
+    assert len(calls) == m * (a.size + (b.size if b != a else 0)
+                              + nontrivial)
+    for row in rows:
+        assert row.notes == ()
+        assert row.exact == harness.route_value("exact", rs, lam, a, b,
+                                                row.n, cfg.f)
+
+
+def test_chain_refusal_persists_to_later_rows():
+    rs = build_root_system("A1")
+    one = CycleType((1,))
+    rows = list(moment_sequence(rs, (1,), one, one, (1, 2, 6, 7),
+                                support_cap=3))
+    assert rows[:2] == [[1], [2]]
+    note = ("Klimyk step 3: state of 2 highest weights times 2 weights is "
+            "4 pairs, over support_cap 3")
+    for n, refusal in zip((6, 7), rows[2:]):
+        assert isinstance(refusal, SupportCapExceeded)
+        assert str(refusal) == note
+        with pytest.raises(SupportCapExceeded) as one_n:
+            moment_terms(rs, (1,), one.scaled(n), one.scaled(n),
+                         support_cap=3)
+        assert str(one_n.value) == note
+
+
+def test_a_side_refusal_takes_over_from_b_side():
+    # the conjugated side psi^2(std)^N is refused from N = 3 on; the plain
+    # side std^N from N = 5 on, and then its refusal names the row, as a
+    # one-N call (which builds the plain side first) reports it
+    rs = build_root_system("A1")
+    a, b = CycleType((1,)), CycleType((0, 1))
+    rows = [r if isinstance(r, list) else str(r) for r in
+            moment_sequence(rs, (1,), a, b, range(1, 9), support_cap=4)]
+    b_note = ("Klimyk step 3: state of 3 highest weights times 2 weights is "
+              "6 pairs, over support_cap 4")
+    a_note = b_note.replace("step 3", "step 5")
+    assert rows == [[0], [1]] + [b_note] * 2 + [a_note] * 4
+    for n in (4, 5):
+        with pytest.raises(SupportCapExceeded) as one_n:
+            moment_terms(rs, (1,), a.scaled(n), b.scaled(n), support_cap=4)
+        assert str(one_n.value) == rows[n - 1]
+
+
+def test_a_side_refusal_stops_the_b_side(monkeypatch):
+    # psi^2(std)^N is refused from N = 3 on; once the a side is refused its
+    # note answers every later row, so std^N is not built any further
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return klimyk_step(*args, **kwargs)
+
+    monkeypatch.setattr(charring, "klimyk_step", counted)
+    rs = build_root_system("A1")
+    a, b = CycleType((0, 1)), CycleType((1,))
+    rows = [r if isinstance(r, list) else str(r) for r in
+            moment_sequence(rs, (1,), a, b, range(1, 9), support_cap=4)]
+    note = ("Klimyk step 3: state of 3 highest weights times 2 weights is "
+            "6 pairs, over support_cap 4")
+    assert rows == [[0], [1]] + [note] * 6
+    assert len(calls) == 2 + 2 + 1
+
+def test_moment_sequence_rejects_unordered_schedule():
+    rs = build_root_system("A1")
+    one = CycleType((1,))
+    for ns in ((2, 2), (3, 1), (-1, 2)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            list(moment_sequence(rs, (1,), one, one, ns))
 
 
 def test_product_all_empty_is_trivial():

@@ -6,10 +6,11 @@ alternating sum over the orbit of rho; the engine tracks highest weights
 with Freudenthal multiplicities.  The two routes share only root data.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liemoments.charring import CycleType, exact_moment, moment_terms
+from liemoments.charring import (CycleType, exact_moment, moment_sequence,
+                                 moment_terms)
 from liemoments.rootsys import build_root_system
 
 import oracles
@@ -62,3 +63,35 @@ def test_moment_factors_over_product_group(lam1, lam2, a, b, n):
     whole = exact_moment(build_root_system("A1xA2"), lam1 + lam2, a, b)
     assert whole == (exact_moment(build_root_system("A1"), lam1, a, b)
                      * exact_moment(build_root_system("A2"), lam2, a, b))
+
+
+@st.composite
+def sequence_cases(draw):
+    """A moment with a whole schedule: gapped, possibly starting at 0, with
+    ``b == a`` (one shared chain) about half the time."""
+    spec = draw(st.sampled_from(sorted(GROUPS)))
+    rs = GROUPS[spec]
+    lam = draw(small_weights(rs.rank))
+    a = CycleType(draw(cycle_types()))
+    b = a if draw(st.booleans()) else CycleType(draw(cycle_types()))
+    top = max(1, MAX_FACTORS // max(1, a.size + b.size))
+    ns = tuple(sorted(draw(st.sets(st.integers(0, top), min_size=1,
+                                   max_size=3))))
+    weights = draw(st.lists(small_weights(rs.rank), min_size=1, max_size=2))
+    return rs, lam, a, b, ns, weights
+
+
+@settings(max_examples=60)
+@given(sequence_cases())
+@example((GROUPS["A1"], (1,), CycleType((1,)), CycleType(()), (2, 3, 7),
+          [(0,), (2,)]))
+@example((GROUPS["G2"], (1, 0), CycleType((1,)), CycleType((1,)), (1, 3),
+          [(0, 0), (1, 0)]))
+def test_moment_sequence_matches_oracle_at_every_n(case):
+    rs, lam, a, b, ns, weights = case
+    rows = list(moment_sequence(rs, lam, a, b, ns, weights))
+    assert len(rows) == len(ns)
+    for n, mults in zip(ns, rows):
+        assert mults == [oracles.convolution_moment(
+            rs, lam, a.scaled(n).exps, b.scaled(n).exps, [(nu, 1)])
+            for nu in weights]

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from liemoments import harness
-from liemoments.charring import CycleType
+from liemoments import asymptotics, harness
+from liemoments.charring import CycleType, SupportCapExceeded
 from liemoments.cli import main
 from liemoments.harness import (ConvergenceReport, ExperimentConfig,
                                 check_hypotheses, fit_error_exponent,
@@ -314,8 +314,8 @@ def test_cli_converge_output_is_byte_identical_to_seed(tmp_path, capsys,
 
 
 def test_support_cap_refusal_becomes_row_note(monkeypatch):
-    monkeypatch.setattr(harness, "_exact_value",
-                        functools.partial(harness._exact_value,
+    monkeypatch.setattr(harness, "_exact_values",
+                        functools.partial(harness._exact_values,
                                           support_cap=3))
     cfg = ExperimentConfig(group="A1", lam=(1,), a=CycleType((1,)),
                            b=CycleType((1,)), schedule=(1, 6),
@@ -401,3 +401,68 @@ def test_cli_error_codes(capsys):
     args = ["quad", "--group", "A1", "--lam", "1", "--a", "1", "--N", "1200"]
     assert main(args) == 1
     assert "budget" in capsys.readouterr().err
+
+
+def test_cli_internal_error_exits_3_without_traceback(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("dimension formulas disagree")
+
+    monkeypatch.setattr(harness, "route_value", broken)
+    args = ["exact", "--group", "A1", "--lam", "1", "--a", "1"]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: dimension formulas disagree\n"
+
+    def refused(*args, **kwargs):
+        raise SupportCapExceeded("Klimyk step 1: over support_cap 0")
+
+    monkeypatch.setattr(harness, "route_value", refused)
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "error: Klimyk step 1: over support_cap 0\n")
+
+
+def test_cli_exact_applies_the_factors_of_the_scaled_type(monkeypatch,
+                                                          capsys):
+    # a = (1, 1) at N = 4 is Tr(g)^4 Tr(g^2)^4: the one-N route applies all
+    # Tr(g) factors first, as moment_terms on a.scaled(N) does, so the
+    # refusal names that order's step and state
+    monkeypatch.setattr(harness, "_exact_values",
+                        functools.partial(harness._exact_values,
+                                          support_cap=6))
+    args = ["exact", "--group", "A1", "--lam", "1", "--a", "1,1", "--b",
+            "1,1", "--N", "4"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "error: Klimyk step 6: state of 4 highest weights times 2 weights "
+        "is 8 pairs, over support_cap 6\n")
+
+
+@pytest.mark.parametrize("a, builds", [((1,), 1), ((0, 1), 0)])
+def test_sweep_builds_peak_data_once(monkeypatch, a, builds):
+    # dim V, kappa(A^{-1} rho) and det A do not depend on N: each sweep
+    # builds them once (none when the hypotheses fail and every row is
+    # refused), and a second sweep builds them again
+    calls = []
+    real = asymptotics.a_lambda
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(asymptotics, "a_lambda", counted)
+    cfg = ExperimentConfig(group="B2", lam=(1, 1), a=CycleType(a),
+                           schedule=(1, 2, 5), paths=("asymptotic",))
+    report = run_experiment(cfg)
+    assert len(calls) == builds
+    assert run_experiment(cfg).to_json() == report.to_json()
+    assert len(calls) == 2 * builds
+    rs = build_root_system("B2")
+    one = harness.ClassFunction.one(rs.rank)
+    for row in report.rows:
+        if builds:
+            assert row.estimate == harness.route_value(
+                "asymptotic", rs, (1, 1), cfg.a, cfg.b, row.n, one)
+        else:
+            assert row.estimate is None
+            assert row.notes[0].startswith("asymptotic skipped: ")

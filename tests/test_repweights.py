@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,3 +160,40 @@ def test_is_regular():
     assert is_regular(rs, (1, 1))
     assert not is_regular(rs, (1, 0))
     assert not is_regular(rs, (0, 0))
+
+
+# Corrupted root data that each exact cross-check must catch: a wrong
+# coroot makes the Weyl dimension of (1, 0) come out as 18/4, and a wrong
+# root coordinate makes Freudenthal's multiplicity of 0 in the adjoint 4/3.
+_CORRUPTED = """
+import dataclasses, sys
+from liemoments import repweights, rootsys
+rs = rootsys.build_root_system("A2")
+checks = {
+    "coroot": lambda: repweights.weyl_dimension(dataclasses.replace(
+        rs, positive_coroots=((1, 1),) + rs.positive_coroots[1:]), (1, 0)),
+    "freudenthal": lambda: repweights.weight_system(dataclasses.replace(
+        rs, positive_rootcoords=rs.positive_rootcoords[:2] + ((2, 1),)),
+        (1, 1)),
+}
+try:
+    checks[sys.argv[1]]()
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("check, message", [
+    ("coroot", "Weyl dimension of (1, 0) is 18/4, not a positive integer"),
+    ("freudenthal", "Freudenthal multiplicity of (0, 0) in (1, 1) is 4/3"),
+])
+def test_cross_checks_survive_python_O(check, message):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED, check],
+                          capture_output=True, text=True, env=env,
+                          timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert message in proc.stdout

@@ -162,3 +162,12 @@ def test_root_lattice_membership():
     assert order_mod_root_lattice(rs, (1, 0)) == 3
     assert order_mod_root_lattice(rs, (1, 1)) == 1
     assert in_root_lattice(rs, (1, 1))
+
+
+def test_root_datum_is_memoised_but_specs_are_always_parsed():
+    assert build_root_system("A2xB2") is build_root_system("a2, b2")
+    for _ in range(2):
+        with pytest.raises(ConfigurationError):
+            build_root_system("A2xQ1")
+        with pytest.raises(ConfigurationError):
+            build_root_system("C2")
