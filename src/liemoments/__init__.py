@@ -22,7 +22,7 @@ from .charring import (CycleType, SupportCapExceeded, adams, decompose, dual,
 from .harness import (ConvergenceReport, ExperimentConfig, HypothesisVerdict,
                       check_hypotheses, run_experiment)
 from .repweights import (SecondMoment, WeightSystem, a_lambda, is_regular,
-                         weight_system, weyl_dimension)
+                         weight_extent, weight_system, weyl_dimension)
 from .rootsys import (ConfigurationError, FundamentalGroup, RootSystem,
                       build_root_system, dominant_representative,
                       fundamental_group, kappa, pairing, weyl_orbit)
@@ -47,5 +47,6 @@ __all__ = [
     "permutation_trace_bruteforce", "product", "quad_I_N", "quad_K_N",
     "run_experiment", "tensor_decompose", "trivial_multiplicity",
     "vanish_leading_constant",
-    "weight_system", "weyl_dimension", "weyl_denominator_sq", "weyl_orbit",
+    "weight_extent", "weight_system", "weyl_dimension", "weyl_denominator_sq",
+    "weyl_orbit",
 ]

@@ -15,6 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,17 +144,29 @@ def _log_fraction(fr):
     return math.log(fr.numerator) - math.log(fr.denominator)
 
 
-def peak_data(rs, lam):
-    """(dim V_lam, kappa(A_lam^{-1} rho), det A_lam), all exact.  None of
-    them depends on N, so a caller evaluating many N builds them once and
-    passes them to the leading terms as ``peak``."""
+class PeakData(NamedTuple):
+    """The N-independent data of the Laplace peaks at the center."""
+    dim: int              # dim V_lam
+    kappa_term: Fraction  # kappa(A_lam^{-1} rho)
+    det_a: Fraction       # det A_lam
+    f_at_center: tuple    # f at each element of rs.center.elements
+
+
+def peak_data(rs, lam, f=None):
+    """:class:`PeakData` of ``(rs, lam)`` and the class function ``f``
+    (default 1).  None of it depends on N, so a caller evaluating many N
+    builds it once and passes it to the leading terms as ``peak``."""
+    f = ClassFunction.one(rs.rank) if f is None else f
     sm = a_lambda(rs, lam)
-    return weyl_dimension(rs, lam), rootsys.kappa(rs, sm.solve(rs.rho)), sm.det
+    return PeakData(weyl_dimension(rs, lam),
+                    rootsys.kappa(rs, sm.solve(rs.rho)), sm.det,
+                    tuple(f.central_value(rs, psi)
+                          for psi in rs.center.elements))
 
 
-def _leading_core(rs, lam, num_factors, l_total, pi_sum, n, peak):
+def _leading_core(rs, num_factors, l_total, pi_sum, n, peak):
     """Shared assembly for the one- and two-sided leading terms."""
-    dim, kap, det_a = peak if peak is not None else peak_data(rs, lam)
+    dim, kap, det_a, _ = peak
     d = rs.num_positive_roots
     log_dim_power = n * num_factors * math.log(dim)
     prefactor = ((2 * math.pi) ** d
@@ -185,7 +198,7 @@ def leading_term_I(rs, lam, a, n, f=None, peak=None):
 
     Requires a regular highest weight and gcd 1 on the supported powers of
     the cycle type; ``f`` defaults to the constant class function 1.
-    ``peak``, when given, must be :func:`peak_data` of ``(rs, lam)``.
+    ``peak``, when given, must be :func:`peak_data` of ``(rs, lam, f)``.
     """
     lam = _check_common(rs, lam, n)
     if a.gcd_support != 1:
@@ -193,12 +206,12 @@ def leading_term_I(rs, lam, a, n, f=None, peak=None):
             f"supported powers {a.support()} must have gcd 1, got gcd "
             f"{a.gcd_support}")
     f = (ClassFunction.one(rs.rank) if f is None else f).validated(rs)
+    peak = peak_data(rs, lam, f) if peak is None else peak
     size, k, l = cycle_constants(a)
     pi_sum = complex(0, 0)
-    for psi in rs.center.elements:
-        pi_sum += (nu_character(rs, lam, n * k, psi)
-                   * f.central_value(rs, psi))
-    return _leading_core(rs, lam, size, l, pi_sum, n, peak)
+    for psi, f_psi in zip(rs.center.elements, peak.f_at_center):
+        pi_sum += nu_character(rs, lam, n * k, psi) * f_psi
+    return _leading_core(rs, size, l, pi_sum, n, peak)
 
 
 def leading_term_K(rs, lam, a, b, n, f=None, peak=None):
@@ -219,11 +232,10 @@ def leading_term_K(rs, lam, a, b, n, f=None, peak=None):
             f"supported powers {a.support()} u {b.support()} must have "
             f"gcd 1, got gcd {g}")
     f = (ClassFunction.one(rs.rank) if f is None else f).validated(rs)
-    pi_sum = complex(0, 0)
-    for psi in rs.center.elements:
-        pi_sum += f.central_value(rs, psi)
-    return _leading_core(rs, lam, a.size + b.size, a.quad + b.quad,
-                         pi_sum, n, peak)
+    peak = peak_data(rs, lam, f) if peak is None else peak
+    pi_sum = sum(peak.f_at_center, complex(0, 0))
+    return _leading_core(rs, a.size + b.size, a.quad + b.quad, pi_sum, n,
+                         peak)
 
 
 def biane_dimension_estimate(rs, lam, n):
@@ -236,7 +248,7 @@ def biane_dimension_estimate(rs, lam, n):
     if not rootsys.in_root_lattice(rs, lam):
         raise HypothesisError(
             f"highest weight {lam} must lie in the root lattice")
-    dim, kap, det_a = peak_data(rs, lam)
+    dim, kap, det_a, _ = peak_data(rs, lam)
     log_val = (math.log(rs.center.order) + n * math.log(dim)
                + _log_fraction(kap)
                - (rs.rank / 2) * math.log(2 * math.pi)

@@ -380,12 +380,13 @@ def _quad_column(rs, lam, cfg, f):
 
 def _asymptotic_column(rs, lam, cfg, f, verdict):
     """Leading terms over the schedule.  When the hypotheses hold, the
-    N-independent peak data (:func:`asymptotics.peak_data`) is built once
-    here, not once per row; otherwise every row refuses as it would alone.
-    Yields per N the estimate or the :class:`HypothesisError`."""
+    N-independent peak data (:func:`asymptotics.peak_data`, with the values
+    of ``f`` at the center) is built once here, not once per row; otherwise
+    every row refuses as it would alone.  Yields per N the estimate or the
+    :class:`HypothesisError`."""
     problems = (verdict.problems_two_sided if cfg.b.exps
                 else verdict.problems_one_sided)
-    peak = None if problems else asymptotics.peak_data(rs, lam)
+    peak = None if problems else asymptotics.peak_data(rs, lam, f)
     for n in cfg.schedule:
         try:
             yield _leading_term(rs, lam, cfg.a, cfg.b, n, f, peak)

@@ -2,17 +2,26 @@
 
 Multiplicities come from Freudenthal's recursion run over the dominant
 weights (found by closing the highest weight under subtraction of positive
-roots), then expanded along Weyl orbits.  Everything is exact: weights are
+roots) in order of level, the height of lam - mu (Moody-Patera).  The
+recursion is in integers: inner products are scaled by the lcm D of the
+symmetrizer denominators, and each multiplicity is one exact ``divmod``.
+As soon as a dominant weight's multiplicity is known, its Weyl orbit is
+walked down into the table of weights, so each term mu + k alpha of the
+recursion is one table lookup: its dominant conjugate lies at a strictly
+lower level and was expanded earlier.  Everything is exact: weights are
 integer tuples in fundamental-weight coordinates, multiplicities are ints,
-and the second-moment matrix is a Fraction matrix.  That matrix comes from
-root data alone (the Casimir identity), never from a weight system.
+and the second-moment matrix is a Fraction matrix.  That matrix, and the
+per-axis extent of the weights that bounds the quadrature bandwidth, come
+from root data alone, never from a weight system.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from operator import add, mul
 
 from . import rootsys
 from .exactla import (det_fraction, inv_fraction, is_positive_definite,
@@ -100,26 +109,40 @@ def weyl_dimension(rs, lam):
     return dim
 
 
+def weight_extent(rs, lam):
+    """Per axis i, the largest |mu_i| over the weights mu of the
+    irreducible with highest weight ``lam``, from root data alone.
+
+    mu_i = <mu, alpha_i^vee> is largest on the orbit W lam, where it takes
+    the values <lam, beta^vee> for beta in W alpha_i: on the positive side,
+    the roots of the same simple factor and length as alpha_i.  That orbit
+    holds -alpha_i too, so the smallest mu_i is minus the largest.
+    """
+    lam = check_dominant_integral(rs, lam)
+    pairs = [_dot(lam, cr) for cr in rs.positive_coroots]
+    return tuple(max(pairs[k] for k in orbit)
+                 for orbit in rs.simple_root_orbits)
+
+
 def weight_system(rs, lam):
     """Weight multiplicities of the irreducible with highest weight ``lam``,
     memoized per (rs.factors, lam): a root system hashes by its factors."""
     return _freudenthal(rs, check_dominant_integral(rs, lam))
 
 
-def _level(rs, lam, mu):
-    """Height of lam - mu as a nonnegative integer root combination."""
+def _root_coords_below(rs, lam, mu):
+    """Coordinates of lam - mu on the simple roots, as nonnegative ints."""
     coords = rootsys.root_lattice_coords(
         rs, tuple(l - m for l, m in zip(lam, mu)))
     if any(c.denominator != 1 or c < 0 for c in coords):
-        return None
-    return int(sum(coords))
+        raise RuntimeError(
+            f"{lam} - {mu} is not a nonnegative root combination: "
+            f"corrupted root tables")
+    return [int(c) for c in coords]
 
 
 @cache
 def _freudenthal(rs, lam):
-    rank = rs.rank
-    sym = rs.symmetrizers
-
     # Dominant weights of the module: close lam downward under root
     # subtraction, keeping dominant ones.  Every dominant weight of the
     # module is reachable this way through dominant intermediates.
@@ -135,52 +158,60 @@ def _freudenthal(rs, lam):
                     grown.append(nu)
         frontier = grown
 
-    levels = {mu: _level(rs, lam, mu) for mu in dominants}
+    below = {mu: _root_coords_below(rs, lam, mu) for mu in dominants}
+    levels = {mu: sum(c) for mu, c in below.items()}
     order = sorted(dominants, key=lambda mu: (levels[mu], mu))
 
-    def inner_with_root(mu, ridx):
-        # (mu, alpha) via root coordinates of alpha and the symmetrizers.
-        c = rs.positive_rootcoords[ridx]
-        return sum(Fraction(c[j]) * sym[j] * mu[j] for j in range(rank))
+    # Integer inner products: D (mu, alpha) = sum_j mu_j c_j D d_j, with c
+    # the simple-root coordinates of alpha and D the lcm of the
+    # denominators of the symmetrizers d_j.
+    scale = math.lcm(*(d.denominator for d in rs.symmetrizers))
+    sym = [int(d * scale) for d in rs.symmetrizers]
+    roots = []
+    for c, alpha in zip(rs.positive_rootcoords, rs.positive_roots):
+        pair = tuple(cj * dj for cj, dj in zip(c, sym))
+        roots.append((alpha, pair, _dot(alpha, pair), sum(c)))
 
-    heights = [sum(c) for c in rs.positive_rootcoords]
-    mult = {lam: 1}
+    # Each term mu + k alpha has a dominant conjugate of strictly lower
+    # level than mu, whose orbit is already in the table.
+    entries = {}
     for mu in order:
         if mu == lam:
-            continue
-        lv = levels[mu]
-        total = Fraction(0)
-        for ridx, alpha in enumerate(rs.positive_roots):
-            for k in range(1, lv // heights[ridx] + 1):
-                nu = tuple(m + k * a for m, a in zip(mu, alpha))
-                rep, _ = rootsys.dominant_representative(rs, nu)
-                m_nu = mult.get(rep)
-                if m_nu:
-                    total += m_nu * (inner_with_root(mu, ridx)
-                                     + k * inner_with_root(alpha, ridx))
-        # (lam + rho, lam + rho) - (mu + rho, mu + rho)
-        # = (lam - mu, lam + mu + 2 rho), with lam - mu a root combination.
-        diff = rootsys.root_lattice_coords(
-            rs, tuple(l - m for l, m in zip(lam, mu)))
-        shifted = tuple(l + m + 2 for l, m in zip(lam, mu))
-        denom = sum(diff[j] * sym[j] * shifted[j] for j in range(rank))
-        m_mu = 2 * total / denom
-        if m_mu.denominator != 1 or m_mu <= 0:
-            raise RuntimeError(
-                f"Freudenthal multiplicity of {mu} in {lam} is {m_mu}, not "
-                f"a positive integer: corrupted root tables")
-        mult[mu] = int(m_mu)
+            m_mu = 1
+        else:
+            lv = levels[mu]
+            total = 0
+            for alpha, pair, norm, height in roots:
+                base = _dot(mu, pair)
+                nu = mu
+                for k in range(1, lv // height + 1):
+                    nu = tuple(map(add, nu, alpha))
+                    m_nu = entries.get(nu)
+                    if m_nu:
+                        total += m_nu * (base + k * norm)
+            # (lam + rho, lam + rho) - (mu + rho, mu + rho)
+            # = (lam - mu, lam + mu + 2 rho), lam - mu a root combination.
+            denom = sum(c * d * (l + m + 2) for c, d, l, m
+                        in zip(below[mu], sym, lam, mu))
+            m_mu, rem = divmod(2 * total, denom)
+            if rem or m_mu <= 0:
+                raise RuntimeError(
+                    f"Freudenthal multiplicity of {mu} in {lam} is "
+                    f"{Fraction(2 * total, denom)}, not a positive integer: "
+                    f"corrupted root tables")
+        for w in rootsys.dominant_orbit(rs, mu):
+            entries[w] = m_mu
 
-    entries = {}
-    for mu, m in mult.items():
-        for w in rootsys.weyl_orbit(rs, mu):
-            entries[w] = m
     ws = WeightSystem(entries, is_virtual=False)
     if ws.dimension() != weyl_dimension(rs, lam):
         raise RuntimeError(
             f"weight multiplicities for {lam} sum to {ws.dimension()}, "
             f"dimension formula gives {weyl_dimension(rs, lam)}")
     return ws
+
+
+def _dot(x, y):
+    return sum(map(mul, x, y))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import sub
 
 from .exactla import (det_fraction, inv_fraction, mat_vec, smith_normal_form,
                       solve_fraction)
@@ -181,6 +182,7 @@ class RootSystem:
     positive_roots: tuple       # weight coords
     positive_rootcoords: tuple  # simple-root coords
     positive_coroots: tuple     # covector coords, Fractions
+    simple_root_orbits: tuple   # per i, positive-root indices in W alpha_i
     rho: tuple                  # (1, ..., 1)
     rho_covector: tuple         # pairs to 1 with every simple root
     weyl_order: int
@@ -277,14 +279,25 @@ def _root_system(factors):
 
     pos_weights = tuple(to_weight(c) for c in rootcoords)
     coroots = []
+    norms = []
     for c, w in zip(rootcoords, pos_weights):
         norm = sum(Fraction(c[j]) * sym[j] * w[j] for j in range(rank))
+        norms.append(norm)
         coroots.append(tuple(2 * Fraction(c[j]) * sym[j] / norm
                              for j in range(rank)))
     for cr in coroots:
         if any(x.denominator != 1 for x in cr):
             raise RuntimeError(f"non-integral coroot {cr}")
     coroots = tuple(tuple(int(x) for x in cr) for cr in coroots)
+    # W acts transitively on the roots of one length in a simple factor,
+    # and (alpha_i, alpha_i) = 2 d_i
+    factor_of = [k for k, (_l, n) in enumerate(factors) for _ in range(n)]
+    root_factor = [factor_of[next(j for j, x in enumerate(c) if x)]
+                   for c in rootcoords]
+    orbits = tuple(
+        tuple(k for k, norm in enumerate(norms)
+              if root_factor[k] == factor_of[i] and norm == 2 * sym[i])
+        for i in range(rank))
 
     cartan_inv = inv_fraction(cartan)
     rho = tuple([1] * rank)
@@ -309,6 +322,7 @@ def _root_system(factors):
         positive_roots=pos_weights,
         positive_rootcoords=tuple(rootcoords),
         positive_coroots=coroots,
+        simple_root_orbits=orbits,
         rho=rho,
         rho_covector=rho_cov,
         weyl_order=weyl_order,
@@ -403,19 +417,34 @@ def dominant_representative(rs, mu):
 
 def weyl_orbit(rs, mu):
     """Full Weyl orbit of a weight, as a set of weight tuples."""
-    mu = tuple(mu)
-    seen = {mu}
-    frontier = [mu]
+    return set(dominant_orbit(rs, dominant_representative(rs, mu)[0]))
+
+
+def dominant_orbit(rs, mu):
+    """Weyl orbit of the dominant weight ``mu`` as a list, ``mu`` first.
+
+    The walk goes down from ``mu``: it applies s_i only where coordinate i
+    is positive, which subtracts a positive multiple of alpha_i.  A point
+    w(mu), w shortest in its coset of the stabiliser, is first reached after
+    length(w) steps, so the generations of the walk are disjoint and each
+    is deduplicated on its own, with no set of every point seen.
+    """
+    steps = {}  # (i, c) -> c * alpha_i in weight coordinates
+    out = [tuple(mu)]
+    frontier = out[:]
     while frontier:
-        grown = []
+        grown = {}
         for w in frontier:
-            for i in range(rs.rank):
-                r = reflect_weight(rs, w, i)
-                if r not in seen:
-                    seen.add(r)
-                    grown.append(r)
-        frontier = grown
-    return seen
+            for i, c in enumerate(w):
+                if c > 0:
+                    step = steps.get((i, c))
+                    if step is None:
+                        step = steps[i, c] = tuple(
+                            c * a for a in rs.simple_roots[i])
+                    grown[tuple(map(sub, w, step))] = None
+        frontier = list(grown)
+        out.extend(frontier)
+    return out
 
 
 def root_lattice_coords(rs, mu):

@@ -4,7 +4,9 @@ The integrands are trigonometric polynomials on the torus (characters at
 powers of the argument, a band-limited class function, and the squared Weyl
 denominator), so a uniform tensor grid with more points per axis than the
 per-axis bandwidth integrates them *exactly* up to roundoff.  The bandwidth
-is computed from the weight systems involved, never guessed.
+is computed from root data (the largest coroot pairing of each highest
+weight, :func:`repweights.weight_extent`), never guessed, so the budgets
+refuse before any weight system is built.
 
 The sum runs over one point per Weyl orbit.  On each simple factor k take
 one size m_k, the largest grid size on its axes (still above the bandwidth
@@ -34,7 +36,8 @@ import numpy as np
 from . import rootsys
 from .asymptotics import ClassFunction
 from .charring import CycleType
-from .repweights import check_dominant_integral, weight_system, weyl_dimension
+from .repweights import (check_dominant_integral, weight_extent,
+                         weight_system, weyl_dimension)
 
 
 class GridError(ValueError):
@@ -86,13 +89,12 @@ def required_bandwidth(rs, lam, a, b, n, f):
     -------
     tuple of int, one bound per torus axis.
     """
-    lam = check_dominant_integral(rs, lam)
-    maxw = weight_system(rs, lam).max_abs_coord()
+    maxw = weight_extent(rs, lam)
+    f_extents = [weight_extent(rs, nu) for nu, _ in f.terms]
     out = []
     for i in range(rs.rank):
         trace_part = (a.weight + b.weight) * n * maxw[i]
-        f_part = max((weight_system(rs, nu).max_abs_coord()[i]
-                      for nu, _ in f.terms), default=0)
+        f_part = max((ext[i] for ext in f_extents), default=0)
         denom_part = sum(abs(alpha[i]) for alpha in rs.positive_roots)
         out.append(trace_part + f_part + denom_part)
     return tuple(out)

@@ -466,3 +466,28 @@ def test_sweep_builds_peak_data_once(monkeypatch, a, builds):
         else:
             assert row.estimate is None
             assert row.notes[0].startswith("asymptotic skipped: ")
+
+
+@pytest.mark.parametrize("b", [(), (1,)])
+def test_sweep_evaluates_f_at_the_center_once(monkeypatch, b):
+    # f at each central element does not depend on N: a sweep evaluates it
+    # once per element, not once per row; a one-N call evaluates it itself
+    calls = []
+    real = asymptotics.ClassFunction.central_value
+
+    def counted(self, rs, psi):
+        calls.append(psi)
+        return real(self, rs, psi)
+
+    monkeypatch.setattr(asymptotics.ClassFunction, "central_value", counted)
+    rs = build_root_system("A2")
+    f = harness.ClassFunction((((0, 0), 2.0), ((1, 1), 3.0)))
+    cfg = ExperimentConfig(group="A2", lam=(1, 1), a=CycleType((1,)),
+                           b=CycleType(b), schedule=(1, 2, 3, 5), f=f,
+                           paths=("asymptotic",))
+    report = run_experiment(cfg)
+    assert len(calls) == rs.center.order == 3
+    for row in report.rows:
+        assert row.estimate == harness.route_value(
+            "asymptotic", rs, (1, 1), cfg.a, cfg.b, row.n, f)
+    assert len(calls) == 3 + 3 * len(report.rows)

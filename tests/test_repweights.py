@@ -6,9 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from liemoments import repweights, rootsys
 from liemoments.exactla import mat_vec
 from liemoments.rootsys import (ConfigurationError, build_root_system,
                                 reflect_covector, reflect_weight)
@@ -69,6 +70,37 @@ def test_weight_system_matches_weyl_formula():
         rs = build_root_system(spec)
         assert weight_system(rs, lam).entries == \
             oracles.weyl_formula_multiplicities(rs, lam)
+
+
+FREUDENTHAL_GROUPS = {spec: build_root_system(spec)
+                      for spec in ("A1", "A2", "A3", "B2", "B3", "C3", "G2",
+                                   "D4", "A1xG2")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FREUDENTHAL_GROUPS)), st.data())
+def test_weight_system_matches_weyl_formula_oracle(spec, data):
+    # integer Freudenthal over the orbit table == Weyl character formula;
+    # the dimension cap keeps the Laurent division of the oracle fast
+    rs = FREUDENTHAL_GROUPS[spec]
+    lam = data.draw(st.tuples(*[st.integers(0, 2)] * rs.rank))
+    assume(weyl_dimension(rs, lam) <= 600)
+    assert weight_system(rs, lam).entries == \
+        oracles.weyl_formula_multiplicities(rs, lam)
+
+
+def test_weight_system_reflects_no_term(monkeypatch):
+    # each term mu + k alpha is one lookup in the table of expanded orbits,
+    # never a reflection to the dominant chamber
+    def refuse(*args, **kwargs):
+        raise AssertionError("Freudenthal reflected a term")
+
+    repweights._freudenthal.cache_clear()
+    monkeypatch.setattr(rootsys, "dominant_representative", refuse)
+    rs = build_root_system("B3")
+    ws = weight_system(rs, rs.rho)
+    assert ws.dimension() == weyl_dimension(rs, rs.rho) == 512
+    assert ws.entries == oracles.weyl_formula_multiplicities(rs, rs.rho)
 
 
 def test_weight_sums_random():

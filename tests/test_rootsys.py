@@ -111,6 +111,22 @@ def test_weyl_orbit_sizes():
     assert len(weyl_orbit(rs, (1, 1))) == 8
 
 
+@pytest.mark.parametrize("spec, mu", [
+    ("A2", (-3, 1)), ("B3", (2, -1, 3)), ("C3", (0, -2, 1)),
+    ("G2", (-1, 2)), ("F4", (1, -1, 0, 2)), ("A1xG2", (-2, 0, 1))])
+def test_weyl_orbit_walks_down_from_the_dominant_conjugate(spec, mu):
+    rs = build_root_system(spec)
+    dom, _ = dominant_representative(rs, mu)
+    orbit = weyl_orbit(rs, mu)
+    assert orbit == weyl_orbit(rs, dom)
+    assert mu in orbit
+    for w in orbit:
+        for i in range(rs.rank):
+            assert reflect_weight(rs, w, i) in orbit
+    regular = weyl_orbit(rs, tuple(abs(c) + 1 for c in dom))
+    assert len(regular) == rs.weyl_order
+
+
 def test_dominant_representative():
     rs = build_root_system("A2")
     for mu in weyl_orbit(rs, (2, 1)):

@@ -1,12 +1,14 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from liemoments import charring, repweights, torusquad
 from liemoments.asymptotics import ClassFunction
 from liemoments.charring import CycleType, adams, exact_moment
-from liemoments.repweights import weight_system, weyl_dimension
+from liemoments.repweights import weight_extent, weight_system, weyl_dimension
 from liemoments.rootsys import build_root_system, reflect_covector
 from liemoments.torusquad import (GridError, TorusGrid, _next_smooth,
                                   character_at, default_grid,
@@ -25,6 +27,32 @@ def test_next_smooth():
     assert _next_smooth(31) == 32
     assert _next_smooth(121) == 125
     assert _next_smooth(0) == 1
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "B2", "B3", "C3",
+                                  "G2", "A1xG2", "D4", "B4", "F4"])
+def test_weight_extent_matches_weight_system(spec):
+    # max <lam, beta^vee> over the roots beta in W alpha_i is the largest
+    # |mu_i| over the weights: every lam in {0,1,2}^r, |lam| <= 2 at rank 4
+    rs = build_root_system(spec)
+    for lam in itertools.product(range(3), repeat=rs.rank):
+        if rs.rank == 4 and sum(lam) > 2:
+            continue
+        assert weight_extent(rs, lam) == \
+            weight_system(rs, lam).max_abs_coord(), lam
+
+
+def test_point_budget_refuses_e6_rho_without_a_weight_system(monkeypatch):
+    # the bandwidth comes from root data, so the budget refuses before any
+    # orbit walk (the E6 rho weight system has 1,246,933 weights)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bandwidth built a weight system")
+
+    for module in (repweights, charring, torusquad):
+        monkeypatch.setattr(module, "weight_system", refuse)
+    rs = build_root_system("E6")
+    with pytest.raises(GridError, match="points, budget is 4000000"):
+        quad_I_N(rs, rs.rho, CycleType((1,)), 1)
 
 
 def test_required_bandwidth_a1():
