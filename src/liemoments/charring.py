@@ -7,7 +7,8 @@ trivial representation.  The exact engine never builds that weight system:
 it applies one Klimyk step per trace factor to a state of highest weights
 with signed multiplicities (:func:`klimyk_step`), and pairs two such
 decompositions for the two-sided moment (:func:`moment_sequence`, which
-extends one chain across a whole N schedule).  Weight-system
+extends one chain across a whole N schedule, on each simple factor of a
+product group separately).  Weight-system
 convolution (:func:`product`) stays available as a character-ring operation.
 Everything here is exact integer arithmetic.
 """
@@ -236,15 +237,24 @@ def moment_weight_system(rs, lam, a, b=CycleType(()), support_cap=10 ** 7):
 def moment_sequence(rs, lam, a, b=CycleType(()), ns=(1,), weights=None,
                     support_cap=10 ** 7):
     """Haar integrals of P_{a n} * conj(P_{b n}) * chi_nu for each n in
-    ``ns`` and each nu in ``weights``, from one Klimyk chain per side.
+    ``ns`` and each nu in ``weights``, from one Klimyk chain per side and
+    simple factor.
 
     P_a = prod_j Tr(g^j)^{a_j} in the irreducible with highest weight
-    ``lam``; ``weights`` defaults to the trivial weight alone.  With dec(P)
-    the decomposition of P into irreducibles, each integral is the inner
-    product  sum_mu dec(P_{a n} (x) V_nu)[mu] * dec(P_{b n})[mu]:  one extra
-    Klimyk step and a lookup per nu.  dec(P_{a n}) is dec(P_{a (n-1)})
-    extended by the |a| trace factors of P_a, so a strictly increasing
-    schedule costs max(ns) * (|a| + |b|) chain steps in all, gaps included;
+    ``lam``; ``weights`` defaults to the trivial weight alone.  On
+    G = G_1 x ... x G_k the irreducible is the outer tensor product of the
+    lam_k, so P_a and chi_nu are products over the factors and each
+    integral is the product of the factor integrals at the projections
+    nu_k of nu: every factor runs its own chains
+    (:func:`rootsys.simple_factors`) for its distinct nu_k, and
+    ``support_cap`` bounds the pairs of each factor's steps.
+
+    On one factor, with dec(P) the decomposition of P into irreducibles,
+    each integral is the inner product
+    sum_mu dec(P_{a n} (x) V_nu)[mu] * dec(P_{b n})[mu]:  one extra Klimyk
+    step and a lookup per nu.  dec(P_{a n}) is dec(P_{a (n-1)}) extended by
+    the |a| trace factors of P_a, so a strictly increasing schedule costs
+    max(ns) * (|a| + |b|) chain steps per factor, gaps included;
     dec(P_{b n}) is dec(P_{a n}) when a == b.  Steps are numbered along
     each chain, whose factors come in rounds of P_a's factors, one round
     per unit of n.  For a cycle type with one part (a_j = 0 for all but one
@@ -254,14 +264,46 @@ def moment_sequence(rs, lam, a, b=CycleType(()), ns=(1,), weights=None,
     ``a.scaled(n)`` (all Tr(g) factors first), while the integers agree.
 
     Yields, per n, a list of exact integers (one per nu) or the
-    :class:`SupportCapExceeded` that refused the row.  A refusal inside a
-    chain refuses that row and every later one (the a side's first, as a
-    one-element schedule would raise it, and the b side is then no longer
-    built); a refusal in a nu step refuses its own row only.
+    :class:`SupportCapExceeded` that refused the row; on a product group
+    its message names the factor.  A refusal inside a chain refuses that
+    row and every later one, with its own message (the a side's first, as
+    a one-element schedule would raise it, and the b side is then no longer
+    built; the other factors' chains are no longer extended); a refusal in
+    a nu step refuses its own row only.  A row with no chain refusal takes
+    the message of the first refusing factor in factor order.
     """
+    ns = tuple(ns)
+    lam = check_dominant_integral(rs, lam)
+    nus = [check_dominant_integral(rs, nu)
+           for nu in ([(0,) * rs.rank] if weights is None else weights)]
+    live = []   # (datum, rows, index of each nu_k in the factor's list)
+    for block, rs_k in rootsys.simple_factors(rs):
+        part = slice(block.start, block.stop)
+        projections = [nu[part] for nu in nus]
+        distinct = list(dict.fromkeys(projections))
+        rows = _chain_rows(rs_k, lam[part], a, b, ns, distinct, support_cap)
+        live.append((rs_k, rows, [distinct.index(p) for p in projections]))
+    for _ in ns:
+        row, refusal = [1] * len(nus), None
+        for rs_k, rows, index in live:
+            terms, chain = next(rows)
+            if isinstance(terms, SupportCapExceeded):
+                if refusal is None or chain:
+                    refusal = terms if rs_k is rs else SupportCapExceeded(
+                        f"{rs_k.describe()} factor: {terms}")
+                if chain:   # it answers every later row
+                    live = [(rs_k, rows, index)]
+                    break
+            elif refusal is None:
+                row = [r * terms[i] for r, i in zip(row, index)]
+        yield row if refusal is None else refusal
+
+
+def _chain_rows(rs, lam, a, b, ns, weights, support_cap):
+    """:func:`moment_sequence` on the datum ``rs`` taken whole, for
+    dominant integral ``weights``.  Yields per n the row (or its refusal)
+    and whether a chain refused it, which answers every later row too."""
     zero = (0,) * rs.rank
-    if weights is None:
-        weights = [zero]
     ws = weight_system(rs, lam)
     sides = [_power_factors(ws, a)]
     if b != a:
@@ -286,12 +328,11 @@ def moment_sequence(rs, lam, a, b=CycleType(()), ns=(1,), weights=None,
         refusal = next((d for d in decs if isinstance(d, SupportCapExceeded)),
                        None)
         if refusal is not None:
-            yield refusal
+            yield refusal, True
             continue
         dec_a, dec_b = decs[0], decs[-1]
         out = []
         for nu in weights:
-            nu = check_dominant_integral(rs, nu)
             left = dec_a
             if nu != zero:
                 try:
@@ -306,7 +347,7 @@ def moment_sequence(rs, lam, a, b=CycleType(()), ns=(1,), weights=None,
             else:
                 right = dec_b
             out.append(sum(c * right.get(mu, 0) for mu, c in left.items()))
-        yield out
+        yield out, False
 
 
 def moment_terms(rs, lam, a, b=CycleType(()), weights=None,

@@ -314,7 +314,8 @@ def _log_abs(x):
 
 def _exact_values(rs, lam, a, b, ns, f, support_cap=10 ** 7):
     """Exact moments at each n of ``ns``, with the class-function factor
-    folded in, from one Klimyk chain (:func:`charring.moment_sequence`).
+    folded in, from one Klimyk chain per simple factor
+    (:func:`charring.moment_sequence`).
     Yields per n the value or the :class:`charring.SupportCapExceeded`
     that refused it."""
     exact_coeffs = all(float(c).is_integer() for _, c in f.terms)

@@ -202,7 +202,9 @@ def _freudenthal(rs, lam):
         for w in rootsys.dominant_orbit(rs, mu):
             entries[w] = m_mu
 
-    ws = WeightSystem(entries, is_virtual=False)
+    # The table already maps int tuples to nonzero ints: wrap it, no copy.
+    ws = WeightSystem.__new__(WeightSystem)
+    ws.entries, ws.is_virtual = entries, False
     if ws.dimension() != weyl_dimension(rs, lam):
         raise RuntimeError(
             f"weight multiplicities for {lam} sum to {ws.dimension()}, "

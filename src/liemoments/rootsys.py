@@ -364,6 +364,21 @@ def factor_blocks(rs):
         off += n
 
 
+def simple_factors(rs):
+    """(index range, root datum) of each simple factor, in factor order.
+
+    For G = G_1 x ... x G_k every weight, covector and root splits along
+    the ranges, so a computation on G can run on each factor's own
+    (memoised) datum.  A simple group is its own one factor: the datum is
+    ``rs`` itself, not a rebuilt one.
+    """
+    if len(rs.factors) == 1:
+        yield range(rs.rank), rs
+        return
+    for (block, _dim), factor in zip(factor_blocks(rs), rs.factors):
+        yield block, build_root_system((factor,))
+
+
 def pairing(mu, x):
     """Natural pairing of a weight with a covector (plain dot product)."""
     if len(mu) != len(x):

@@ -17,9 +17,12 @@ has a free orbit that meets the open fundamental alcove once, so
 
     (1 / (P |W|)) sum_grid F |Delta|^2 = (1 / P) sum_alcove F |Delta|^2,
 
-with P = prod_k m_k^rank_k; a product group takes the Cartesian product of
-its factors' alcoves.  At most P / |W| points are evaluated, and the
-point budget still counts the per-axis torus grid.
+with P = prod_k m_k^rank_k.  On a product group the alcove is the
+Cartesian product of the factors' alcoves, and the integrand, term by term
+of f, is a product of factor integrands: each factor's alcove is summed on
+its own and the sums multiplied, so sum_k |alcove_k| points are evaluated,
+not prod_k.  Every budget still counts the whole group: the point budget
+the per-axis torus grid, the alcove budget P / |W|.
 
 This path shares no code with the character-ring route beyond the weight
 systems themselves, which is the point: the two must agree to roundoff.
@@ -130,10 +133,9 @@ def weyl_denominator_sq(rs, phi):
     return float(vals) if pts.ndim == 1 else vals
 
 
-def _alcove_factor(rs, block, m):
+def _alcove_factor(rs, m):
     """Points of the grid (1/m) Z^r in the open fundamental alcove of the
-    simple factor on the coroot axes ``block``, as an integer array k with
-    the points at k / m.
+    simple group ``rs``, as an integer array k with the points at k / m.
 
     In root-value coordinates z_j = m <alpha_j, x> the open alcove is
     z_j >= 1 and sum_j a_j z_j <= m - 1, with a_j the marks of the highest
@@ -141,9 +143,7 @@ def _alcove_factor(rs, block, m):
     integral.  That test runs on integers: with D the common denominator of
     C^{-1}, D k = (D C^{-1})^T z must be divisible by D.
     """
-    theta = max((c for c in rs.positive_rootcoords
-                 if any(c[i] for i in block)), key=sum)
-    marks = [theta[i] for i in block]
+    marks = max(rs.positive_rootcoords, key=sum)
     z = np.zeros((1, 0), dtype=np.int64)
     room = np.array([m - 1], dtype=np.int64)
     for j, aj in enumerate(marks):
@@ -154,36 +154,70 @@ def _alcove_factor(rs, block, m):
         zj = np.arange(len(rows), dtype=np.int64) - starts + 1
         z = np.column_stack([z[rows], zj])
         room = room[rows] - aj * zj
-    inv = [[rs.cartan_inv[i][j] for j in block] for i in block]
-    den = math.lcm(*(x.denominator for row in inv for x in row))
-    scaled = np.array([[int(x * den) for x in row] for row in inv],
+    den = math.lcm(*(x.denominator for row in rs.cartan_inv for x in row))
+    scaled = np.array([[int(x * den) for x in row] for row in rs.cartan_inv],
                       dtype=np.int64)
     k = z @ scaled
     return k[np.all(k % den == 0, axis=1)] // den
 
 
-def _alcove_points(rs, sizes, max_points):
-    """Grid points in the open fundamental alcove, in simple-coroot
-    coordinates, and the number P of torus-grid points they stand for.
+def _factor_grids(rs, sizes, max_points):
+    """Per simple factor its axes, its datum and its one size m_k, the
+    largest of its axes' sizes, and the number P = prod_k m_k^rank_k of
+    torus-grid points the alcove sums stand for.
 
-    Each simple factor k uses one size m_k, the largest of its axes' sizes;
-    a product group takes the Cartesian product of its factors' alcoves.
-    The alcove holds at most P / |W| points; a caller grid whose sizes
-    within a factor differ so much that this exceeds ``max_points`` is
-    refused before any point is enumerated.
+    The alcove of the whole group holds at most P / |W| points; a caller
+    grid whose sizes within a factor differ so much that this exceeds
+    ``max_points`` is refused before any point is enumerated.
     """
-    factor_sizes = [(block, max(sizes[i] for i in block))
-                    for block, _dim in rootsys.factor_blocks(rs)]
-    cells = math.prod(m ** len(block) for block, m in factor_sizes)
+    factors = [(block, rs_k, max(sizes[i] for i in block))
+               for block, rs_k in rootsys.simple_factors(rs)]
+    cells = math.prod(m ** len(block) for block, _, m in factors)
     if cells // rs.weyl_order > max_points:
         raise GridError(
             f"grid {sizes} puts up to {cells // rs.weyl_order} points in "
             f"the alcove (largest size of each simple factor on all its "
             f"axes), budget is {max_points}")
-    parts = [_alcove_factor(rs, block, m) / m for block, m in factor_sizes]
+    return factors, cells
+
+
+def _alcove_points(rs, sizes, max_points):
+    """Grid points in the open fundamental alcove of the whole group, in
+    simple-coroot coordinates, and the number P of torus-grid points they
+    stand for: the Cartesian product of the factors' alcoves.  Quadrature
+    sums each factor's alcove on its own (:func:`_alcove_sums`) and never
+    builds this product."""
+    factors, cells = _factor_grids(rs, sizes, max_points)
+    parts = [_alcove_factor(rs_k, m) / m for _, rs_k, m in factors]
     mesh = np.meshgrid(*(np.arange(len(p)) for p in parts), indexing="ij")
     pts = np.hstack([p[idx.ravel()] for p, idx in zip(parts, mesh)])
     return pts, cells
+
+
+def _alcove_sums(rs, lam, a, b, n, weights, m):
+    """Sum over the alcove points of the simple group ``rs`` on the grid
+    (1/m) Z^r of chi_nu |Delta|^2 prod_j chi(g^j)^(n a_j)
+    conj(chi(g^j))^(n b_j), chi the character of ``lam``, for each nu in
+    ``weights``: a dict nu -> complex, each part one exactly rounded
+    :func:`math.fsum`."""
+    pts = _alcove_factor(rs, m) / m
+    ws = weight_system(rs, lam)
+    base = weyl_denominator_sq(rs, pts).astype(complex)
+    # chi(g^j) = character_at(ws, j * phi): one synthesis per Adams degree
+    for j, (aj, bj) in enumerate(zip_longest(a.exps, b.exps, fillvalue=0),
+                                 start=1):
+        if not (aj or bj):
+            continue
+        chi = character_at(ws, j * pts)
+        if aj:
+            base *= chi ** (n * aj)
+        if bj:
+            base *= np.conj(chi, out=chi) ** (n * bj)
+    sums = {}
+    for nu in weights:
+        terms = character_at(weight_system(rs, nu), pts) * base
+        sums[nu] = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    return sums
 
 
 def _quad_core(rs, lam, a, b, n, f, grid, max_log, max_points):
@@ -219,24 +253,18 @@ def _quad_core(rs, lam, a, b, n, f, grid, max_log, max_points):
         raise GridError(
             f"grid has {grid.num_points} points, budget is {max_points}")
 
-    pts, cells = _alcove_points(rs, grid.sizes, max_points)
-    ws = weight_system(rs, lam)
-    integrand = sum(c * character_at(weight_system(rs, nu), pts)
-                    for nu, c in f.terms)
-    integrand *= weyl_denominator_sq(rs, pts)
-    # chi(g^j) = character_at(ws, j * phi): one synthesis per Adams degree
-    for j, (aj, bj) in enumerate(zip_longest(a.exps, b.exps, fillvalue=0),
-                                 start=1):
-        if not (aj or bj):
-            continue
-        chi = character_at(ws, j * pts)
-        if aj:
-            integrand *= chi ** (n * aj)
-        if bj:
-            integrand *= np.conj(chi, out=chi) ** (n * bj)
-
-    total = complex(math.fsum(integrand.real), math.fsum(integrand.imag))
-    total /= cells
+    # The integrand is a product over the simple factors, and so is each
+    # term of f: the sum is sum_nu c_nu prod_k S_k(nu_k), one alcove per
+    # factor.
+    factors, cells = _factor_grids(rs, grid.sizes, max_points)
+    terms = [(check_dominant_integral(rs, nu), c) for nu, c in f.terms]
+    values = [c for _, c in terms]
+    for block, rs_k, m in factors:
+        part = slice(block.start, block.stop)
+        sums = _alcove_sums(rs_k, lam[part], a, b, n,
+                            dict.fromkeys(nu[part] for nu, _ in terms), m)
+        values = [v * sums[nu[part]] for v, (nu, _) in zip(values, terms)]
+    total = sum(values) / cells
     residual = abs(total.imag)
     if residual > 1e-10 * max(1.0, abs(total.real)):
         raise GridError(

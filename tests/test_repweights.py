@@ -37,6 +37,16 @@ def test_weyl_dimension_known_values():
     assert weyl_dimension(build_root_system("A1xA1"), (2, 3)) == 12
 
 
+def test_built_weight_system_is_already_normal():
+    # _freudenthal wraps its table without the public constructor's copy,
+    # so the table itself must be what that copy would make
+    ws = weight_system(build_root_system("B3"), (1, 0, 1))
+    assert not ws.is_virtual
+    assert all(type(w) is tuple and all(type(c) is int for c in w)
+               and type(m) is int and m > 0 for w, m in ws.entries.items())
+    assert repweights.WeightSystem(ws.entries) == ws
+
+
 def test_rejects_non_dominant():
     rs = build_root_system("A2")
     with pytest.raises(ConfigurationError):

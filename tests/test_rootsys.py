@@ -8,7 +8,8 @@ from liemoments.rootsys import (ConfigurationError, build_root_system,
                                 dominant_representative, fundamental_group,
                                 in_root_lattice, kappa,
                                 order_mod_root_lattice, pairing, parse_group,
-                                reflect_covector, reflect_weight, weyl_orbit)
+                                reflect_covector, reflect_weight,
+                                simple_factors, weyl_orbit)
 
 ALL_SIMPLE = ([f"A{n}" for n in range(1, 9)]
               + [f"B{n}" for n in range(2, 9)]
@@ -68,6 +69,21 @@ def test_product_group_blocks():
     assert rs.weyl_order == 4
     assert set(rs.positive_roots) == {(2, 0), (0, 2)}
     assert rs.center.order == 4
+
+
+def test_simple_factors_split_along_the_blocks():
+    rs = build_root_system("G2xA1xA2")
+    parts = list(simple_factors(rs))
+    assert [tuple(block) for block, _ in parts] == [(0, 1), (2,), (3, 4)]
+    assert [f.describe() for _, f in parts] == ["G2", "A1", "A2"]
+    assert parts[1][1] is build_root_system("A1")
+    for block, factor in parts:
+        assert factor.cartan == tuple(tuple(rs.cartan[i][j] for j in block)
+                                      for i in block)
+    simple = build_root_system("B3")
+    assert [(tuple(b), f) for b, f in simple_factors(simple)] == \
+        [((0, 1, 2), simple)]
+    assert next(simple_factors(simple))[1] is simple
 
 
 def test_kappa_at_rho_covector():
