@@ -12,9 +12,9 @@ on top of exact root data (:mod:`liemoments.rootsys`) and weight systems
 """
 
 from .asymptotics import (AsymptoticEstimate, ClassFunction, HypothesisError,
-                          biane_dimension_estimate, cycle_constants,
-                          leading_term_I, leading_term_K, mehta_closed_form,
-                          nu_character, vanish_leading_constant)
+                          biane_dimension_estimate, leading_term_I,
+                          leading_term_K, mehta_closed_form, nu_character,
+                          vanish_leading_constant)
 from .charring import (CycleType, SupportCapExceeded, adams, decompose, dual,
                        exact_moment, invariant_dimension, moment_sequence,
                        moment_terms, permutation_trace_bruteforce, product,
@@ -38,7 +38,7 @@ __all__ = [
     "GridError", "HypothesisError", "HypothesisVerdict", "RootSystem",
     "SecondMoment", "SupportCapExceeded", "TorusGrid", "WeightSystem",
     "a_lambda", "adams", "biane_dimension_estimate", "build_root_system",
-    "character_at", "check_hypotheses", "cycle_constants", "decompose",
+    "character_at", "check_hypotheses", "decompose",
     "default_grid", "dominant_representative", "dual", "exact_moment",
     "fundamental_group", "invariant_dimension", "kappa",
     "leading_term_I", "leading_term_K", "mehta_closed_form",

@@ -31,11 +31,6 @@ class HypothesisError(ValueError):
     """An input violates a hypothesis of the asymptotic formulas."""
 
 
-def cycle_constants(a):
-    """(number of factors, total power, quadratic weight) of a cycle type."""
-    return a.size, a.weight, a.quad
-
-
 def _unit_phase(t):
     """exp(2 pi i t) for rational t, exact at the lattice points that matter
     (halves and quarters); cmath otherwise."""
@@ -207,11 +202,10 @@ def leading_term_I(rs, lam, a, n, f=None, peak=None):
             f"{a.gcd_support}")
     f = (ClassFunction.one(rs.rank) if f is None else f).validated(rs)
     peak = peak_data(rs, lam, f) if peak is None else peak
-    size, k, l = cycle_constants(a)
     pi_sum = complex(0, 0)
     for psi, f_psi in zip(rs.center.elements, peak.f_at_center):
-        pi_sum += nu_character(rs, lam, n * k, psi) * f_psi
-    return _leading_core(rs, size, l, pi_sum, n, peak)
+        pi_sum += nu_character(rs, lam, n * a.weight, psi) * f_psi
+    return _leading_core(rs, a.size, a.quad, pi_sum, n, peak)
 
 
 def leading_term_K(rs, lam, a, b, n, f=None, peak=None):

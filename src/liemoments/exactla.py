@@ -1,4 +1,5 @@
-"""Exact linear algebra on tiny matrices: Fraction elimination and Smith form.
+"""Exact linear algebra on tiny matrices: Fraction elimination, Hermite and
+Smith forms.
 
 Everything in this module works on nested sequences of ints/Fractions and
 returns plain tuples.  Matrices here are at most rank x rank for rank <= 8,
@@ -81,6 +82,45 @@ def leading_principal_minors(mat):
 def is_positive_definite(mat):
     """Sylvester criterion on an exact symmetric matrix."""
     return all(d > 0 for d in leading_principal_minors(mat))
+
+
+def hermite_normal_form(mat):
+    """Row Hermite normal form of a nonsingular square integer matrix.
+
+    Returns ``(h, u)`` with ``u @ mat == h``, ``u`` unimodular, and ``h``
+    upper triangular with a positive diagonal and each entry above the
+    diagonal reduced into ``[0, h[j][j])``: the canonical basis of the row
+    lattice of ``mat``.  Raises ValueError on a singular matrix.
+    """
+    a = [[int(x) for x in row] for row in mat]
+    n = len(a)
+    u = identity_int(n)
+
+    def row_sub(i, j, q):  # row_i -= q * row_j
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    for t in range(n):
+        # Euclid on column t below the diagonal: the smallest nonzero entry
+        # becomes the pivot and reduces the others until they vanish.
+        while True:
+            live = [i for i in range(t, n) if a[i][t]]
+            if not live:
+                raise ValueError("matrix is singular")
+            p = min(live, key=lambda i: abs(a[i][t]))
+            a[t], a[p] = a[p], a[t]
+            u[t], u[p] = u[p], u[t]
+            if len(live) == 1:
+                break
+            for i in range(t + 1, n):
+                if a[i][t]:
+                    row_sub(i, t, a[i][t] // a[t][t])
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        for i in range(t):
+            row_sub(i, t, a[i][t] // a[t][t])
+    return tuple(tuple(r) for r in a), tuple(tuple(r) for r in u)
 
 
 def smith_normal_form(mat):

@@ -25,8 +25,8 @@ from fractions import Fraction
 from functools import cache
 from operator import sub
 
-from .exactla import (det_fraction, inv_fraction, mat_vec, smith_normal_form,
-                      solve_fraction)
+from .exactla import (det_fraction, hermite_normal_form, inv_fraction,
+                      mat_vec, smith_normal_form, solve_fraction)
 
 Weight = tuple  # coordinates on fundamental weights; ints or Fractions
 Covector = tuple  # coordinates on simple coroots; ints or Fractions
@@ -187,6 +187,7 @@ class RootSystem:
     rho_covector: tuple         # pairs to 1 with every simple root
     weyl_order: int
     center: FundamentalGroup
+    coroot_grid_basis: tuple    # (H, U): H = U @ cartan, row Hermite form
 
     def __eq__(self, other):
         if not isinstance(other, RootSystem):
@@ -308,6 +309,7 @@ def _root_system(factors):
     center = _fundamental_group(cartan)
     if center.order != abs(det_fraction(cartan)):
         raise RuntimeError("center order disagrees with det of Cartan matrix")
+    grid_basis = _coroot_grid_basis(cartan, center)
 
     return RootSystem(
         factors=factors,
@@ -327,7 +329,28 @@ def _root_system(factors):
         rho_covector=rho_cov,
         weyl_order=weyl_order,
         center=center,
+        coroot_grid_basis=grid_basis,
     )
+
+
+def _coroot_grid_basis(cartan, center):
+    """Row Hermite form H = U @ cartan of the lattice of root values.
+
+    Torus grid points k / m have root values z = k @ cartan, the row
+    lattice of the Cartan matrix, which quadrature walks through H
+    (``torusquad._alcove_factor``).  prod_j H_jj = |det cartan| must be the
+    center order from the Smith form, and U @ cartan == H must hold; either
+    failure raises RuntimeError, as it would mean corrupted tables.
+    """
+    h, u = hermite_normal_form(cartan)
+    rank = len(cartan)
+    product = [tuple(sum(u[i][p] * cartan[p][j] for p in range(rank))
+                     for j in range(rank)) for i in range(rank)]
+    if math.prod(h[j][j] for j in range(rank)) != center.order:
+        raise RuntimeError("Hermite diagonal disagrees with the center order")
+    if tuple(product) != h:
+        raise RuntimeError("Hermite transform does not map cartan to H")
+    return h, u
 
 
 def _fundamental_group(cartan):

@@ -24,6 +24,10 @@ its own and the sums multiplied, so sum_k |alcove_k| points are evaluated,
 not prod_k.  Every budget still counts the whole group: the point budget
 the per-axis torus grid, the alcove budget P / |W|.
 
+Points are exact: an integer array k stands for k / m, the alcove is
+walked one residue class per axis (no candidate is discarded), and every
+phase is an integer mod m that indexes a table of trigonometric values.
+
 This path shares no code with the character-ring route beyond the weight
 systems themselves, which is the point: the two must agree to roundoff.
 """
@@ -111,54 +115,91 @@ def default_grid(rs, lam, a, b, n, f=None):
                      bandwidth_bound=bw)
 
 
-def character_at(ws, phi):
-    """Character with weight system ``ws`` at torus point(s) ``phi`` in
-    simple-coroot coordinates: a complex for one point, a length-P complex
-    array for a ``(P, rank)`` array of points."""
-    pts = np.asarray(phi, dtype=float)
-    weights = np.array(list(ws.entries), dtype=float)
+_INT64_MAX = 2 ** 63 - 1
+
+
+def _check_phase_range(rank, m):
+    """Refuse a grid size m whose int64 phases could overflow: a phase sums
+    ``rank`` products of residues below m."""
+    if m < 1:
+        raise GridError(f"grid size must be >= 1, got {m}")
+    if rank * (m - 1) ** 2 > _INT64_MAX:
+        raise GridError(
+            f"grid size {m} on rank {rank}: phases up to {rank} * {m - 1}^2 "
+            f"overflow int64")
+
+
+def _phases(k, m, vectors):
+    """<v, k> mod m in int64 for the point(s) k and each row v of
+    ``vectors``: (k mod m) @ (v mod m) mod m, exact integers."""
+    pts = np.asarray(k)
+    if pts.dtype.kind != "i":
+        raise TypeError(f"torus grid points must be signed integers, got "
+                        f"{pts.dtype}")
+    vecs = np.array(vectors, dtype=np.int64) % m
+    t = (pts.astype(np.int64, copy=False) % m) @ vecs.T
+    t %= m
+    return t
+
+
+def character_at(ws, k, m):
+    """Character with weight system ``ws`` at the torus point(s) k / m in
+    simple-coroot coordinates, k integral: a complex for one point, a
+    length-P complex array for a ``(P, rank)`` integer array k.
+
+    Each phase <mu, k> mod m is an exact integer t that indexes one table of
+    cos + i sin of 2 pi t / m, so k and k + m e_i give identical bits."""
+    weights = list(ws.entries)
+    _check_phase_range(len(weights[0]), m)
+    t = _phases(k, m, weights)
+    table = np.exp(1j * (2 * math.pi * np.arange(m) / m))
     mults = np.array(list(ws.entries.values()), dtype=float)
-    theta = pts @ weights.T
-    theta *= 2 * math.pi
-    vals = np.cos(theta) @ mults + 1j * (np.sin(theta) @ mults)
-    return complex(vals) if pts.ndim == 1 else vals
+    vals = table[t] @ mults
+    return complex(vals) if t.ndim == 1 else vals
 
 
-def weyl_denominator_sq(rs, phi):
-    """prod over positive roots of 4 sin^2(pi <alpha, phi>): a float for one
-    point, a length-P array for a ``(P, rank)`` array of points."""
-    pts = np.asarray(phi, dtype=float)
-    roots = np.array(rs.positive_roots, dtype=float)
-    vals = np.prod(4 * np.sin(math.pi * (pts @ roots.T)) ** 2, axis=-1)
-    return float(vals) if pts.ndim == 1 else vals
+def weyl_denominator_sq(rs, k, m):
+    """prod over positive roots of 4 sin^2(pi <alpha, k / m>), k integral: a
+    float for one point, a length-P array for a ``(P, rank)`` integer array
+    k.  Each factor indexes one table of 4 sin^2(pi t / m) at the exact
+    integer t = <alpha, k> mod m."""
+    _check_phase_range(rs.rank, m)
+    t = _phases(k, m, rs.positive_roots)
+    table = 4 * np.sin(math.pi * np.arange(m) / m) ** 2
+    vals = np.prod(table[t], axis=-1)
+    return float(vals) if t.ndim == 1 else vals
 
 
 def _alcove_factor(rs, m):
     """Points of the grid (1/m) Z^r in the open fundamental alcove of the
     simple group ``rs``, as an integer array k with the points at k / m.
 
-    In root-value coordinates z_j = m <alpha_j, x> the open alcove is
-    z_j >= 1 and sum_j a_j z_j <= m - 1, with a_j the marks of the highest
-    root; the grid points among these are the z whose k = (C^T)^{-1} z is
-    integral.  That test runs on integers: with D the common denominator of
-    C^{-1}, D k = (D C^{-1})^T z must be divisible by D.
+    In root-value coordinates z = k @ C, z_j = m <alpha_j, k / m>, the open
+    alcove is z_j >= 1 and sum_j a_j z_j <= m - 1, with a_j the marks of the
+    highest root.  The z of grid points are the row lattice of C; with
+    H = U @ C its upper-triangular Hermite form (``rs.coroot_grid_basis``)
+    they are z = c @ H, c integral, so once z_1 .. z_{j-1} (and with them
+    c_1 .. c_{j-1}) are fixed, z_j runs over one residue class mod H_jj.
+    Every z the walk visits is a grid point, k = c @ U; none is discarded.
     """
     marks = max(rs.positive_rootcoords, key=sum)
-    z = np.zeros((1, 0), dtype=np.int64)
+    h, u = rs.coroot_grid_basis
+    c = np.zeros((1, 0), dtype=np.int64)
     room = np.array([m - 1], dtype=np.int64)
     for j, aj in enumerate(marks):
-        # z_j runs over 1 .. top, leaving room for z_i = 1 on later axes
-        top = np.maximum((room - sum(marks[j + 1:])) // aj, 0)
-        rows = np.repeat(np.arange(len(z)), top)
-        starts = np.repeat(np.cumsum(top) - top, top)
-        zj = np.arange(len(rows), dtype=np.int64) - starts + 1
-        z = np.column_stack([z[rows], zj])
-        room = room[rows] - aj * zj
-    den = math.lcm(*(x.denominator for row in rs.cartan_inv for x in row))
-    scaled = np.array([[int(x * den) for x in row] for row in rs.cartan_inv],
-                      dtype=np.int64)
-    k = z @ scaled
-    return k[np.all(k % den == 0, axis=1)] // den
+        # z_j = base + c_j H_jj with base = sum_{i<j} c_i H_ij; c_j runs
+        # from lo (z_j >= 1) to hi, leaving room for z_i = 1 on later axes
+        step = h[j][j]
+        base = c @ np.array([row[j] for row in h[:j]], dtype=np.int64)
+        lo = -((base - 1) // step)
+        hi = ((room - sum(marks[j + 1:])) // aj - base) // step
+        count = np.maximum(hi - lo + 1, 0)
+        rows = np.repeat(np.arange(len(c)), count)
+        cj = np.arange(len(rows)) + np.repeat(lo - np.cumsum(count) + count,
+                                              count)
+        c = np.column_stack([c[rows], cj])
+        room = room[rows] - aj * (base[rows] + step * cj)
+    return c @ np.array(u, dtype=np.int64)
 
 
 def _factor_grids(rs, sizes, max_points):
@@ -168,10 +209,13 @@ def _factor_grids(rs, sizes, max_points):
 
     The alcove of the whole group holds at most P / |W| points; a caller
     grid whose sizes within a factor differ so much that this exceeds
-    ``max_points`` is refused before any point is enumerated.
+    ``max_points``, or a size whose phases could overflow int64, is
+    refused before any point is enumerated.
     """
     factors = [(block, rs_k, max(sizes[i] for i in block))
                for block, rs_k in rootsys.simple_factors(rs)]
+    for block, _, m in factors:
+        _check_phase_range(len(block), m)
     cells = math.prod(m ** len(block) for block, _, m in factors)
     if cells // rs.weyl_order > max_points:
         raise GridError(
@@ -181,42 +225,30 @@ def _factor_grids(rs, sizes, max_points):
     return factors, cells
 
 
-def _alcove_points(rs, sizes, max_points):
-    """Grid points in the open fundamental alcove of the whole group, in
-    simple-coroot coordinates, and the number P of torus-grid points they
-    stand for: the Cartesian product of the factors' alcoves.  Quadrature
-    sums each factor's alcove on its own (:func:`_alcove_sums`) and never
-    builds this product."""
-    factors, cells = _factor_grids(rs, sizes, max_points)
-    parts = [_alcove_factor(rs_k, m) / m for _, rs_k, m in factors]
-    mesh = np.meshgrid(*(np.arange(len(p)) for p in parts), indexing="ij")
-    pts = np.hstack([p[idx.ravel()] for p, idx in zip(parts, mesh)])
-    return pts, cells
-
-
 def _alcove_sums(rs, lam, a, b, n, weights, m):
     """Sum over the alcove points of the simple group ``rs`` on the grid
     (1/m) Z^r of chi_nu |Delta|^2 prod_j chi(g^j)^(n a_j)
     conj(chi(g^j))^(n b_j), chi the character of ``lam``, for each nu in
     ``weights``: a dict nu -> complex, each part one exactly rounded
     :func:`math.fsum`."""
-    pts = _alcove_factor(rs, m) / m
+    k = _alcove_factor(rs, m)
     ws = weight_system(rs, lam)
-    base = weyl_denominator_sq(rs, pts).astype(complex)
-    # chi(g^j) = character_at(ws, j * phi): one synthesis per Adams degree
+    base = weyl_denominator_sq(rs, k, m).astype(complex)
+    # chi(g^j) = character_at(ws, j * k, m): one synthesis per Adams degree
     for j, (aj, bj) in enumerate(zip_longest(a.exps, b.exps, fillvalue=0),
                                  start=1):
         if not (aj or bj):
             continue
-        chi = character_at(ws, j * pts)
+        chi = character_at(ws, j * k, m)
         if aj:
             base *= chi ** (n * aj)
         if bj:
             base *= np.conj(chi, out=chi) ** (n * bj)
     sums = {}
     for nu in weights:
-        terms = character_at(weight_system(rs, nu), pts) * base
-        sums[nu] = complex(math.fsum(terms.real), math.fsum(terms.imag))
+        terms = character_at(weight_system(rs, nu), k, m) * base
+        sums[nu] = complex(math.fsum(terms.real.tolist()),
+                           math.fsum(terms.imag.tolist()))
     return sums
 
 

@@ -356,3 +356,28 @@ def full_grid_quadrature(rs, lam, a, b, n, f_terms, sizes):
                          * np.conj(dilate) ** (n * bj))
     norm = len(x) * rs.weyl_order
     return integrand.sum() / norm, np.abs(integrand).sum() / norm
+
+
+def alcove_by_filter(rs, m):
+    """Grid points k / m in the open fundamental alcove of the simple group
+    ``rs``, as an integer array k: every integer z in the alcove simplex
+    (z_j = m <alpha_j, x> >= 1, sum_j a_j z_j <= m - 1, a_j the marks of the
+    highest root), kept where k = (C^T)^{-1} z is integral.  The test runs
+    on integers: with D the common denominator of C^{-1}, D k = (D C^{-1})^T
+    z must be divisible by D."""
+    marks = max(rs.positive_rootcoords, key=sum)
+    z = np.zeros((1, 0), dtype=np.int64)
+    room = np.array([m - 1], dtype=np.int64)
+    for j, aj in enumerate(marks):
+        # z_j runs over 1 .. top, leaving room for z_i = 1 on later axes
+        top = np.maximum((room - sum(marks[j + 1:])) // aj, 0)
+        rows = np.repeat(np.arange(len(z)), top)
+        starts = np.repeat(np.cumsum(top) - top, top)
+        zj = np.arange(len(rows), dtype=np.int64) - starts + 1
+        z = np.column_stack([z[rows], zj])
+        room = room[rows] - aj * zj
+    den = math.lcm(*(x.denominator for row in rs.cartan_inv for x in row))
+    scaled = np.array([[int(x * den) for x in row] for row in rs.cartan_inv],
+                      dtype=np.int64)
+    k = z @ scaled
+    return k[np.all(k % den == 0, axis=1)] // den

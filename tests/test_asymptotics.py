@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from liemoments.asymptotics import (ClassFunction, HypothesisError,
-                                    biane_dimension_estimate, cycle_constants,
-                                    leading_term_I, leading_term_K,
-                                    mehta_closed_form, nu_character,
-                                    vanish_leading_constant, weyl_equivariant)
+                                    biane_dimension_estimate, leading_term_I,
+                                    leading_term_K, mehta_closed_form,
+                                    nu_character, vanish_leading_constant,
+                                    weyl_equivariant)
 from liemoments import charring, repweights, rootsys, torusquad
 from liemoments.charring import CycleType
 from liemoments.repweights import a_lambda, weyl_dimension
@@ -15,8 +15,11 @@ from liemoments.rootsys import build_root_system, kappa
 
 
 def test_cycle_constants():
-    assert cycle_constants(CycleType((2, 0, 1))) == (3, 5, 11)
-    assert cycle_constants(CycleType(())) == (0, 0, 0)
+    # (number of factors, total power, quadratic weight), read by the
+    # leading-term assembly straight from the cycle type
+    for a, want in ((CycleType((2, 0, 1)), (3, 5, 11)),
+                    (CycleType(()), (0, 0, 0))):
+        assert (a.size, a.weight, a.quad) == want
 
 
 def test_nu_character_a1():

@@ -2,11 +2,16 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from liemoments.exactla import (det_fraction, identity_int, inv_fraction,
+from liemoments.exactla import (det_fraction, hermite_normal_form,
+                                identity_int, inv_fraction,
                                 is_positive_definite,
                                 leading_principal_minors, mat_vec,
                                 smith_normal_form, solve_fraction)
+from liemoments.rootsys import build_root_system
+
+import oracles
 
 
 def _matmul(a, b):
@@ -79,3 +84,48 @@ def test_snf_divisor_product_matches_det():
         m = rng.integers(-4, 5, size=(n, n)).tolist()
         diag, _, _ = smith_normal_form(m)
         assert math.prod(diag) == abs(det_fraction(m))
+
+
+def _is_integral(mat):
+    return all(Fraction(x).denominator == 1 for row in mat for x in row)
+
+
+def test_hnf_of_sheared_lattices():
+    # V @ M spans the row lattice of M for unimodular V, so both have the
+    # same (unique) Hermite form
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        n = int(rng.integers(1, 6))
+        m = rng.integers(-5, 6, size=(n, n)).tolist()
+        if det_fraction(m) == 0:
+            continue
+        sheared = _matmul(oracles.random_unimodular(rng, n), m)
+        h, u = hermite_normal_form(sheared)
+        assert all(h[i][j] == 0 for i in range(n) for j in range(i))
+        assert all(h[j][j] > 0 for j in range(n))
+        assert all(0 <= h[i][j] < h[j][j]
+                   for j in range(n) for i in range(j))
+        assert _matmul([list(r) for r in u], sheared) == [list(r) for r in h]
+        # same lattice: each basis is an integral combination of the other
+        assert _is_integral(_matmul(h, [list(r) for r in
+                                        inv_fraction(sheared)]))
+        assert _is_integral(_matmul(sheared, [list(r) for r in
+                                              inv_fraction(h)]))
+        assert abs(det_fraction(u)) == 1
+        assert hermite_normal_form(m)[0] == h
+
+
+def test_hnf_of_cartan_matrices_matches_the_center():
+    for spec in ("A1", "A4", "B3", "C4", "D4", "D5", "D6", "E6", "E7",
+                 "E8", "F4", "G2", "A1xA2"):
+        rs = build_root_system(spec)
+        h, u = rs.coroot_grid_basis
+        assert (h, u) == hermite_normal_form(rs.cartan)
+        assert math.prod(h[j][j] for j in range(rs.rank)) == rs.center.order
+        assert _matmul([list(r) for r in u], rs.cartan) == \
+            [list(r) for r in h]
+
+
+def test_hnf_refuses_a_singular_matrix():
+    with pytest.raises(ValueError, match="singular"):
+        hermite_normal_form([[1, 2], [2, 4]])

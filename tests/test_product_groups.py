@@ -143,9 +143,9 @@ def test_product_quadrature_evaluates_one_factor_alcove_at_a_time(
     points = []
     original = torusquad.character_at
 
-    def recording(ws, phi):
-        points.append(len(phi))
-        return original(ws, phi)
+    def recording(ws, k, m):
+        points.append(len(k))
+        return original(ws, k, m)
 
     monkeypatch.setattr(torusquad, "character_at", recording)
     value = quad_K_N(rs, (1, 1, 1), a, a, 60)

@@ -4,6 +4,9 @@
 of the uniform grid, with characters from the Weyl character formula; the
 library sums over the grid points in the open fundamental alcove, one per
 regular Weyl orbit.  The two share only root data and the grid sizes.
+The alcove points themselves are checked against
+``oracles.alcove_by_filter``, which walks the whole alcove simplex and
+keeps the integral points.
 """
 
 import math
@@ -16,7 +19,8 @@ from hypothesis import strategies as st
 from liemoments.asymptotics import ClassFunction
 from liemoments.charring import CycleType
 from liemoments.rootsys import build_root_system, factor_blocks
-from liemoments.torusquad import _alcove_points, default_grid, quad_K_N
+from liemoments.torusquad import (_alcove_factor, _factor_grids, default_grid,
+                                  quad_K_N)
 
 import oracles
 
@@ -94,6 +98,61 @@ def test_alcove_points_are_one_per_regular_orbit(spec, factor_sizes):
     for per_factor in factor_sizes:
         sizes = tuple(m for m, block in zip(per_factor, blocks)
                       for _ in block)
-        pts, cells = _alcove_points(rs, sizes, max_points=10**6)
+        factors, cells = _factor_grids(rs, sizes, max_points=10**6)
         assert cells == math.prod(sizes)
-        assert rs.weyl_order * len(pts) == _regular_grid_points(rs, sizes)
+        regular = 1
+        for block, rs_k, m in factors:
+            count = rs_k.weyl_order * len(_alcove_factor(rs_k, m))
+            assert count == _regular_grid_points(rs_k, (m,) * len(block))
+            regular *= count
+        assert regular == _regular_grid_points(rs, sizes)
+
+
+SIMPLE_TYPES = [f"{letter}{n}" for letter, lo in
+                (("A", 1), ("B", 2), ("C", 3), ("D", 4)) for n in
+                range(lo, 8)] + ["E6", "E7", "F4", "G2"]
+# The oracle walks the whole alcove simplex, about m^r / (r! prod_j a_j)
+# integer points; m is capped per type to keep that walk at most 2e5.
+SIMPLEX_CAP = 200_000
+
+
+def _simplex_size(marks, m):
+    """Integer points z_j >= 1 with sum_j a_j z_j <= m - 1, counted by
+    a generating-function product."""
+    ways = [1] + [0] * (m - 1)
+    for aj in marks:
+        ways = [sum(ways[s - aj * z] for z in range(1, s // aj + 1))
+                for s in range(m)]
+    return sum(ways)
+
+
+def _largest_m(rs, top=40):
+    marks = max(rs.positive_rootcoords, key=sum)
+    return max(m for m in range(2, top + 1)
+               if _simplex_size(marks, m) <= SIMPLEX_CAP)
+
+
+LARGEST_M = {spec: _largest_m(build_root_system(spec))
+             for spec in SIMPLE_TYPES}
+
+
+@st.composite
+def alcove_cases(draw):
+    spec = draw(st.sampled_from(SIMPLE_TYPES))
+    return build_root_system(spec), draw(st.integers(2, LARGEST_M[spec]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(alcove_cases())
+def test_coset_enumeration_matches_simplex_filter(case):
+    rs, m = case
+    k = _alcove_factor(rs, m)
+    want = oracles.alcove_by_filter(rs, m)
+    assert k.dtype == np.int64 and k.shape[1:] == (rs.rank,)
+    # no point twice, and the same set as the filtered simplex walk
+    assert len(np.unique(k, axis=0)) == len(k)
+    assert sorted(map(tuple, k.tolist())) == \
+        sorted(map(tuple, want.tolist()))
+    # 0 < <alpha, k / m> < 1 for every positive root: the open alcove
+    values = k @ np.array(rs.positive_roots, dtype=np.int64).T
+    assert np.all((values > 0) & (values < m))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from liemoments import rootsys
 from liemoments.rootsys import (ConfigurationError, build_root_system,
                                 dominant_representative, fundamental_group,
                                 in_root_lattice, kappa,
@@ -183,6 +184,24 @@ def test_a1_center_representative():
     rs = build_root_system("A1")
     assert set(rs.center.elements) == {(Fraction(0),), (Fraction(1, 2),)}
     assert pairing((1,), (Fraction(1, 2),)) == Fraction(1, 2)
+
+
+def test_coroot_grid_basis_is_cross_checked_against_the_center(monkeypatch):
+    rs = build_root_system("D4")
+    h, u = rs.coroot_grid_basis
+    assert rootsys._coroot_grid_basis(rs.cartan, rs.center) == (h, u)
+    # a Hermite diagonal that disagrees with the Smith form is refused
+    doubled = tuple(tuple(2 * x for x in row) for row in h)
+    monkeypatch.setattr(rootsys, "hermite_normal_form",
+                        lambda mat: (doubled, u))
+    with pytest.raises(RuntimeError, match="center order"):
+        rootsys._coroot_grid_basis(rs.cartan, rs.center)
+    # so is a transform that does not map the Cartan matrix to H
+    swapped = (u[1], u[0]) + u[2:]
+    monkeypatch.setattr(rootsys, "hermite_normal_form",
+                        lambda mat: (h, swapped))
+    with pytest.raises(RuntimeError, match="does not map"):
+        rootsys._coroot_grid_basis(rs.cartan, rs.center)
 
 
 def test_root_lattice_membership():

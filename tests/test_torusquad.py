@@ -10,8 +10,8 @@ from liemoments.asymptotics import ClassFunction
 from liemoments.charring import CycleType, adams, exact_moment
 from liemoments.repweights import weight_extent, weight_system, weyl_dimension
 from liemoments.rootsys import build_root_system, reflect_covector
-from liemoments.torusquad import (GridError, TorusGrid, _next_smooth,
-                                  character_at, default_grid,
+from liemoments.torusquad import (GridError, TorusGrid, _check_phase_range,
+                                  _next_smooth, character_at, default_grid,
                                   mehta_quadrature, quad_I_N, quad_K_N,
                                   required_bandwidth, weyl_denominator_sq)
 
@@ -85,13 +85,21 @@ def test_grid_alias_refusal_names_required_sizes():
     assert "(6,)" in str(err.value)
 
 
+def random_grid_point(rng, rank):
+    """A rational torus point k / m: integer k (any sign, past one period)
+    and m in 2..60."""
+    m = int(rng.integers(2, 61))
+    return tuple(int(x) for x in rng.integers(-2 * m, 2 * m, rank)), m
+
+
 def test_character_at_identity_is_dimension():
     for spec, lam in [("A1", (4,)), ("A2", (1, 1)), ("B2", (1, 0)),
                       ("G2", (1, 0))]:
         rs = build_root_system(spec)
         ws = weight_system(rs, lam)
-        val = character_at(ws, (0.0,) * rs.rank)
-        assert val == pytest.approx(weyl_dimension(rs, lam), rel=1e-13)
+        for m in (1, 7, 12):
+            val = character_at(ws, (0,) * rs.rank, m)
+            assert val == pytest.approx(weyl_dimension(rs, lam), rel=1e-13)
 
 
 def test_character_weyl_invariance():
@@ -100,12 +108,12 @@ def test_character_weyl_invariance():
         rs = build_root_system(spec)
         ws = weight_system(rs, lam)
         for _ in range(5):
-            phi = tuple(rng.uniform(0, 1, rs.rank))
-            base = character_at(ws, phi)
+            k, m = random_grid_point(rng, rs.rank)
+            base = character_at(ws, k, m)
             for i in range(rs.rank):
-                refl = reflect_covector(rs, phi, i)
-                assert character_at(ws, refl) == pytest.approx(base,
-                                                               abs=1e-9)
+                refl = reflect_covector(rs, k, i)
+                assert character_at(ws, refl, m) == pytest.approx(base,
+                                                                  abs=1e-9)
 
 
 def test_character_adams_compatibility():
@@ -115,19 +123,19 @@ def test_character_adams_compatibility():
     for j in (2, 3):
         dil = adams(ws, j)
         for _ in range(4):
-            phi = tuple(rng.uniform(0, 1, 2))
-            scaled = tuple(j * p for p in phi)
-            assert character_at(dil, phi) == pytest.approx(
-                character_at(ws, scaled), abs=1e-10)
+            k, m = random_grid_point(rng, 2)
+            scaled = tuple(j * x for x in k)
+            assert character_at(dil, k, m) == pytest.approx(
+                character_at(ws, scaled, m), abs=1e-10)
 
 
 def test_weyl_denominator_sq():
     rs = build_root_system("A2")
-    assert weyl_denominator_sq(rs, (0.0, 0.0)) == 0.0
+    assert weyl_denominator_sq(rs, (0, 0), 12) == 0.0
     rng = np.random.default_rng(3)
     for _ in range(10):
-        phi = tuple(rng.uniform(0, 1, 2))
-        assert weyl_denominator_sq(rs, phi) >= 0.0
+        k, m = random_grid_point(rng, 2)
+        assert weyl_denominator_sq(rs, k, m) >= 0.0
 
 
 @pytest.mark.parametrize("spec, lam", [("A2", (2, 1)), ("B2", (1, 1)),
@@ -135,24 +143,89 @@ def test_weyl_denominator_sq():
 def test_array_form_matches_point_form(spec, lam):
     rs = build_root_system(spec)
     ws = weight_system(rs, lam)
-    pts = np.random.default_rng(29).uniform(0, 1, (16, rs.rank))
-    chi = character_at(ws, pts)
-    dsq = weyl_denominator_sq(rs, pts)
+    rng = np.random.default_rng(29)
+    m = 37
+    pts = rng.integers(-2 * m, 2 * m, (16, rs.rank))
+    chi = character_at(ws, pts, m)
+    dsq = weyl_denominator_sq(rs, pts, m)
     assert chi.shape == dsq.shape == (16,)
-    for i, phi in enumerate(pts):
-        one_chi = character_at(ws, phi)
-        one_dsq = weyl_denominator_sq(rs, phi)
+    for i, k in enumerate(pts):
+        one_chi = character_at(ws, k, m)
+        one_dsq = weyl_denominator_sq(rs, k, m)
         assert isinstance(one_chi, complex) and isinstance(one_dsq, float)
         assert chi[i] == pytest.approx(one_chi, abs=1e-12)
         assert dsq[i] == pytest.approx(one_dsq, abs=1e-12)
+        phi = tuple(int(x) / m for x in k)
         assert one_chi == pytest.approx(
             oracles.character_sum(ws.entries, phi), abs=1e-12)
         assert one_dsq == pytest.approx(
             oracles.denominator_product(rs, phi), abs=1e-12)
     # the quadrature integrand evaluates Adams dilates this way
     for j in (2, 3):
-        np.testing.assert_allclose(character_at(adams(ws, j), pts),
-                                   character_at(ws, j * pts), atol=1e-10)
+        np.testing.assert_allclose(character_at(adams(ws, j), pts, m),
+                                   character_at(ws, j * pts, m), atol=1e-10)
+
+
+def test_shift_by_a_period_gives_identical_bits():
+    # phases are integers mod m, so k and k + m e_i index the same tables
+    rng = np.random.default_rng(11)
+    for spec, lam in [("A2", (2, 1)), ("G2", (1, 1)), ("B3", (0, 1, 1))]:
+        rs = build_root_system(spec)
+        ws = weight_system(rs, lam)
+        m = 31
+        pts = rng.integers(-2 * m, 2 * m, (20, rs.rank))
+        chi = character_at(ws, pts, m)
+        dsq = weyl_denominator_sq(rs, pts, m)
+        for i in range(rs.rank):
+            shifted = pts.copy()
+            shifted[:, i] += m * rng.integers(-3, 4, len(pts))
+            assert np.array_equal(character_at(ws, shifted, m), chi)
+            assert np.array_equal(weyl_denominator_sq(rs, shifted, m), dsq)
+
+
+def test_evaluators_refuse_non_integer_points_and_sizes():
+    rs = build_root_system("A2")
+    ws = weight_system(rs, (1, 0))
+    with pytest.raises(TypeError, match="signed integers"):
+        character_at(ws, (0.5, 0.0), 12)
+    with pytest.raises(TypeError, match="signed integers"):
+        weyl_denominator_sq(rs, np.zeros((3, 2), dtype=np.uint8), 12)
+    with pytest.raises(GridError, match="grid size must be >= 1"):
+        character_at(ws, (0, 0), 0)
+
+
+class _Untouchable:
+    """Grid points that fail the test if anything converts them."""
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("points were read before the range check")
+
+    def __len__(self):
+        raise AssertionError("points were read before the range check")
+
+
+def test_int64_phase_guard_refuses_before_reading_points(monkeypatch):
+    rs = build_root_system("E8")
+    ws = weight_system(rs, (0, 0, 0, 0, 0, 0, 0, 1))
+    m = 2 ** 32  # 8 * (m - 1)^2 > 2^63 - 1
+    for call in (lambda: character_at(ws, _Untouchable(), m),
+                 lambda: weyl_denominator_sq(rs, _Untouchable(), m)):
+        with pytest.raises(GridError, match="overflow int64"):
+            call()
+    # quadrature refuses such a grid before it enumerates a point
+    def enumerate_alcove(*args):
+        raise AssertionError("the alcove was enumerated")
+
+    monkeypatch.setattr(torusquad, "_alcove_factor", enumerate_alcove)
+    with pytest.raises(GridError, match="overflow int64"):
+        quad_I_N(build_root_system("A1"), (1,), CycleType((1,)), 1,
+                 grid=TorusGrid(sizes=(2 ** 32,)), max_points=2 ** 64)
+    # the bound is exact: the largest size that cannot overflow on rank 8
+    # passes (checked without building its phase tables)
+    top = math.isqrt((2 ** 63 - 1) // 8) + 1
+    _check_phase_range(8, top)
+    with pytest.raises(GridError, match="overflow int64"):
+        _check_phase_range(8, top + 1)
 
 
 def test_grid_with_wrong_axis_count_is_refused():
@@ -251,21 +324,18 @@ def test_kernel_bound_attained_only_at_center():
     hits = []
     for i in range(m):
         for j in range(m):
-            phi = (i / m, j / m)
-            if abs(character_at(ws, phi)) > dim - 1e-9:
-                hits.append(phi)
+            if abs(character_at(ws, (i, j), m)) > dim - 1e-9:
+                hits.append((i, j))
     assert len(hits) == 3
-    for phi in hits:
-        frac = (Fraction(phi[0]).limit_denominator(m),
-                Fraction(phi[1]).limit_denominator(m))
-        assert all(3 * f % 1 == 0 for f in frac)
+    for k in hits:
+        assert all(3 * Fraction(x, m) % 1 == 0 for x in k)
 
 
 def test_kernel_bound_a1():
     rs = build_root_system("A1")
     ws = weight_system(rs, (1,))
     m = 10
-    vals = [abs(character_at(ws, (i / m,))) for i in range(m)]
+    vals = [abs(character_at(ws, (i,), m)) for i in range(m)]
     assert max(vals) == pytest.approx(2.0, abs=1e-12)
     hits = [i for i, v in enumerate(vals) if v > 2.0 - 1e-9]
     assert hits == [0, 5]
