@@ -254,7 +254,12 @@ def biane_dimension_estimate(rs, lam, n):
         return float("inf")
 
 
-def weyl_equivariant(rs, h, tol=1e-9):
+# Entries may be floats: commuting with the Weyl action is checked to this
+# relative tolerance, so a float multiple of an invariant form passes.
+_EQUIVARIANCE_TOL = 1e-9
+
+
+def weyl_equivariant(rs, h):
     """Whether the form ``h`` (covectors -> weights) commutes with the Weyl
     action: h o s_i equals s_i^* o h for every simple reflection.
 
@@ -268,63 +273,51 @@ def weyl_equivariant(rs, h, tol=1e-9):
         s = np.eye(n)
         for k in range(n):
             s[i, k] -= rs.cartan[k][i]
-        if np.abs(m @ s - s.T @ m).max() > tol * scale:
+        if np.abs(m @ s - s.T @ m).max() > _EQUIVARIANCE_TOL * scale:
             return False
     return True
 
 
-def _quadratic_form_data(rs, h):
-    """Normalize a positive definite Weyl-equivariant matrix.
+def exact_form(rs, h, equivariant=True):
+    """The quadratic form ``h`` as an exact rank x rank Fraction matrix.
 
-    Returns (kappa_argument_as_covector, sqrt_det) with the covector exact
-    when the input was exact.  The closed forms below are identities only
-    for forms commuting with the Weyl action (every Hessian produced by the
-    theory is a positive multiple of the invariant form per simple factor),
-    so anything else is refused.
+    ``Fraction(x)`` is exact for int, Fraction and float entries alike, so
+    nothing is rounded here.  Refused with ValueError, in this order: a
+    shape other than rank x rank, a form that does not commute with the
+    Weyl action (checked only when ``equivariant``), one that is not
+    symmetric, and one that is not positive definite.
     """
-    rows = [list(r) for r in h]
-    n = len(rows)
-    if n != rs.rank or any(len(r) != n for r in rows):
+    try:
+        m = [[Fraction(x) for x in row] for row in h]
+    except (OverflowError, ValueError):
+        raise ValueError("form entries must be finite numbers") from None
+    n = len(m)
+    if n != rs.rank or any(len(r) != n for r in m):
         raise ValueError(f"form must be {rs.rank} x {rs.rank}")
-    if not weyl_equivariant(rs, rows):
+    if equivariant and not weyl_equivariant(rs, m):
         raise ValueError(
             "form does not commute with the Weyl action; the kappa closed "
             "form does not apply")
-    exact = all(isinstance(x, (int, Fraction)) for r in rows for x in r)
-    if exact:
-        m = [[Fraction(x) for x in r] for r in rows]
-        for i in range(n):
-            for j in range(n):
-                if m[i][j] != m[j][i]:
-                    raise ValueError("matrix must be symmetric")
-        if not is_positive_definite(m):
-            raise ValueError("matrix must be positive definite")
-        inv = inv_fraction(m)
-        x = mat_vec(inv, [1] * n)
-        return x, math.sqrt(det_fraction(m))
-    m = np.array(rows, dtype=float)
-    if not np.allclose(m, m.T, rtol=1e-12, atol=0):
+    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
         raise ValueError("matrix must be symmetric")
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise ValueError("matrix must be positive definite") from None
-    x = tuple(np.linalg.solve(m, np.ones(n)))
-    return x, float(np.prod(np.diagonal(chol)))
-
-
-def _kappa_at(rs, x):
-    if all(isinstance(c, (int, Fraction)) for c in x):
-        return float(rootsys.kappa(rs, x))
-    return rootsys.kappa_float(rs, x)
+    if not is_positive_definite(m):
+        raise ValueError("matrix must be positive definite")
+    return m
 
 
 def mehta_closed_form(rs, h):
     """Closed form of the Gaussian integral of kappa^2 with form ``h``:
-    (2 pi)^{rank/2} |W| kappa(h^{-1} rho) / sqrt(det h)."""
-    x, sqrt_det = _quadratic_form_data(rs, h)
+    (2 pi)^{rank/2} |W| kappa(h^{-1} rho) / sqrt(det h).
+
+    The closed form is an identity only for forms commuting with the Weyl
+    action (every Hessian produced by the theory is a positive multiple of
+    the invariant form per simple factor), so anything else is refused.
+    kappa and det h are exact; the value is rounded once, at the end.
+    """
+    m = exact_form(rs, h)
+    kap = rootsys.kappa(rs, mat_vec(inv_fraction(m), rs.rho))
     return ((2 * math.pi) ** (rs.rank / 2) * rs.weyl_order
-            * _kappa_at(rs, x) / sqrt_det)
+            * float(kap) / math.sqrt(det_fraction(m)))
 
 
 def vanish_leading_constant(rs, h, g0, phi0, n):
@@ -333,12 +326,11 @@ def vanish_leading_constant(rs, h, g0, phi0, n):
     For an integrand g * e^{N Phi} whose amplitude vanishes like kappa^2 at
     the peak with Hessian form ``h``, the peak contributes
     (2 pi / N)^{dim G / 2} (2 pi)^d g0 e^{N phi0} |W| kappa(h^{-1} rho)
-    / sqrt(det h).
+    / sqrt(det h), that is (2 pi)^{2d} N^{-dim G / 2} g0 e^{N phi0} times
+    :func:`mehta_closed_form`.
     """
     if n < 1:
         raise HypothesisError(f"index N must be >= 1, got {n}")
-    x, sqrt_det = _quadratic_form_data(rs, h)
-    d = rs.num_positive_roots
-    return ((2 * math.pi / n) ** (rs.dim_group / 2)
-            * (2 * math.pi) ** d * g0 * math.exp(n * phi0)
-            * rs.weyl_order * _kappa_at(rs, x) / sqrt_det)
+    return ((2 * math.pi) ** (2 * rs.num_positive_roots)
+            * n ** (-rs.dim_group / 2) * g0 * math.exp(n * phi0)
+            * mehta_closed_form(rs, h))

@@ -95,23 +95,20 @@ class CycleType:
 def adams(ws, j):
     """Adams operation: dilate every weight by j.
 
-    For j >= 2 the result is in general only a virtual character, and is
-    flagged as such.
+    For j >= 2 the result is in general only a virtual character.
     """
     if j < 1:
         raise ValueError(f"Adams degree must be >= 1, got {j}")
     if j == 1:
         return ws
     return WeightSystem({tuple(j * c for c in w): m
-                         for w, m in ws.entries.items()},
-                        is_virtual=True)
+                         for w, m in ws.entries.items()})
 
 
 def dual(ws):
     """Weight system of the dual: negate every weight."""
     return WeightSystem({tuple(-c for c in w): m
-                         for w, m in ws.entries.items()},
-                        is_virtual=ws.is_virtual)
+                         for w, m in ws.entries.items()})
 
 
 def product(ws1, ws2, support_cap=10 ** 7):
@@ -135,7 +132,7 @@ def product(ws1, ws2, support_cap=10 ** 7):
     if len(out) > support_cap:
         raise SupportCapExceeded(
             f"convolution support {len(out)} exceeds cap {support_cap}")
-    return WeightSystem(out, is_virtual=ws1.is_virtual or ws2.is_virtual)
+    return WeightSystem(out)
 
 
 def product_all(factors, rank, support_cap=10 ** 7):

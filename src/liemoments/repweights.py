@@ -31,26 +31,21 @@ from .exactla import (det_fraction, inv_fraction, is_positive_definite,
 class WeightSystem:
     """A finite multiset of weights with (possibly signed) multiplicities.
 
-    ``entries`` maps weight tuples to nonzero integer multiplicities;
-    ``is_virtual`` records whether signed multiplicities may occur (set by the
-    character-ring operations, not inferred from the data).
+    ``entries`` maps weight tuples to nonzero integer multiplicities.
     """
 
-    __slots__ = ("entries", "is_virtual")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries, is_virtual=False):
+    def __init__(self, entries):
         self.entries = {tuple(k): int(v) for k, v in dict(entries).items()
                         if v}
-        self.is_virtual = bool(is_virtual)
 
     def __eq__(self, other):
         return (isinstance(other, WeightSystem)
-                and self.entries == other.entries
-                and self.is_virtual == other.is_virtual)
+                and self.entries == other.entries)
 
     def __repr__(self):
-        return (f"WeightSystem({len(self.entries)} weights, "
-                f"virtual={self.is_virtual})")
+        return f"WeightSystem({len(self.entries)} weights)"
 
     @property
     def support_size(self):
@@ -204,7 +199,7 @@ def _freudenthal(rs, lam):
 
     # The table already maps int tuples to nonzero ints: wrap it, no copy.
     ws = WeightSystem.__new__(WeightSystem)
-    ws.entries, ws.is_virtual = entries, False
+    ws.entries = entries
     if ws.dimension() != weyl_dimension(rs, lam):
         raise RuntimeError(
             f"weight multiplicities for {lam} sum to {ws.dimension()}, "

@@ -169,8 +169,10 @@ class FundamentalGroup:
 class RootSystem:
     """Immutable root datum of a product of simple factors.
 
-    Every field is a function of ``factors``, so root systems compare and
-    hash by their factors alone.
+    Every field is a function of ``factors``, and ``build_root_system``
+    memoises one datum per factors tuple.  Root systems compare and hash by
+    identity, so a cache keyed on a datum never serves a copy with altered
+    fields (``dataclasses.replace``) the original's value.
     """
     factors: tuple              # e.g. (("A", 2), ("B", 3))
     rank: int
@@ -188,14 +190,6 @@ class RootSystem:
     weyl_order: int
     center: FundamentalGroup
     coroot_grid_basis: tuple    # (H, U): H = U @ cartan, row Hermite form
-
-    def __eq__(self, other):
-        if not isinstance(other, RootSystem):
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self):
-        return hash(self.factors)
 
     @property
     def num_positive_roots(self):
@@ -414,14 +408,6 @@ def kappa(rs, x):
     out = Fraction(1)
     for alpha in rs.positive_roots:
         out *= pairing(alpha, x)
-    return out
-
-
-def kappa_float(rs, x):
-    """kappa for float covectors (used by the quadratic-form engines)."""
-    out = 1.0
-    for alpha in rs.positive_roots:
-        out *= sum(a * xi for a, xi in zip(alpha, x))
     return out
 
 

@@ -41,10 +41,15 @@ from itertools import zip_longest
 import numpy as np
 
 from . import rootsys
-from .asymptotics import ClassFunction
+from .asymptotics import ClassFunction, exact_form
 from .charring import CycleType
 from .repweights import (check_dominant_integral, weight_extent,
                          weight_system, weyl_dimension)
+
+
+# The integrand is summed in float64: N (|a| + |b|) log dim V_lam above this
+# is refused before any point is evaluated.
+_MAX_LOG = 700.0
 
 
 class GridError(ValueError):
@@ -252,17 +257,17 @@ def _alcove_sums(rs, lam, a, b, n, weights, m):
     return sums
 
 
-def _quad_core(rs, lam, a, b, n, f, grid, max_log, max_points):
+def _quad_core(rs, lam, a, b, n, f, grid, max_points):
     lam = check_dominant_integral(rs, lam)
     f = (ClassFunction.one(rs.rank) if f is None else f).validated(rs)
     if n < 0:
         raise ValueError(f"N must be >= 0, got {n}")
     dim = weyl_dimension(rs, lam)
     mag = (a.size + b.size) * n * math.log(dim)
-    if mag > max_log:
+    if mag > _MAX_LOG:
         raise GridError(
             f"integrand magnitude exp({mag:.1f}) exceeds the float budget "
-            f"exp({max_log}); refusing rather than overflow")
+            f"exp({_MAX_LOG}); refusing rather than overflow")
     if grid is None:
         grid = default_grid(rs, lam, a, b, n, f)
     elif len(grid.sizes) != rs.rank:
@@ -305,21 +310,18 @@ def _quad_core(rs, lam, a, b, n, f, grid, max_log, max_points):
     return total.real
 
 
-def quad_I_N(rs, lam, a, n, f=None, grid=None, max_log=700.0,
-             max_points=4_000_000):
+def quad_I_N(rs, lam, a, n, f=None, grid=None, max_points=4_000_000):
     """Torus quadrature of the one-sided moment with exponents N * a_j.
 
     Exact up to roundoff on any admissible grid; refuses grids below the
     computed bandwidth and magnitudes beyond the float range.
     """
-    return _quad_core(rs, lam, a, CycleType(()), n, f, grid, max_log,
-                      max_points)
+    return _quad_core(rs, lam, a, CycleType(()), n, f, grid, max_points)
 
 
-def quad_K_N(rs, lam, a, b, n, f=None, grid=None, max_log=700.0,
-             max_points=4_000_000):
+def quad_K_N(rs, lam, a, b, n, f=None, grid=None, max_points=4_000_000):
     """Torus quadrature of the two-sided moment (conjugated b factors)."""
-    return _quad_core(rs, lam, a, b, n, f, grid, max_log, max_points)
+    return _quad_core(rs, lam, a, b, n, f, grid, max_points)
 
 
 def mehta_quadrature(rs, h, extra_nodes=0):
@@ -329,18 +331,15 @@ def mehta_quadrature(rs, h, extra_nodes=0):
     integral into a standard-Gaussian expectation of a polynomial of degree
     2 * #positive roots, which a tensor Gauss-Hermite rule with
     #positive + 1 (+ extra_nodes) points per axis integrates exactly.
-    Supports rank <= 3 (tensor grids grow fast).
+    Supports rank <= 3 (tensor grids grow fast).  ``h`` need not commute
+    with the Weyl action, but must pass the exact shape, symmetry and
+    definiteness checks of :func:`asymptotics.exact_form`.
     """
     if rs.rank > 3:
         raise ValueError(f"tensor Gauss-Hermite limited to rank <= 3, "
                          f"got rank {rs.rank}")
-    m = np.array([[float(x) for x in row] for row in h], dtype=float)
-    if not np.allclose(m, m.T, rtol=1e-12, atol=0):
-        raise ValueError("matrix must be symmetric")
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise ValueError("matrix must be positive definite") from None
+    m = exact_form(rs, h, equivariant=False)
+    chol = np.linalg.cholesky(np.array(m, dtype=float))
     deg = rs.num_positive_roots + 1 + extra_nodes
     nodes, weights = np.polynomial.hermite_e.hermegauss(deg)
     mesh = np.meshgrid(*([nodes] * rs.rank), indexing="ij")

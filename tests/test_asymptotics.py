@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from liemoments.asymptotics import (ClassFunction, HypothesisError,
@@ -179,6 +180,87 @@ def test_mehta_closed_form_a1():
     # by c^{3/2}
     assert mehta_closed_form(rs, [[4]]) == \
         pytest.approx(4 * math.sqrt(2 * math.pi) / 8, rel=1e-13)
+
+
+def _rho_form(rs):
+    # the Hessian-scale float form (2 pi)^2 * 2 * A_rho of the balanced
+    # moment with a = b = (1)
+    scale = (2 * math.pi) ** 2 * 2
+    return [[scale * float(x) for x in row]
+            for row in a_lambda(rs, rs.rho).matrix]
+
+
+def _mehta_mpmath(rs, h):
+    # the same closed form in 50-digit mpmath, from the same float entries:
+    # (2 pi)^{rank/2} |W| kappa(h^{-1} rho) / sqrt(det h)
+    with mpmath.workdps(50):
+        m = mpmath.matrix([[mpmath.mpf(x) for x in row] for row in h])
+        x = mpmath.lu_solve(m, mpmath.matrix([1] * rs.rank))
+        kap = mpmath.mpf(1)
+        for alpha in rs.positive_roots:
+            kap *= mpmath.fsum(a * x[i] for i, a in enumerate(alpha))
+        return ((2 * mpmath.pi) ** (mpmath.mpf(rs.rank) / 2)
+                * rs.weyl_order * kap / mpmath.sqrt(mpmath.det(m)))
+
+
+@pytest.mark.parametrize("spec", ["F4", "E7", "E8", "B8", "C8", "D8"])
+def test_mehta_closed_form_rounds_once(spec):
+    # float entries are converted exactly and the value is rounded once, so
+    # it agrees with high precision to a few ulp even at rank 8
+    rs = build_root_system(spec)
+    h = _rho_form(rs)
+    got = mehta_closed_form(rs, h)
+    want = _mehta_mpmath(rs, h)
+    assert abs(mpmath.mpf(got) / want - 1) <= 1e-14
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "B3", "G2", "A1xA2", "F4"])
+def test_mehta_closed_form_float_and_fraction_agree(spec):
+    rs = build_root_system(spec)
+    h = _rho_form(rs)
+    exact = [[Fraction(x) for x in row] for row in h]
+    assert mehta_closed_form(rs, h) == mehta_closed_form(rs, exact)
+    cartan_form = [[Fraction(2 * x) for x in row]
+                   for row in a_lambda(rs, rs.rho).matrix]
+    assert mehta_closed_form(rs, cartan_form) == mehta_closed_form(
+        rs, [[float(x) for x in row] for row in cartan_form])
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "B2", "G2", "A1xA1", "D4"])
+def test_vanish_leading_constant_scales_mehta(spec):
+    rs = build_root_system(spec)
+    h = _rho_form(rs)
+    mehta = mehta_closed_form(rs, h)
+    d = rs.num_positive_roots
+    for g0, phi0, n in ((1.0, 0.0, 1), (0.5, 0.25, 3), (2.0, -0.1, 7)):
+        got = vanish_leading_constant(rs, h, g0, phi0, n)
+        scalar = ((2 * math.pi) ** (2 * d) * n ** (-rs.dim_group / 2)
+                  * g0 * math.exp(n * phi0))
+        assert got == pytest.approx(scalar * mehta, rel=1e-15)
+        # the documented form, assembled the long way
+        long_way = ((2 * math.pi / n) ** (rs.dim_group / 2)
+                    * (2 * math.pi) ** d * g0 * math.exp(n * phi0)
+                    * mehta / (2 * math.pi) ** (rs.rank / 2))
+        assert got == pytest.approx(long_way, rel=1e-13)
+
+
+def test_quadratic_form_refusal_messages():
+    rs = build_root_system("A2")
+    for h, message in (
+            ([[1]], "form must be 2 x 2"),
+            ([[2, -1], [-1]], "form must be 2 x 2"),
+            ([[1, 0], [0, 2]], "does not commute with the Weyl action"),
+            ([[-2, 1], [1, -2]], "matrix must be positive definite"),
+            ([[2.0, float("nan")], [-1.0, 2.0]], "must be finite numbers"),
+            ([[2.0, float("inf")], [-1.0, 2.0]], "must be finite numbers"),
+            # equivariant to the float tolerance, but not bit-for-bit
+            # symmetric: exact input is compared exactly
+            ([[2.0, -1.0 + 1e-13], [-1.0, 2.0]],
+             "matrix must be symmetric")):
+        with pytest.raises(ValueError, match=message):
+            mehta_closed_form(rs, h)
+        with pytest.raises(ValueError, match=message):
+            vanish_leading_constant(rs, h, 1.0, 0.0, 1)
 
 
 def test_composition_identity():

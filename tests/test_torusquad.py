@@ -387,6 +387,21 @@ def test_mehta_quadrature_validation():
                               [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
+def test_mehta_quadrature_refusal_messages():
+    # the same exact shape, symmetry and definiteness checks as the closed
+    # form, without the Weyl-equivariance one
+    rs = build_root_system("A2")
+    for h, message in (([[1]], "form must be 2 x 2"),
+                       ([[1, 1], [0, 1]], "matrix must be symmetric"),
+                       ([[2.0, 1.0 + 1e-13], [1.0, 3.0]],
+                        "matrix must be symmetric"),
+                       ([[-1, 0], [0, -1]], "matrix must be positive definite")):
+        with pytest.raises(ValueError, match=message):
+            mehta_quadrature(rs, h)
+    with pytest.raises(ValueError, match="limited to rank <= 3"):
+        mehta_quadrature(build_root_system("B4"), [[1]])
+
+
 def test_mehta_quadrature_general_form():
     # unlike the closed form, quadrature accepts non-equivariant matrices;
     # sanity-check positivity and node-count stability on one
