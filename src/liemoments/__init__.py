@@ -26,11 +26,26 @@ from .repweights import (SecondMoment, WeightSystem, a_lambda, is_regular,
 from .rootsys import (ConfigurationError, FundamentalGroup, RootSystem,
                       build_root_system, dominant_representative,
                       fundamental_group, kappa, pairing, weyl_orbit)
-from .torusquad import (GridError, TorusGrid, character_at, default_grid,
-                        mehta_quadrature, quad_I_N, quad_K_N,
-                        weyl_denominator_sq)
 
 __version__ = "0.1.0"
+
+# Quadrature is the only layer that needs numpy, so its names are resolved
+# from liemoments.torusquad on first access (PEP 562): importing the package
+# and running the exact and asymptotic routes never loads numpy.
+_QUADRATURE_NAMES = frozenset((
+    "GridError", "TorusGrid", "character_at", "default_grid",
+    "mehta_quadrature", "quad_I_N", "quad_K_N", "weyl_denominator_sq"))
+
+
+def __getattr__(name):
+    if name in _QUADRATURE_NAMES:
+        from . import torusquad
+        return getattr(torusquad, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _QUADRATURE_NAMES)
 
 __all__ = [
     "AsymptoticEstimate", "ClassFunction", "ConfigurationError",

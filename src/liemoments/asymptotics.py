@@ -12,17 +12,16 @@ floats only at the very end.
 from __future__ import annotations
 
 import cmath
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from . import rootsys
 from .charring import CycleType
-from .exactla import (det_fraction, inv_fraction, is_positive_definite,
-                      mat_vec)
+from .exactla import lu_solve, positive_lu
 from .repweights import (a_lambda, check_dominant_integral, is_regular,
                          weyl_dimension)
 
@@ -260,33 +259,34 @@ _EQUIVARIANCE_TOL = 1e-9
 
 
 def weyl_equivariant(rs, h):
-    """Whether the form ``h`` (covectors -> weights) commutes with the Weyl
-    action: h o s_i equals s_i^* o h for every simple reflection.
+    """Whether the form ``h`` (covectors -> weights; int or Fraction
+    entries) commutes with the Weyl action: h o s_i equals s_i^* o h for
+    every simple reflection, to the relative tolerance ``_EQUIVARIANCE_TOL``.
 
     In these coordinates the weight-side reflection matrix is the transpose
-    of the covector-side one, so the condition is  h S_i = S_i^T h.
+    of the covector-side one, so the condition is  h S_i = S_i^T h.  With
+    c_k = cartan[k][i], entry (j, k) of  h S_i - S_i^T h  is
+    c_j h[i][k] - h[j][i] c_k.  It is checked exactly, in integers, on ``h``
+    scaled by the common denominator of its entries.
     """
     n = rs.rank
-    m = np.array([[float(x) for x in row] for row in h], dtype=float)
-    scale = max(1.0, float(np.abs(m).max()))
+    den = math.lcm(*(x.denominator for row in h for x in row))
+    m = [[x.numerator * (den // x.denominator) for x in row] for row in h]
+    # the differences are integers, so comparing with the floor is exact
+    limit = math.floor(Fraction(_EQUIVARIANCE_TOL) * max(
+        den, max(abs(x) for row in m for x in row)))
     for i in range(n):
-        s = np.eye(n)
-        for k in range(n):
-            s[i, k] -= rs.cartan[k][i]
-        if np.abs(m @ s - s.T @ m).max() > _EQUIVARIANCE_TOL * scale:
-            return False
+        c = [rs.cartan[k][i] for k in range(n)]
+        for j in range(n):
+            for k in range(n):
+                if abs(c[j] * m[i][k] - m[j][i] * c[k]) > limit:
+                    return False
     return True
 
 
-def exact_form(rs, h, equivariant=True):
-    """The quadratic form ``h`` as an exact rank x rank Fraction matrix.
-
-    ``Fraction(x)`` is exact for int, Fraction and float entries alike, so
-    nothing is rounded here.  Refused with ValueError, in this order: a
-    shape other than rank x rank, a form that does not commute with the
-    Weyl action (checked only when ``equivariant``), one that is not
-    symmetric, and one that is not positive definite.
-    """
+def _checked_form(rs, h, equivariant):
+    """:func:`exact_form`'s matrix and its :func:`exactla.positive_lu`
+    factors, from the elimination that decides definiteness."""
     try:
         m = [[Fraction(x) for x in row] for row in h]
     except (OverflowError, ValueError):
@@ -300,9 +300,30 @@ def exact_form(rs, h, equivariant=True):
             "form does not apply")
     if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
         raise ValueError("matrix must be symmetric")
-    if not is_positive_definite(m):
+    lu = positive_lu(m)
+    if lu is None:
         raise ValueError("matrix must be positive definite")
-    return m
+    return m, lu
+
+
+def exact_form(rs, h, equivariant=True):
+    """The quadratic form ``h`` as an exact rank x rank Fraction matrix.
+
+    ``Fraction(x)`` is exact for int, Fraction and float entries alike, so
+    nothing is rounded here.  Refused with ValueError, in this order: a
+    shape other than rank x rank, a form that does not commute with the
+    Weyl action (checked only when ``equivariant``), one that is not
+    symmetric, and one that is not positive definite.
+    """
+    return _checked_form(rs, h, equivariant)[0]
+
+
+def _mehta_parts(rs, h):
+    """kappa(h^{-1} rho) and det h, exact, for a form that passes
+    :func:`exact_form`; one elimination gives both."""
+    _, lu = _checked_form(rs, h, True)
+    return (rootsys.kappa(rs, lu_solve(lu, rs.rho)),
+            math.prod(lu[1][k][k] for k in range(rs.rank)))
 
 
 def mehta_closed_form(rs, h):
@@ -314,10 +335,20 @@ def mehta_closed_form(rs, h):
     the invariant form per simple factor), so anything else is refused.
     kappa and det h are exact; the value is rounded once, at the end.
     """
-    m = exact_form(rs, h)
-    kap = rootsys.kappa(rs, mat_vec(inv_fraction(m), rs.rho))
+    kap, det = _mehta_parts(rs, h)
     return ((2 * math.pi) ** (rs.rank / 2) * rs.weyl_order
-            * float(kap) / math.sqrt(det_fraction(m)))
+            * float(kap) / math.sqrt(det))
+
+
+def _decimal(q):
+    """The Fraction ``q`` in the current decimal context."""
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+# Forty digits keep the powers of sqrt(2 pi) (exponent 4d + rank, about 1000
+# for E8 x E8) far below float resolution; the exponent range is unbounded.
+_LEADING_CONTEXT = decimal.Context(prec=40, Emax=decimal.MAX_EMAX,
+                                   Emin=decimal.MIN_EMIN)
 
 
 def vanish_leading_constant(rs, h, g0, phi0, n):
@@ -327,10 +358,21 @@ def vanish_leading_constant(rs, h, g0, phi0, n):
     the peak with Hessian form ``h``, the peak contributes
     (2 pi / N)^{dim G / 2} (2 pi)^d g0 e^{N phi0} |W| kappa(h^{-1} rho)
     / sqrt(det h), that is (2 pi)^{2d} N^{-dim G / 2} g0 e^{N phi0} times
-    :func:`mehta_closed_form`.
+    :func:`mehta_closed_form`.  The factors are multiplied in decimal
+    arithmetic with no exponent limit and rounded to float once, so only a
+    final value past the float range raises OverflowError.
     """
     if n < 1:
         raise HypothesisError(f"index N must be >= 1, got {n}")
-    return ((2 * math.pi) ** (2 * rs.num_positive_roots)
-            * n ** (-rs.dim_group / 2) * g0 * math.exp(n * phi0)
-            * mehta_closed_form(rs, h))
+    kap, det = _mehta_parts(rs, h)
+    with decimal.localcontext(_LEADING_CONTEXT):
+        value = (Decimal(2 * math.pi).sqrt()
+                 ** (4 * rs.num_positive_roots + rs.rank)
+                 / Decimal(n).sqrt() ** rs.dim_group
+                 * Decimal(float(g0)) * Decimal(float(n * phi0)).exp()
+                 * rs.weyl_order * _decimal(kap) / _decimal(det).sqrt())
+    out = float(value)
+    if math.isinf(out):
+        raise OverflowError(
+            f"leading constant {value:.6e} is past the float range")
+    return out

@@ -17,7 +17,7 @@ import dataclasses
 import json
 import sys
 
-from . import asymptotics, charring, harness, repweights, rootsys, torusquad
+from . import asymptotics, charring, harness, repweights, rootsys
 
 
 def _add_moment_args(p, need_n):
@@ -157,8 +157,8 @@ def main(argv=None):
     except (rootsys.ConfigurationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (asymptotics.HypothesisError, torusquad.GridError,
-            charring.SupportCapExceeded, ValueError) as exc:
+    except (asymptotics.HypothesisError, charring.SupportCapExceeded,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -79,9 +79,49 @@ def leading_principal_minors(mat):
             for k in range(n)]
 
 
+def positive_lu(mat):
+    """LU factors of ``mat`` by elimination without row exchanges, or None
+    when a leading principal minor is <= 0.
+
+    The k-th pivot is the ratio of the k-th to the (k-1)-th leading
+    principal minor, so every pivot is positive exactly when every minor
+    is: one elimination decides Sylvester's criterion.  Returns
+    ``(low, up)``, the multipliers below the diagonal of ``low`` and the
+    upper-triangular ``up``; det mat is the product of the pivots
+    ``up[k][k]``, and :func:`lu_solve` solves with the pair.
+    """
+    up = frac_matrix(mat)
+    n = len(up)
+    low = [[Fraction(0)] * n for _ in range(n)]
+    for col in range(n):
+        pivot = up[col][col]
+        if pivot <= 0:
+            return None
+        for r in range(col + 1, n):
+            if up[r][col]:
+                f = low[r][col] = up[r][col] / pivot
+                up[r] = [x - f * y for x, y in zip(up[r], up[col])]
+    return low, up
+
+
+def lu_solve(factors, vec):
+    """Solve ``mat @ x = vec`` exactly from ``positive_lu(mat)``."""
+    low, up = factors
+    n = len(up)
+    y = []
+    for i in range(n):
+        y.append(Fraction(vec[i]) - sum(
+            (low[i][j] * y[j] for j in range(i)), Fraction(0)))
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (y[i] - sum((up[i][j] * x[j] for j in range(i + 1, n)),
+                           Fraction(0))) / up[i][i]
+    return tuple(x)
+
+
 def is_positive_definite(mat):
     """Sylvester criterion on an exact symmetric matrix."""
-    return all(d > 0 for d in leading_principal_minors(mat))
+    return positive_lu(mat) is not None
 
 
 def hermite_normal_form(mat):

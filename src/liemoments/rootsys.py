@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from operator import sub
+from operator import mul, sub
 
 from .exactla import (det_fraction, hermite_normal_form, inv_fraction,
                       mat_vec, smith_normal_form, solve_fraction)
@@ -404,11 +404,20 @@ def pairing(mu, x):
 
 
 def kappa(rs, x):
-    """Product of <alpha, x> over the positive roots alpha."""
-    out = Fraction(1)
+    """Product of <alpha, x> over the positive roots alpha, exact.
+
+    The pairings are taken in integers, on ``x`` scaled by the common
+    denominator of its coordinates; one division restores the scale.
+    """
+    if len(x) != rs.rank:
+        raise ValueError(f"rank mismatch: covector {x} for rank {rs.rank}")
+    x = [Fraction(xi) for xi in x]
+    den = math.lcm(*(xi.denominator for xi in x))
+    scaled = [xi.numerator * (den // xi.denominator) for xi in x]
+    out = 1
     for alpha in rs.positive_roots:
-        out *= pairing(alpha, x)
-    return out
+        out *= sum(map(mul, alpha, scaled))
+    return Fraction(out, den ** len(rs.positive_roots))
 
 
 def reflect_weight(rs, mu, i):

@@ -5,7 +5,8 @@ import mpmath
 import pytest
 
 from liemoments.asymptotics import (ClassFunction, HypothesisError,
-                                    biane_dimension_estimate, leading_term_I,
+                                    biane_dimension_estimate, exact_form,
+                                    leading_term_I,
                                     leading_term_K, mehta_closed_form,
                                     nu_character, vanish_leading_constant,
                                     weyl_equivariant)
@@ -304,3 +305,72 @@ def test_leading_term_needs_no_weight_system(monkeypatch, spec):
     assert est.det_a > 0
     assert est.kappa_term > 0
     assert weyl_equivariant(rs, a_lambda(rs, rs.rho).matrix)
+
+
+def test_equivariance_accepts_float_multiples_of_invariant_forms():
+    # each float entry carries its own rounding, so the check needs its
+    # relative tolerance even though it runs in exact arithmetic
+    g2 = build_root_system("G2")
+    tenth = [[0.1 * float(x) for x in row]
+             for row in a_lambda(g2, g2.rho).matrix]
+    assert exact_form(g2, tenth) == [[Fraction(x) for x in row]
+                                     for row in tenth]
+    assert mehta_closed_form(g2, tenth) > 0
+    for spec in ("F4", "E8"):
+        rs = build_root_system(spec)
+        assert len(exact_form(rs, _rho_form(rs))) == rs.rank
+
+
+@pytest.mark.parametrize("spec", ["G2", "F4", "E8"])
+def test_equivariance_refuses_a_relative_perturbation(spec):
+    rs = build_root_system(spec)
+    h = _rho_form(rs)
+    h[0][0] *= 1 + 1e-6
+    with pytest.raises(ValueError, match="does not commute with the Weyl"):
+        exact_form(rs, h)
+
+
+def test_equivariance_is_checked_without_floats():
+    # 10^400 is past the float range; the exact check never converts
+    rs = build_root_system("G2")
+    big = Fraction(10 ** 400)
+    h = [[big * x for x in row] for row in a_lambda(rs, rs.rho).matrix]
+    assert weyl_equivariant(rs, h)
+    assert exact_form(rs, h) == h
+
+
+def test_vanish_leading_constant_past_float_intermediates():
+    # (2 pi)^{2d} alone overflows for E8 x E8 (d = 240); the constant, a
+    # product over the two E8 factors, does not
+    rs = build_root_system("E8xE8")
+    e8 = build_root_system("E8")
+    got = vanish_leading_constant(rs, rs.cartan, 1.0, 0.0, 100)
+    want_log10 = (2 * rs.num_positive_roots * math.log10(2 * math.pi)
+                  - rs.dim_group / 2 * 2
+                  + 2 * math.log10(mehta_closed_form(e8, e8.cartan)))
+    assert math.log10(got) == pytest.approx(want_log10, abs=1e-12)
+    assert math.log10(got) == pytest.approx(123.384, abs=1e-3)
+    # e^{N phi0} = e^{750} overflows on its own; g0 = 1e-300 brings the
+    # value back in range
+    a1 = build_root_system("A1")
+    got = vanish_leading_constant(a1, [[1]], 1e-300, 7.5, 100)
+    want = math.exp(math.log(1e-300) + 750 - 1.5 * math.log(100)
+                    + math.log(4 * (2 * math.pi) ** 2.5))
+    assert got == pytest.approx(want, rel=1e-12)
+    # only a final value past the float range raises
+    with pytest.raises(OverflowError, match="past the float range"):
+        vanish_leading_constant(rs, rs.cartan, 1.0, 0.0, 1)
+
+
+@pytest.mark.parametrize("spec", ["E7", "E8"])
+def test_vanish_leading_constant_matches_float_assembly(spec):
+    # where plain float products stay in range, the value is theirs
+    rs = build_root_system(spec)
+    h = _rho_form(rs)
+    mehta = mehta_closed_form(rs, h)
+    for g0, phi0, n in ((1.0, 0.0, 1), (0.5, 0.25, 3), (-2.0, 1.5, 20)):
+        want = ((2 * math.pi) ** (2 * rs.num_positive_roots)
+                * n ** (-rs.dim_group / 2) * g0 * math.exp(n * phi0) * mehta)
+        assert vanish_leading_constant(rs, h, g0, phi0, n) == \
+            pytest.approx(want, rel=1e-14)
+    assert vanish_leading_constant(rs, h, 0.0, 0.0, 1) == 0.0

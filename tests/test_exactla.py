@@ -7,8 +7,9 @@ import pytest
 from liemoments.exactla import (det_fraction, hermite_normal_form,
                                 identity_int, inv_fraction,
                                 is_positive_definite,
-                                leading_principal_minors, mat_vec,
-                                smith_normal_form, solve_fraction)
+                                leading_principal_minors, lu_solve,
+                                mat_vec, positive_lu, smith_normal_form,
+                                solve_fraction)
 from liemoments.rootsys import build_root_system
 
 import oracles
@@ -44,6 +45,25 @@ def test_minors_and_definiteness():
     assert is_positive_definite([[2, -1], [-1, 2]])
     assert not is_positive_definite([[1, 2], [2, 1]])
     assert not is_positive_definite([[0, 0], [0, 1]])
+
+
+def test_positive_lu_is_one_sylvester_elimination():
+    # None exactly when a leading minor is <= 0; otherwise the pivots
+    # multiply to the determinant and the factors solve exactly
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(1, 6))
+        a = rng.integers(-4, 5, size=(n, n))
+        m = (a @ a.T + int(rng.integers(-3, 4)) * np.eye(n, dtype=int))
+        m = m.tolist()
+        lu = positive_lu(m)
+        assert (lu is not None) == all(
+            d > 0 for d in leading_principal_minors(m))
+        if lu is not None:
+            assert math.prod(lu[1][k][k] for k in range(n)) == \
+                det_fraction(m)
+            v = rng.integers(-5, 6, size=n).tolist()
+            assert lu_solve(lu, v) == solve_fraction(m, v)
 
 
 def test_snf_properties_random():
