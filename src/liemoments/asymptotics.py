@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from . import rootsys
 from .charring import CycleType
-from .exactla import lu_solve, positive_lu
+from .exactla import lu_det, lu_solve, positive_lu
 from .repweights import (a_lambda, check_dominant_integral, is_regular,
                          weyl_dimension)
 
@@ -99,7 +99,9 @@ class AsymptoticEstimate:
     kappa_term   -- kappa(A^{-1} rho), exact
     det_a        -- det A, exact
     pi_sum       -- complex sum over the center of phase * f value
-    prefactor    -- (2 pi)^d / ((2 pi l N)^{dim G / 2} sqrt(det A))
+    prefactor    -- (2 pi)^d / ((2 pi l N)^{dim G / 2} sqrt(det A)); 0.0
+                    below the float range
+    log_prefactor-- log of the prefactor, finite where it is 0.0
     """
     value: float
     log_dim_power: float
@@ -107,6 +109,7 @@ class AsymptoticEstimate:
     det_a: Fraction
     pi_sum: complex
     prefactor: float
+    log_prefactor: float
     N: int
 
     def log_abs_value(self):
@@ -114,7 +117,7 @@ class AsymptoticEstimate:
         re = self.pi_sum.real
         if re == 0:
             return float("-inf")
-        return (self.log_dim_power + math.log(self.prefactor)
+        return (self.log_dim_power + self.log_prefactor
                 + _log_fraction(self.kappa_term) + math.log(abs(re)))
 
     def to_dict(self):
@@ -163,17 +166,33 @@ def _leading_core(rs, num_factors, l_total, pi_sum, n, peak):
     dim, kap, det_a, _ = peak
     d = rs.num_positive_roots
     log_dim_power = n * num_factors * math.log(dim)
-    prefactor = ((2 * math.pi) ** d
-                 / ((2 * math.pi * l_total * n) ** (rs.dim_group / 2)
-                    * math.sqrt(det_a)))
+    try:
+        prefactor = ((2 * math.pi) ** d
+                     / ((2 * math.pi * l_total * n) ** (rs.dim_group / 2)
+                        * math.sqrt(det_a)))
+    except OverflowError:
+        # (2 pi l N)^{dim G / 2} alone is past the float range (E8 from
+        # N = 50): the prefactor and the value come from log space
+        log_prefactor = (d * math.log(2 * math.pi)
+                         - rs.dim_group / 2 * math.log(2 * math.pi
+                                                       * l_total * n)
+                         - _log_fraction(det_a) / 2)
+        prefactor = math.exp(log_prefactor)
+        log_scale = log_dim_power + log_prefactor
+    else:
+        log_prefactor = math.log(prefactor)
+        log_scale = None
     re = pi_sum.real
     try:
-        value = math.exp(log_dim_power) * prefactor * float(kap) * re
+        scale = (math.exp(log_dim_power) * prefactor if log_scale is None
+                 else math.exp(log_scale))
+        value = scale * float(kap) * re
     except OverflowError:
         value = math.copysign(float("inf"), re) if re else 0.0
     return AsymptoticEstimate(value=value, log_dim_power=log_dim_power,
                               kappa_term=kap, det_a=det_a, pi_sum=pi_sum,
-                              prefactor=prefactor, N=n)
+                              prefactor=prefactor,
+                              log_prefactor=log_prefactor, N=n)
 
 
 def _check_common(rs, lam, n):
@@ -322,8 +341,7 @@ def _mehta_parts(rs, h):
     """kappa(h^{-1} rho) and det h, exact, for a form that passes
     :func:`exact_form`; one elimination gives both."""
     _, lu = _checked_form(rs, h, True)
-    return (rootsys.kappa(rs, lu_solve(lu, rs.rho)),
-            math.prod(lu[1][k][k] for k in range(rs.rank)))
+    return rootsys.kappa(rs, lu_solve(lu, rs.rho)), lu_det(lu)
 
 
 def mehta_closed_form(rs, h):

@@ -8,6 +8,7 @@ so clarity wins over asymptotics throughout.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -26,59 +27,6 @@ def mat_vec(mat, vec):
                      Fraction(0)) for row in mat)
 
 
-def det_fraction(mat):
-    """Determinant by exact Gaussian elimination."""
-    m = frac_matrix(mat)
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1, 1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [m[r][c] - f * m[col][c] for c in range(n)]
-    return det
-
-
-def inv_fraction(mat):
-    """Exact inverse; raises ValueError on a singular matrix."""
-    n = len(mat)
-    m = frac_matrix(mat)
-    aug = [m[i] + [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = Fraction(1, 1) / aug[col][col]
-        aug[col] = [x * scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def solve_fraction(mat, vec):
-    """Solve mat @ x = vec exactly; returns a tuple of Fractions."""
-    return mat_vec(inv_fraction(mat), vec)
-
-
-def leading_principal_minors(mat):
-    """Determinants of the top-left k x k blocks, k = 1..n."""
-    n = len(mat)
-    return [det_fraction([row[: k + 1] for row in mat[: k + 1]])
-            for k in range(n)]
-
-
 def positive_lu(mat):
     """LU factors of ``mat`` by elimination without row exchanges, or None
     when a leading principal minor is <= 0.
@@ -87,8 +35,9 @@ def positive_lu(mat):
     principal minor, so every pivot is positive exactly when every minor
     is: one elimination decides Sylvester's criterion.  Returns
     ``(low, up)``, the multipliers below the diagonal of ``low`` and the
-    upper-triangular ``up``; det mat is the product of the pivots
-    ``up[k][k]``, and :func:`lu_solve` solves with the pair.
+    upper-triangular ``up``; :func:`lu_det` multiplies the pivots
+    ``up[k][k]`` to det mat, and :func:`lu_solve` solves with the pair.
+    This is the package's only Fraction elimination.
     """
     up = frac_matrix(mat)
     n = len(up)
@@ -117,6 +66,12 @@ def lu_solve(factors, vec):
         x[i] = (y[i] - sum((up[i][j] * x[j] for j in range(i + 1, n)),
                            Fraction(0))) / up[i][i]
     return tuple(x)
+
+
+def lu_det(factors):
+    """det mat from ``positive_lu(mat)``: the product of the pivots."""
+    up = factors[1]
+    return math.prod(up[k][k] for k in range(len(up)))
 
 
 def is_positive_definite(mat):

@@ -71,12 +71,14 @@ def parse_class_function(text, rank):
                 f"bad class-function term {chunk!r} (want coords:coeff)")
         coords, coeff = chunk.rsplit(":", 1)
         try:
-            coeff = float(coeff)
+            value = float(coeff)
         except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
             raise rootsys.ConfigurationError(
                 f"bad class-function coefficient {coeff.strip()!r} in "
-                f"{chunk!r}") from None
-        terms.append((parse_weight(coords, rank), coeff))
+                f"{chunk!r}")
+        terms.append((parse_weight(coords, rank), value))
     if not terms:
         raise rootsys.ConfigurationError(f"empty class function {text!r}")
     return ClassFunction(tuple(terms))

@@ -24,8 +24,7 @@ from functools import cache, cached_property
 from operator import add, mul
 
 from . import rootsys
-from .exactla import (det_fraction, inv_fraction, is_positive_definite,
-                      mat_vec)
+from .exactla import lu_det, lu_solve, mat_vec, positive_lu
 
 
 class WeightSystem:
@@ -217,19 +216,25 @@ class SecondMoment:
     matrix: tuple  # rank x rank, Fractions
 
     @cached_property
-    def det(self):
-        return det_fraction(self.matrix)
+    def factors(self):
+        """:func:`exactla.positive_lu` of the matrix, or None when a
+        leading principal minor vanishes; ``det`` and ``solve`` read it."""
+        return positive_lu(self.matrix)
 
     @cached_property
-    def inverse(self):
-        return inv_fraction(self.matrix)
+    def det(self):
+        # The matrix is a Gram sum, hence positive semidefinite, and a PSD
+        # matrix with a zero leading minor is singular: no factors, det 0.
+        return lu_det(self.factors) if self.factors else Fraction(0)
 
     def apply(self, x):
         """Act on a covector (matrix maps covectors to weights)."""
         return mat_vec(self.matrix, x)
 
     def solve(self, mu):
-        return mat_vec(self.inverse, mu)
+        if self.factors is None:
+            raise ValueError("matrix is singular")
+        return lu_solve(self.factors, mu)
 
 
 def a_lambda(rs, lam):
@@ -257,7 +262,7 @@ def a_lambda(rs, lam):
             for j in block:
                 m[i][j] = scale * rs.cartan[i][j] / d[j]
     sm = SecondMoment(matrix=tuple(tuple(row) for row in m))
-    if is_regular(rs, lam) and not is_positive_definite(sm.matrix):
+    if is_regular(rs, lam) and sm.factors is None:
         raise RuntimeError(f"second-moment matrix for {lam} not positive "
                            f"definite: corrupted root tables")
     return sm

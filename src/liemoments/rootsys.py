@@ -25,8 +25,8 @@ from fractions import Fraction
 from functools import cache
 from operator import mul, sub
 
-from .exactla import (det_fraction, hermite_normal_form, inv_fraction,
-                      mat_vec, smith_normal_form, solve_fraction)
+from .exactla import (hermite_normal_form, lu_det, lu_solve, mat_vec,
+                      positive_lu, smith_normal_form)
 
 Weight = tuple  # coordinates on fundamental weights; ints or Fractions
 Covector = tuple  # coordinates on simple coroots; ints or Fractions
@@ -294,14 +294,22 @@ def _root_system(factors):
               if root_factor[k] == factor_of[i] and norm == 2 * sym[i])
         for i in range(rank))
 
-    cartan_inv = inv_fraction(cartan)
+    # Every finite-type Cartan matrix has positive leading minors, so one
+    # elimination without row exchanges gives its inverse and determinant.
+    lu = positive_lu(cartan)
+    if lu is None:
+        raise RuntimeError(f"Cartan matrix of {factors} has a non-positive "
+                           f"leading minor: corrupted root tables")
+    columns = [lu_solve(lu, [int(i == j) for i in range(rank)])
+               for j in range(rank)]
+    cartan_inv = tuple(zip(*columns))
     rho = tuple([1] * rank)
-    # <alpha_i, rho_vee> = 1 for every simple root: solve cartan^T x = 1.
-    rho_cov = solve_fraction([[cartan[j][i] for j in range(rank)]
-                              for i in range(rank)], [1] * rank)
+    # <alpha_i, rho_vee> = 1 for every simple root: cartan^T x = 1, so x is
+    # the column sums of the inverse.
+    rho_cov = tuple(sum(col, Fraction(0)) for col in columns)
 
     center = _fundamental_group(cartan)
-    if center.order != abs(det_fraction(cartan)):
+    if center.order != lu_det(lu):
         raise RuntimeError("center order disagrees with det of Cartan matrix")
     grid_basis = _coroot_grid_basis(cartan, center)
 

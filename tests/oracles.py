@@ -4,6 +4,8 @@ Nothing in here calls the library's own evaluation routes (only cheap shared
 data like root coordinates), so agreement between library and oracle is a
 genuine two-route check:
 
+* Exact determinant, inverse and solve by elimination with row exchanges,
+  sharing no elimination with ``exactla.positive_lu``.
 * Catalan / Fourier-coefficient formulas: plain binomials.
 * su(2) ladder walks: invariant counts by explicit Clebsch-Gordan recursion.
 * Weyl character formula by Laurent-polynomial division: weight
@@ -27,7 +29,60 @@ from math import comb
 
 import numpy as np
 
-from liemoments.exactla import det_fraction, inv_fraction, mat_vec
+from liemoments.exactla import frac_matrix, mat_vec
+
+
+def det_fraction(mat):
+    """Determinant by exact Gaussian elimination."""
+    m = frac_matrix(mat)
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = Fraction(1, 1) / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col]:
+                f = m[r][col] * inv
+                m[r] = [m[r][c] - f * m[col][c] for c in range(n)]
+    return det
+
+
+def inv_fraction(mat):
+    """Exact inverse; raises ValueError on a singular matrix."""
+    n = len(mat)
+    m = frac_matrix(mat)
+    aug = [m[i] + [Fraction(1) if j == i else Fraction(0) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        scale = Fraction(1, 1) / aug[col][col]
+        aug[col] = [x * scale for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def solve_fraction(mat, vec):
+    """Solve mat @ x = vec exactly; returns a tuple of Fractions."""
+    return mat_vec(inv_fraction(mat), vec)
+
+
+def leading_principal_minors(mat):
+    """Determinants of the top-left k x k blocks, k = 1..n."""
+    n = len(mat)
+    return [det_fraction([row[: k + 1] for row in mat[: k + 1]])
+            for k in range(n)]
 
 
 def catalan(n):

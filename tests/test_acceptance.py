@@ -19,7 +19,6 @@ from liemoments.charring import (CycleType, exact_moment,
                                  invariant_dimension, moment_weight_system,
                                  permutation_trace_bruteforce, product,
                                  trivial_multiplicity)
-from liemoments.exactla import det_fraction
 from liemoments.harness import ExperimentConfig, fit_error_exponent, \
     run_experiment
 from liemoments.repweights import a_lambda, weight_system, weyl_dimension
@@ -27,6 +26,7 @@ from liemoments.rootsys import build_root_system
 from liemoments.torusquad import mehta_quadrature, quad_I_N, quad_K_N
 
 import oracles
+from oracles import det_fraction
 
 
 def test_catalan_exact():

@@ -8,9 +8,11 @@ from liemoments.asymptotics import (ClassFunction, HypothesisError,
                                     biane_dimension_estimate, exact_form,
                                     leading_term_I,
                                     leading_term_K, mehta_closed_form,
-                                    nu_character, vanish_leading_constant,
+                                    nu_character, peak_data,
+                                    vanish_leading_constant,
                                     weyl_equivariant)
-from liemoments import charring, repweights, rootsys, torusquad
+from liemoments import (asymptotics, charring, exactla, repweights, rootsys,
+                        torusquad)
 from liemoments.charring import CycleType
 from liemoments.repweights import a_lambda, weyl_dimension
 from liemoments.rootsys import build_root_system, kappa
@@ -374,3 +376,44 @@ def test_vanish_leading_constant_matches_float_assembly(spec):
         assert vanish_leading_constant(rs, h, g0, phi0, n) == \
             pytest.approx(want, rel=1e-14)
     assert vanish_leading_constant(rs, h, 0.0, 0.0, 1) == 0.0
+
+
+@pytest.mark.parametrize("spec, lam", [("F4", (1, 2, 1, 1)),
+                                       ("E8", (1,) * 8),
+                                       ("A1xA2", (1, 1, 2))])
+def test_peak_data_is_one_elimination(monkeypatch, spec, lam):
+    # A_lam's definiteness check, kappa(A_lam^{-1} rho) and det A_lam share
+    # one exactla.positive_lu
+    rs = build_root_system(spec)
+    matrix = a_lambda(rs, lam).matrix
+    calls = []
+    real = exactla.positive_lu
+
+    def counted(mat):
+        calls.append(mat)
+        return real(mat)
+
+    for module in (exactla, repweights, asymptotics, rootsys):
+        monkeypatch.setattr(module, "positive_lu", counted)
+    peak = peak_data(rs, lam)
+    assert calls == [matrix]
+    assert peak.det_a > 0
+
+
+@pytest.mark.parametrize("n", [50, 100, 10 ** 4])
+def test_leading_term_past_float_intermediates(n):
+    # (2 pi l N)^{dim G / 2} overflows for E8 from N = 50 (dim G / 2 = 124);
+    # the estimate falls back to log space and its log stays finite
+    rs = build_root_system("E8")
+    est = leading_term_I(rs, rs.rho, CycleType((1,)), n)
+    dim, kap, det_a, _ = peak_data(rs, rs.rho)
+    # the log-space formula of biane_dimension_estimate; E8 has no center
+    want = (n * math.log(dim) + math.log(kap.numerator)
+            - math.log(kap.denominator)
+            - (rs.rank / 2) * math.log(2 * math.pi)
+            - (rs.dim_group / 2) * math.log(n)
+            - (math.log(det_a.numerator) - math.log(det_a.denominator)) / 2)
+    assert math.isfinite(est.log_abs_value())
+    assert est.log_abs_value() == pytest.approx(want, rel=1e-12)
+    assert est.value == math.inf
+    assert est.to_dict()["log_abs_value"] == est.log_abs_value()

@@ -262,6 +262,14 @@ def test_cli_weights(capsys):
     assert _field(out, "regular") == "True"
 
 
+def test_cli_weights_singular_moment_matrix(capsys):
+    # lam vanishes on the A2 factor: A_lam is singular and its det is 0
+    assert main(["weights", "A1xA2", "1,0,0"]) == 0
+    out = capsys.readouterr().out
+    assert "\ndet              0\n" in out
+    assert _field(out, "regular") == "False"
+
+
 def test_cli_exact(capsys):
     args = ["exact", "--group", "A1", "--lam", "1", "--a", "1", "--N", "4"]
     assert main(args) == 0
@@ -374,6 +382,17 @@ def test_converge_malformed_numbers_exit_2(tmp_path, capsys, key, value,
     cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
     assert main(["converge", str(cfgfile)]) == 2
     assert repr(shown) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coeff", ["nan", "inf", "-inf"])
+def test_non_finite_class_function_coefficient_exits_2(capsys, coeff):
+    args = ["exact", "--group", "A2", "--lam", "1,1", "--a", "1", "--b", "1",
+            "--N", "2", "--f", f"0,0:{coeff}"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: bad class-function coefficient "
+                            f"{coeff!r} in '0,0:{coeff}'\n")
 
 
 def test_cli_asym_e8_rho(capsys):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from liemoments import repweights, rootsys
@@ -188,6 +188,46 @@ def test_a_lambda_weyl_equivariance():
                 lhs = sm.apply(reflect_covector(rs, x, i))
                 rhs = reflect_weight(rs, sm.apply(x), i)
                 assert tuple(lhs) == tuple(rhs)
+
+
+# every supported spec family at each rank, and the product groups
+ALL_SPECS = ([f"A{n}" for n in range(1, 9)]
+             + [f"B{n}" for n in range(2, 9)]
+             + [f"C{n}" for n in range(3, 9)]
+             + [f"D{n}" for n in range(4, 9)]
+             + ["E6", "E7", "E8", "F4", "G2", "A1xA2", "A2xB2", "G2xA1",
+                "A1xA1xA1", "E8xE8"])
+
+
+@st.composite
+def spec_and_weight(draw):
+    rs = build_root_system(draw(st.sampled_from(ALL_SPECS)))
+    return rs, draw(st.tuples(*[st.integers(0, 2)] * rs.rank))
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec_and_weight())
+@example((build_root_system("A1xA2"), (1, 0, 0)))
+@example((build_root_system("E8xE8"), (0,) * 8 + (1,) * 8))
+@example((build_root_system("F4"), (0, 0, 0, 0)))
+@example((build_root_system("D5"), (1, 0, 0, 0, 0)))
+def test_one_elimination_matches_row_exchange_oracles(case):
+    # the Cartan inverse, rho_vee and A_lam's det and solve come from
+    # exactla.positive_lu; the oracles eliminate with row exchanges.  A_lam
+    # is singular when lam vanishes on a simple factor.
+    rs, lam = case
+    transpose = [[rs.cartan[j][i] for j in range(rs.rank)]
+                 for i in range(rs.rank)]
+    assert rs.cartan_inv == oracles.inv_fraction(rs.cartan)
+    assert rs.rho_covector == oracles.solve_fraction(transpose, rs.rho)
+    sm = a_lambda(rs, lam)
+    det = oracles.det_fraction(sm.matrix)
+    assert sm.det == det
+    if det:
+        assert sm.solve(rs.rho) == oracles.solve_fraction(sm.matrix, rs.rho)
+    else:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            sm.solve(rs.rho)
 
 
 def test_solve_inverts_apply():

@@ -222,3 +222,24 @@ def test_root_datum_is_memoised_but_specs_are_always_parsed():
             build_root_system("A2xQ1")
         with pytest.raises(ConfigurationError):
             build_root_system("C2")
+
+
+def test_root_datum_is_one_elimination(monkeypatch):
+    # the Cartan inverse, rho_vee and the det cross-check of the center
+    # share one exactla.positive_lu per datum
+    calls = []
+    real = rootsys.positive_lu
+
+    def counted(mat):
+        calls.append(tuple(map(tuple, mat)))
+        return real(mat)
+
+    monkeypatch.setattr(rootsys, "positive_lu", counted)
+    for spec in ("E8", "A2xB2", "G2xA1"):
+        calls.clear()
+        rs = rootsys._root_system.__wrapped__(parse_group(spec))
+        assert calls == [rs.cartan]
+    # a Cartan matrix without positive leading minors is refused
+    monkeypatch.setattr(rootsys, "positive_lu", lambda mat: None)
+    with pytest.raises(RuntimeError, match="corrupted root tables"):
+        rootsys._root_system.__wrapped__(parse_group("B3"))
