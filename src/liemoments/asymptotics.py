@@ -121,9 +121,13 @@ class AsymptoticEstimate:
                 + _log_fraction(self.kappa_term) + math.log(abs(re)))
 
     def to_dict(self):
+        """Plain fields for strict JSON: a value past the float range is
+        None (log_abs_value carries its magnitude), and so is the log of a
+        zero value."""
+        log_abs = self.log_abs_value()
         return {
-            "value": self.value,
-            "log_abs_value": self.log_abs_value(),
+            "value": self.value if math.isfinite(self.value) else None,
+            "log_abs_value": log_abs if math.isfinite(log_abs) else None,
             "log_dim_power": self.log_dim_power,
             "kappa_term": str(self.kappa_term),
             "det_a": str(self.det_a),

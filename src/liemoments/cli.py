@@ -93,7 +93,8 @@ def _cmd_quad(args):
 def _cmd_asym(args):
     rs, lam, a, b, f = _moment_inputs(args)
     est = harness.route_value("asymptotic", rs, lam, a, b, args.N, f)
-    print(json.dumps(est.to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(est.to_dict(), indent=2, sort_keys=True,
+                     allow_nan=False))
     return 0
 
 

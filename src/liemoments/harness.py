@@ -286,7 +286,7 @@ class ConvergenceReport:
 
     def to_json(self, include_timings=False):
         return json.dumps(self.to_dict(include_timings=include_timings),
-                          indent=2, sort_keys=True) + "\n"
+                          indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def to_csv(self):
         lines = ["N,exact,quad,estimate,ratio,abs_error,notes"]

@@ -11,8 +11,8 @@ recursion is one table lookup: its dominant conjugate lies at a strictly
 lower level and was expanded earlier.  Everything is exact: weights are
 integer tuples in fundamental-weight coordinates, multiplicities are ints,
 and the second-moment matrix is a Fraction matrix.  That matrix, and the
-per-axis extent of the weights that bounds the quadrature bandwidth, come
-from root data alone, never from a weight system.
+per-axis extent of the weights, come from root data alone, never from a
+weight system.
 """
 
 from __future__ import annotations

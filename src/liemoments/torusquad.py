@@ -2,11 +2,17 @@
 
 The integrands are trigonometric polynomials on the torus (characters at
 powers of the argument, a band-limited class function, and the squared Weyl
-denominator), so a uniform tensor grid with more points per axis than the
-per-axis bandwidth integrates them *exactly* up to roundoff.  The bandwidth
-is computed from root data (the largest coroot pairing of each highest
-weight, :func:`repweights.weight_extent`), never guessed, so the budgets
-refuse before any weight system is built.
+denominator).  A uniform grid of size m on a simple factor sums e^mu to
+m^r when mu lies in m P, P the weight lattice, and to 0 otherwise, so it
+integrates the integrand *exactly* up to roundoff once no nonzero point of
+m P lies in the convex hull of the integrand's weights.  That hull is the
+W-permutohedron conv(W Lam) of one dominant weight Lam, and the largest m
+that fails is an integer function of Lam and the inverse Cartan matrix
+(:func:`required_bandwidth`, after Moody-Patera's elements of finite
+order).  It comes from root data alone, never from a weight system, so the
+budgets refuse before any weight system is built.  On A_r it needs about
+((r + 1) / (2 r))^r of the points that bounding each axis by the largest
+|mu_i| would (:func:`repweights.weight_extent`); on A1 the two agree.
 
 The sum runs over one point per Weyl orbit.  On each simple factor k take
 one size m_k, the largest grid size on its axes (still above the bandwidth
@@ -22,7 +28,7 @@ Cartesian product of the factors' alcoves, and the integrand, term by term
 of f, is a product of factor integrands: each factor's alcove is summed on
 its own and the sums multiplied, so sum_k |alcove_k| points are evaluated,
 not prod_k.  Every budget still counts the whole group: the point budget
-the per-axis torus grid, the alcove budget P / |W|.
+the whole torus grid, the alcove budget P / |W|.
 
 Points are exact: an integer array k stands for k / m, the alcove is
 walked one residue class per axis (no candidate is discarded), and every
@@ -36,15 +42,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import zip_longest
+from operator import mul
 
 import numpy as np
 
 from . import rootsys
 from .asymptotics import ClassFunction, exact_form
 from .charring import CycleType
-from .repweights import (check_dominant_integral, weight_extent,
-                         weight_system, weyl_dimension)
+from .repweights import (check_dominant_integral, weight_system,
+                         weyl_dimension)
 
 
 # The integrand is summed in float64: N (|a| + |b|) log dim V_lam above this
@@ -61,9 +69,11 @@ class TorusGrid:
     """A uniform tensor grid on the torus with its aliasing certificate.
 
     sizes[i] points on axis i at spacing 1/sizes[i]; exactness holds when
-    sizes[i] exceeds bandwidth_bound[i] (strictly) on every axis.  A grid
-    built without a bound gets it from the quadrature call, which also
-    refuses a stated bound that differs from the integrand's.
+    sizes[i] exceeds bandwidth_bound[i] (strictly) on every axis.  The
+    bound is the polytope bound of :func:`required_bandwidth`, one value
+    repeated on the axes of each simple factor.  A grid built without a
+    bound gets it from the quadrature call, which also refuses a stated
+    bound that differs from the integrand's.
     """
     sizes: tuple
     bandwidth_bound: tuple | None = None
@@ -86,8 +96,50 @@ def _next_smooth(n):
         n += 1
 
 
+@cache
+def _hull_data(rs):
+    """Per simple factor of ``rs``: its axes, Q = D C^-1 in integers, Q
+    composed with lam -> lam* = -w0 lam, and Q 2 rho.
+
+    D is the lcm of the denominators of the factor's inverse Cartan matrix,
+    and every entry of Q is positive.  Row j of Q pairs a weight with D
+    times its coefficient on alpha_j, and column i is D omega_i on the
+    simple roots.  -w0 is linear: its column i is dom(-omega_i)."""
+    out = []
+    for block, rs_k in rootsys.simple_factors(rs):
+        r = rs_k.rank
+        den = math.lcm(*(x.denominator for row in rs_k.cartan_inv
+                         for x in row))
+        q = tuple(tuple(int(x * den) for x in row) for row in rs_k.cartan_inv)
+        duals = [rootsys.dominant_representative(
+                     rs_k, tuple(-int(p == i) for p in range(r)))[0]
+                 for i in range(r)]
+        q_dual = tuple(tuple(sum(map(mul, row, dual)) for dual in duals)
+                       for row in q)
+        out.append((block, q, q_dual, tuple(2 * sum(row) for row in q)))
+    return tuple(out)
+
+
 def required_bandwidth(rs, lam, a, b, n, f):
-    """Per-axis frequency bound of the full moment integrand.
+    """Aliasing bound of the full moment integrand, one per torus axis.
+
+    A grid of size m on a simple factor sums e^mu to m^r [mu in m P], P the
+    weight lattice, so it is exact once no nonzero point of m P lies in the
+    hull of the integrand's weights.  The weights of each term of f lie in
+    conv(W Lam) with
+
+        Lam = N (a.weight lam + b.weight lam*) + nu + 2 rho,  lam* = dom(-lam)
+
+    (Minkowski sums of W-permutohedra are permutohedra, and |Delta|^2 spans
+    conv(W 2 rho)).  A dominant mu lies in that hull iff Lam - mu is in the
+    cone of the positive roots, and every nonzero dominant point of m P lies
+    above some m omega_i, so the hull meets m P only at 0 iff m exceeds
+
+        max_nu max_i min_j floor((Q Lam)_j / Q[j][i]),   Q = D C^-1,
+
+    the largest m with m omega_i in the hull.  Each factor's bound is
+    repeated on its axes; everything is integer arithmetic on root data,
+    and no weight system is built.
 
     Parameters
     ----------
@@ -101,19 +153,30 @@ def required_bandwidth(rs, lam, a, b, n, f):
     -------
     tuple of int, one bound per torus axis.
     """
-    maxw = weight_extent(rs, lam)
-    f_extents = [weight_extent(rs, nu) for nu, _ in f.terms]
+    lam = check_dominant_integral(rs, lam)
+    nus = [check_dominant_integral(rs, nu) for nu, _ in f.terms]
+    deg_a, deg_b = n * a.weight, n * b.weight
     out = []
-    for i in range(rs.rank):
-        trace_part = (a.weight + b.weight) * n * maxw[i]
-        f_part = max((ext[i] for ext in f_extents), default=0)
-        denom_part = sum(abs(alpha[i]) for alpha in rs.positive_roots)
-        out.append(trace_part + f_part + denom_part)
+    for block, q, q_dual, q_two_rho in _hull_data(rs):
+        lam_k = lam[block.start:block.stop]
+        # Q Lam - Q nu, one entry per simple root of the factor
+        trace = [deg_a * sum(map(mul, row, lam_k))
+                 + deg_b * sum(map(mul, drow, lam_k)) + two_rho
+                 for row, drow, two_rho in zip(q, q_dual, q_two_rho)]
+        bound = 0
+        for nu in nus or [(0,) * rs.rank]:
+            nu_k = nu[block.start:block.stop]
+            top = [t + sum(map(mul, row, nu_k)) for t, row in zip(trace, q)]
+            bound = max(bound, max(min(x // row[i] for x, row in zip(top, q))
+                                   for i in range(len(block))))
+        out.extend([bound] * len(block))
     return tuple(out)
 
 
 def default_grid(rs, lam, a, b, n, f=None):
-    """Smallest safe grid: bandwidth + 1 per axis, rounded up 5-smooth."""
+    """Smallest safe grid: the polytope bound + 1 on every axis of each
+    simple factor, rounded up 5-smooth.  No size exceeds the one a per-axis
+    bound on the largest |mu_i| would give."""
     f = ClassFunction.one(rs.rank) if f is None else f
     bw = required_bandwidth(rs, lam, a, b, n, f)
     return TorusGrid(sizes=tuple(_next_smooth(b_ + 1) for b_ in bw),
@@ -134,17 +197,49 @@ def _check_phase_range(rank, m):
             f"overflow int64")
 
 
-def _phases(k, m, vectors):
-    """<v, k> mod m in int64 for the point(s) k and each row v of
-    ``vectors``: (k mod m) @ (v mod m) mod m, exact integers."""
-    pts = np.asarray(k)
-    if pts.dtype.kind != "i":
-        raise TypeError(f"torus grid points must be signed integers, got "
-                        f"{pts.dtype}")
-    vecs = np.array(vectors, dtype=np.int64) % m
-    t = (pts.astype(np.int64, copy=False) % m) @ vecs.T
-    t %= m
-    return t
+class _GridPoints:
+    """Integer torus points k / m reduced mod m once, with the two phase
+    tables of m: one alcove sum hands the same residues and tables to every
+    evaluator call instead of each call building its own."""
+
+    __slots__ = ("residues", "m", "circle", "four_sin_sq")
+
+    def __init__(self, residues, m, circle, four_sin_sq):
+        self.residues = residues            # k mod m, int64
+        self.m = m
+        self.circle = circle                # cos + i sin of 2 pi t / m
+        self.four_sin_sq = four_sin_sq      # 4 sin^2(pi t / m)
+
+    @classmethod
+    def of(cls, k, m):
+        """k itself when the alcove sum prepared it for m; otherwise the
+        integer point(s) k reduced mod m, with tables built for m."""
+        if isinstance(k, cls) and k.m == m:
+            return k
+        pts = np.asarray(k)
+        if pts.dtype.kind != "i":
+            raise TypeError(f"torus grid points must be signed integers, "
+                            f"got {pts.dtype}")
+        t = np.arange(m)
+        return cls(pts.astype(np.int64, copy=False) % m, m,
+                   np.exp(1j * (2 * math.pi * t / m)),
+                   4 * np.sin(math.pi * t / m) ** 2)
+
+    def dilated(self, j):
+        """The points j k, on the same tables."""
+        return _GridPoints(j * self.residues % self.m, self.m, self.circle,
+                           self.four_sin_sq)
+
+    def __len__(self):
+        return len(self.residues)
+
+    def phases(self, vectors):
+        """<v, k> mod m in int64 for each row v of ``vectors``:
+        (k mod m) @ (v mod m) mod m, exact integers."""
+        vecs = np.array(vectors, dtype=np.int64) % self.m
+        t = self.residues @ vecs.T
+        t %= self.m
+        return t
 
 
 def character_at(ws, k, m):
@@ -153,13 +248,13 @@ def character_at(ws, k, m):
     length-P complex array for a ``(P, rank)`` integer array k.
 
     Each phase <mu, k> mod m is an exact integer t that indexes one table of
-    cos + i sin of 2 pi t / m, so k and k + m e_i give identical bits."""
-    weights = list(ws.entries)
-    _check_phase_range(len(weights[0]), m)
-    t = _phases(k, m, weights)
-    table = np.exp(1j * (2 * math.pi * np.arange(m) / m))
+    cos + i sin of 2 pi t / m, so k and k + m e_i give identical bits.  The
+    alcove sum passes its points already reduced, with the table built."""
+    _check_phase_range(len(next(iter(ws.entries))), m)
+    pts = _GridPoints.of(k, m)
+    t = pts.phases(list(ws.entries))
     mults = np.array(list(ws.entries.values()), dtype=float)
-    vals = table[t] @ mults
+    vals = pts.circle[t] @ mults
     return complex(vals) if t.ndim == 1 else vals
 
 
@@ -169,9 +264,9 @@ def weyl_denominator_sq(rs, k, m):
     k.  Each factor indexes one table of 4 sin^2(pi t / m) at the exact
     integer t = <alpha, k> mod m."""
     _check_phase_range(rs.rank, m)
-    t = _phases(k, m, rs.positive_roots)
-    table = 4 * np.sin(math.pi * np.arange(m) / m) ** 2
-    vals = np.prod(table[t], axis=-1)
+    pts = _GridPoints.of(k, m)
+    t = pts.phases(rs.positive_roots)
+    vals = np.prod(pts.four_sin_sq[t], axis=-1)
     return float(vals) if t.ndim == 1 else vals
 
 
@@ -236,22 +331,23 @@ def _alcove_sums(rs, lam, a, b, n, weights, m):
     conj(chi(g^j))^(n b_j), chi the character of ``lam``, for each nu in
     ``weights``: a dict nu -> complex, each part one exactly rounded
     :func:`math.fsum`."""
-    k = _alcove_factor(rs, m)
+    # one residue array and one pair of tables serve every evaluation
+    pts = _GridPoints.of(_alcove_factor(rs, m), m)
     ws = weight_system(rs, lam)
-    base = weyl_denominator_sq(rs, k, m).astype(complex)
-    # chi(g^j) = character_at(ws, j * k, m): one synthesis per Adams degree
+    base = weyl_denominator_sq(rs, pts, m).astype(complex)
+    # chi(g^j) at k is chi at j k: one synthesis per Adams degree
     for j, (aj, bj) in enumerate(zip_longest(a.exps, b.exps, fillvalue=0),
                                  start=1):
         if not (aj or bj):
             continue
-        chi = character_at(ws, j * k, m)
+        chi = character_at(ws, pts.dilated(j), m)
         if aj:
             base *= chi ** (n * aj)
         if bj:
             base *= np.conj(chi, out=chi) ** (n * bj)
     sums = {}
     for nu in weights:
-        terms = character_at(weight_system(rs, nu), k, m) * base
+        terms = character_at(weight_system(rs, nu), pts, m) * base
         sums[nu] = complex(math.fsum(terms.real.tolist()),
                            math.fsum(terms.imag.tolist()))
     return sums

@@ -17,6 +17,8 @@ genuine two-route check:
   and the squared Weyl denominator at one point.
 * Torus quadrature over the whole uniform grid, every point of every Weyl
   orbit, with characters from the Weyl character formula.
+* The per-axis quadrature bandwidth: the largest |mu_i| of every factor of
+  the integrand, added axis by axis.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from math import comb
 import numpy as np
 
 from liemoments.exactla import frac_matrix, mat_vec
+from liemoments.repweights import weight_extent
 
 
 def det_fraction(mat):
@@ -411,6 +414,20 @@ def full_grid_quadrature(rs, lam, a, b, n, f_terms, sizes):
                          * np.conj(dilate) ** (n * bj))
     norm = len(x) * rs.weyl_order
     return integrand.sum() / norm, np.abs(integrand).sum() / norm
+
+
+def per_axis_bandwidth(rs, lam, a, b, n, f):
+    """Per-axis frequency bound of the moment integrand: on axis i the
+    trace factors contribute (a.weight + b.weight) n max |mu_i| over the
+    weights of ``lam``, f its largest max |nu_i|, and |Delta|^2 the sum of
+    |alpha_i| over the positive roots.  A grid with more points than this
+    on every axis integrates the integrand exactly."""
+    maxw = weight_extent(rs, lam)
+    f_extents = [weight_extent(rs, nu) for nu, _ in f.terms]
+    return tuple((a.weight + b.weight) * n * maxw[i]
+                 + max((ext[i] for ext in f_extents), default=0)
+                 + sum(abs(alpha[i]) for alpha in rs.positive_roots)
+                 for i in range(rs.rank))
 
 
 def alcove_by_filter(rs, m):

@@ -346,7 +346,7 @@ def test_cli_quad_grid_with_wrong_axis_count_exits_2(capsys):
 
 
 def test_cli_quad_unequal_sizes_within_one_factor(capsys):
-    # B2 spin, K_2: bandwidth (8, 10), default grid (9, 12); the fixed grid
+    # B2 spin, K_2: bandwidth (8, 8), default grid (9, 9); the fixed grid
     # has two different sizes on the axes of one simple factor
     args = ["quad", "--group", "B2", "--lam", "0,1", "--a", "1", "--b", "1",
             "--N", "2"]
@@ -400,6 +400,43 @@ def test_cli_asym_e8_rho(capsys):
             "--N", "5"]
     assert main(args) == 0
     assert json.loads(capsys.readouterr().out)["N"] == 5
+
+
+def _strict_json(text):
+    """json.loads that refuses the non-standard NaN and Infinity."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_cli_asym_past_the_float_range_prints_strict_json(capsys):
+    # E8 rho, N = 100: the value overflows a float, its log does not
+    args = ["asym", "--group", "E8", "--lam", "1,1,1,1,1,1,1,1", "--a", "1",
+            "--N", "100"]
+    assert main(args) == 0
+    data = _strict_json(capsys.readouterr().out)
+    assert data["value"] is None
+    assert data["log_abs_value"] == pytest.approx(7733.81388607627,
+                                                  rel=1e-12)
+    # a zero value keeps its 0.0, and its log (-inf) is written as null
+    args = ["asym", "--group", "A1", "--lam", "1", "--a", "1", "--N", "3"]
+    assert main(args) == 0
+    data = _strict_json(capsys.readouterr().out)
+    assert data["value"] == 0.0 and data["log_abs_value"] is None
+
+
+def test_cli_converge_past_the_float_range_prints_strict_json(tmp_path,
+                                                             capsys):
+    cfgfile = tmp_path / "e8.cfg"
+    cfgfile.write_text("group = E8\nlambda = 1,1,1,1,1,1,1,1\na = 1\n"
+                       "N = 40:60:10\npaths = asymptotic\n")
+    assert main(["converge", str(cfgfile), "--format", "json"]) == 0
+    rows = _strict_json(capsys.readouterr().out)["rows"]
+    assert [r["N"] for r in rows] == [40, 50, 60]
+    for row in rows:
+        assert row["estimate"]["value"] is None
+        assert math.isfinite(row["estimate"]["log_abs_value"])
 
 
 @pytest.mark.parametrize("command", ["exact", "quad", "asym"])

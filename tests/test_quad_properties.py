@@ -10,6 +10,7 @@ keeps the integral points.
 """
 
 import math
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liemoments.asymptotics import ClassFunction
-from liemoments.charring import CycleType
+from liemoments.charring import CycleType, moment_sequence
+from liemoments.repweights import weight_system
 from liemoments.rootsys import build_root_system, factor_blocks
-from liemoments.torusquad import (_alcove_factor, _factor_grids, default_grid,
-                                  quad_K_N)
+from liemoments.torusquad import (TorusGrid, _alcove_factor, _factor_grids,
+                                  character_at, default_grid, quad_K_N,
+                                  weyl_denominator_sq)
 
 import oracles
 
@@ -156,3 +159,103 @@ def test_coset_enumeration_matches_simplex_filter(case):
     # 0 < <alpha, k / m> < 1 for every positive root: the open alcove
     values = k @ np.array(rs.positive_roots, dtype=np.int64).T
     assert np.all((values > 0) & (values < m))
+
+
+EXACT_GROUPS = {spec: build_root_system(spec)
+                for spec in ("A2", "B2", "G2", "A3", "B3", "C3", "A1xA2",
+                             "A1xB2")}
+
+
+@st.composite
+def exact_quad_cases(draw):
+    """Two-sided moments with a != b, Adams degrees up to 2 and a
+    class function with a nonzero highest weight, small enough for the
+    exact chain."""
+    spec = draw(st.sampled_from(sorted(EXACT_GROUPS)))
+    rs = EXACT_GROUPS[spec]
+    lam = draw(small_weights(rs.rank))
+    a = CycleType(draw(cycle_types(max_exp=1)))
+    b = CycleType(draw(cycle_types(max_exp=1)))
+    if a == b:
+        b = CycleType(b.exps + (1,) if len(b.exps) < 2 else ())
+    cap = MAX_DEGREE[rs.rank]
+    degree = a.weight + b.weight
+    n = draw(st.integers(1, max(1, cap // max(1, degree))))
+    nu = draw(small_weights(rs.rank).filter(any))
+    terms = ((nu, float(draw(st.integers(1, 3)))),
+             ((0,) * rs.rank, float(draw(st.integers(-3, 3)))))
+    return rs, lam, a, b, n, terms
+
+
+@settings(max_examples=40)
+@given(exact_quad_cases())
+def test_quadrature_on_polytope_grid_matches_exact_integers(case):
+    # the default grid is sized by the polytope bound; every value still
+    # equals the Klimyk chain's integers
+    rs, lam, a, b, n, terms = case
+    (mults,) = moment_sequence(rs, lam, a, b, (n,),
+                               [nu for nu, _ in terms])
+    want = sum(int(c) * mult for (_, c), mult in zip(terms, mults))
+    got = quad_K_N(rs, lam, a, b, n, f=ClassFunction(terms))
+    assert abs(got - want) <= 1e-9 * max(1, abs(want))
+
+
+def test_f4_adjoint_k7_answers():
+    # the per-axis grid of F4 adjoint K_7 has over 4e6 points and is
+    # refused; the polytope grid is 27^4
+    rs = build_root_system("F4")
+    lam, a = (1, 0, 0, 0), CycleType((1,))
+    one = ClassFunction.one(4)
+    per_axis = oracles.per_axis_bandwidth(rs, lam, a, a, 7, one)
+    assert math.prod(x + 1 for x in per_axis) > 4_000_000
+    assert default_grid(rs, lam, a, a, 7).sizes == (27,) * 4
+    (want,), = moment_sequence(rs, lam, a, a, (7,))
+    assert want == 4_109_654_354
+    assert quad_K_N(rs, lam, a, a, 7) == pytest.approx(want, rel=1e-12)
+
+
+def _per_call_quadrature(rs, lam, a, b, n, terms, sizes):
+    """The alcove quadrature with every character and denominator evaluated
+    through the public evaluators, each reducing its own points and
+    building its own table."""
+    factors, cells = _factor_grids(rs, sizes, max_points=10 ** 7)
+    values = [c for _, c in terms]
+    for block, rs_k, m in factors:
+        part = slice(block.start, block.stop)
+        k = _alcove_factor(rs_k, m)
+        ws = weight_system(rs_k, lam[part])
+        base = weyl_denominator_sq(rs_k, k, m).astype(complex)
+        for j, (aj, bj) in enumerate(zip_longest(a.exps, b.exps,
+                                                 fillvalue=0), start=1):
+            if not (aj or bj):
+                continue
+            chi = character_at(ws, j * k, m)
+            if aj:
+                base *= chi ** (n * aj)
+            if bj:
+                base *= np.conj(chi, out=chi) ** (n * bj)
+        sums = {}
+        for nu in dict.fromkeys(nu[part] for nu, _ in terms):
+            part_terms = character_at(weight_system(rs_k, nu), k, m) * base
+            sums[nu] = complex(math.fsum(part_terms.real.tolist()),
+                               math.fsum(part_terms.imag.tolist()))
+        values = [v * sums[nu[part]] for v, (nu, _) in zip(values, terms)]
+    return (sum(values) / cells).real
+
+
+@pytest.mark.parametrize("spec, lam, a, b, n, terms, sizes", [
+    ("A2", (2, 1), (1,), (0, 1), 3, (((1, 1), 2.0), ((0, 0), 1.0)),
+     (36, 36)),
+    ("B2", (1, 1), (1,), (1,), 2, (((0, 1), 1.0),), (15, 20)),
+    ("G2", (1, 0), (0, 1), (), 3, (((1, 0), 3.0), ((0, 0), 1.0)), (25, 15)),
+    ("A1xA2", (1, 1, 1), (1,), (1,), 3,
+     (((0, 0, 0), 2.0), ((0, 1, 1), 5.0)), (9, 20, 20)),
+])
+def test_shared_tables_give_identical_bits(spec, lam, a, b, n, terms, sizes):
+    # one residue array and one pair of tables per alcove sum give the
+    # same bits as evaluating each character on its own
+    rs = build_root_system(spec)
+    a, b = CycleType(a), CycleType(b)
+    got = quad_K_N(rs, lam, a, b, n, f=ClassFunction(terms),
+                   grid=TorusGrid(sizes))
+    assert got == _per_call_quadrature(rs, lam, a, b, n, terms, sizes)

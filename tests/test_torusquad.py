@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -9,7 +10,8 @@ from liemoments import charring, repweights, torusquad
 from liemoments.asymptotics import ClassFunction
 from liemoments.charring import CycleType, adams, exact_moment
 from liemoments.repweights import weight_extent, weight_system, weyl_dimension
-from liemoments.rootsys import build_root_system, reflect_covector
+from liemoments.rootsys import (build_root_system, dominant_representative,
+                                reflect_covector, simple_factors)
 from liemoments.torusquad import (GridError, TorusGrid, _check_phase_range,
                                   _next_smooth, character_at, default_grid,
                                   mehta_quadrature, quad_I_N, quad_K_N,
@@ -53,6 +55,90 @@ def test_point_budget_refuses_e6_rho_without_a_weight_system(monkeypatch):
     rs = build_root_system("E6")
     with pytest.raises(GridError, match="points, budget is 4000000"):
         quad_I_N(rs, rs.rho, CycleType((1,)), 1)
+
+
+def test_point_budget_refuses_e6_rho_on_a_polytope_grid():
+    # the polytope bound of E6 rho, I_1 is 19 on every axis: 20^6 torus
+    # points, still far over the budget (the per-axis grid was larger)
+    rs = build_root_system("E6")
+    a, one = CycleType((1,)), ClassFunction.one(6)
+    assert default_grid(rs, rs.rho, a, CycleType(()), 1).sizes == (20,) * 6
+    assert all(x > 19 for x in oracles.per_axis_bandwidth(
+        rs, rs.rho, a, CycleType(()), 1, one))
+
+
+# Every supported simple type of rank <= 4, with the trace patterns and
+# class functions of the bandwidth checks below.
+BANDWIDTH_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
+                   "D4", "F4", "G2"]
+PATTERNS = [CycleType(e) for e in ((), (1,), (0, 1), (1, 1))]
+
+
+def _bandwidth_cases(rs):
+    """(lam, f) for lam in {0,1,2}^r (|lam| <= 2 at rank 4), with f the
+    constant 1 and a two-term f with nu != 0."""
+    for lam in itertools.product(range(3), repeat=rs.rank):
+        if rs.rank == 4 and sum(lam) > 2:
+            continue
+        yield lam, ClassFunction.one(rs.rank)
+        yield lam, ClassFunction(((lam, 1.0), (lam[::-1], -2.0)))
+
+
+@pytest.mark.parametrize("spec", BANDWIDTH_TYPES)
+def test_polytope_bound_never_exceeds_per_axis_bound(spec):
+    # no default grid grows and no new refusal appears; on A1 the polytope
+    # is the interval, and the two bounds agree
+    rs = build_root_system(spec)
+    for lam, f in _bandwidth_cases(rs):
+        for a, b in itertools.product(PATTERNS, repeat=2):
+            for n in range(5):
+                new = required_bandwidth(rs, lam, a, b, n, f)
+                old = oracles.per_axis_bandwidth(rs, lam, a, b, n, f)
+                assert all(x <= y for x, y in zip(new, old)), \
+                    (lam, a, b, n, f)
+                if spec == "A1":
+                    assert new == old
+
+
+@functools.cache
+def _fundamental_root_coords(rs):
+    """omega_i on the simple roots, solved in Fractions, per i."""
+    return [oracles.solve_fraction(rs.cartan,
+                                   [int(j == i) for j in range(rs.rank)])
+            for i in range(rs.rank)]
+
+
+def _largest_fundamental_multiples(rs, top):
+    """Per i the largest m with m omega_i in conv(W top), for the dominant
+    weight ``top`` of the simple group ``rs``: a dominant point lies in the
+    hull iff top minus it has nonnegative coordinates on the simple roots.
+    Exact Fractions."""
+    base = oracles.solve_fraction(rs.cartan, list(top))
+    return [min(x / y for x, y in zip(base, omega))
+            for omega in _fundamental_root_coords(rs)]
+
+
+@pytest.mark.parametrize("spec", BANDWIDTH_TYPES + ["A1xA2", "A1xB2"])
+def test_polytope_bound_is_the_last_multiple_in_the_hull(spec):
+    # at m = bound some m omega_i lies in conv(W Lam) for some term of f,
+    # at bound + 1 none does: the bound is attained, and a grid of one more
+    # point per axis meets the hull of every term only at 0
+    rs = build_root_system(spec)
+    a, b = CycleType((1,)), CycleType((0, 1))
+    for lam, f in _bandwidth_cases(rs):
+        if sum(lam) > 2:
+            continue
+        for n in (1, 3):
+            bw = required_bandwidth(rs, lam, a, b, n, f)
+            dual = dominant_representative(rs, tuple(-c for c in lam))[0]
+            for block, rs_k in simple_factors(rs):
+                (m,) = {bw[i] for i in block}
+                tops = [[n * (a.weight * lam[i] + b.weight * dual[i])
+                         + nu[i] + 2 for i in block] for nu, _ in f.terms]
+                largest = [x for top in tops
+                           for x in _largest_fundamental_multiples(rs_k, top)]
+                assert any(m <= x for x in largest), (lam, n, f)
+                assert not any(m + 1 <= x for x in largest), (lam, n, f)
 
 
 def test_required_bandwidth_a1():
