@@ -255,7 +255,8 @@ def leading_term_K(rs, lam, a, b, n, f=None, peak=None):
 
 
 def biane_dimension_estimate(rs, lam, n):
-    """Leading-order dimension of the invariant subspace of the N-th power.
+    """Leading-order dimension of the invariant subspace of the N-th power:
+    the leading term of I_N with a = (1), a float (inf past its range).
 
     Valid for regular highest weights lying in the root lattice (otherwise
     the center characters make the count oscillate in N).
@@ -264,16 +265,7 @@ def biane_dimension_estimate(rs, lam, n):
     if not rootsys.in_root_lattice(rs, lam):
         raise HypothesisError(
             f"highest weight {lam} must lie in the root lattice")
-    dim, kap, det_a, _ = peak_data(rs, lam)
-    log_val = (math.log(rs.center.order) + n * math.log(dim)
-               + _log_fraction(kap)
-               - (rs.rank / 2) * math.log(2 * math.pi)
-               - (rs.dim_group / 2) * math.log(n)
-               - _log_fraction(det_a) / 2)
-    try:
-        return math.exp(log_val)
-    except OverflowError:
-        return float("inf")
+    return leading_term_I(rs, lam, CycleType((1,)), n).value
 
 
 # Entries may be floats: commuting with the Weyl action is checked to this

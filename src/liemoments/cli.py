@@ -58,6 +58,9 @@ def _cmd_info(args):
 
 
 def _cmd_weights(args):
+    if args.limit < 0:
+        raise rootsys.ConfigurationError(
+            f"--limit must be >= 0 (0 lists all), got {args.limit}")
     rs = rootsys.build_root_system(args.group)
     lam = harness.parse_weight(args.lam, rs.rank)
     ws = repweights.weight_system(rs, lam)
@@ -123,7 +126,8 @@ def build_parser():
     p = sub.add_parser("weights", help="weight system of an irreducible")
     p.add_argument("group")
     p.add_argument("lam", metavar="lambda")
-    p.add_argument("--limit", type=int, default=40)
+    p.add_argument("--limit", type=int, default=40,
+                   help="weights to list (0 lists all)")
     p.set_defaults(fn=_cmd_weights)
 
     p = sub.add_parser("exact", help="exact integer moment")

@@ -10,9 +10,8 @@ walked down into the table of weights, so each term mu + k alpha of the
 recursion is one table lookup: its dominant conjugate lies at a strictly
 lower level and was expanded earlier.  Everything is exact: weights are
 integer tuples in fundamental-weight coordinates, multiplicities are ints,
-and the second-moment matrix is a Fraction matrix.  That matrix, and the
-per-axis extent of the weights, come from root data alone, never from a
-weight system.
+and the second-moment matrix is a Fraction matrix.  That matrix comes from
+root data alone, never from a weight system.
 """
 
 from __future__ import annotations
@@ -54,18 +53,6 @@ class WeightSystem:
         """Sum of multiplicities (the virtual dimension)."""
         return sum(self.entries.values())
 
-    def max_abs_coord(self):
-        """Per-axis maximum of |coordinate| over the support (0 if empty)."""
-        if not self.entries:
-            return ()
-        rank = len(next(iter(self.entries)))
-        out = [0] * rank
-        for w in self.entries:
-            for i, c in enumerate(w):
-                if abs(c) > out[i]:
-                    out[i] = abs(c)
-        return tuple(out)
-
     @staticmethod
     def trivial(rank):
         return WeightSystem({(0,) * rank: 1})
@@ -103,24 +90,10 @@ def weyl_dimension(rs, lam):
     return dim
 
 
-def weight_extent(rs, lam):
-    """Per axis i, the largest |mu_i| over the weights mu of the
-    irreducible with highest weight ``lam``, from root data alone.
-
-    mu_i = <mu, alpha_i^vee> is largest on the orbit W lam, where it takes
-    the values <lam, beta^vee> for beta in W alpha_i: on the positive side,
-    the roots of the same simple factor and length as alpha_i.  That orbit
-    holds -alpha_i too, so the smallest mu_i is minus the largest.
-    """
-    lam = check_dominant_integral(rs, lam)
-    pairs = [_dot(lam, cr) for cr in rs.positive_coroots]
-    return tuple(max(pairs[k] for k in orbit)
-                 for orbit in rs.simple_root_orbits)
-
-
 def weight_system(rs, lam):
     """Weight multiplicities of the irreducible with highest weight ``lam``,
-    memoized per (rs.factors, lam): a root system hashes by its factors."""
+    memoized per (rs, lam): a root system hashes by identity, and
+    ``build_root_system`` returns one datum per factors tuple."""
     return _freudenthal(rs, check_dominant_integral(rs, lam))
 
 

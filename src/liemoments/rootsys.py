@@ -184,7 +184,6 @@ class RootSystem:
     positive_roots: tuple       # weight coords
     positive_rootcoords: tuple  # simple-root coords
     positive_coroots: tuple     # covector coords, Fractions
-    simple_root_orbits: tuple   # per i, positive-root indices in W alpha_i
     rho: tuple                  # (1, ..., 1)
     rho_covector: tuple         # pairs to 1 with every simple root
     weyl_order: int
@@ -274,25 +273,14 @@ def _root_system(factors):
 
     pos_weights = tuple(to_weight(c) for c in rootcoords)
     coroots = []
-    norms = []
     for c, w in zip(rootcoords, pos_weights):
         norm = sum(Fraction(c[j]) * sym[j] * w[j] for j in range(rank))
-        norms.append(norm)
         coroots.append(tuple(2 * Fraction(c[j]) * sym[j] / norm
                              for j in range(rank)))
     for cr in coroots:
         if any(x.denominator != 1 for x in cr):
             raise RuntimeError(f"non-integral coroot {cr}")
     coroots = tuple(tuple(int(x) for x in cr) for cr in coroots)
-    # W acts transitively on the roots of one length in a simple factor,
-    # and (alpha_i, alpha_i) = 2 d_i
-    factor_of = [k for k, (_l, n) in enumerate(factors) for _ in range(n)]
-    root_factor = [factor_of[next(j for j, x in enumerate(c) if x)]
-                   for c in rootcoords]
-    orbits = tuple(
-        tuple(k for k, norm in enumerate(norms)
-              if root_factor[k] == factor_of[i] and norm == 2 * sym[i])
-        for i in range(rank))
 
     # Every finite-type Cartan matrix has positive leading minors, so one
     # elimination without row exchanges gives its inverse and determinant.
@@ -326,7 +314,6 @@ def _root_system(factors):
         positive_roots=pos_weights,
         positive_rootcoords=tuple(rootcoords),
         positive_coroots=coroots,
-        simple_root_orbits=orbits,
         rho=rho,
         rho_covector=rho_cov,
         weyl_order=weyl_order,

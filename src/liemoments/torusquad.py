@@ -10,9 +10,10 @@ W-permutohedron conv(W Lam) of one dominant weight Lam, and the largest m
 that fails is an integer function of Lam and the inverse Cartan matrix
 (:func:`required_bandwidth`, after Moody-Patera's elements of finite
 order).  It comes from root data alone, never from a weight system, so the
-budgets refuse before any weight system is built.  On A_r it needs about
-((r + 1) / (2 r))^r of the points that bounding each axis by the largest
-|mu_i| would (:func:`repweights.weight_extent`); on A1 the two agree.
+budgets refuse before any weight system is built.  It is the only
+aliasing certificate: a grid carries none of its own.  On A_r it needs
+about ((r + 1) / (2 r))^r of the points that bounding each axis by the
+largest |mu_i| would; on A1 the two agree.
 
 The sum runs over one point per Weyl orbit.  On each simple factor k take
 one size m_k, the largest grid size on its axes (still above the bandwidth
@@ -66,17 +67,14 @@ class GridError(ValueError):
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """A uniform tensor grid on the torus with its aliasing certificate.
+    """A uniform tensor grid on the torus: sizes[i] points on axis i at
+    spacing 1/sizes[i].
 
-    sizes[i] points on axis i at spacing 1/sizes[i]; exactness holds when
-    sizes[i] exceeds bandwidth_bound[i] (strictly) on every axis.  The
-    bound is the polytope bound of :func:`required_bandwidth`, one value
-    repeated on the axes of each simple factor.  A grid built without a
-    bound gets it from the quadrature call, which also refuses a stated
-    bound that differs from the integrand's.
+    Quadrature is exact on it when sizes[i] exceeds the integrand's
+    :func:`required_bandwidth` (strictly) on every axis; the quadrature
+    call computes that bound and refuses any grid below it.
     """
     sizes: tuple
-    bandwidth_bound: tuple | None = None
 
     @property
     def num_points(self):
@@ -174,13 +172,12 @@ def required_bandwidth(rs, lam, a, b, n, f):
 
 
 def default_grid(rs, lam, a, b, n, f=None):
-    """Smallest safe grid: the polytope bound + 1 on every axis of each
-    simple factor, rounded up 5-smooth.  No size exceeds the one a per-axis
-    bound on the largest |mu_i| would give."""
+    """Smallest safe grid: :func:`required_bandwidth` + 1 on every axis of
+    each simple factor, rounded up 5-smooth.  No size exceeds the one a
+    per-axis bound on the largest |mu_i| would give."""
     f = ClassFunction.one(rs.rank) if f is None else f
     bw = required_bandwidth(rs, lam, a, b, n, f)
-    return TorusGrid(sizes=tuple(_next_smooth(b_ + 1) for b_ in bw),
-                     bandwidth_bound=bw)
+    return TorusGrid(sizes=tuple(_next_smooth(b_ + 1) for b_ in bw))
 
 
 _INT64_MAX = 2 ** 63 - 1
@@ -235,8 +232,10 @@ class _GridPoints:
 
     def phases(self, vectors):
         """<v, k> mod m in int64 for each row v of ``vectors``:
-        (k mod m) @ (v mod m) mod m, exact integers."""
-        vecs = np.array(vectors, dtype=np.int64) % self.m
+        (k mod m) @ (v mod m) mod m, exact integers; no vectors give an
+        empty last axis."""
+        vecs = np.array(vectors, dtype=np.int64).reshape(
+            len(vectors), self.residues.shape[-1]) % self.m
         t = self.residues @ vecs.T
         t %= self.m
         return t
@@ -249,10 +248,13 @@ def character_at(ws, k, m):
 
     Each phase <mu, k> mod m is an exact integer t that indexes one table of
     cos + i sin of 2 pi t / m, so k and k + m e_i give identical bits.  The
-    alcove sum passes its points already reduced, with the table built."""
-    _check_phase_range(len(next(iter(ws.entries))), m)
+    alcove sum passes its points already reduced, with the table built.
+    The empty weight system is the zero character: it forms no phase, and
+    its value is 0 at every point."""
+    weights = list(ws.entries)
+    _check_phase_range(len(weights[0]) if weights else 0, m)
     pts = _GridPoints.of(k, m)
-    t = pts.phases(list(ws.entries))
+    t = pts.phases(weights)
     mults = np.array(list(ws.entries.values()), dtype=float)
     vals = pts.circle[t] @ mults
     return complex(vals) if t.ndim == 1 else vals
@@ -377,11 +379,6 @@ def _quad_core(rs, lam, a, b, n, f, grid, max_points):
             raise GridError(
                 f"grid {grid.sizes} aliases on axes {bad}: integrand "
                 f"bandwidth is {bw}, need at least {need} points per axis")
-        if (grid.bandwidth_bound is not None
-                and tuple(grid.bandwidth_bound) != bw):
-            raise GridError(
-                f"grid states bandwidth bound {grid.bandwidth_bound}, the "
-                f"integrand bandwidth is {bw}")
     if grid.num_points > max_points:
         raise GridError(
             f"grid has {grid.num_points} points, budget is {max_points}")

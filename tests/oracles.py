@@ -18,7 +18,8 @@ genuine two-route check:
 * Torus quadrature over the whole uniform grid, every point of every Weyl
   orbit, with characters from the Weyl character formula.
 * The per-axis quadrature bandwidth: the largest |mu_i| of every factor of
-  the integrand, added axis by axis.
+  the integrand, read off the vertices W lam of its weight polytope and
+  added axis by axis.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
 from math import comb
 
 import numpy as np
 
 from liemoments.exactla import frac_matrix, mat_vec
-from liemoments.repweights import weight_extent
+from liemoments.rootsys import dominant_orbit
 
 
 def det_fraction(mat):
@@ -414,6 +416,15 @@ def full_grid_quadrature(rs, lam, a, b, n, f_terms, sizes):
                          * np.conj(dilate) ** (n * bj))
     norm = len(x) * rs.weyl_order
     return integrand.sum() / norm, np.abs(integrand).sum() / norm
+
+
+@cache
+def weight_extent(rs, lam):
+    """Per axis i, the largest |mu_i| over the weights mu of the irreducible
+    with highest weight ``lam``: every weight lies in conv(W lam), so a
+    linear coordinate is extreme on the orbit."""
+    orbit = dominant_orbit(rs, tuple(lam))
+    return tuple(max(abs(w[i]) for w in orbit) for i in range(rs.rank))
 
 
 def per_axis_bandwidth(rs, lam, a, b, n, f):

@@ -407,7 +407,8 @@ def test_leading_term_past_float_intermediates(n):
     rs = build_root_system("E8")
     est = leading_term_I(rs, rs.rho, CycleType((1,)), n)
     dim, kap, det_a, _ = peak_data(rs, rs.rho)
-    # the log-space formula of biane_dimension_estimate; E8 has no center
+    # the Laplace constant of I_N, a = (1), assembled in log space: E8 has
+    # no center, and (2 pi)^d / (2 pi)^{dim G / 2} = (2 pi)^{-rank / 2}
     want = (n * math.log(dim) + math.log(kap.numerator)
             - math.log(kap.denominator)
             - (rs.rank / 2) * math.log(2 * math.pi)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from liemoments.charring import (CycleType, exact_moment, moment_sequence,
                                  moment_terms)
-from liemoments.rootsys import build_root_system
+from liemoments.rootsys import build_root_system, dominant_representative
 
 import oracles
 
@@ -95,3 +95,42 @@ def test_moment_sequence_matches_oracle_at_every_n(case):
         assert mults == [oracles.convolution_moment(
             rs, lam, a.scaled(n).exps, b.scaled(n).exps, [(nu, 1)])
             for nu in weights]
+
+
+SWAP_GROUPS = {spec: build_root_system(spec)
+               for spec in ("A2", "B2", "G2", "A1xA2")}
+
+
+def star(rs, mu):
+    """mu* = dom(-mu), the highest weight of the dual irreducible."""
+    return dominant_representative(rs, tuple(-c for c in mu))[0]
+
+
+@st.composite
+def swap_cases(draw):
+    spec = draw(st.sampled_from(sorted(SWAP_GROUPS)))
+    rs = SWAP_GROUPS[spec]
+    lam = draw(small_weights(rs.rank))
+    a = CycleType(draw(cycle_types()))
+    b = CycleType(draw(cycle_types()))
+    n = draw(st.integers(1, max(1, min(3, MAX_FACTORS
+                                       // max(1, a.size + b.size)))))
+    nus = draw(st.lists(small_weights(rs.rank, top=2), min_size=1,
+                        max_size=3))
+    return rs, lam, a.scaled(n), b.scaled(n), nus
+
+
+@settings(max_examples=60)
+@given(swap_cases())
+@example((SWAP_GROUPS["A2"], (0, 1), CycleType((1,)), CycleType((0, 1)),
+          [(1, 2), (2, 1), (2, 0)]))
+@example((SWAP_GROUPS["A1xA2"], (0, 0, 1), CycleType((2,)), CycleType((1,)),
+          [(0, 0, 2), (0, 2, 0)]))
+def test_swapping_a_and_b_is_conjugation(case):
+    # K(lam; a, b; nu) is real, so it equals its conjugate K(lam; b, a; nu*);
+    # the trace of lam* is the conjugate trace of lam, so it also equals
+    # K(lam*; b, a; nu)
+    rs, lam, a, b, nus = case
+    want = moment_terms(rs, lam, a, b, nus)
+    assert moment_terms(rs, lam, b, a, [star(rs, nu) for nu in nus]) == want
+    assert moment_terms(rs, star(rs, lam), b, a, nus) == want

@@ -262,6 +262,20 @@ def test_cli_weights(capsys):
     assert _field(out, "regular") == "True"
 
 
+def test_cli_weights_limit(capsys):
+    # 0 lists every weight; a negative limit is a usage error, not a
+    # silent truncation
+    assert main(["weights", "A1", "3", "--limit", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "first" not in out and out.count(" x1") == 4
+    assert main(["weights", "A1", "3", "--limit", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "first 2 weights" in out and out.count(" x1") == 2
+    assert main(["weights", "A1", "3", "--limit", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--limit must be >= 0" in captured.err
+
+
 def test_cli_weights_singular_moment_matrix(capsys):
     # lam vanishes on the A2 factor: A_lam is singular and its det is 0
     assert main(["weights", "A1xA2", "1,0,0"]) == 0

@@ -9,7 +9,7 @@ import pytest
 from liemoments import charring, repweights, torusquad
 from liemoments.asymptotics import ClassFunction
 from liemoments.charring import CycleType, adams, exact_moment
-from liemoments.repweights import weight_extent, weight_system, weyl_dimension
+from liemoments.repweights import WeightSystem, weight_system, weyl_dimension
 from liemoments.rootsys import (build_root_system, dominant_representative,
                                 reflect_covector, simple_factors)
 from liemoments.torusquad import (GridError, TorusGrid, _check_phase_range,
@@ -29,19 +29,6 @@ def test_next_smooth():
     assert _next_smooth(31) == 32
     assert _next_smooth(121) == 125
     assert _next_smooth(0) == 1
-
-
-@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "B2", "B3", "C3",
-                                  "G2", "A1xG2", "D4", "B4", "F4"])
-def test_weight_extent_matches_weight_system(spec):
-    # max <lam, beta^vee> over the roots beta in W alpha_i is the largest
-    # |mu_i| over the weights: every lam in {0,1,2}^r, |lam| <= 2 at rank 4
-    rs = build_root_system(spec)
-    for lam in itertools.product(range(3), repeat=rs.rank):
-        if rs.rank == 4 and sum(lam) > 2:
-            continue
-        assert weight_extent(rs, lam) == \
-            weight_system(rs, lam).max_abs_coord(), lam
 
 
 def test_point_budget_refuses_e6_rho_without_a_weight_system(monkeypatch):
@@ -157,15 +144,17 @@ def test_required_bandwidth_a1():
 
 def test_default_grid_exceeds_bandwidth():
     rs = build_root_system("A2")
+    a, b = CycleType((1,)), CycleType(())
     for n in (1, 2, 5):
-        grid = default_grid(rs, (1, 1), CycleType((1,)), CycleType(()), n)
-        assert all(s > b for s, b in zip(grid.sizes, grid.bandwidth_bound))
+        grid = default_grid(rs, (1, 1), a, b, n)
+        bw = required_bandwidth(rs, (1, 1), a, b, n, ClassFunction.one(2))
+        assert all(s > x for s, x in zip(grid.sizes, bw))
         assert grid.num_points == math.prod(grid.sizes)
 
 
 def test_grid_alias_refusal_names_required_sizes():
     rs = build_root_system("A1")
-    small = TorusGrid(sizes=(4,), bandwidth_bound=(3,))
+    small = TorusGrid(sizes=(4,))
     with pytest.raises(GridError) as err:
         quad_I_N(rs, (1,), CycleType((1,)), 3, grid=small)
     assert "(6,)" in str(err.value)
@@ -280,6 +269,20 @@ def test_evaluators_refuse_non_integer_points_and_sizes():
         character_at(ws, (0, 0), 0)
 
 
+def test_zero_character_is_zero_everywhere():
+    # zero multiplicities are dropped, so the zero virtual character has no
+    # weights to read a rank from
+    zero = WeightSystem({(1, 0): 0})
+    assert zero == WeightSystem({})
+    val = character_at(zero, (3, -1), 7)
+    assert isinstance(val, complex) and val == 0
+    pts = np.arange(10, dtype=np.int64).reshape(5, 2)
+    vals = character_at(zero, pts, 7)
+    assert vals.shape == (5,) and not vals.any()
+    with pytest.raises(GridError, match="grid size must be >= 1"):
+        character_at(zero, (0, 0), 0)
+
+
 class _Untouchable:
     """Grid points that fail the test if anything converts them."""
 
@@ -317,25 +320,9 @@ def test_int64_phase_guard_refuses_before_reading_points(monkeypatch):
 def test_grid_with_wrong_axis_count_is_refused():
     rs = build_root_system("A2")
     a = CycleType((1,))
-    flat = TorusGrid(sizes=(64,), bandwidth_bound=(0,))
+    flat = TorusGrid(sizes=(64,))
     with pytest.raises(GridError, match="has rank 2"):
         quad_K_N(rs, (1, 0), a, a, 2, grid=flat)
-
-
-def test_grid_with_wrong_bandwidth_bound_is_refused():
-    rs = build_root_system("A2")
-    a = CycleType((1,))
-    grid = default_grid(rs, (1, 0), a, a, 3)
-    stated = tuple(b_ - 1 for b_ in grid.bandwidth_bound)
-    wrong = TorusGrid(sizes=grid.sizes, bandwidth_bound=stated)
-    with pytest.raises(GridError) as err:
-        quad_K_N(rs, (1, 0), a, a, 3, grid=wrong)
-    assert str(stated) in str(err.value)
-    assert str(grid.bandwidth_bound) in str(err.value)
-    # a grid that states no bound gets the computed one
-    unstated = TorusGrid(sizes=grid.sizes)
-    assert quad_K_N(rs, (1, 0), a, a, 3, grid=unstated) == \
-        quad_K_N(rs, (1, 0), a, a, 3, grid=grid)
 
 
 def test_one_sided_is_two_sided_with_empty_b():
@@ -383,10 +370,11 @@ def test_quad_grid_doubling_invariance():
     rs = build_root_system("A2")
     a = CycleType((1,))
     grid = default_grid(rs, (1, 0), a, a, 3)
-    dense = TorusGrid(sizes=tuple(2 * s for s in grid.sizes),
-                      bandwidth_bound=grid.bandwidth_bound)
+    dense = TorusGrid(sizes=tuple(2 * s for s in grid.sizes))
     v1 = quad_K_N(rs, (1, 0), a, a, 3, grid=grid)
     v2 = quad_K_N(rs, (1, 0), a, a, 3, grid=dense)
+    # a caller grid with the default sizes is the default grid
+    assert v1 == quad_K_N(rs, (1, 0), a, a, 3)
     assert v1 == pytest.approx(v2, rel=1e-12)
 
 
