@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import decimal
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -114,11 +115,8 @@ class AsymptoticEstimate:
 
     def log_abs_value(self):
         """log |value| computed in log space; -inf when the value is 0."""
-        re = self.pi_sum.real
-        if re == 0:
-            return float("-inf")
-        return (self.log_dim_power + self.log_prefactor
-                + _log_fraction(self.kappa_term) + math.log(abs(re)))
+        return _log_abs(self.log_dim_power, self.log_prefactor,
+                        self.kappa_term, self.pi_sum.real)
 
     def to_dict(self):
         """Plain fields for strict JSON: a value past the float range is
@@ -143,6 +141,14 @@ def _log_fraction(fr):
     if fr <= 0:
         raise ValueError(f"log of non-positive fraction {fr}")
     return math.log(fr.numerator) - math.log(fr.denominator)
+
+
+def _log_abs(log_dim_power, log_prefactor, kap, re):
+    """log |dim^{N k} * prefactor * kap * re| from its logs; -inf at re = 0."""
+    if re == 0:
+        return float("-inf")
+    return (log_dim_power + log_prefactor + _log_fraction(kap)
+            + math.log(abs(re)))
 
 
 class PeakData(NamedTuple):
@@ -175,24 +181,33 @@ def _leading_core(rs, num_factors, l_total, pi_sum, n, peak):
                      / ((2 * math.pi * l_total * n) ** (rs.dim_group / 2)
                         * math.sqrt(det_a)))
     except OverflowError:
-        # (2 pi l N)^{dim G / 2} alone is past the float range (E8 from
-        # N = 50): the prefactor and the value come from log space
+        prefactor = 0.0
+    direct = prefactor >= sys.float_info.min
+    if direct:
+        log_prefactor = math.log(prefactor)
+    else:
+        # (2 pi l N)^{dim G / 2} sqrt(det A) is past the float range (E8
+        # from N = 46): the prefactor comes from log space
         log_prefactor = (d * math.log(2 * math.pi)
                          - rs.dim_group / 2 * math.log(2 * math.pi
                                                        * l_total * n)
                          - _log_fraction(det_a) / 2)
         prefactor = math.exp(log_prefactor)
-        log_scale = log_dim_power + log_prefactor
-    else:
-        log_prefactor = math.log(prefactor)
-        log_scale = None
     re = pi_sum.real
-    try:
-        scale = (math.exp(log_dim_power) * prefactor if log_scale is None
-                 else math.exp(log_scale))
-        value = scale * float(kap) * re
-    except OverflowError:
-        value = math.copysign(float("inf"), re) if re else 0.0
+    value = math.nan
+    if direct:
+        try:
+            value = math.exp(log_dim_power) * prefactor * float(kap) * re
+        except OverflowError:
+            pass
+    if not math.isfinite(value):
+        # a factor alone is past the float range while the value need not
+        # be (dim^N for E8 rho from N = 9): add the logs instead
+        try:
+            value = (math.copysign(math.exp(_log_abs(
+                log_dim_power, log_prefactor, kap, re)), re) if re else 0.0)
+        except OverflowError:
+            value = math.copysign(math.inf, re)
     return AsymptoticEstimate(value=value, log_dim_power=log_dim_power,
                               kappa_term=kap, det_a=det_a, pi_sum=pi_sum,
                               prefactor=prefactor,

@@ -150,6 +150,27 @@ def test_biane_estimate_a1():
         biane_dimension_estimate(rs, (0,), 10)   # not regular
 
 
+@pytest.mark.parametrize("spec, lam, n", [("E8", (1,) * 8, 9),
+                                          ("E8", (1,) * 8, 10),
+                                          ("E8", (1,) * 8, 11),
+                                          ("E8", (1,) * 8, 12),
+                                          ("E7", (2,) * 7, 13),
+                                          ("B3", (2, 2, 2), 77)])
+def test_biane_estimate_where_one_factor_overflows(spec, lam, n):
+    # dim^N (E8 rho: 2^{120 N}) or dim^N times the prefactor is past the
+    # float range while the estimate itself is not
+    rs = build_root_system(spec)
+    dim, kap, det_a, _ = peak_data(rs, lam)
+    want = (math.log(rs.center.order) + n * math.log(dim)
+            + math.log(kap.numerator) - math.log(kap.denominator)
+            - (rs.rank / 2) * math.log(2 * math.pi)
+            - (rs.dim_group / 2) * math.log(n)
+            - (math.log(det_a.numerator) - math.log(det_a.denominator)) / 2)
+    got = biane_dimension_estimate(rs, lam, n)
+    assert math.isfinite(got)
+    assert got == pytest.approx(math.exp(want), rel=1e-12)
+
+
 def test_vanish_leading_constant_a1():
     rs = build_root_system("A1")
     got = vanish_leading_constant(rs, [[1]], 1.0, 0.0, 1)
@@ -400,10 +421,11 @@ def test_peak_data_is_one_elimination(monkeypatch, spec, lam):
     assert peak.det_a > 0
 
 
-@pytest.mark.parametrize("n", [50, 100, 10 ** 4])
+@pytest.mark.parametrize("n", [46, 48, 50, 100, 10 ** 4])
 def test_leading_term_past_float_intermediates(n):
-    # (2 pi l N)^{dim G / 2} overflows for E8 from N = 50 (dim G / 2 = 124);
-    # the estimate falls back to log space and its log stays finite
+    # (2 pi l N)^{dim G / 2} overflows for E8 from N = 50 (dim G / 2 = 124),
+    # and its product with sqrt(det A) from N = 46; the estimate falls back
+    # to log space and its log stays finite
     rs = build_root_system("E8")
     est = leading_term_I(rs, rs.rho, CycleType((1,)), n)
     dim, kap, det_a, _ = peak_data(rs, rs.rho)
