@@ -24,8 +24,8 @@ from .harness import (ConvergenceReport, ExperimentConfig, HypothesisVerdict,
 from .repweights import (SecondMoment, WeightSystem, a_lambda, is_regular,
                          weight_system, weyl_dimension)
 from .rootsys import (ConfigurationError, FundamentalGroup, RootSystem,
-                      build_root_system, dominant_representative,
-                      fundamental_group, kappa, pairing, weyl_orbit)
+                      build_root_system, dominant_representative, kappa,
+                      pairing, weyl_orbit)
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,7 @@ __all__ = [
     "a_lambda", "adams", "biane_dimension_estimate", "build_root_system",
     "character_at", "check_hypotheses", "decompose",
     "default_grid", "dominant_representative", "dual", "exact_moment",
-    "fundamental_group", "invariant_dimension", "kappa",
+    "invariant_dimension", "kappa",
     "leading_term_I", "leading_term_K", "mehta_closed_form",
     "mehta_quadrature", "moment_sequence", "moment_terms", "nu_character",
     "pairing",

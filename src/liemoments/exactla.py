@@ -74,11 +74,6 @@ def lu_det(factors):
     return math.prod(up[k][k] for k in range(len(up)))
 
 
-def is_positive_definite(mat):
-    """Sylvester criterion on an exact symmetric matrix."""
-    return positive_lu(mat) is not None
-
-
 def hermite_normal_form(mat):
     """Row Hermite normal form of a nonsingular square integer matrix.
 

@@ -40,8 +40,11 @@ def parse_weight(text, rank=None):
 
 
 def parse_grid(text, rank):
-    """Parse per-axis grid sizes ``"64,64"``, one per torus axis."""
-    return _parse_ints(text, "grid", rank)
+    """Parse per-axis grid sizes ``"64,64"``, one size >= 1 per torus axis."""
+    sizes = _parse_ints(text, "grid", rank)
+    if min(sizes) < 1:
+        raise rootsys.ConfigurationError(f"grid {text!r} has a size below 1")
+    return sizes
 
 
 def parse_schedule(text):
@@ -129,7 +132,8 @@ class ExperimentConfig:
         paths = tuple(p.strip() for p in
                       str(m.get("paths", ",".join(_PATHS))).split(",")
                       if p.strip())
-        grid = str(m.get("grid") or "").strip()
+        grid = m.get("grid")
+        grid = "" if grid is None else str(grid).strip()
         grid_sizes = parse_grid(grid, rs.rank) if grid else None
         return ExperimentConfig(group=group, lam=lam, a=a, b=b,
                                 schedule=schedule, f=f, paths=paths,

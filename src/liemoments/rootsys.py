@@ -490,8 +490,3 @@ def order_mod_root_lattice(rs, mu):
     for c in root_lattice_coords(rs, mu):
         q = q * c.denominator // math.gcd(q, c.denominator)
     return q
-
-
-def fundamental_group(rs):
-    """The center data computed at build time (kept for API symmetry)."""
-    return rs.center

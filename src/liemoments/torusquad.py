@@ -11,9 +11,11 @@ that fails is an integer function of Lam and the inverse Cartan matrix
 (:func:`required_bandwidth`, after Moody-Patera's elements of finite
 order).  It comes from root data alone, never from a weight system, so the
 budgets refuse before any weight system is built.  It is the only
-aliasing certificate: a grid carries none of its own.  On A_r it needs
-about ((r + 1) / (2 r))^r of the points that bounding each axis by the
-largest |mu_i| would; on A1 the two agree.
+aliasing certificate: a grid carries none of its own, and the default grid
+is the bound plus one on every axis, since the alcove walk and the phase
+tables below take any size.  On A_r it needs about ((r + 1) / (2 r))^r of
+the points that bounding each axis by the largest |mu_i| would; on A1 the
+two agree.
 
 The sum runs over one point per Weyl orbit.  On each simple factor k take
 one size m_k, the largest grid size on its axes (still above the bandwidth
@@ -79,19 +81,6 @@ class TorusGrid:
     @property
     def num_points(self):
         return math.prod(self.sizes)
-
-
-def _next_smooth(n):
-    """Smallest 5-smooth integer >= n (grid sizes that factor nicely)."""
-    n = max(1, n)
-    while True:
-        m = n
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
-        n += 1
 
 
 @cache
@@ -172,12 +161,12 @@ def required_bandwidth(rs, lam, a, b, n, f):
 
 
 def default_grid(rs, lam, a, b, n, f=None):
-    """Smallest safe grid: :func:`required_bandwidth` + 1 on every axis of
-    each simple factor, rounded up 5-smooth.  No size exceeds the one a
-    per-axis bound on the largest |mu_i| would give."""
+    """Smallest safe grid: :func:`required_bandwidth` + 1 on every axis,
+    neither rounded nor clamped (the bound is at least 2, as 2 omega_i
+    lies in conv(W 2 rho))."""
     f = ClassFunction.one(rs.rank) if f is None else f
     bw = required_bandwidth(rs, lam, a, b, n, f)
-    return TorusGrid(sizes=tuple(_next_smooth(b_ + 1) for b_ in bw))
+    return TorusGrid(sizes=tuple(b_ + 1 for b_ in bw))
 
 
 _INT64_MAX = 2 ** 63 - 1

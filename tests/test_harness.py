@@ -359,6 +359,17 @@ def test_cli_quad_grid_with_wrong_axis_count_exits_2(capsys):
         assert f"expected {rank}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("group, lam, grid", [("A1", "1", "0"),
+                                              ("A1", "1", "-5"),
+                                              ("A2", "1,0", "64,0")])
+def test_cli_quad_non_positive_grid_size_exits_2(capsys, group, lam, grid):
+    args = ["quad", "--group", group, "--lam", lam, "--a", "1", "--N", "2",
+            f"--grid={grid}"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == \
+        f"error: grid {grid!r} has a size below 1\n"
+
+
 def test_cli_quad_unequal_sizes_within_one_factor(capsys):
     # B2 spin, K_2: bandwidth (8, 8), default grid (9, 9); the fixed grid
     # has two different sizes on the axes of one simple factor
@@ -386,6 +397,8 @@ def test_converge_grid_with_wrong_axis_count_exits_2(tmp_path, capsys):
     ("N", "1:x:2", "1:x:2"),
     ("f", "2:abc", "abc"),
     ("grid", "64,y", "64,y"),
+    ("grid", "0", "0"),
+    ("grid", "-5", "-5"),
     ("format", "xml", "xml"),
 ])
 def test_converge_malformed_numbers_exit_2(tmp_path, capsys, key, value,
@@ -396,6 +409,17 @@ def test_converge_malformed_numbers_exit_2(tmp_path, capsys, key, value,
     cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
     assert main(["converge", str(cfgfile)]) == 2
     assert repr(shown) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [0, -5, "0"])
+def test_config_mapping_refuses_a_grid_size_below_1(grid):
+    # an integer 0 is a grid size, not a missing grid
+    mapping = {"group": "A1", "lambda": "1", "a": "1", "N": "1:2",
+               "paths": "quad", "grid": grid}
+    with pytest.raises(ConfigurationError, match="has a size below 1"):
+        ExperimentConfig.from_mapping(mapping)
+    mapping["grid"] = None
+    assert ExperimentConfig.from_mapping(mapping).grid_sizes is None
 
 
 @pytest.mark.parametrize("coeff", ["nan", "inf", "-inf"])

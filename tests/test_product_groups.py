@@ -236,4 +236,4 @@ def test_cli_quad_on_a1_cubed_answers_at_60_and_refuses_at_100(capsys):
     # the point budget still counts the whole torus grid
     assert main(args + ["100"]) == 1
     assert capsys.readouterr().err == \
-        "error: grid has 10077696 points, budget is 4000000\n"
+        "error: grid has 8365427 points, budget is 4000000\n"

@@ -21,9 +21,9 @@ from liemoments.asymptotics import ClassFunction
 from liemoments.charring import CycleType, moment_sequence
 from liemoments.repweights import weight_system
 from liemoments.rootsys import build_root_system, factor_blocks
-from liemoments.torusquad import (TorusGrid, _alcove_factor, _factor_grids,
-                                  character_at, default_grid, quad_K_N,
-                                  weyl_denominator_sq)
+from liemoments.torusquad import (GridError, TorusGrid, _alcove_factor,
+                                  _factor_grids, character_at, default_grid,
+                                  quad_K_N, weyl_denominator_sq)
 
 import oracles
 
@@ -200,18 +200,33 @@ def test_quadrature_on_polytope_grid_matches_exact_integers(case):
     assert abs(got - want) <= 1e-9 * max(1, abs(want))
 
 
-def test_f4_adjoint_k7_answers():
-    # the per-axis grid of F4 adjoint K_7 has over 4e6 points and is
-    # refused; the polytope grid is 27^4
+@pytest.mark.parametrize("n, side, want", [
+    (7, 26, 4_109_654_354),
+    # from moment_sequence, whose chain takes over a second at N = 16
+    (16, 44, 2649250747302231655364965233968764),
+], ids=["K7", "K16"])
+def test_f4_adjoint_answers(n, side, want):
+    # the per-axis grid of F4 adjoint K_7 already has over 4e6 points and
+    # is refused; the polytope grid is the bound plus one per axis
     rs = build_root_system("F4")
     lam, a = (1, 0, 0, 0), CycleType((1,))
     one = ClassFunction.one(4)
-    per_axis = oracles.per_axis_bandwidth(rs, lam, a, a, 7, one)
+    per_axis = oracles.per_axis_bandwidth(rs, lam, a, a, n, one)
     assert math.prod(x + 1 for x in per_axis) > 4_000_000
-    assert default_grid(rs, lam, a, a, 7).sizes == (27,) * 4
-    (want,), = moment_sequence(rs, lam, a, a, (7,))
-    assert want == 4_109_654_354
-    assert quad_K_N(rs, lam, a, a, 7) == pytest.approx(want, rel=1e-12)
+    assert default_grid(rs, lam, a, a, n).sizes == (side,) * 4
+    if n == 7:
+        (exact,), = moment_sequence(rs, lam, a, a, (7,))
+        assert exact == want
+    assert quad_K_N(rs, lam, a, a, n) == pytest.approx(want, rel=1e-12)
+
+
+def test_f4_adjoint_k17_is_refused():
+    # 46^4 torus points, over the point budget
+    rs = build_root_system("F4")
+    a = CycleType((1,))
+    with pytest.raises(GridError,
+                       match="grid has 4477456 points, budget is 4000000"):
+        quad_K_N(rs, (1, 0, 0, 0), a, a, 17)
 
 
 def _per_call_quadrature(rs, lam, a, b, n, terms, sizes):

@@ -6,10 +6,9 @@ import pytest
 
 from liemoments import rootsys
 from liemoments.rootsys import (ConfigurationError, build_root_system,
-                                dominant_representative, fundamental_group,
-                                in_root_lattice, kappa,
-                                order_mod_root_lattice, pairing, parse_group,
-                                reflect_covector, reflect_weight,
+                                dominant_representative, in_root_lattice,
+                                kappa, order_mod_root_lattice, pairing,
+                                parse_group, reflect_covector, reflect_weight,
                                 simple_factors, weyl_orbit)
 
 ALL_SIMPLE = ([f"A{n}" for n in range(1, 9)]
@@ -171,7 +170,7 @@ def test_center_orders_table():
 def test_center_elements_pair_integrally_with_roots():
     for spec in ("A1", "A2", "A3", "B2", "C3", "D4", "G2"):
         rs = build_root_system(spec)
-        fg = fundamental_group(rs)
+        fg = rs.center
         assert len(set(fg.elements)) == fg.order
         assert fg.identity == (Fraction(0),) * rs.rank
         for psi in fg.elements:

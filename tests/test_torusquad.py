@@ -13,22 +13,11 @@ from liemoments.repweights import WeightSystem, weight_system, weyl_dimension
 from liemoments.rootsys import (build_root_system, dominant_representative,
                                 reflect_covector, simple_factors)
 from liemoments.torusquad import (GridError, TorusGrid, _check_phase_range,
-                                  _next_smooth, character_at, default_grid,
-                                  mehta_quadrature, quad_I_N, quad_K_N,
-                                  required_bandwidth, weyl_denominator_sq)
+                                  character_at, default_grid, mehta_quadrature,
+                                  quad_I_N, quad_K_N, required_bandwidth,
+                                  weyl_denominator_sq)
 
 import oracles
-
-
-def test_next_smooth():
-    assert _next_smooth(1) == 1
-    assert _next_smooth(7) == 8
-    assert _next_smooth(11) == 12
-    assert _next_smooth(13) == 15
-    assert _next_smooth(16) == 16
-    assert _next_smooth(31) == 32
-    assert _next_smooth(121) == 125
-    assert _next_smooth(0) == 1
 
 
 def test_point_budget_refuses_e6_rho_without_a_weight_system(monkeypatch):
@@ -45,13 +34,14 @@ def test_point_budget_refuses_e6_rho_without_a_weight_system(monkeypatch):
 
 
 def test_point_budget_refuses_e6_rho_on_a_polytope_grid():
-    # the polytope bound of E6 rho, I_1 is 19 on every axis: 20^6 torus
+    # the polytope bound of E6 rho, I_1 is 18 on every axis: 19^6 torus
     # points, still far over the budget (the per-axis grid was larger)
     rs = build_root_system("E6")
-    a, one = CycleType((1,)), ClassFunction.one(6)
-    assert default_grid(rs, rs.rho, a, CycleType(()), 1).sizes == (20,) * 6
-    assert all(x > 19 for x in oracles.per_axis_bandwidth(
-        rs, rs.rho, a, CycleType(()), 1, one))
+    a, b, one = CycleType((1,)), CycleType(()), ClassFunction.one(6)
+    assert required_bandwidth(rs, rs.rho, a, b, 1, one) == (18,) * 6
+    assert default_grid(rs, rs.rho, a, b, 1).sizes == (19,) * 6
+    assert all(x > 18 for x in oracles.per_axis_bandwidth(
+        rs, rs.rho, a, b, 1, one))
 
 
 # Every supported simple type of rank <= 4, with the trace patterns and
@@ -143,12 +133,18 @@ def test_required_bandwidth_a1():
 
 
 def test_default_grid_exceeds_bandwidth():
-    rs = build_root_system("A2")
-    a, b = CycleType((1,)), CycleType(())
-    for n in (1, 2, 5):
-        grid = default_grid(rs, (1, 1), a, b, n)
-        bw = required_bandwidth(rs, (1, 1), a, b, n, ClassFunction.one(2))
-        assert all(s > x for s, x in zip(grid.sizes, bw))
+    # the default grid is the bound plus one on every axis, unrounded:
+    # A3 adjoint K_6 has bound 20 and gets 21 points per axis
+    a, e = CycleType((1,)), CycleType(())
+    cases = [("A2", (1, 1), e, n, None) for n in (1, 2, 5)]
+    cases += [("A3", (1, 0, 1), a, 6, (21, 21, 21)),
+              ("A1xA2", (1, 1, 1), a, 4, (11, 16, 16))]
+    for spec, lam, b, n, sizes in cases:
+        rs = build_root_system(spec)
+        grid = default_grid(rs, lam, a, b, n)
+        bw = required_bandwidth(rs, lam, a, b, n, ClassFunction.one(rs.rank))
+        assert grid.sizes == tuple(x + 1 for x in bw)
+        assert sizes in (None, grid.sizes)
         assert grid.num_points == math.prod(grid.sizes)
 
 
