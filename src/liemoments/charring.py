@@ -20,6 +20,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from operator import add, neg
 
 from . import rootsys
 from .repweights import WeightSystem, check_dominant_integral, weight_system
@@ -161,6 +162,14 @@ def klimyk_step(rs, state, x, support_cap=10 ** 7, step=1):
     terms whose shift lands on a chamber wall dropped.  Refuses before any
     work when |state| * |support(X)| exceeds ``support_cap``; ``step`` only
     labels the refusal.
+
+    Most shifts s = mu + rho + w need no reflection.  With the depth
+    d = max over w of max_i(-w_i) (0 for the empty X), every shift of a mu
+    with min(mu) >= d is regular dominant, so its pairs add m_X(w) at
+    mu + w with no test.  For the other mu, a shift with every coordinate
+    positive adds directly, one with a zero coordinate lies on a wall (as
+    does its dominant conjugate) and is dropped, and only the rest are
+    reflected by :func:`rootsys.dominant_representative`.
     """
     pairs = len(state) * len(x)
     if pairs > support_cap:
@@ -168,21 +177,29 @@ def klimyk_step(rs, state, x, support_cap=10 ** 7, step=1):
             f"Klimyk step {step}: state of {len(state)} highest weights "
             f"times {len(x)} weights is {pairs} pairs, over support_cap "
             f"{support_cap}")
+    terms = list(x.items())
+    depth = max((max(map(neg, w)) for w in x), default=0)
+    reflect = rootsys.dominant_representative
     out = {}
+    get = out.get
     for mu, c in state.items():
+        if min(mu) >= depth:
+            for w, m in terms:
+                hw = tuple(map(add, mu, w))
+                out[hw] = get(hw, 0) + c * m
+            continue
         shifted_mu = tuple(m + 1 for m in mu)
-        for w, m in x.items():
-            dom, sign = rootsys.dominant_representative(
-                rs, tuple(s + y for s, y in zip(shifted_mu, w)))
-            if 0 in dom:
-                continue
-            hw = tuple(d - 1 for d in dom)
-            v = out.get(hw, 0) + sign * c * m
-            if v:
-                out[hw] = v
-            else:
-                out.pop(hw, None)
-    return out
+        for w, m in terms:
+            s = tuple(map(add, shifted_mu, w))
+            if min(s) > 0:
+                hw = tuple(map(add, mu, w))
+                out[hw] = get(hw, 0) + c * m
+            elif 0 not in s:
+                dom, sign = reflect(rs, s)
+                if 0 not in dom:
+                    hw = tuple(d - 1 for d in dom)
+                    out[hw] = get(hw, 0) + sign * c * m
+    return {hw: v for hw, v in out.items() if v}
 
 
 def _extend(rs, state, factors, support_cap, first_step):

@@ -206,10 +206,21 @@ class _GridPoints:
         if pts.dtype.kind != "i":
             raise TypeError(f"torus grid points must be signed integers, "
                             f"got {pts.dtype}")
+        # t and m - t share 4 sin^2 and have conjugate phases, so both
+        # tables are gathered from h = min(t, m - t) <= m / 2: sin(pi h / m)
+        # then never meets a float64 angle near pi, whose rounding costs
+        # 4 sin^2 up to ~1000 ulp near t = m.  The half turn h = m / 2 is
+        # -1 exactly, so every entry is the conjugate of its mirror.
         t = np.arange(m)
-        return cls(pts.astype(np.int64, copy=False) % m, m,
-                   np.exp(1j * (2 * math.pi * t / m)),
-                   4 * np.sin(math.pi * t / m) ** 2)
+        h = np.minimum(t, m - t)
+        k = np.arange(m // 2 + 1)
+        half = np.exp(1j * (2 * math.pi * k / m))
+        if m % 2 == 0:
+            half[-1] = -1
+        circle = half[h]
+        circle[t > h] = circle[t > h].conj()
+        return cls(pts.astype(np.int64, copy=False) % m, m, circle,
+                   (4 * np.sin(math.pi * k / m) ** 2)[h])
 
     def dilated(self, j):
         """The points j k, on the same tables."""

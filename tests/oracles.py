@@ -13,6 +13,10 @@ genuine two-route check:
   over them.
 * A re-assembly of the leading-order constant from raw transformed data, for
   the basis-independence certificate.
+* One Klimyk step that reflects every (highest weight, weight) pair to the
+  dominant chamber with ``rootsys.dominant_representative``: the loop whose
+  short cuts (no test above the depth, walls dropped unreflected) the
+  engine's step takes, so it checks those short cuts, not the reflection.
 * Torus evaluators as scalar per-weight and per-root loops: the character
   and the squared Weyl denominator at one point.
 * Torus quadrature over the whole uniform grid, every point of every Weyl
@@ -34,7 +38,7 @@ from math import comb
 import numpy as np
 
 from liemoments.exactla import frac_matrix, mat_vec
-from liemoments.rootsys import dominant_orbit
+from liemoments.rootsys import dominant_orbit, dominant_representative
 
 
 def det_fraction(mat):
@@ -317,6 +321,28 @@ def greedy_decompose(rs, ws):
                 remaining[nu] = v
             else:
                 remaining.pop(nu, None)
+    return out
+
+
+def klimyk_step_reference(rs, state, x):
+    """One Klimyk step reflecting every pair: ``sum_mu state[mu] V_mu (x) X``
+    as highest weights with signed multiplicities, each shift mu + rho + w
+    taken to its dominant conjugate and dropped when that lies on a wall.
+    The engine's step reflects only the shifts that leave the chamber."""
+    out = {}
+    for mu, c in state.items():
+        shifted_mu = tuple(m + 1 for m in mu)
+        for w, m in x.items():
+            dom, sign = dominant_representative(
+                rs, tuple(s + y for s, y in zip(shifted_mu, w)))
+            if 0 in dom:
+                continue
+            hw = tuple(d - 1 for d in dom)
+            v = out.get(hw, 0) + sign * c * m
+            if v:
+                out[hw] = v
+            else:
+                out.pop(hw, None)
     return out
 
 

@@ -9,7 +9,8 @@ from liemoments.charring import (CycleType, SupportCapExceeded, adams,
                                  exact_moment, invariant_dimension,
                                  klimyk_step, moment_sequence, moment_terms,
                                  permutation_trace_bruteforce, product,
-                                 product_all, trivial_multiplicity)
+                                 product_all, tensor_decompose,
+                                 trivial_multiplicity)
 from liemoments.repweights import weight_system
 from liemoments.rootsys import ConfigurationError, build_root_system
 
@@ -88,6 +89,38 @@ def test_klimyk_cap_refuses_before_the_step(monkeypatch):
     with pytest.raises(SupportCapExceeded, match="step 7: state of 2 "):
         klimyk_step(rs, {(0,): 1, (2,): 1}, weight_system(rs, (1,)).entries,
                     support_cap=3, step=7)
+
+
+def test_klimyk_step_reflects_only_shifts_that_leave_the_chamber(
+        monkeypatch):
+    # a shift mu + rho + w with every coordinate positive is dominant and
+    # one with a zero coordinate lies on a wall: only the rest, with a
+    # negative and no zero coordinate, are reflected, once per pair
+    rs = build_root_system("A2")
+    x = weight_system(rs, (1, 1)).entries
+    state = tensor_decompose(rs, [weight_system(rs, (1, 1))] * 3)
+    calls = []
+    original = rootsys.dominant_representative
+
+    def counted(rs, mu):
+        calls.append(mu)
+        return original(rs, mu)
+
+    monkeypatch.setattr(rootsys, "dominant_representative", counted)
+    got = klimyk_step(rs, state, x)
+    shifts = [tuple(m + 1 + y for m, y in zip(mu, w))
+              for mu in state for w in x]
+    leaving = [s for s in shifts if min(s) < 0 and 0 not in s]
+    assert sorted(calls) == sorted(leaving)
+    assert 0 < len(calls) < len(shifts)
+    assert got == oracles.klimyk_step_reference(rs, state, x)
+
+    # the adjoint's depth is 2: no highest weight below it, no reflection
+    calls.clear()
+    high = {(2, 2): 1, (2, 5): -2, (3, 2): 4}
+    assert klimyk_step(rs, high, x) == oracles.klimyk_step_reference(
+        rs, high, x)
+    assert calls == []
 
 
 @pytest.mark.parametrize("group, lam, a, b, f", [

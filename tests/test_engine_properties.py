@@ -9,8 +9,9 @@ with Freudenthal multiplicities.  The two routes share only root data.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liemoments.charring import (CycleType, exact_moment, moment_sequence,
-                                 moment_terms)
+from liemoments.charring import (CycleType, adams, dual, exact_moment,
+                                 klimyk_step, moment_sequence, moment_terms)
+from liemoments.repweights import weight_system
 from liemoments.rootsys import build_root_system, dominant_representative
 
 import oracles
@@ -134,3 +135,41 @@ def test_swapping_a_and_b_is_conjugation(case):
     want = moment_terms(rs, lam, a, b, nus)
     assert moment_terms(rs, lam, b, a, [star(rs, nu) for nu in nus]) == want
     assert moment_terms(rs, star(rs, lam), b, a, nus) == want
+
+
+STEP_GROUPS = {spec: build_root_system(spec)
+               for spec in ("A1", "A2", "A3", "B2", "C3", "G2", "A1xA2")}
+
+
+@st.composite
+def klimyk_cases(draw):
+    """A group, a W-invariant character X (a weight system, an Adams dilate,
+    a dual, negated or empty) and a state whose highest weights lie both
+    above and below the depth of X."""
+    rs = STEP_GROUPS[draw(st.sampled_from(sorted(STEP_GROUPS)))]
+    ws = weight_system(rs, draw(small_weights(rs.rank)))
+    kind = draw(st.sampled_from(["plain", "adams", "dual", "empty"]))
+    if kind == "adams":
+        ws = adams(ws, draw(st.integers(2, 3)))
+    elif kind == "dual":
+        ws = dual(ws)
+    x = {} if kind == "empty" else dict(ws.entries)
+    if draw(st.booleans()):
+        x = {w: -m for w, m in x.items()}
+    depth = max((max(-c for c in w) for w in x), default=0)
+    state = draw(st.dictionaries(small_weights(rs.rank, top=depth + 2),
+                                 st.integers(-3, 3), max_size=6))
+    return rs, state, x
+
+
+@settings(max_examples=150)
+@given(klimyk_cases())
+@example((STEP_GROUPS["A2"], {}, weight_system(STEP_GROUPS["A2"],
+                                                (1, 1)).entries))
+@example((STEP_GROUPS["B2"], {(0, 0): 2, (0, 3): -1, (3, 3): 1}, {}))
+@example((STEP_GROUPS["G2"], {(0, 1): 1, (2, 2): -1, (4, 4): 3},
+          dict(adams(weight_system(STEP_GROUPS["G2"], (1, 0)), 2).entries)))
+def test_klimyk_step_matches_reflect_every_pair(case):
+    rs, state, x = case
+    assert klimyk_step(rs, state, x) == oracles.klimyk_step_reference(
+        rs, state, x)

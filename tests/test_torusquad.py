@@ -3,6 +3,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -252,6 +253,25 @@ def test_shift_by_a_period_gives_identical_bits():
             shifted[:, i] += m * rng.integers(-3, 4, len(pts))
             assert np.array_equal(character_at(ws, shifted, m), chi)
             assert np.array_equal(weyl_denominator_sq(rs, shifted, m), dsq)
+
+
+def test_phase_tables_are_exact_mirrors():
+    # t and m - t read one table entry: equal 4 sin^2 and conjugate phases,
+    # the half turn -1 exactly; 4 sin^2 is never formed from an angle near
+    # pi, so it stays within 4 ulp (eps * value) of the correctly rounded one
+    for m in [*range(1, 65), 97, 360, 517, 731, 997, 1000]:
+        pts = torusquad._GridPoints.of(np.zeros((1, 1), dtype=np.int64), m)
+        t = np.arange(1, m)
+        assert np.array_equal(pts.circle[m - t], pts.circle[t].conj())
+        assert np.array_equal(pts.four_sin_sq[m - t], pts.four_sin_sq[t])
+        assert pts.circle[0] == 1 and pts.four_sin_sq[0] == 0
+        if m % 2 == 0:
+            assert pts.circle[m // 2] == -1
+        with mpmath.workdps(30):
+            for j in range(1, m // 2 + 1):
+                exact = 4 * mpmath.sin(mpmath.pi * j / m) ** 2
+                err = abs(mpmath.mpf(float(pts.four_sin_sq[j])) - exact)
+                assert err <= 4 * 2.0 ** -52 * exact, (m, j)
 
 
 def test_evaluators_refuse_non_integer_points_and_sizes():
