@@ -207,20 +207,19 @@ class _GridPoints:
             raise TypeError(f"torus grid points must be signed integers, "
                             f"got {pts.dtype}")
         # t and m - t share 4 sin^2 and have conjugate phases, so both
-        # tables are gathered from h = min(t, m - t) <= m / 2: sin(pi h / m)
-        # then never meets a float64 angle near pi, whose rounding costs
-        # 4 sin^2 up to ~1000 ulp near t = m.  The half turn h = m / 2 is
-        # -1 exactly, so every entry is the conjugate of its mirror.
-        t = np.arange(m)
-        h = np.minimum(t, m - t)
+        # tables mirror their first half k = 0..m/2: sin(pi k / m) then
+        # never meets a float64 angle near pi, whose rounding costs 4 sin^2
+        # up to ~1000 ulp near t = m.  The half turn k = m/2 is -1 exactly,
+        # so every phase is the conjugate of its mirror's.
         k = np.arange(m // 2 + 1)
-        half = np.exp(1j * (2 * math.pi * k / m))
+        circle = np.exp(1j * (2 * math.pi * k / m))
         if m % 2 == 0:
-            half[-1] = -1
-        circle = half[h]
-        circle[t > h] = circle[t > h].conj()
-        return cls(pts.astype(np.int64, copy=False) % m, m, circle,
-                   (4 * np.sin(math.pi * k / m) ** 2)[h])
+            circle[-1] = -1
+        four_sin_sq = 4 * np.sin(math.pi * k / m) ** 2
+        back = slice((m - 1) // 2, 0, -1)   # m - t for t = m/2 + 1 .. m - 1
+        return cls(pts.astype(np.int64, copy=False) % m, m,
+                   np.concatenate((circle, circle[back].conj())),
+                   np.concatenate((four_sin_sq, four_sin_sq[back])))
 
     def dilated(self, j):
         """The points j k, on the same tables."""
