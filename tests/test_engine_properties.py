@@ -4,6 +4,9 @@
 Weyl character formula and reads off the trivial multiplicity by an
 alternating sum over the orbit of rho; the engine tracks highest weights
 with Freudenthal multiplicities.  The two routes share only root data.
+One Klimyk step is also checked against ``oracles.klimyk_step_reference``,
+which reflects every pair: it shares the reflection with the engine, so it
+checks the step's short cuts.
 """
 
 from hypothesis import example, given, settings
