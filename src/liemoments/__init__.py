@@ -34,7 +34,8 @@ __version__ = "0.1.0"
 # and running the exact and asymptotic routes never loads numpy.
 _QUADRATURE_NAMES = frozenset((
     "GridError", "TorusGrid", "character_at", "default_grid",
-    "mehta_quadrature", "quad_I_N", "quad_K_N", "weyl_denominator_sq"))
+    "mehta_quadrature", "quad_I_N", "quad_K_N", "quad_sequence",
+    "weyl_denominator_sq"))
 
 
 def __getattr__(name):
@@ -60,6 +61,7 @@ __all__ = [
     "mehta_quadrature", "moment_sequence", "moment_terms", "nu_character",
     "pairing",
     "permutation_trace_bruteforce", "product", "quad_I_N", "quad_K_N",
+    "quad_sequence",
     "run_experiment", "tensor_decompose", "trivial_multiplicity",
     "vanish_leading_constant",
     "weight_system", "weyl_dimension", "weyl_denominator_sq",

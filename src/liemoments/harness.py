@@ -370,15 +370,16 @@ def _leading_term(rs, lam, a, b, n, f, peak=None):
 
 
 def _quad_column(rs, lam, cfg, f):
-    """Quadrature over the schedule, one :func:`route_value` call per N;
-    yields per N the value or the :class:`torusquad.GridError`."""
-    from . import torusquad
-    for n in cfg.schedule:
-        try:
-            yield route_value("quad", rs, lam, cfg.a, cfg.b, n, f,
-                              cfg.grid_sizes)
-        except torusquad.GridError as exc:
-            yield exc
+    """Quadrature over the schedule from one :func:`torusquad.quad_sequence`
+    call, which shares each alcove and character synthesis across a band
+    of rows; yields per N the value or the :class:`torusquad.GridError`.
+    Band tops and caller-grid rows equal :func:`route_value`'s bits, and
+    the other rows equal them to roundoff."""
+    from . import torusquad  # the only route that needs numpy
+    grid = (torusquad.TorusGrid(sizes=cfg.grid_sizes) if cfg.grid_sizes
+            else None)
+    return torusquad.quad_sequence(rs, lam, cfg.a, cfg.b, cfg.schedule, f=f,
+                                   grid=grid)
 
 
 def _asymptotic_column(rs, lam, cfg, f, verdict):

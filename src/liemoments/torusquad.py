@@ -37,6 +37,16 @@ Points are exact: an integer array k stands for k / m, the alcove is
 walked one residue class per axis (no candidate is discarded), and every
 phase is an integer mod m that indexes a table of trigonometric values.
 
+A grid above the certificate of the largest N of a schedule is exact for
+every smaller N, since the bound grows with N.  A sweep
+(:func:`quad_sequence`) therefore cuts its rows into bands, from the
+largest N down, of rows whose own grids have at least half the points of
+the band's top grid; each band walks one alcove per simple factor and
+synthesises its characters once, and each row only raises, multiplies
+and sums.  A row never sums over more than twice its own grid's points,
+so a long sweep does not pay for its largest alcove on every row.  A
+one-N call is the one-element schedule.
+
 This path shares no code with the character-ring route beyond the weight
 systems themselves, which is the point: the two must agree to roundoff.
 """
@@ -326,41 +336,12 @@ def _factor_grids(rs, sizes, max_points):
     return factors, cells
 
 
-def _alcove_sums(rs, lam, a, b, n, weights, m):
-    """Sum over the alcove points of the simple group ``rs`` on the grid
-    (1/m) Z^r of chi_nu |Delta|^2 prod_j chi(g^j)^(n a_j)
-    conj(chi(g^j))^(n b_j), chi the character of ``lam``, for each nu in
-    ``weights``: a dict nu -> complex, each part one exactly rounded
-    :func:`math.fsum`."""
-    # one residue array and one pair of tables serve every evaluation
-    pts = _GridPoints.of(_alcove_factor(rs, m), m)
-    ws = weight_system(rs, lam)
-    base = weyl_denominator_sq(rs, pts, m).astype(complex)
-    # chi(g^j) at k is chi at j k: one synthesis per Adams degree
-    for j, (aj, bj) in enumerate(zip_longest(a.exps, b.exps, fillvalue=0),
-                                 start=1):
-        if not (aj or bj):
-            continue
-        chi = character_at(ws, pts.dilated(j), m)
-        if aj:
-            base *= chi ** (n * aj)
-        if bj:
-            base *= np.conj(chi, out=chi) ** (n * bj)
-    sums = {}
-    for nu in weights:
-        terms = character_at(weight_system(rs, nu), pts, m) * base
-        sums[nu] = complex(math.fsum(terms.real.tolist()),
-                           math.fsum(terms.imag.tolist()))
-    return sums
-
-
-def _quad_core(rs, lam, a, b, n, f, grid, max_points):
-    lam = check_dominant_integral(rs, lam)
-    f = (ClassFunction.one(rs.rank) if f is None else f).validated(rs)
-    if n < 0:
-        raise ValueError(f"N must be >= 0, got {n}")
-    dim = weyl_dimension(rs, lam)
-    mag = (a.size + b.size) * n * math.log(dim)
+def _admit(rs, lam, a, b, n, f, grid, log_dim, max_points):
+    """One row's checks, in order: the float budget, the grid (the default
+    one, or a caller grid's axis count and aliasing), the point budget and
+    :func:`_factor_grids`.  Returns the factors and P, or raises the
+    :class:`GridError` that refuses the row; enumerates no point."""
+    mag = (a.size + b.size) * n * log_dim
     if mag > _MAX_LOG:
         raise GridError(
             f"integrand magnitude exp({mag:.1f}) exceeds the float budget "
@@ -381,25 +362,119 @@ def _quad_core(rs, lam, a, b, n, f, grid, max_points):
     if grid.num_points > max_points:
         raise GridError(
             f"grid has {grid.num_points} points, budget is {max_points}")
+    return _factor_grids(rs, grid.sizes, max_points)
 
-    # The integrand is a product over the simple factors, and so is each
-    # term of f: the sum is sum_nu c_nu prod_k S_k(nu_k), one alcove per
-    # factor.
-    factors, cells = _factor_grids(rs, grid.sizes, max_points)
-    terms = [(check_dominant_integral(rs, nu), c) for nu, c in f.terms]
-    values = [c for _, c in terms]
+
+def _band_values(rs, lam, a, b, ns, terms, factors, cells):
+    """Values at each n of ``ns`` on the one grid ``factors``, above every
+    row's certificate.
+
+    The integrand is a product over the simple factors, and so is each
+    term of f: a row's sum is sum_nu c_nu prod_k S_k(nu_k), one alcove per
+    factor.  Each factor's alcove, |Delta|^2, characters chi(g^j) (one per
+    Adams degree: chi at j k) and chi_nu (one per distinct nu_k) are built
+    once and serve every row; a row raises, multiplies and takes one
+    exactly rounded :func:`math.fsum` pair per nu_k.  Yields per n the
+    float or the imaginary-residual :class:`GridError`."""
+    degrees = [(j, aj, bj) for j, (aj, bj)
+               in enumerate(zip_longest(a.exps, b.exps, fillvalue=0), 1)
+               if aj or bj]
+    values = [[c for _, c in terms] for _ in ns]
     for block, rs_k, m in factors:
         part = slice(block.start, block.stop)
-        sums = _alcove_sums(rs_k, lam[part], a, b, n,
-                            dict.fromkeys(nu[part] for nu, _ in terms), m)
-        values = [v * sums[nu[part]] for v, (nu, _) in zip(values, terms)]
-    total = sum(values) / cells
-    residual = abs(total.imag)
-    if residual > 1e-10 * max(1.0, abs(total.real)):
-        raise GridError(
-            f"imaginary residual {residual:.3e} above tolerance for value "
-            f"{total.real:.6e}; quadrature inconsistent")
-    return total.real
+        # one residue array and one pair of tables serve every evaluation
+        pts = _GridPoints.of(_alcove_factor(rs_k, m), m)
+        ws = weight_system(rs_k, lam[part])
+        delta = weyl_denominator_sq(rs_k, pts, m)
+        chis = []
+        for j, aj, bj in degrees:
+            chi = character_at(ws, pts.dilated(j), m)
+            chis.append((aj, chi, bj, np.conj(chi) if bj else None))
+        nus = {nu: character_at(weight_system(rs_k, nu), pts, m)
+               for nu in dict.fromkeys(nu[part] for nu, _ in terms)}
+        for n, row in zip(ns, values):
+            base = delta.astype(complex)
+            for aj, chi, bj, chi_bar in chis:
+                if aj:
+                    base *= chi ** (n * aj)
+                if bj:
+                    base *= chi_bar ** (n * bj)
+            sums = {}
+            for nu, chi_nu in nus.items():
+                t = chi_nu * base
+                sums[nu] = complex(math.fsum(t.real.tolist()),
+                                   math.fsum(t.imag.tolist()))
+            row[:] = [v * sums[nu[part]] for v, (nu, _) in zip(row, terms)]
+    for row in values:
+        total = sum(row) / cells
+        residual = abs(total.imag)
+        if residual > 1e-10 * max(1.0, abs(total.real)):
+            yield GridError(
+                f"imaginary residual {residual:.3e} above tolerance for "
+                f"value {total.real:.6e}; quadrature inconsistent")
+        else:
+            yield total.real
+
+
+def quad_sequence(rs, lam, a, b, ns, f=None, grid=None,
+                  max_points=4_000_000):
+    """Torus quadrature of the two-sided moment (conjugated b factors; an
+    empty b gives the one-sided one) at each n of ``ns``.
+
+    Every row is checked before any point is enumerated, in the order and
+    with the messages of a one-N call (:func:`_admit`).  The admissible
+    rows are then cut into bands from the largest n down: a row joins the
+    current band while its own grid has at least half the torus points
+    P = prod_k m_k^rank_k of the band's top grid, and starts a new band
+    otherwise.  The bandwidth grows with n, so the top grid is above every
+    band row's certificate and each band sums on it alone
+    (:func:`_band_values`): one alcove walk and one character synthesis
+    per simple factor serve the whole band, and no row sums over more than
+    twice its own grid's points.  A caller grid is every row's grid, so
+    its rows form one band.  Band tops, caller-grid rows and one-element
+    schedules give the bits of a sum on their own grid; the other rows are
+    summed on a finer certified grid and differ from it at roundoff.
+
+    Yields, per n, the float or the :class:`GridError` that refused it.
+    """
+    lam = check_dominant_integral(rs, lam)
+    f = (ClassFunction.one(rs.rank) if f is None else f).validated(rs)
+    ns = tuple(ns)
+    for n in ns:
+        if n < 0:
+            raise ValueError(f"N must be >= 0, got {n}")
+    log_dim = math.log(weyl_dimension(rs, lam))
+    out, admitted = {}, []
+    for i, n in enumerate(ns):
+        try:
+            admitted.append((i, *_admit(rs, lam, a, b, n, f, grid, log_dim,
+                                        max_points)))
+        except GridError as exc:
+            out[i] = exc
+    bands = []      # (row indices, factors, P of the top grid)
+    for i, factors, cells in sorted(admitted, key=lambda row: -ns[row[0]]):
+        if bands and 2 * cells >= bands[-1][2]:
+            bands[-1][0].append(i)
+        else:
+            bands.append(([i], factors, cells))
+    band_of = {i: band for band in bands for i in band[0]}
+    terms = [(check_dominant_integral(rs, nu), c) for nu, c in f.terms]
+    for i in range(len(ns)):
+        if i not in out:
+            rows, factors, cells = band_of[i]
+            out.update(zip(rows, _band_values(
+                rs, lam, a, b, [ns[j] for j in rows], terms, factors,
+                cells)))
+        yield out.pop(i)
+
+
+def _one_row(rs, lam, a, b, n, f, grid, max_points):
+    """The value at n alone, or its refusal raised; ``quad_I_N`` calls it,
+    not ``quad_K_N``, so a traced one-sided call counts once."""
+    (value,) = quad_sequence(rs, lam, a, b, (n,), f, grid, max_points)
+    if isinstance(value, GridError):
+        raise value
+    return value
 
 
 def quad_I_N(rs, lam, a, n, f=None, grid=None, max_points=4_000_000):
@@ -408,12 +483,13 @@ def quad_I_N(rs, lam, a, n, f=None, grid=None, max_points=4_000_000):
     Exact up to roundoff on any admissible grid; refuses grids below the
     computed bandwidth and magnitudes beyond the float range.
     """
-    return _quad_core(rs, lam, a, CycleType(()), n, f, grid, max_points)
+    return _one_row(rs, lam, a, CycleType(()), n, f, grid, max_points)
 
 
 def quad_K_N(rs, lam, a, b, n, f=None, grid=None, max_points=4_000_000):
-    """Torus quadrature of the two-sided moment (conjugated b factors)."""
-    return _quad_core(rs, lam, a, b, n, f, grid, max_points)
+    """Torus quadrature of the two-sided moment (conjugated b factors): the
+    one-element schedule of :func:`quad_sequence`, raising its refusal."""
+    return _one_row(rs, lam, a, b, n, f, grid, max_points)
 
 
 def mehta_quadrature(rs, h, extra_nodes=0):

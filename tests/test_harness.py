@@ -297,6 +297,13 @@ def test_cli_quad(capsys):
                                                                    rel=1e-10)
 
 
+def test_cli_quad_prints_the_readme_bits(capsys):
+    # a one-N call sums on its own grid: the bits the README shows
+    args = ["quad", "--group", "A2", "--lam", "1,0", "--a", "1", "--N", "3"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == "0.9999999999999996\n"
+
+
 def test_cli_asym(capsys):
     args = ["asym", "--group", "A1", "--lam", "1", "--a", "1", "--N", "100"]
     assert main(args) == 0
@@ -585,3 +592,65 @@ def test_sweep_evaluates_f_at_the_center_once(monkeypatch, b):
         assert row.estimate == harness.route_value(
             "asymptotic", rs, (1, 1), cfg.a, cfg.b, row.n, f)
     assert len(calls) == 3 + 3 * len(report.rows)
+
+
+def _count_quadrature_work(monkeypatch):
+    """Record the grid size m of every alcove walk and count the character
+    syntheses of quadrature."""
+    from liemoments import torusquad
+    walks, syntheses = [], []
+    walk, synthesis = torusquad._alcove_factor, torusquad.character_at
+
+    def counted_walk(rs, m):
+        walks.append(m)
+        return walk(rs, m)
+
+    def counted_synthesis(ws, k, m):
+        syntheses.append(m)
+        return synthesis(ws, k, m)
+
+    monkeypatch.setattr(torusquad, "_alcove_factor", counted_walk)
+    monkeypatch.setattr(torusquad, "character_at", counted_synthesis)
+    return torusquad, walks, syntheses
+
+
+def test_quad_sweep_shares_alcoves_across_bands_of_rows(monkeypatch):
+    # the quad-rank3 benchmark sweep: rows 14 and 12 share one alcove, 10
+    # and 8 another, and 6, 4 and 2 each walk their own; each band
+    # synthesises chi and the trivial chi_nu once
+    torusquad, walks, syntheses = _count_quadrature_work(monkeypatch)
+    rs = build_root_system("A3")
+    lam, a = (1, 0, 1), CycleType((1,))
+    f = harness.ClassFunction((((0, 0, 0), 3.0),))
+    cfg = ExperimentConfig(group="A3", lam=lam, a=a, b=a,
+                           schedule=tuple(range(2, 15, 2)), f=f,
+                           paths=("quad",))
+    rows = run_experiment(cfg).rows
+    assert len(walks) == 5 and len(syntheses) == 10
+    assert sorted(walks) == sorted(set(walks))
+    for row in rows:
+        own = torusquad.default_grid(rs, lam, a, a, row.n, f).sizes[0]
+        # the row is summed on the smallest walked grid above its own
+        # certificate, with at most twice its own grid's torus points
+        m = min(w for w in walks if w >= own)
+        assert m ** rs.rank <= 2 * own ** rs.rank
+        want = harness.route_value("quad", rs, lam, a, a, row.n, f)
+        assert row.quad == pytest.approx(want, rel=1e-12)
+
+
+def test_quad_sweep_on_a_caller_grid_walks_once_per_factor(monkeypatch):
+    torusquad, walks, syntheses = _count_quadrature_work(monkeypatch)
+    rs = build_root_system("A1xA2")
+    lam, a = (1, 1, 1), CycleType((1,))
+    f = harness.ClassFunction((((0, 0, 0), 2.0), ((0, 1, 1), 5.0)))
+    sizes = torusquad.default_grid(rs, lam, a, a, 4, f).sizes
+    cfg = ExperimentConfig(group="A1xA2", lam=lam, a=a, b=a,
+                           schedule=(1, 2, 4), f=f, paths=("quad",),
+                           grid_sizes=sizes)
+    rows = run_experiment(cfg).rows
+    assert walks == [sizes[0], sizes[1]]
+    # per factor: chi, and chi_nu for each distinct projection of f
+    assert len(syntheses) == (1 + 1) + (1 + 2)
+    for row in rows:
+        assert row.quad == harness.route_value("quad", rs, lam, a, a, row.n,
+                                               f, sizes)

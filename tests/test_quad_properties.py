@@ -6,7 +6,8 @@ library sums over the grid points in the open fundamental alcove, one per
 regular Weyl orbit.  The two share only root data and the grid sizes.
 The alcove points themselves are checked against
 ``oracles.alcove_by_filter``, which walks the whole alcove simplex and
-keeps the integral points.
+keeps the integral points.  A sweep (``quad_sequence``) is checked row by
+row against one-N calls, which sum on each row's own grid.
 """
 
 import math
@@ -17,13 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liemoments import torusquad
 from liemoments.asymptotics import ClassFunction
 from liemoments.charring import CycleType, moment_sequence
-from liemoments.repweights import weight_system
+from liemoments.repweights import weight_system, weyl_dimension
 from liemoments.rootsys import build_root_system, factor_blocks
 from liemoments.torusquad import (GridError, TorusGrid, _alcove_factor,
                                   _factor_grids, character_at, default_grid,
-                                  quad_K_N, weyl_denominator_sq)
+                                  quad_K_N, quad_sequence,
+                                  weyl_denominator_sq)
 
 import oracles
 
@@ -274,3 +277,136 @@ def test_shared_tables_give_identical_bits(spec, lam, a, b, n, terms, sizes):
     got = quad_K_N(rs, lam, a, b, n, f=ClassFunction(terms),
                    grid=TorusGrid(sizes))
     assert got == _per_call_quadrature(rs, lam, a, b, n, terms, sizes)
+
+
+SEQUENCE_GROUPS = {spec: build_root_system(spec)
+                   for spec in ("A1", "A2", "A3", "B2", "G2", "A1xA2",
+                                "A1xG2")}
+# Bound on (a.weight + b.weight) * N for sweeps: no full-grid oracle runs
+# here, so the schedules reach further than MAX_DEGREE and span bands.
+SEQUENCE_DEGREE = {1: 24, 2: 12, 3: 8}
+
+
+@st.composite
+def sequence_cases(draw):
+    """A gapped schedule of 1-6 rows, with the grid and budgets of a sweep:
+    the default grids or a caller grid sized at one of the rows (so rows
+    above it alias), the default point budget or the torus points of one
+    row's grid (so the rows above it are refused and the bands start
+    lower), and sometimes a last row past the float budget."""
+    spec = draw(st.sampled_from(sorted(SEQUENCE_GROUPS)))
+    rs = SEQUENCE_GROUPS[spec]
+    lam = draw(small_weights(rs.rank))
+    a = CycleType(draw(cycle_types()))
+    b = CycleType(draw(st.just(a.exps) | cycle_types()))
+    if a.weight + b.weight > SEQUENCE_DEGREE[rs.rank]:
+        a, b = CycleType((1,)), CycleType(())
+    top = SEQUENCE_DEGREE[rs.rank] // max(1, a.weight + b.weight)
+    log_dim = math.log(weyl_dimension(rs, lam))
+    past_budget = (a.size + b.size) * log_dim > 0 and draw(st.booleans())
+    ns = sorted(draw(st.sets(st.integers(0, top), min_size=1,
+                             max_size=6 - past_budget)))
+    terms = tuple(draw(st.lists(st.tuples(small_weights(rs.rank),
+                                          st.integers(-3, 3).map(float)),
+                                min_size=1, max_size=2)))
+    f = ClassFunction(terms)
+    grid = None
+    if draw(st.booleans()):
+        sizes = default_grid(rs, lam, a, b, draw(st.sampled_from(ns)),
+                             f).sizes
+        grid = TorusGrid(tuple(m + draw(st.integers(0, 2)) for m in sizes))
+    max_points = 4_000_000
+    if draw(st.booleans()):
+        n = draw(st.sampled_from(ns))
+        max_points = (grid or default_grid(rs, lam, a, b, n, f)).num_points
+    if past_budget:
+        ns.append(math.floor(700 / ((a.size + b.size) * log_dim)) + 1)
+    return rs, lam, a, b, tuple(ns), f, grid, max_points
+
+
+def _roundoff_scale(rs, lam, a, b, n, terms, sizes):
+    """Sum of |c_nu| prod_k sum_alcove |chi_nu_k Delta^2 chi^(n a) ...|
+    over the terms, divided by the torus points: the scale the roundoff
+    of each factor's fsum, and so of the value, is relative to."""
+    factors, cells = _factor_grids(rs, sizes, max_points=10 ** 7)
+    scale = [abs(c) for _, c in terms]
+    for block, rs_k, m in factors:
+        part = slice(block.start, block.stop)
+        k = _alcove_factor(rs_k, m)
+        ws = weight_system(rs_k, lam[part])
+        mag = weyl_denominator_sq(rs_k, k, m)
+        for j, (aj, bj) in enumerate(zip_longest(a.exps, b.exps,
+                                                 fillvalue=0), start=1):
+            if aj or bj:
+                mag = mag * np.abs(character_at(ws, j * k, m)) ** (
+                    n * (aj + bj))
+        scale = [s * float(np.sum(np.abs(character_at(
+                     weight_system(rs_k, nu[part]), k, m)) * mag))
+                 for s, (nu, _) in zip(scale, terms)]
+    return sum(scale) / cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(sequence_cases())
+def test_sequence_rows_match_one_n_calls(case):
+    rs, lam, a, b, ns, f, grid, max_points = case
+    got = list(quad_sequence(rs, lam, a, b, ns, f=f, grid=grid,
+                             max_points=max_points))
+    assert len(got) == len(ns)
+    want, points = {}, {}
+    for n in ns:
+        try:
+            want[n] = quad_K_N(rs, lam, a, b, n, f=f, grid=grid,
+                               max_points=max_points)
+        except GridError as exc:
+            want[n] = exc
+            continue
+        points[n] = (grid or default_grid(rs, lam, a, b, n, f)).num_points
+    # bands from the largest admissible N down: a row tops a new band when
+    # its grid has fewer than half the points of the current band's top
+    tops, top = set(), None
+    for n in sorted(points, reverse=True):
+        if top is None or 2 * points[n] < points[top]:
+            tops.add(n)
+            top = n
+    for n, value in zip(ns, got):
+        if isinstance(want[n], GridError):
+            assert type(value) is type(want[n])
+            assert str(value) == str(want[n])
+        elif grid is not None or n in tops:
+            assert value == want[n]
+        else:
+            own = default_grid(rs, lam, a, b, n, f).sizes
+            scale = _roundoff_scale(rs, lam, a, b, n, f.terms, own)
+            assert abs(value - want[n]) <= 1e-11 * max(abs(want[n]), scale,
+                                                       1.0)
+
+
+def test_sequence_checks_every_row_before_it_enumerates(monkeypatch):
+    # every row's grid is sized and checked before the first alcove walk,
+    # and a negative N anywhere is refused before any walk
+    events = []
+    grid, walk = torusquad.default_grid, torusquad._alcove_factor
+
+    def sized(rs, lam, a, b, n, f=None):
+        events.append(("grid", n))
+        return grid(rs, lam, a, b, n, f)
+
+    def walked(rs, m):
+        events.append(("walk", m))
+        return walk(rs, m)
+
+    monkeypatch.setattr(torusquad, "default_grid", sized)
+    monkeypatch.setattr(torusquad, "_alcove_factor", walked)
+    rs = build_root_system("A2")
+    one = CycleType((1,))
+    rows = list(quad_sequence(rs, (1, 0), one, one, (1, 2, 6, 7),
+                              max_points=180))
+    # 196 points at N = 7: refused, so the bands are {6} and {2, 1}
+    assert str(rows[-1]) == "grid has 196 points, budget is 180"
+    assert events == [("grid", n) for n in (1, 2, 6, 7)] + [
+        ("walk", 7), ("walk", 13)]
+    events.clear()
+    with pytest.raises(ValueError, match="N must be >= 0, got -1"):
+        next(quad_sequence(rs, (1, 0), one, one, (1, 2, -1)))
+    assert events == []
