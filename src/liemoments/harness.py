@@ -371,10 +371,11 @@ def _leading_term(rs, lam, a, b, n, f, peak=None):
 
 def _quad_column(rs, lam, cfg, f):
     """Quadrature over the schedule from one :func:`torusquad.quad_sequence`
-    call, which shares each alcove and character synthesis across a band
-    of rows; yields per N the value or the :class:`torusquad.GridError`.
-    Band tops and caller-grid rows equal :func:`route_value`'s bits, and
-    the other rows equal them to roundoff."""
+    call, which walks each simple factor's alcove once and shares each
+    character synthesis across a band of rows; yields per N the value or
+    the :class:`torusquad.GridError`.  Band tops and caller-grid rows equal
+    :func:`route_value`'s bits, and the other rows equal them to
+    roundoff."""
     from . import torusquad  # the only route that needs numpy
     grid = (torusquad.TorusGrid(sizes=cfg.grid_sizes) if cfg.grid_sizes
             else None)

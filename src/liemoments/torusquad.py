@@ -41,11 +41,22 @@ A grid above the certificate of the largest N of a schedule is exact for
 every smaller N, since the bound grows with N.  A sweep
 (:func:`quad_sequence`) therefore cuts its rows into bands, from the
 largest N down, of rows whose own grids have at least half the points of
-the band's top grid; each band walks one alcove per simple factor and
-synthesises its characters once, and each row only raises, multiplies
-and sums.  A row never sums over more than twice its own grid's points,
-so a long sweep does not pay for its largest alcove on every row.  A
-one-N call is the one-element schedule.
+the band's top grid; each band synthesises its characters once, and each
+row only raises, multiplies and sums.  A row never sums over more than
+twice its own grid's points, so a long sweep does not pay for its largest
+alcove on every row.  The alcoves themselves are nested: in root-value
+coordinates the alcove of size m is z_j >= 1, sum_j a_j z_j <= m - 1 on a
+lattice that does not depend on m, so it is the alcove of any size M >= m
+cut at level m - 1.  A sweep walks each factor's alcove once, at its
+largest size, and every band reads its points off that walk.  A one-N
+call is the one-element schedule.
+
+On the alcove the two-sided integrand |Delta|^2 |chi|^(2N) is real and
+nonnegative: each Adams degree's paired part min(a_j, b_j) is raised as
+the real |chi|^2, only the unpaired rest is raised in complex, and a row
+without phase (every degree paired, trivial nu) sums one real
+:func:`math.fsum`.  A one-sided row has no paired part: its arithmetic,
+and so its value, is that of an all-complex sum.
 
 This path shares no code with the character-ring route beyond the weight
 systems themselves, which is the point: the two must agree to roundoff.
@@ -313,6 +324,15 @@ def _alcove_factor(rs, m):
     return c @ np.array(u, dtype=np.int64)
 
 
+def _alcove_levels(rs, k):
+    """The level sum_j a_j z_j = <theta, k> of each point k of
+    :func:`_alcove_factor`, theta the highest root.  Only the level bound
+    depends on m, so for m <= M the walk at m is the walk at M cut to the
+    points of level <= m - 1, in the same order."""
+    marks = max(rs.positive_rootcoords, key=sum)
+    return k @ (np.array(rs.cartan, dtype=np.int64) @ marks)
+
+
 def _factor_grids(rs, sizes, max_points):
     """Per simple factor its axes, its datum and its one size m_k, the
     largest of its axes' sizes, and the number P = prod_k m_k^rank_k of
@@ -365,45 +385,58 @@ def _admit(rs, lam, a, b, n, f, grid, log_dim, max_points):
     return _factor_grids(rs, grid.sizes, max_points)
 
 
-def _band_values(rs, lam, a, b, ns, terms, factors, cells):
+def _band_values(rs, lam, a, b, ns, terms, factors, cells, walks):
     """Values at each n of ``ns`` on the one grid ``factors``, above every
-    row's certificate.
+    row's certificate; ``walks`` holds per simple factor an alcove walk at
+    a size >= m_k and the levels of its points.
 
     The integrand is a product over the simple factors, and so is each
     term of f: a row's sum is sum_nu c_nu prod_k S_k(nu_k), one alcove per
-    factor.  Each factor's alcove, |Delta|^2, characters chi(g^j) (one per
-    Adams degree: chi at j k) and chi_nu (one per distinct nu_k) are built
-    once and serve every row; a row raises, multiplies and takes one
-    exactly rounded :func:`math.fsum` pair per nu_k.  Yields per n the
-    float or the imaginary-residual :class:`GridError`."""
-    degrees = [(j, aj, bj) for j, (aj, bj)
+    factor.  Each factor's alcove (the walk cut at level m_k - 1),
+    |Delta|^2, characters chi(g^j) (one per Adams degree: chi at j k) and
+    chi_nu (one per distinct nontrivial nu_k; chi_0 is 1) are built once
+    and serve every row.  Degree j's paired part min(a_j, b_j) enters as
+    the real |chi|^2, the unpaired rest as chi or conj(chi) to a complex
+    power, so a one-sided row is all complex.  A row raises and
+    multiplies, then takes one exactly rounded :func:`math.fsum` per nu_k,
+    real when its integrand has no phase and a real and imaginary pair
+    otherwise.  Yields per n the float or the imaginary-residual
+    :class:`GridError`."""
+    degrees = [(j, min(aj, bj), aj - bj) for j, (aj, bj)
                in enumerate(zip_longest(a.exps, b.exps, fillvalue=0), 1)
                if aj or bj]
     values = [[c for _, c in terms] for _ in ns]
-    for block, rs_k, m in factors:
+    for (block, rs_k, m), (walk, level) in zip(factors, walks):
         part = slice(block.start, block.stop)
         # one residue array and one pair of tables serve every evaluation
-        pts = _GridPoints.of(_alcove_factor(rs_k, m), m)
+        pts = _GridPoints.of(walk[level < m], m)
         ws = weight_system(rs_k, lam[part])
         delta = weyl_denominator_sq(rs_k, pts, m)
-        chis = []
-        for j, aj, bj in degrees:
+        paired, unpaired = [], []
+        for j, p, e in degrees:
             chi = character_at(ws, pts.dilated(j), m)
-            chis.append((aj, chi, bj, np.conj(chi) if bj else None))
+            if p:
+                paired.append((p, chi.real ** 2 + chi.imag ** 2))
+            if e:
+                unpaired.append((abs(e), chi if e > 0 else np.conj(chi)))
         nus = {nu: character_at(weight_system(rs_k, nu), pts, m)
+               if any(nu) else None
                for nu in dict.fromkeys(nu[part] for nu, _ in terms)}
         for n, row in zip(ns, values):
-            base = delta.astype(complex)
-            for aj, chi, bj, chi_bar in chis:
-                if aj:
-                    base *= chi ** (n * aj)
-                if bj:
-                    base *= chi_bar ** (n * bj)
+            base = delta
+            for p, chi_sq in paired:
+                base = base * chi_sq ** (n * p)
+            if unpaired:
+                base = base.astype(complex)
+                for e, chi in unpaired:
+                    base *= chi ** (n * e)
             sums = {}
             for nu, chi_nu in nus.items():
-                t = chi_nu * base
-                sums[nu] = complex(math.fsum(t.real.tolist()),
-                                   math.fsum(t.imag.tolist()))
+                t = base if chi_nu is None else chi_nu * base
+                sums[nu] = (complex(math.fsum(t.real.tolist()),
+                                    math.fsum(t.imag.tolist()))
+                            if np.iscomplexobj(t)
+                            else math.fsum(t.tolist()))
             row[:] = [v * sums[nu[part]] for v, (nu, _) in zip(row, terms)]
     for row in values:
         total = sum(row) / cells
@@ -428,12 +461,15 @@ def quad_sequence(rs, lam, a, b, ns, f=None, grid=None,
     P = prod_k m_k^rank_k of the band's top grid, and starts a new band
     otherwise.  The bandwidth grows with n, so the top grid is above every
     band row's certificate and each band sums on it alone
-    (:func:`_band_values`): one alcove walk and one character synthesis
-    per simple factor serve the whole band, and no row sums over more than
-    twice its own grid's points.  A caller grid is every row's grid, so
-    its rows form one band.  Band tops, caller-grid rows and one-element
-    schedules give the bits of a sum on their own grid; the other rows are
-    summed on a finer certified grid and differ from it at roundoff.
+    (:func:`_band_values`): one character synthesis per simple factor
+    serves the whole band, and no row sums over more than twice its own
+    grid's points.  The alcoves are nested, so each simple factor's is
+    walked once, at its largest size over the bands, and each band takes
+    the points of level <= m_k - 1 (:func:`_alcove_levels`).  A caller
+    grid is every row's grid, so its rows form one band.  Band tops,
+    caller-grid rows and one-element schedules give the bits of a one-N
+    call; the other rows are summed on a finer certified grid and differ
+    from it at roundoff.
 
     Yields, per n, the float or the :class:`GridError` that refused it.
     """
@@ -458,13 +494,18 @@ def quad_sequence(rs, lam, a, b, ns, f=None, grid=None,
         else:
             bands.append(([i], factors, cells))
     band_of = {i: band for band in bands for i in band[0]}
+    walks = []      # per simple factor: its largest alcove and the levels
+    for sizes in zip(*(factors for _, factors, _ in bands)):
+        rs_k = sizes[0][1]
+        walk = _alcove_factor(rs_k, max(m for _, _, m in sizes))
+        walks.append((walk, _alcove_levels(rs_k, walk)))
     terms = [(check_dominant_integral(rs, nu), c) for nu, c in f.terms]
     for i in range(len(ns)):
         if i not in out:
             rows, factors, cells = band_of[i]
             out.update(zip(rows, _band_values(
                 rs, lam, a, b, [ns[j] for j in rows], terms, factors,
-                cells)))
+                cells, walks)))
         yield out.pop(i)
 
 

@@ -595,8 +595,8 @@ def test_sweep_evaluates_f_at_the_center_once(monkeypatch, b):
 
 
 def _count_quadrature_work(monkeypatch):
-    """Record the grid size m of every alcove walk and count the character
-    syntheses of quadrature."""
+    """Record the grid size m of every alcove walk, and the grid size and
+    point count of every character synthesis of quadrature."""
     from liemoments import torusquad
     walks, syntheses = [], []
     walk, synthesis = torusquad._alcove_factor, torusquad.character_at
@@ -606,7 +606,7 @@ def _count_quadrature_work(monkeypatch):
         return walk(rs, m)
 
     def counted_synthesis(ws, k, m):
-        syntheses.append(m)
+        syntheses.append((m, len(k)))
         return synthesis(ws, k, m)
 
     monkeypatch.setattr(torusquad, "_alcove_factor", counted_walk)
@@ -615,9 +615,9 @@ def _count_quadrature_work(monkeypatch):
 
 
 def test_quad_sweep_shares_alcoves_across_bands_of_rows(monkeypatch):
-    # the quad-rank3 benchmark sweep: rows 14 and 12 share one alcove, 10
-    # and 8 another, and 6, 4 and 2 each walk their own; each band
-    # synthesises chi and the trivial chi_nu once
+    # the quad-rank3 benchmark sweep: one alcove walk at the largest size
+    # serves the bands {14, 12}, {10, 8}, {6}, {4} and {2}; each band
+    # synthesises chi once on its own grid (chi_0 = 1 is not synthesised)
     torusquad, walks, syntheses = _count_quadrature_work(monkeypatch)
     rs = build_root_system("A3")
     lam, a = (1, 0, 1), CycleType((1,))
@@ -626,13 +626,18 @@ def test_quad_sweep_shares_alcoves_across_bands_of_rows(monkeypatch):
                            schedule=tuple(range(2, 15, 2)), f=f,
                            paths=("quad",))
     rows = run_experiment(cfg).rows
-    assert len(walks) == 5 and len(syntheses) == 10
-    assert sorted(walks) == sorted(set(walks))
+    # 42 is N = 14's default size
+    assert walks == [42] and len(syntheses) == 5
+    sizes = [m for m, _ in syntheses]
+    assert sorted(sizes) == sorted(set(sizes))
+    # each band synthesises on exactly the alcove of its own size
+    for m, points in syntheses:
+        assert points == len(oracles.alcove_by_filter(rs, m))
     for row in rows:
         own = torusquad.default_grid(rs, lam, a, a, row.n, f).sizes[0]
-        # the row is summed on the smallest walked grid above its own
+        # the row is summed on the smallest band grid above its own
         # certificate, with at most twice its own grid's torus points
-        m = min(w for w in walks if w >= own)
+        m = min(s for s in sizes if s >= own)
         assert m ** rs.rank <= 2 * own ** rs.rank
         want = harness.route_value("quad", rs, lam, a, a, row.n, f)
         assert row.quad == pytest.approx(want, rel=1e-12)
@@ -649,8 +654,9 @@ def test_quad_sweep_on_a_caller_grid_walks_once_per_factor(monkeypatch):
                            grid_sizes=sizes)
     rows = run_experiment(cfg).rows
     assert walks == [sizes[0], sizes[1]]
-    # per factor: chi, and chi_nu for each distinct projection of f
-    assert len(syntheses) == (1 + 1) + (1 + 2)
+    # per factor: chi, and chi_nu for each distinct nontrivial projection
+    # of f (A1: none; A2: (1, 1))
+    assert len(syntheses) == (1 + 0) + (1 + 1)
     for row in rows:
         assert row.quad == harness.route_value("quad", rs, lam, a, a, row.n,
                                                f, sizes)

@@ -164,6 +164,30 @@ def test_coset_enumeration_matches_simplex_filter(case):
     assert np.all((values > 0) & (values < m))
 
 
+NESTING_TYPES = [f"{letter}{n}" for letter, lo in
+                 (("A", 1), ("B", 2), ("C", 3), ("D", 4))
+                 for n in range(lo, 5)] + ["F4", "G2"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(NESTING_TYPES), st.integers(2, 30), st.data())
+def test_alcoves_are_level_cuts_of_larger_alcoves(spec, top, data):
+    # only the level bound sum_j a_j z_j <= m - 1 depends on m, so the
+    # walk at m is the walk at top cut to level <= m - 1; the cut keeps the
+    # walk's order, so a band reads the very array a walk at m returns
+    rs = build_root_system(spec)
+    m = data.draw(st.integers(1, top - 1))
+    big = _alcove_factor(rs, top)
+    # on the closed alcove the highest root pairs largest with k
+    level = (big @ np.array(rs.positive_roots, dtype=np.int64).T).max(
+        axis=1, initial=0)
+    assert np.array_equal(torusquad._alcove_levels(rs, big), level)
+    cut, small = big[level <= m - 1], _alcove_factor(rs, m)
+    assert sorted(map(tuple, cut.tolist())) == \
+        sorted(map(tuple, small.tolist()))
+    assert np.array_equal(cut, small)
+
+
 EXACT_GROUPS = {spec: build_root_system(spec)
                 for spec in ("A2", "B2", "G2", "A3", "B3", "C3", "A1xA2",
                              "A1xB2")}
@@ -232,31 +256,55 @@ def test_f4_adjoint_k17_is_refused():
         quad_K_N(rs, (1, 0, 0, 0), a, a, 17)
 
 
-def _per_call_quadrature(rs, lam, a, b, n, terms, sizes):
+def _per_call_quadrature(rs, lam, a, b, n, terms, sizes, real_pairs=True):
     """The alcove quadrature with every character and denominator evaluated
     through the public evaluators, each reducing its own points and
-    building its own table."""
+    building its own table.
+
+    With ``real_pairs`` it does the library's row arithmetic: degree j's
+    paired part min(a_j, b_j) raises the real |chi|^2, the unpaired rest
+    chi or conj(chi) in complex, chi_0 = 1 is not evaluated, and a sum
+    without phase is one real fsum.  Without it every factor is complex,
+    chi^(n a_j) then conj(chi)^(n b_j) and chi_nu for every nu."""
     factors, cells = _factor_grids(rs, sizes, max_points=10 ** 7)
     values = [c for _, c in terms]
     for block, rs_k, m in factors:
         part = slice(block.start, block.stop)
         k = _alcove_factor(rs_k, m)
         ws = weight_system(rs_k, lam[part])
-        base = weyl_denominator_sq(rs_k, k, m).astype(complex)
+        base = weyl_denominator_sq(rs_k, k, m)
+        if not real_pairs:
+            base = base.astype(complex)
+        phased = []
         for j, (aj, bj) in enumerate(zip_longest(a.exps, b.exps,
                                                  fillvalue=0), start=1):
             if not (aj or bj):
                 continue
             chi = character_at(ws, j * k, m)
-            if aj:
-                base *= chi ** (n * aj)
-            if bj:
-                base *= np.conj(chi, out=chi) ** (n * bj)
+            if not real_pairs:
+                if aj:
+                    base *= chi ** (n * aj)
+                if bj:
+                    base *= np.conj(chi) ** (n * bj)
+                continue
+            if min(aj, bj):
+                base = base * (chi.real ** 2 + chi.imag ** 2) ** (
+                    n * min(aj, bj))
+            if aj != bj:
+                phased.append(chi ** (n * (aj - bj)) if aj > bj
+                              else np.conj(chi) ** (n * (bj - aj)))
+        if phased:
+            base = base.astype(complex)
+            for power in phased:
+                base *= power
         sums = {}
         for nu in dict.fromkeys(nu[part] for nu, _ in terms):
-            part_terms = character_at(weight_system(rs_k, nu), k, m) * base
-            sums[nu] = complex(math.fsum(part_terms.real.tolist()),
-                               math.fsum(part_terms.imag.tolist()))
+            t = base
+            if any(nu) or not real_pairs:
+                t = character_at(weight_system(rs_k, nu), k, m) * base
+            sums[nu] = (complex(math.fsum(t.real.tolist()),
+                                math.fsum(t.imag.tolist()))
+                        if np.iscomplexobj(t) else math.fsum(t.tolist()))
         values = [v * sums[nu[part]] for v, (nu, _) in zip(values, terms)]
     return (sum(values) / cells).real
 
@@ -268,6 +316,7 @@ def _per_call_quadrature(rs, lam, a, b, n, terms, sizes):
     ("G2", (1, 0), (0, 1), (), 3, (((1, 0), 3.0), ((0, 0), 1.0)), (25, 15)),
     ("A1xA2", (1, 1, 1), (1,), (1,), 3,
      (((0, 0, 0), 2.0), ((0, 1, 1), 5.0)), (9, 20, 20)),
+    ("A2", (1, 0), (1,), (), 3, (((0, 0), 1.0),), (7, 7)),
 ])
 def test_shared_tables_give_identical_bits(spec, lam, a, b, n, terms, sizes):
     # one residue array and one pair of tables per alcove sum give the
@@ -277,6 +326,11 @@ def test_shared_tables_give_identical_bits(spec, lam, a, b, n, terms, sizes):
     got = quad_K_N(rs, lam, a, b, n, f=ClassFunction(terms),
                    grid=TorusGrid(sizes))
     assert got == _per_call_quadrature(rs, lam, a, b, n, terms, sizes)
+    if not any(map(min, zip(a.exps, b.exps))):
+        # no paired degree: the row does the all-complex arithmetic, and
+        # skipping chi_0 = 1 changes no bit
+        assert got == _per_call_quadrature(rs, lam, a, b, n, terms, sizes,
+                                           real_pairs=False)
 
 
 SEQUENCE_GROUPS = {spec: build_root_system(spec)
@@ -383,8 +437,9 @@ def test_sequence_rows_match_one_n_calls(case):
 
 
 def test_sequence_checks_every_row_before_it_enumerates(monkeypatch):
-    # every row's grid is sized and checked before the first alcove walk,
-    # and a negative N anywhere is refused before any walk
+    # every row's grid is sized and checked before the one alcove walk,
+    # at the largest admitted size, and a negative N anywhere is refused
+    # before any walk
     events = []
     grid, walk = torusquad.default_grid, torusquad._alcove_factor
 
@@ -402,11 +457,71 @@ def test_sequence_checks_every_row_before_it_enumerates(monkeypatch):
     one = CycleType((1,))
     rows = list(quad_sequence(rs, (1, 0), one, one, (1, 2, 6, 7),
                               max_points=180))
-    # 196 points at N = 7: refused, so the bands are {6} and {2, 1}
+    # 196 points at N = 7: refused, so the bands are {6} and {2, 1}, and
+    # the walk at N = 6's size 13 serves both
     assert str(rows[-1]) == "grid has 196 points, budget is 180"
-    assert events == [("grid", n) for n in (1, 2, 6, 7)] + [
-        ("walk", 7), ("walk", 13)]
+    assert events == [("grid", n) for n in (1, 2, 6, 7)] + [("walk", 13)]
     events.clear()
     with pytest.raises(ValueError, match="N must be >= 0, got -1"):
         next(quad_sequence(rs, (1, 0), one, one, (1, 2, -1)))
     assert events == []
+
+
+def test_imaginary_residual_refuses_an_inconsistent_sum(monkeypatch):
+    # a constant phase e^(i pi / 4) on every synthesised character turns
+    # the one-sided A1 integral of chi^2 (= 1) into i, whose imaginary part
+    # the residual check refuses; |chi|^2 does not see the phase, so the
+    # two-sided row still gives K_2 = 2
+    synthesis = torusquad.character_at
+    phase = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
+    monkeypatch.setattr(torusquad, "character_at",
+                        lambda ws, k, m: synthesis(ws, k, m) * phase)
+    rs = build_root_system("A1")
+    one = CycleType((1,))
+    with pytest.raises(GridError, match=r"^imaginary residual 1\.0+e\+00 "
+                       r"above tolerance for value .*; quadrature "
+                       r"inconsistent$"):
+        torusquad.quad_I_N(rs, (1,), one, 2)
+    (row,) = quad_sequence(rs, (1,), one, CycleType(()), (2,))
+    assert isinstance(row, GridError)
+    assert quad_K_N(rs, (1,), one, one, 2) == pytest.approx(2, rel=1e-14)
+
+
+@pytest.mark.parametrize("n, want", [(1, -1), (4, 58)])
+def test_row_with_an_unpaired_degree_sums_its_imaginary_part(monkeypatch, n,
+                                                             want):
+    # A2, Tr(g) Tr(g^2) conj(Tr(g)) chi_(1,0): degree 1 is paired, degree 2
+    # is not, and nu = (1, 0) is not self-dual, so the factor sum is complex
+    # and takes the fsum pair; the value agrees with the all-complex sum
+    rs = build_root_system("A2")
+    lam, a, b = (1, 0), CycleType((1, 1)), CycleType((1,))
+    terms = (((1, 0), 1.0),)
+    sums, fsum = [], math.fsum
+    monkeypatch.setattr(math, "fsum", lambda xs: sums.append(len(xs))
+                        or fsum(xs))
+    got = quad_K_N(rs, lam, a, b, n, f=ClassFunction(terms))
+    monkeypatch.undo()
+    assert len(sums) == 2 and sums[0] == sums[1]
+    (mults,) = moment_sequence(rs, lam, a, b, (n,), [nu for nu, _ in terms])
+    assert mults == [want]
+    sizes = default_grid(rs, lam, a, b, n, ClassFunction(terms)).sizes
+    oracle = _per_call_quadrature(rs, lam, a, b, n, terms, sizes,
+                                  real_pairs=False)
+    scale = _roundoff_scale(rs, lam, a, b, n, terms, sizes)
+    assert abs(got - oracle) <= 1e-11 * max(abs(oracle), scale, 1.0)
+    assert abs(got - want) <= 1e-11 * max(abs(want), scale, 1.0)
+
+
+def test_row_without_phase_sums_one_real_fsum(monkeypatch):
+    # a = b and f = 1: |Delta|^2 |chi|^(2N) is real, one fsum per factor
+    rs = build_root_system("A1xA2")
+    one = CycleType((1,))
+    sums, fsum = [], math.fsum
+    monkeypatch.setattr(math, "fsum", lambda xs: sums.append(len(xs))
+                        or fsum(xs))
+    got = quad_K_N(rs, (1, 1, 0), one, one, 3)
+    monkeypatch.undo()
+    assert len(sums) == 2
+    (mults,) = moment_sequence(rs, (1, 1, 0), one, one, (3,),
+                               [(0, 0, 0)])
+    assert got == pytest.approx(mults[0], rel=1e-13)
