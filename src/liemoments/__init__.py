@@ -15,17 +15,17 @@ from .asymptotics import (AsymptoticEstimate, ClassFunction, HypothesisError,
                           biane_dimension_estimate, leading_term_I,
                           leading_term_K, mehta_closed_form, nu_character,
                           vanish_leading_constant)
-from .charring import (CycleType, SupportCapExceeded, adams, decompose, dual,
+from .charring import (CycleType, SupportCapExceeded, adams, dual,
                        exact_moment, invariant_dimension, moment_sequence,
-                       moment_terms, permutation_trace_bruteforce, product,
-                       tensor_decompose, trivial_multiplicity)
+                       moment_terms, product, tensor_decompose,
+                       trivial_multiplicity)
 from .harness import (ConvergenceReport, ExperimentConfig, HypothesisVerdict,
                       check_hypotheses, run_experiment)
 from .repweights import (SecondMoment, WeightSystem, a_lambda, is_regular,
                          weight_system, weyl_dimension)
 from .rootsys import (ConfigurationError, FundamentalGroup, RootSystem,
                       build_root_system, dominant_representative, kappa,
-                      pairing, weyl_orbit)
+                      pairing)
 
 __version__ = "0.1.0"
 
@@ -33,9 +33,8 @@ __version__ = "0.1.0"
 # from liemoments.torusquad on first access (PEP 562): importing the package
 # and running the exact and asymptotic routes never loads numpy.
 _QUADRATURE_NAMES = frozenset((
-    "GridError", "TorusGrid", "character_at", "default_grid",
-    "mehta_quadrature", "quad_I_N", "quad_K_N", "quad_sequence",
-    "weyl_denominator_sq"))
+    "GridError", "TorusGrid", "character_at", "default_grid", "quad_I_N",
+    "quad_K_N", "quad_sequence", "weyl_denominator_sq"))
 
 
 def __getattr__(name):
@@ -54,16 +53,11 @@ __all__ = [
     "GridError", "HypothesisError", "HypothesisVerdict", "RootSystem",
     "SecondMoment", "SupportCapExceeded", "TorusGrid", "WeightSystem",
     "a_lambda", "adams", "biane_dimension_estimate", "build_root_system",
-    "character_at", "check_hypotheses", "decompose",
-    "default_grid", "dominant_representative", "dual", "exact_moment",
-    "invariant_dimension", "kappa",
-    "leading_term_I", "leading_term_K", "mehta_closed_form",
-    "mehta_quadrature", "moment_sequence", "moment_terms", "nu_character",
-    "pairing",
-    "permutation_trace_bruteforce", "product", "quad_I_N", "quad_K_N",
-    "quad_sequence",
-    "run_experiment", "tensor_decompose", "trivial_multiplicity",
-    "vanish_leading_constant",
+    "character_at", "check_hypotheses", "default_grid",
+    "dominant_representative", "dual", "exact_moment", "invariant_dimension",
+    "kappa", "leading_term_I", "leading_term_K", "mehta_closed_form",
+    "moment_sequence", "moment_terms", "nu_character", "pairing", "product",
+    "quad_I_N", "quad_K_N", "quad_sequence", "run_experiment",
+    "tensor_decompose", "trivial_multiplicity", "vanish_leading_constant",
     "weight_system", "weyl_dimension", "weyl_denominator_sq",
-    "weyl_orbit",
 ]

@@ -73,11 +73,6 @@ class ClassFunction:
             check_dominant_integral(rs, nu)
         return self
 
-    def is_trivial_one(self):
-        return (len(self.terms) == 1
-                and all(c == 0 for c in self.terms[0][0])
-                and self.terms[0][1] == 1.0)
-
     def central_value(self, rs, psi):
         """Value at the central element psi: sum c * dim * phase."""
         out = complex(0, 0)
@@ -85,9 +80,6 @@ class ClassFunction:
             phase = _unit_phase(rootsys.pairing(nu, psi))
             out += c * weyl_dimension(rs, nu) * phase
         return out
-
-    def value_at_identity(self, rs):
-        return sum(c * weyl_dimension(rs, nu) for nu, c in self.terms)
 
 
 @dataclass(frozen=True)
@@ -277,7 +269,7 @@ def biane_dimension_estimate(rs, lam, n):
     the center characters make the count oscillate in N).
     """
     lam = _check_common(rs, lam, n)
-    if not rootsys.in_root_lattice(rs, lam):
+    if rootsys.order_mod_root_lattice(rs, lam) != 1:
         raise HypothesisError(
             f"highest weight {lam} must lie in the root lattice")
     return leading_term_I(rs, lam, CycleType((1,)), n).value
@@ -314,7 +306,7 @@ def weyl_equivariant(rs, h):
     return True
 
 
-def _checked_form(rs, h, equivariant):
+def _checked_form(rs, h):
     """:func:`exact_form`'s matrix and its :func:`exactla.positive_lu`
     factors, from the elimination that decides definiteness."""
     try:
@@ -324,7 +316,7 @@ def _checked_form(rs, h, equivariant):
     n = len(m)
     if n != rs.rank or any(len(r) != n for r in m):
         raise ValueError(f"form must be {rs.rank} x {rs.rank}")
-    if equivariant and not weyl_equivariant(rs, m):
+    if not weyl_equivariant(rs, m):
         raise ValueError(
             "form does not commute with the Weyl action; the kappa closed "
             "form does not apply")
@@ -336,22 +328,22 @@ def _checked_form(rs, h, equivariant):
     return m, lu
 
 
-def exact_form(rs, h, equivariant=True):
+def exact_form(rs, h):
     """The quadratic form ``h`` as an exact rank x rank Fraction matrix.
 
     ``Fraction(x)`` is exact for int, Fraction and float entries alike, so
     nothing is rounded here.  Refused with ValueError, in this order: a
     shape other than rank x rank, a form that does not commute with the
-    Weyl action (checked only when ``equivariant``), one that is not
-    symmetric, and one that is not positive definite.
+    Weyl action, one that is not symmetric, and one that is not positive
+    definite.
     """
-    return _checked_form(rs, h, equivariant)[0]
+    return _checked_form(rs, h)[0]
 
 
 def _mehta_parts(rs, h):
     """kappa(h^{-1} rho) and det h, exact, for a form that passes
     :func:`exact_form`; one elimination gives both."""
-    _, lu = _checked_form(rs, h, True)
+    _, lu = _checked_form(rs, h)
     return rootsys.kappa(rs, lu_solve(lu, rs.rho)), lu_det(lu)
 
 

@@ -16,7 +16,6 @@ Everything here is exact integer arithmetic.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -220,17 +219,9 @@ def tensor_decompose(rs, factors, support_cap=10 ** 7):
     return _extend(rs, {(0,) * rs.rank: 1}, factors, support_cap, 1)
 
 
-def decompose(rs, ws):
-    """Full decomposition of a virtual character into irreducibles.
-
-    Returns a dict mapping highest weights to signed multiplicities.
-    """
-    return tensor_decompose(rs, [ws])
-
-
 def trivial_multiplicity(rs, ws):
     """Multiplicity of the trivial representation in a virtual character."""
-    return decompose(rs, ws).get((0,) * rs.rank, 0)
+    return tensor_decompose(rs, [ws]).get((0,) * rs.rank, 0)
 
 
 def _power_factors(ws, a):
@@ -397,45 +388,3 @@ def invariant_dimension(rs, lam, n):
             f"multiplicity")
     return state.get((0,) * rs.rank, 0)
 
-
-def canonical_permutation(a):
-    """A permutation of {0..k-1} with cycle type ``a``: cycles in increasing
-    length, filled with consecutive indices.  Returned as the image array."""
-    k = a.weight
-    perm = list(range(k))
-    pos = 0
-    for j, aj in enumerate(a.exps, start=1):
-        for _ in range(aj):
-            block = list(range(pos, pos + j))
-            for idx, src in enumerate(block):
-                perm[src] = block[(idx + 1) % j]
-            pos += j
-    return perm
-
-
-def permutation_trace_bruteforce(matrix, a, cap=10 ** 5):
-    """Trace of (B tensor ... tensor B) composed with a cycle-type permutation.
-
-    Brute force over all d^k tensor basis states; refuses when d^k exceeds
-    ``cap``.  The permutation operator sends basis slot i to slot sigma(i)
-    (slot i of the output holds the input slot sigma^{-1}(i)).
-    """
-    d = len(matrix)
-    k = a.weight
-    if k == 0:
-        return 1.0 + 0.0j
-    if d ** k > cap:
-        raise ValueError(f"d^k = {d ** k} exceeds brute-force cap {cap}")
-    perm = canonical_permutation(a)
-    inv = [0] * k
-    for i, p in enumerate(perm):
-        inv[p] = i
-    total = 0.0 + 0.0j
-    for phi in itertools.product(range(d), repeat=k):
-        term = 1.0 + 0.0j
-        for i in range(k):
-            term *= matrix[phi[i]][phi[inv[i]]]
-            if term == 0:
-                break
-        total += term
-    return total

@@ -190,18 +190,6 @@ class HypothesisVerdict:
     problems_one_sided: tuple
     problems_two_sided: tuple
 
-    @property
-    def ok_one_sided(self):
-        return not self.problems_one_sided
-
-    @property
-    def ok_two_sided(self):
-        return not self.problems_two_sided
-
-    def one_sided_nonzero(self, n):
-        """Whether the one-sided moment can be nonzero at index n."""
-        return n % self.vanishing_period == 0
-
     def to_dict(self):
         return {
             "regular": self.regular,

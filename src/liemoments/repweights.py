@@ -23,7 +23,7 @@ from functools import cache, cached_property
 from operator import add, mul
 
 from . import rootsys
-from .exactla import lu_det, lu_solve, mat_vec, positive_lu
+from .exactla import lu_det, lu_solve, positive_lu
 
 
 class WeightSystem:
@@ -199,10 +199,6 @@ class SecondMoment:
         # The matrix is a Gram sum, hence positive semidefinite, and a PSD
         # matrix with a zero leading minor is singular: no factors, det 0.
         return lu_det(self.factors) if self.factors else Fraction(0)
-
-    def apply(self, x):
-        """Act on a covector (matrix maps covectors to weights)."""
-        return mat_vec(self.matrix, x)
 
     def solve(self, mu):
         if self.factors is None:

@@ -160,10 +160,6 @@ class FundamentalGroup:
     elements: tuple
     invariant_factors: tuple
 
-    @property
-    def identity(self):
-        return self.elements[0]
-
 
 @dataclass(frozen=True, eq=False)
 class RootSystem:
@@ -185,7 +181,6 @@ class RootSystem:
     positive_rootcoords: tuple  # simple-root coords
     positive_coroots: tuple     # covector coords, Fractions
     rho: tuple                  # (1, ..., 1)
-    rho_covector: tuple         # pairs to 1 with every simple root
     weyl_order: int
     center: FundamentalGroup
     coroot_grid_basis: tuple    # (H, U): H = U @ cartan, row Hermite form
@@ -292,9 +287,6 @@ def _root_system(factors):
                for j in range(rank)]
     cartan_inv = tuple(zip(*columns))
     rho = tuple([1] * rank)
-    # <alpha_i, rho_vee> = 1 for every simple root: cartan^T x = 1, so x is
-    # the column sums of the inverse.
-    rho_cov = tuple(sum(col, Fraction(0)) for col in columns)
 
     center = _fundamental_group(cartan)
     if center.order != lu_det(lu):
@@ -315,7 +307,6 @@ def _root_system(factors):
         positive_rootcoords=tuple(rootcoords),
         positive_coroots=coroots,
         rho=rho,
-        rho_covector=rho_cov,
         weyl_order=weyl_order,
         center=center,
         coroot_grid_basis=grid_basis,
@@ -415,18 +406,6 @@ def kappa(rs, x):
     return Fraction(out, den ** len(rs.positive_roots))
 
 
-def reflect_weight(rs, mu, i):
-    """Simple reflection s_i acting on weight coordinates."""
-    ci = mu[i]
-    return tuple(m - ci * rs.cartan[k][i] for k, m in enumerate(mu))
-
-
-def reflect_covector(rs, x, i):
-    """Simple reflection s_i acting on covector coordinates."""
-    c = sum(rs.cartan[j][i] * x[j] for j in range(rs.rank))
-    return tuple(xj - c if j == i else xj for j, xj in enumerate(x))
-
-
 def dominant_representative(rs, mu):
     """Dominant Weyl conjugate of ``mu`` and the sign of an element mapping
     mu to it.  The sign is meaningful only when the stabilizer of mu is
@@ -441,11 +420,6 @@ def dominant_representative(rs, mu):
         for k in range(rs.rank):
             cur[k] -= ci * rs.cartan[k][i]
         sign = -sign
-
-
-def weyl_orbit(rs, mu):
-    """Full Weyl orbit of a weight, as a set of weight tuples."""
-    return set(dominant_orbit(rs, dominant_representative(rs, mu)[0]))
 
 
 def dominant_orbit(rs, mu):
@@ -478,10 +452,6 @@ def dominant_orbit(rs, mu):
 def root_lattice_coords(rs, mu):
     """Coordinates of ``mu`` on the simple roots (exact; may be fractional)."""
     return mat_vec(rs.cartan_inv, mu)
-
-
-def in_root_lattice(rs, mu):
-    return all(c.denominator == 1 for c in root_lattice_coords(rs, mu))
 
 
 def order_mod_root_lattice(rs, mu):

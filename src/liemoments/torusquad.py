@@ -73,7 +73,7 @@ from operator import mul
 import numpy as np
 
 from . import rootsys
-from .asymptotics import ClassFunction, exact_form
+from .asymptotics import ClassFunction
 from .charring import CycleType
 from .repweights import (check_dominant_integral, weight_system,
                          weyl_dimension)
@@ -532,32 +532,3 @@ def quad_K_N(rs, lam, a, b, n, f=None, grid=None, max_points=4_000_000):
     one-element schedule of :func:`quad_sequence`, raising its refusal."""
     return _one_row(rs, lam, a, b, n, f, grid, max_points)
 
-
-def mehta_quadrature(rs, h, extra_nodes=0):
-    """Gauss-Hermite evaluation of the Gaussian kappa^2 integral.
-
-    Substituting x = L^{-T} y for the Cholesky factor L of ``h`` turns the
-    integral into a standard-Gaussian expectation of a polynomial of degree
-    2 * #positive roots, which a tensor Gauss-Hermite rule with
-    #positive + 1 (+ extra_nodes) points per axis integrates exactly.
-    Supports rank <= 3 (tensor grids grow fast).  ``h`` need not commute
-    with the Weyl action, but must pass the exact shape, symmetry and
-    definiteness checks of :func:`asymptotics.exact_form`.
-    """
-    if rs.rank > 3:
-        raise ValueError(f"tensor Gauss-Hermite limited to rank <= 3, "
-                         f"got rank {rs.rank}")
-    m = exact_form(rs, h, equivariant=False)
-    chol = np.linalg.cholesky(np.array(m, dtype=float))
-    deg = rs.num_positive_roots + 1 + extra_nodes
-    nodes, weights = np.polynomial.hermite_e.hermegauss(deg)
-    mesh = np.meshgrid(*([nodes] * rs.rank), indexing="ij")
-    y = np.stack(mesh, axis=-1).reshape(-1, rs.rank)
-    wmesh = np.meshgrid(*([weights] * rs.rank), indexing="ij")
-    wprod = np.stack(wmesh, axis=-1).reshape(-1, rs.rank).prod(axis=1)
-    x = np.linalg.solve(chol.T, y.T).T
-    kap = np.ones(len(x))
-    for alpha in rs.positive_roots:
-        kap *= x @ np.array(alpha, dtype=float)
-    det_sqrt = float(np.prod(np.diagonal(chol)))
-    return float((wprod * kap ** 2).sum() / det_sqrt)

@@ -7,6 +7,7 @@ genuine two-route check:
 * Exact determinant, inverse and solve by elimination with row exchanges,
   sharing no elimination with ``exactla.positive_lu``.
 * Catalan / Fourier-coefficient formulas: plain binomials.
+* Simple reflections on weight and covector coordinates, one at a time.
 * su(2) ladder walks: invariant counts by explicit Clebsch-Gordan recursion.
 * Weyl character formula by Laurent-polynomial division: weight
   multiplicities without Freudenthal, and the second-moment matrix summed
@@ -24,11 +25,15 @@ genuine two-route check:
 * The per-axis quadrature bandwidth: the largest |mu_i| of every factor of
   the integrand, read off the vertices W lam of its weight polytope and
   added axis by axis.
+* Trace monomials of a matrix by brute force over the tensor basis states,
+  contracted along a permutation of the cycle type.
+* The Gaussian kappa^2 integral by a tensor Gauss-Hermite rule in floats.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 from functools import cache
@@ -139,9 +144,20 @@ def riordan(n):
     return vals[n]
 
 
+def reflect_weight(rs, mu, i):
+    """Simple reflection s_i acting on weight coordinates."""
+    ci = mu[i]
+    return tuple(m - ci * rs.cartan[k][i] for k, m in enumerate(mu))
+
+
+def reflect_covector(rs, x, i):
+    """Simple reflection s_i acting on covector coordinates."""
+    c = sum(rs.cartan[j][i] * x[j] for j in range(rs.rank))
+    return tuple(xj - c if j == i else xj for j, xj in enumerate(x))
+
+
 def signed_orbit(rs, mu):
     """{w(mu): sign(w)} for a regular weight mu (free orbit)."""
-    from liemoments.rootsys import reflect_weight
     out = {tuple(mu): 1}
     frontier = [tuple(mu)]
     while frontier:
@@ -293,6 +309,49 @@ def all_cycle_types_with_weight(k):
     return out
 
 
+def canonical_permutation(a):
+    """A permutation of {0..k-1} with cycle type ``a``: cycles in increasing
+    length, filled with consecutive indices.  Returned as the image array."""
+    k = a.weight
+    perm = list(range(k))
+    pos = 0
+    for j, aj in enumerate(a.exps, start=1):
+        for _ in range(aj):
+            block = list(range(pos, pos + j))
+            for idx, src in enumerate(block):
+                perm[src] = block[(idx + 1) % j]
+            pos += j
+    return perm
+
+
+def permutation_trace_bruteforce(matrix, a, cap=10 ** 5):
+    """Trace of (B tensor ... tensor B) composed with a cycle-type permutation.
+
+    Brute force over all d^k tensor basis states; refuses when d^k exceeds
+    ``cap``.  The permutation operator sends basis slot i to slot sigma(i)
+    (slot i of the output holds the input slot sigma^{-1}(i)).
+    """
+    d = len(matrix)
+    k = a.weight
+    if k == 0:
+        return 1.0 + 0.0j
+    if d ** k > cap:
+        raise ValueError(f"d^k = {d ** k} exceeds brute-force cap {cap}")
+    perm = canonical_permutation(a)
+    inv = [0] * k
+    for i, p in enumerate(perm):
+        inv[p] = i
+    total = 0.0 + 0.0j
+    for phi in itertools.product(range(d), repeat=k):
+        term = 1.0 + 0.0j
+        for i in range(k):
+            term *= matrix[phi[i]][phi[inv[i]]]
+            if term == 0:
+                break
+        total += term
+    return total
+
+
 def greedy_decompose(rs, ws):
     """Decompose a genuine character by peeling highest weights.
 
@@ -303,7 +362,8 @@ def greedy_decompose(rs, ws):
     character.
     """
     remaining = dict(ws.entries)
-    rho_cov = rs.rho_covector
+    # pairs to 1 with every simple root: cartan^T x = rho
+    rho_cov = solve_fraction([list(col) for col in zip(*rs.cartan)], rs.rho)
 
     def height(w):
         return sum(c * x for c, x in zip(w, rho_cov))
@@ -490,3 +550,29 @@ def alcove_by_filter(rs, m):
                       dtype=np.int64)
     k = z @ scaled
     return k[np.all(k % den == 0, axis=1)] // den
+
+
+def mehta_quadrature(rs, h, extra_nodes=0):
+    """Gauss-Hermite evaluation of the Gaussian kappa^2 integral.
+
+    Substituting x = L^{-T} y for the Cholesky factor L of ``h`` turns the
+    integral into a standard-Gaussian expectation of a polynomial of degree
+    2 * #positive roots, which a tensor Gauss-Hermite rule with
+    #positive + 1 (+ extra_nodes) points per axis integrates exactly.  Meant
+    for rank <= 3 (tensor grids grow fast).  ``h`` is any symmetric
+    positive definite form; unlike the closed form, it need not commute
+    with the Weyl action.
+    """
+    chol = np.linalg.cholesky(np.array(h, dtype=float))
+    deg = rs.num_positive_roots + 1 + extra_nodes
+    nodes, weights = np.polynomial.hermite_e.hermegauss(deg)
+    mesh = np.meshgrid(*([nodes] * rs.rank), indexing="ij")
+    y = np.stack(mesh, axis=-1).reshape(-1, rs.rank)
+    wmesh = np.meshgrid(*([weights] * rs.rank), indexing="ij")
+    wprod = np.stack(wmesh, axis=-1).reshape(-1, rs.rank).prod(axis=1)
+    x = np.linalg.solve(chol.T, y.T).T
+    kap = np.ones(len(x))
+    for alpha in rs.positive_roots:
+        kap *= x @ np.array(alpha, dtype=float)
+    det_sqrt = float(np.prod(np.diagonal(chol)))
+    return float((wprod * kap ** 2).sum() / det_sqrt)

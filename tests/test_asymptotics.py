@@ -44,8 +44,8 @@ def test_nu_character_trivial_on_root_lattice():
 def test_class_function_one():
     rs = build_root_system("A2")
     f = ClassFunction.one(2)
-    assert f.is_trivial_one()
-    assert f.value_at_identity(rs) == 1
+    assert f.terms == (((0, 0), 1.0),)
+    assert f.central_value(rs, rs.center.elements[0]) == 1
     for psi in rs.center.elements:
         assert f.central_value(rs, psi) == 1
 
@@ -322,7 +322,7 @@ def test_leading_term_needs_no_weight_system(monkeypatch, spec):
 
     for module in (repweights, charring, torusquad):
         monkeypatch.setattr(module, "weight_system", refuse)
-    monkeypatch.setattr(rootsys, "weyl_orbit", refuse)
+    monkeypatch.setattr(rootsys, "dominant_orbit", refuse)
     rs = build_root_system(spec)
     est = leading_term_I(rs, rs.rho, CycleType((1,)), 5)
     assert est.det_a > 0

@@ -45,7 +45,7 @@ def test_parse_schedule():
 
 def test_parse_class_function():
     one = parse_class_function("1", 2)
-    assert one.is_trivial_one()
+    assert one == harness.ClassFunction.one(2)
     f = parse_class_function("2:1.5", 1)
     assert f.terms == (((2,), 1.5),)
     g = parse_class_function("1,0:2; 0,1:-1", 2)
@@ -96,7 +96,7 @@ def test_config_from_file(tmp_path):
     assert cfg.schedule == (2, 4, 6, 8)
     assert cfg.paths == ("exact", "asymptotic")
     assert cfg.fmt == "csv"
-    assert cfg.f.is_trivial_one()
+    assert cfg.f == harness.ClassFunction.one(1)
     bad = tmp_path / "bad.cfg"
     bad.write_text("group A1\n")
     with pytest.raises(ConfigurationError):
@@ -121,10 +121,10 @@ def test_check_hypotheses_basic():
     assert v.k_a == 1 and v.k_b == 0
     assert not v.balanced
     assert v.vanishing_period == 2
-    assert v.ok_one_sided
-    assert not v.ok_two_sided          # unbalanced powers
-    assert v.one_sided_nonzero(2)
-    assert not v.one_sided_nonzero(3)
+    assert not v.problems_one_sided
+    assert v.problems_two_sided        # unbalanced powers
+    assert 2 % v.vanishing_period == 0
+    assert 3 % v.vanishing_period != 0
 
 
 def test_check_hypotheses_never_raises():
@@ -132,7 +132,7 @@ def test_check_hypotheses_never_raises():
     v = check_hypotheses(rs, (0,), CycleType((0, 1)))
     assert not v.regular
     assert v.gcd_one_sided == 2
-    assert not v.ok_one_sided
+    assert v.problems_one_sided
     assert len(v.problems_one_sided) == 2
     d = v.to_dict()
     assert d["regular"] is False
@@ -142,13 +142,13 @@ def test_check_hypotheses_never_raises():
 def test_check_hypotheses_balanced():
     rs = build_root_system("A2")
     v = check_hypotheses(rs, (1, 1), CycleType((1,)), CycleType((1,)))
-    assert v.balanced and v.ok_two_sided
+    assert v.balanced and not v.problems_two_sided
     assert v.vanishing_period == 1     # (1,1) lies in the root lattice
     w = check_hypotheses(rs, (2, 1), CycleType((1,)), CycleType((1,)))
-    assert w.ok_two_sided
+    assert not w.problems_two_sided
     assert w.vanishing_period == 3     # (2,1) generates the order-3 quotient
-    assert w.one_sided_nonzero(6)
-    assert not w.one_sided_nonzero(4)
+    assert 6 % w.vanishing_period == 0
+    assert 4 % w.vanishing_period != 0
 
 
 # ------------------------------------------------------------ experiments

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from liemoments import repweights, rootsys
 from liemoments.exactla import mat_vec
-from liemoments.rootsys import (ConfigurationError, build_root_system,
-                                reflect_covector, reflect_weight)
+from liemoments.rootsys import ConfigurationError, build_root_system
 from liemoments.repweights import (a_lambda, is_regular, weight_system,
                                    weyl_dimension)
 
 import oracles
+from oracles import reflect_covector, reflect_weight
 
 
 def test_weyl_dimension_known_values():
@@ -185,8 +185,8 @@ def test_a_lambda_weyl_equivariance():
             x = tuple(Fraction(int(c), 5)
                       for c in rng.integers(-9, 10, size=rs.rank))
             for i in range(rs.rank):
-                lhs = sm.apply(reflect_covector(rs, x, i))
-                rhs = reflect_weight(rs, sm.apply(x), i)
+                lhs = mat_vec(sm.matrix, reflect_covector(rs, x, i))
+                rhs = reflect_weight(rs, mat_vec(sm.matrix, x), i)
                 assert tuple(lhs) == tuple(rhs)
 
 
@@ -219,7 +219,8 @@ def test_one_elimination_matches_row_exchange_oracles(case):
     transpose = [[rs.cartan[j][i] for j in range(rs.rank)]
                  for i in range(rs.rank)]
     assert rs.cartan_inv == oracles.inv_fraction(rs.cartan)
-    assert rs.rho_covector == oracles.solve_fraction(transpose, rs.rho)
+    rho_covector = tuple(sum(col) for col in zip(*rs.cartan_inv))
+    assert rho_covector == oracles.solve_fraction(transpose, rs.rho)
     sm = a_lambda(rs, lam)
     det = oracles.det_fraction(sm.matrix)
     assert sm.det == det
@@ -234,7 +235,7 @@ def test_solve_inverts_apply():
     rs = build_root_system("B2")
     sm = a_lambda(rs, (1, 1))
     x = sm.solve(rs.rho)
-    assert tuple(sm.apply(x)) == (Fraction(1), Fraction(1))
+    assert tuple(mat_vec(sm.matrix, x)) == (Fraction(1), Fraction(1))
 
 
 def test_is_regular():

@@ -6,10 +6,11 @@ import pytest
 
 from liemoments import rootsys
 from liemoments.rootsys import (ConfigurationError, build_root_system,
-                                dominant_representative, in_root_lattice,
+                                dominant_orbit, dominant_representative,
                                 kappa, order_mod_root_lattice, pairing,
-                                parse_group, reflect_covector, reflect_weight,
-                                simple_factors, weyl_orbit)
+                                parse_group, simple_factors)
+
+from oracles import reflect_covector, reflect_weight
 
 ALL_SIMPLE = ([f"A{n}" for n in range(1, 9)]
               + [f"B{n}" for n in range(2, 9)]
@@ -86,13 +87,24 @@ def test_simple_factors_split_along_the_blocks():
     assert next(simple_factors(simple))[1] is simple
 
 
+def _rho_covector(rs):
+    """Pairs to 1 with every simple root: the column sums of C^{-1}."""
+    return tuple(sum(col) for col in zip(*rs.cartan_inv))
+
+
+def _orbit(rs, mu):
+    """Weyl orbit of any weight, as a set: walked from its dominant
+    conjugate by the package's one orbit walker."""
+    return set(dominant_orbit(rs, dominant_representative(rs, mu)[0]))
+
+
 def test_kappa_at_rho_covector():
     # for A2 the pairing of rho-covector with each positive root is the
     # height, so kappa = 1 * 1 * 2
     rs = build_root_system("A2")
-    assert kappa(rs, rs.rho_covector) == 2
+    assert kappa(rs, _rho_covector(rs)) == 2
     rs = build_root_system("A1")
-    assert kappa(rs, rs.rho_covector) == 1
+    assert kappa(rs, _rho_covector(rs)) == 1
 
 
 def test_kappa_antiinvariance():
@@ -120,11 +132,11 @@ def test_reflections_preserve_pairing():
 
 def test_weyl_orbit_sizes():
     rs = build_root_system("A2")
-    assert len(weyl_orbit(rs, (1, 1))) == 6       # regular: free orbit
-    assert len(weyl_orbit(rs, (1, 0))) == 3       # stabilized by one wall
-    assert len(weyl_orbit(rs, (0, 0))) == 1
+    assert len(_orbit(rs, (1, 1))) == 6       # regular: free orbit
+    assert len(_orbit(rs, (1, 0))) == 3       # stabilized by one wall
+    assert len(_orbit(rs, (0, 0))) == 1
     rs = build_root_system("B2")
-    assert len(weyl_orbit(rs, (1, 1))) == 8
+    assert len(_orbit(rs, (1, 1))) == 8
 
 
 @pytest.mark.parametrize("spec, mu", [
@@ -133,19 +145,19 @@ def test_weyl_orbit_sizes():
 def test_weyl_orbit_walks_down_from_the_dominant_conjugate(spec, mu):
     rs = build_root_system(spec)
     dom, _ = dominant_representative(rs, mu)
-    orbit = weyl_orbit(rs, mu)
-    assert orbit == weyl_orbit(rs, dom)
+    orbit = _orbit(rs, mu)
+    assert orbit == _orbit(rs, dom)
     assert mu in orbit
     for w in orbit:
         for i in range(rs.rank):
             assert reflect_weight(rs, w, i) in orbit
-    regular = weyl_orbit(rs, tuple(abs(c) + 1 for c in dom))
+    regular = _orbit(rs, tuple(abs(c) + 1 for c in dom))
     assert len(regular) == rs.weyl_order
 
 
 def test_dominant_representative():
     rs = build_root_system("A2")
-    for mu in weyl_orbit(rs, (2, 1)):
+    for mu in _orbit(rs, (2, 1)):
         dom, sign = dominant_representative(rs, mu)
         assert dom == (2, 1)
         assert sign in (-1, 1)
@@ -172,7 +184,7 @@ def test_center_elements_pair_integrally_with_roots():
         rs = build_root_system(spec)
         fg = rs.center
         assert len(set(fg.elements)) == fg.order
-        assert fg.identity == (Fraction(0),) * rs.rank
+        assert fg.elements[0] == (Fraction(0),) * rs.rank
         for psi in fg.elements:
             assert all(0 <= x < 1 for x in psi)
             for alpha in rs.positive_roots:
@@ -205,13 +217,11 @@ def test_coroot_grid_basis_is_cross_checked_against_the_center(monkeypatch):
 
 def test_root_lattice_membership():
     rs = build_root_system("A1")
-    assert not in_root_lattice(rs, (1,))
-    assert in_root_lattice(rs, (2,))
+    assert order_mod_root_lattice(rs, (2,)) == 1
     assert order_mod_root_lattice(rs, (1,)) == 2
     rs = build_root_system("A2")
     assert order_mod_root_lattice(rs, (1, 0)) == 3
     assert order_mod_root_lattice(rs, (1, 1)) == 1
-    assert in_root_lattice(rs, (1, 1))
 
 
 def test_root_datum_is_memoised_but_specs_are_always_parsed():
