@@ -55,9 +55,10 @@ __all__ = [
     "a_lambda", "adams", "biane_dimension_estimate", "build_root_system",
     "character_at", "check_hypotheses", "default_grid",
     "dominant_representative", "dual", "exact_moment", "invariant_dimension",
-    "kappa", "leading_term_I", "leading_term_K", "mehta_closed_form",
-    "moment_sequence", "moment_terms", "nu_character", "pairing", "product",
-    "quad_I_N", "quad_K_N", "quad_sequence", "run_experiment",
-    "tensor_decompose", "trivial_multiplicity", "vanish_leading_constant",
-    "weight_system", "weyl_dimension", "weyl_denominator_sq",
+    "is_regular", "kappa", "leading_term_I", "leading_term_K",
+    "mehta_closed_form", "moment_sequence", "moment_terms", "nu_character",
+    "pairing", "product", "quad_I_N", "quad_K_N", "quad_sequence",
+    "run_experiment", "tensor_decompose", "trivial_multiplicity",
+    "vanish_leading_constant", "weight_system", "weyl_dimension",
+    "weyl_denominator_sq",
 ]

@@ -307,8 +307,16 @@ def weyl_equivariant(rs, h):
 
 
 def _checked_form(rs, h):
-    """:func:`exact_form`'s matrix and its :func:`exactla.positive_lu`
-    factors, from the elimination that decides definiteness."""
+    """The quadratic form ``h`` as an exact rank x rank Fraction matrix, and
+    its :func:`exactla.positive_lu` factors, from the elimination that
+    decides definiteness.
+
+    ``Fraction(x)`` is exact for int, Fraction and float entries alike, so
+    nothing is rounded here.  Refused with ValueError, in this order: a
+    shape other than rank x rank, a form that does not commute with the
+    Weyl action, one that is not symmetric, and one that is not positive
+    definite.
+    """
     try:
         m = [[Fraction(x) for x in row] for row in h]
     except (OverflowError, ValueError):
@@ -328,21 +336,9 @@ def _checked_form(rs, h):
     return m, lu
 
 
-def exact_form(rs, h):
-    """The quadratic form ``h`` as an exact rank x rank Fraction matrix.
-
-    ``Fraction(x)`` is exact for int, Fraction and float entries alike, so
-    nothing is rounded here.  Refused with ValueError, in this order: a
-    shape other than rank x rank, a form that does not commute with the
-    Weyl action, one that is not symmetric, and one that is not positive
-    definite.
-    """
-    return _checked_form(rs, h)[0]
-
-
 def _mehta_parts(rs, h):
     """kappa(h^{-1} rho) and det h, exact, for a form that passes
-    :func:`exact_form`; one elimination gives both."""
+    :func:`_checked_form`; one elimination gives both."""
     _, lu = _checked_form(rs, h)
     return rootsys.kappa(rs, lu_solve(lu, rs.rho)), lu_det(lu)
 

@@ -25,10 +25,15 @@ from . import rootsys
 from .repweights import WeightSystem, check_dominant_integral, weight_system
 
 
+# The exact route's work budget: pairs per Klimyk step, and pairs and support
+# per convolution (product).
+_SUPPORT_CAP = 10 ** 7
+
+
 class SupportCapExceeded(RuntimeError):
     """The exact route's budget refusal: raised before a Klimyk step whose
     work (highest weights in the state times weights of the factor) exceeds
-    ``support_cap``.  The character-ring :func:`product` raises it for its
+    ``_SUPPORT_CAP``.  The character-ring :func:`product` raises it for its
     own pair budget too."""
 
 
@@ -111,15 +116,15 @@ def dual(ws):
                          for w, m in ws.entries.items()})
 
 
-def product(ws1, ws2, support_cap=10 ** 7):
+def product(ws1, ws2):
     """Convolution of weight systems (character of the tensor product)."""
     a, b = ws1.entries, ws2.entries
     if len(a) > len(b):
         a, b = b, a
-    if len(a) * len(b) > support_cap:
+    if len(a) * len(b) > _SUPPORT_CAP:
         raise SupportCapExceeded(
             f"convolution support may reach {len(a) * len(b)}, "
-            f"cap is {support_cap}")
+            f"cap is {_SUPPORT_CAP}")
     out = {}
     for w1, m1 in a.items():
         for w2, m2 in b.items():
@@ -129,13 +134,13 @@ def product(ws1, ws2, support_cap=10 ** 7):
                 out[w] = v
             else:
                 out.pop(w, None)
-    if len(out) > support_cap:
+    if len(out) > _SUPPORT_CAP:
         raise SupportCapExceeded(
-            f"convolution support {len(out)} exceeds cap {support_cap}")
+            f"convolution support {len(out)} exceeds cap {_SUPPORT_CAP}")
     return WeightSystem(out)
 
 
-def product_all(factors, rank, support_cap=10 ** 7):
+def product_all(factors, rank):
     """Convolve many weight systems, smallest supports first (heap order)."""
     heap = [(ws.support_size, i, ws) for i, ws in enumerate(factors)]
     heapq.heapify(heap)
@@ -145,13 +150,13 @@ def product_all(factors, rank, support_cap=10 ** 7):
     while len(heap) > 1:
         _, _, w1 = heapq.heappop(heap)
         _, _, w2 = heapq.heappop(heap)
-        w = product(w1, w2, support_cap=support_cap)
+        w = product(w1, w2)
         heapq.heappush(heap, (w.support_size, counter, w))
         counter += 1
     return heap[0][2]
 
 
-def klimyk_step(rs, state, x, support_cap=10 ** 7, step=1):
+def klimyk_step(rs, state, x, step=1):
     """Decompose ``sum_mu state[mu] V_mu (x) X`` into irreducibles.
 
     ``state`` maps highest weights to signed multiplicities and ``x`` maps
@@ -159,7 +164,7 @@ def klimyk_step(rs, state, x, support_cap=10 ** 7, step=1):
     character X.  Klimyk's formula gives
     V_mu (x) X = sum_w m_X(w) * sign * V_{dom(mu + w + rho) - rho}, with the
     terms whose shift lands on a chamber wall dropped.  Refuses before any
-    work when |state| * |support(X)| exceeds ``support_cap``; ``step`` only
+    work when |state| * |support(X)| exceeds ``_SUPPORT_CAP``; ``step`` only
     labels the refusal.
 
     Most shifts s = mu + rho + w need no reflection.  With the depth
@@ -171,11 +176,11 @@ def klimyk_step(rs, state, x, support_cap=10 ** 7, step=1):
     reflected by :func:`rootsys.dominant_representative`.
     """
     pairs = len(state) * len(x)
-    if pairs > support_cap:
+    if pairs > _SUPPORT_CAP:
         raise SupportCapExceeded(
             f"Klimyk step {step}: state of {len(state)} highest weights "
             f"times {len(x)} weights is {pairs} pairs, over support_cap "
-            f"{support_cap}")
+            f"{_SUPPORT_CAP}")
     terms = list(x.items())
     depth = max((max(map(neg, w)) for w in x), default=0)
     reflect = rootsys.dominant_representative
@@ -201,22 +206,22 @@ def klimyk_step(rs, state, x, support_cap=10 ** 7, step=1):
     return {hw: v for hw, v in out.items() if v}
 
 
-def _extend(rs, state, factors, support_cap, first_step):
+def _extend(rs, state, factors, first_step):
     """``state (x) X_1 (x) ... (x) X_k`` by one :func:`klimyk_step` per
     factor; the steps are labelled from ``first_step`` on."""
     for step, ws in enumerate(factors, start=first_step):
-        state = klimyk_step(rs, state, ws.entries, support_cap, step)
+        state = klimyk_step(rs, state, ws.entries, step)
     return state
 
 
-def tensor_decompose(rs, factors, support_cap=10 ** 7):
+def tensor_decompose(rs, factors):
     """Decomposition of ``X_1 (x) ... (x) X_k`` into irreducibles.
 
     ``factors`` are weight systems (virtual ones allowed); the result maps
     highest weights to signed multiplicities.  One :func:`klimyk_step` per
     factor, starting from the trivial representation.
     """
-    return _extend(rs, {(0,) * rs.rank: 1}, factors, support_cap, 1)
+    return _extend(rs, {(0,) * rs.rank: 1}, factors, 1)
 
 
 def trivial_multiplicity(rs, ws):
@@ -232,15 +237,14 @@ def _power_factors(ws, a):
     return factors
 
 
-def moment_weight_system(rs, lam, a, b=CycleType(()), support_cap=10 ** 7):
+def moment_weight_system(rs, lam, a, b=CycleType(())):
     """Weight system of prod_j Tr(g^j)^{a_j} * conj(Tr(g^j))^{b_j}."""
     ws = weight_system(rs, lam)
     factors = _power_factors(ws, a) + _power_factors(dual(ws), b)
-    return product_all(factors, rs.rank, support_cap=support_cap)
+    return product_all(factors, rs.rank)
 
 
-def moment_sequence(rs, lam, a, b=CycleType(()), ns=(1,), weights=None,
-                    support_cap=10 ** 7):
+def moment_sequence(rs, lam, a, b=CycleType(()), ns=(1,), weights=None):
     """Haar integrals of P_{a n} * conj(P_{b n}) * chi_nu for each n in
     ``ns`` and each nu in ``weights``, from one Klimyk chain per side and
     simple factor.
@@ -252,7 +256,7 @@ def moment_sequence(rs, lam, a, b=CycleType(()), ns=(1,), weights=None,
     integral is the product of the factor integrals at the projections
     nu_k of nu: every factor runs its own chains
     (:func:`rootsys.simple_factors`) for its distinct nu_k, and
-    ``support_cap`` bounds the pairs of each factor's steps.
+    ``_SUPPORT_CAP`` bounds the pairs of each factor's steps.
 
     On one factor, with dec(P) the decomposition of P into irreducibles,
     each integral is the inner product
@@ -286,7 +290,7 @@ def moment_sequence(rs, lam, a, b=CycleType(()), ns=(1,), weights=None,
         part = slice(block.start, block.stop)
         projections = [nu[part] for nu in nus]
         distinct = list(dict.fromkeys(projections))
-        rows = _chain_rows(rs_k, lam[part], a, b, ns, distinct, support_cap)
+        rows = _chain_rows(rs_k, lam[part], a, b, ns, distinct)
         live.append((rs_k, rows, [distinct.index(p) for p in projections]))
     for _ in ns:
         row, refusal = [1] * len(nus), None
@@ -304,7 +308,7 @@ def moment_sequence(rs, lam, a, b=CycleType(()), ns=(1,), weights=None,
         yield row if refusal is None else refusal
 
 
-def _chain_rows(rs, lam, a, b, ns, weights, support_cap):
+def _chain_rows(rs, lam, a, b, ns, weights):
     """:func:`moment_sequence` on the datum ``rs`` taken whole, for
     dominant integral ``weights``.  Yields per n the row (or its refusal)
     and whether a chain refused it, which answers every later row too."""
@@ -327,7 +331,7 @@ def _chain_rows(rs, lam, a, b, ns, weights, support_cap):
                 continue
             try:
                 decs[i] = _extend(rs, decs[i], factors * (n - done),
-                                  support_cap, done * len(factors) + 1)
+                                  done * len(factors) + 1)
             except SupportCapExceeded as exc:
                 decs[i] = exc
         refusal = next((d for d in decs if isinstance(d, SupportCapExceeded)),
@@ -343,7 +347,7 @@ def _chain_rows(rs, lam, a, b, ns, weights, support_cap):
                 try:
                     left = klimyk_step(rs, dec_a,
                                        weight_system(rs, nu).entries,
-                                       support_cap, step=n * a.size + 1)
+                                       step=n * a.size + 1)
                 except SupportCapExceeded as exc:
                     out = exc
                     break
@@ -355,21 +359,20 @@ def _chain_rows(rs, lam, a, b, ns, weights, support_cap):
         yield out, False
 
 
-def moment_terms(rs, lam, a, b=CycleType(()), weights=None,
-                 support_cap=10 ** 7):
+def moment_terms(rs, lam, a, b=CycleType(()), weights=None):
     """Haar integrals of P_a * conj(P_b) * chi_nu for each nu in
     ``weights``: the one-element schedule ``ns = (1,)`` of
     :func:`moment_sequence`, with its refusal raised.  Returns a list of
     exact integers."""
-    (terms,) = moment_sequence(rs, lam, a, b, (1,), weights, support_cap)
+    (terms,) = moment_sequence(rs, lam, a, b, (1,), weights)
     if isinstance(terms, SupportCapExceeded):
         raise terms
     return terms
 
 
-def exact_moment(rs, lam, a, b=CycleType(()), support_cap=10 ** 7):
+def exact_moment(rs, lam, a, b=CycleType(())):
     """Haar integral of the trace monomial, as an exact integer."""
-    return moment_terms(rs, lam, a, b, support_cap=support_cap)[0]
+    return moment_terms(rs, lam, a, b)[0]
 
 
 def invariant_dimension(rs, lam, n):

@@ -304,7 +304,7 @@ def _log_abs(x):
     return math.log(abs(x)) if x else float("-inf")
 
 
-def _exact_values(rs, lam, a, b, ns, f, support_cap=10 ** 7):
+def _exact_values(rs, lam, a, b, ns, f):
     """Exact moments at each n of ``ns``, with the class-function factor
     folded in, from one Klimyk chain per simple factor
     (:func:`charring.moment_sequence`).
@@ -312,8 +312,7 @@ def _exact_values(rs, lam, a, b, ns, f, support_cap=10 ** 7):
     that refused it."""
     exact_coeffs = all(float(c).is_integer() for _, c in f.terms)
     for mults in charring.moment_sequence(rs, lam, a, b, ns,
-                                          [nu for nu, _ in f.terms],
-                                          support_cap=support_cap):
+                                          [nu for nu, _ in f.terms]):
         if isinstance(mults, charring.SupportCapExceeded):
             yield mults
         else:

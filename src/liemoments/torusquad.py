@@ -83,6 +83,10 @@ from .repweights import (check_dominant_integral, weight_system,
 # is refused before any point is evaluated.
 _MAX_LOG = 700.0
 
+# A row whose torus grid, or whose alcove bound P / |W| (_factor_grids),
+# holds more points than this is refused before any point is enumerated.
+_MAX_POINTS = 4_000_000
+
 
 class GridError(ValueError):
     """Grid too small for the integrand bandwidth, or out of budget."""
@@ -333,14 +337,14 @@ def _alcove_levels(rs, k):
     return k @ (np.array(rs.cartan, dtype=np.int64) @ marks)
 
 
-def _factor_grids(rs, sizes, max_points):
+def _factor_grids(rs, sizes):
     """Per simple factor its axes, its datum and its one size m_k, the
     largest of its axes' sizes, and the number P = prod_k m_k^rank_k of
     torus-grid points the alcove sums stand for.
 
     The alcove of the whole group holds at most P / |W| points; a caller
     grid whose sizes within a factor differ so much that this exceeds
-    ``max_points``, or a size whose phases could overflow int64, is
+    ``_MAX_POINTS``, or a size whose phases could overflow int64, is
     refused before any point is enumerated.
     """
     factors = [(block, rs_k, max(sizes[i] for i in block))
@@ -348,15 +352,15 @@ def _factor_grids(rs, sizes, max_points):
     for block, _, m in factors:
         _check_phase_range(len(block), m)
     cells = math.prod(m ** len(block) for block, _, m in factors)
-    if cells // rs.weyl_order > max_points:
+    if cells // rs.weyl_order > _MAX_POINTS:
         raise GridError(
             f"grid {sizes} puts up to {cells // rs.weyl_order} points in "
             f"the alcove (largest size of each simple factor on all its "
-            f"axes), budget is {max_points}")
+            f"axes), budget is {_MAX_POINTS}")
     return factors, cells
 
 
-def _admit(rs, lam, a, b, n, f, grid, log_dim, max_points):
+def _admit(rs, lam, a, b, n, f, grid, log_dim):
     """One row's checks, in order: the float budget, the grid (the default
     one, or a caller grid's axis count and aliasing), the point budget and
     :func:`_factor_grids`.  Returns the factors and P, or raises the
@@ -379,10 +383,10 @@ def _admit(rs, lam, a, b, n, f, grid, log_dim, max_points):
             raise GridError(
                 f"grid {grid.sizes} aliases on axes {bad}: integrand "
                 f"bandwidth is {bw}, need at least {need} points per axis")
-    if grid.num_points > max_points:
+    if grid.num_points > _MAX_POINTS:
         raise GridError(
-            f"grid has {grid.num_points} points, budget is {max_points}")
-    return _factor_grids(rs, grid.sizes, max_points)
+            f"grid has {grid.num_points} points, budget is {_MAX_POINTS}")
+    return _factor_grids(rs, grid.sizes)
 
 
 def _band_values(rs, lam, a, b, ns, terms, factors, cells, walks):
@@ -449,8 +453,7 @@ def _band_values(rs, lam, a, b, ns, terms, factors, cells, walks):
             yield total.real
 
 
-def quad_sequence(rs, lam, a, b, ns, f=None, grid=None,
-                  max_points=4_000_000):
+def quad_sequence(rs, lam, a, b, ns, f=None, grid=None):
     """Torus quadrature of the two-sided moment (conjugated b factors; an
     empty b gives the one-sided one) at each n of ``ns``.
 
@@ -483,8 +486,7 @@ def quad_sequence(rs, lam, a, b, ns, f=None, grid=None,
     out, admitted = {}, []
     for i, n in enumerate(ns):
         try:
-            admitted.append((i, *_admit(rs, lam, a, b, n, f, grid, log_dim,
-                                        max_points)))
+            admitted.append((i, *_admit(rs, lam, a, b, n, f, grid, log_dim)))
         except GridError as exc:
             out[i] = exc
     bands = []      # (row indices, factors, P of the top grid)
@@ -509,26 +511,26 @@ def quad_sequence(rs, lam, a, b, ns, f=None, grid=None,
         yield out.pop(i)
 
 
-def _one_row(rs, lam, a, b, n, f, grid, max_points):
+def _one_row(rs, lam, a, b, n, f, grid):
     """The value at n alone, or its refusal raised; ``quad_I_N`` calls it,
     not ``quad_K_N``, so a traced one-sided call counts once."""
-    (value,) = quad_sequence(rs, lam, a, b, (n,), f, grid, max_points)
+    (value,) = quad_sequence(rs, lam, a, b, (n,), f, grid)
     if isinstance(value, GridError):
         raise value
     return value
 
 
-def quad_I_N(rs, lam, a, n, f=None, grid=None, max_points=4_000_000):
+def quad_I_N(rs, lam, a, n, f=None, grid=None):
     """Torus quadrature of the one-sided moment with exponents N * a_j.
 
     Exact up to roundoff on any admissible grid; refuses grids below the
     computed bandwidth and magnitudes beyond the float range.
     """
-    return _one_row(rs, lam, a, CycleType(()), n, f, grid, max_points)
+    return _one_row(rs, lam, a, CycleType(()), n, f, grid)
 
 
-def quad_K_N(rs, lam, a, b, n, f=None, grid=None, max_points=4_000_000):
+def quad_K_N(rs, lam, a, b, n, f=None, grid=None):
     """Torus quadrature of the two-sided moment (conjugated b factors): the
     one-element schedule of :func:`quad_sequence`, raising its refusal."""
-    return _one_row(rs, lam, a, b, n, f, grid, max_points)
+    return _one_row(rs, lam, a, b, n, f, grid)
 

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,7 @@ from liemoments.charring import (CycleType, SupportCapExceeded, adams, dual,
                                  klimyk_step, moment_sequence, moment_terms,
                                  product, product_all, tensor_decompose,
                                  trivial_multiplicity)
+from liemoments.cli import main
 from liemoments.repweights import weight_system
 from liemoments.rootsys import ConfigurationError, build_root_system
 
@@ -64,30 +63,57 @@ def test_product_clebsch_gordan():
     assert trivial_multiplicity(rs, sq) == 1
 
 
-def test_product_cap():
+def test_product_cap(monkeypatch):
     rs = build_root_system("A1")
     big = weight_system(rs, (300,))
+    monkeypatch.setattr(charring, "_SUPPORT_CAP", 100)
     with pytest.raises(SupportCapExceeded):
-        product(big, big, support_cap=100)
+        product(big, big)
 
 
 def test_klimyk_cap_refuses_before_the_step(monkeypatch):
     rs = build_root_system("A1")
     # states before each step of std^6: sizes 1, 1, 2, 2, 3, 3
+    monkeypatch.setattr(charring, "_SUPPORT_CAP", 5)
     with pytest.raises(SupportCapExceeded,
                        match=r"Klimyk step 5: state of 3 highest weights "
                              r"times 2 weights is 6 pairs, over "
                              r"support_cap 5"):
-        exact_moment(rs, (1,), CycleType((6,)), support_cap=5)
-    assert exact_moment(rs, (1,), CycleType((6,)), support_cap=6) == 5
+        exact_moment(rs, (1,), CycleType((6,)))
+    monkeypatch.setattr(charring, "_SUPPORT_CAP", 6)
+    assert exact_moment(rs, (1,), CycleType((6,))) == 5
 
     def reflect(*args):
         raise AssertionError("the refused step did work")
 
     monkeypatch.setattr(rootsys, "dominant_representative", reflect)
+    monkeypatch.setattr(charring, "_SUPPORT_CAP", 3)
     with pytest.raises(SupportCapExceeded, match="step 7: state of 2 "):
         klimyk_step(rs, {(0,): 1, (2,): 1}, weight_system(rs, (1,)).entries,
-                    support_cap=3, step=7)
+                    step=7)
+
+
+def test_support_cap_is_read_at_call_time(monkeypatch, capsys):
+    # the cap is a module constant read by each call, not a default bound
+    # when the function was defined, so patching it reaches every layer
+    assert charring._SUPPORT_CAP == 10 ** 7
+    monkeypatch.setattr(charring, "_SUPPORT_CAP", 3)
+    rs = build_root_system("A1")
+    std = weight_system(rs, (1,))
+    note = ("Klimyk step 3: state of 2 highest weights times 2 weights is "
+            "4 pairs, over support_cap 3")
+    with pytest.raises(SupportCapExceeded) as step:
+        klimyk_step(rs, {(0,): 1, (2,): 1}, std.entries, step=3)
+    assert str(step.value) == note
+    one = CycleType((1,))
+    (row,) = moment_sequence(rs, (1,), one, one, (6,))
+    assert isinstance(row, SupportCapExceeded) and str(row) == note
+    with pytest.raises(SupportCapExceeded,
+                       match=r"^convolution support may reach 4, cap is 3$"):
+        product(std, std)
+    assert main(["exact", "--group", "A1", "--lam", "1", "--a", "1", "--b",
+                 "1", "--N", "6"]) == 1
+    assert capsys.readouterr().err == f"error: {note}\n"
 
 
 def test_klimyk_step_reflects_only_shifts_that_leave_the_chamber(
@@ -153,11 +179,11 @@ def test_sweep_extends_one_chain(monkeypatch, group, lam, a, b, f):
                                                 row.n, cfg.f)
 
 
-def test_chain_refusal_persists_to_later_rows():
+def test_chain_refusal_persists_to_later_rows(monkeypatch):
     rs = build_root_system("A1")
     one = CycleType((1,))
-    rows = list(moment_sequence(rs, (1,), one, one, (1, 2, 6, 7),
-                                support_cap=3))
+    monkeypatch.setattr(charring, "_SUPPORT_CAP", 3)
+    rows = list(moment_sequence(rs, (1,), one, one, (1, 2, 6, 7)))
     assert rows[:2] == [[1], [2]]
     note = ("Klimyk step 3: state of 2 highest weights times 2 weights is "
             "4 pairs, over support_cap 3")
@@ -165,26 +191,26 @@ def test_chain_refusal_persists_to_later_rows():
         assert isinstance(refusal, SupportCapExceeded)
         assert str(refusal) == note
         with pytest.raises(SupportCapExceeded) as one_n:
-            moment_terms(rs, (1,), one.scaled(n), one.scaled(n),
-                         support_cap=3)
+            moment_terms(rs, (1,), one.scaled(n), one.scaled(n))
         assert str(one_n.value) == note
 
 
-def test_a_side_refusal_takes_over_from_b_side():
+def test_a_side_refusal_takes_over_from_b_side(monkeypatch):
     # the conjugated side psi^2(std)^N is refused from N = 3 on; the plain
     # side std^N from N = 5 on, and then its refusal names the row, as a
     # one-N call (which builds the plain side first) reports it
     rs = build_root_system("A1")
     a, b = CycleType((1,)), CycleType((0, 1))
+    monkeypatch.setattr(charring, "_SUPPORT_CAP", 4)
     rows = [r if isinstance(r, list) else str(r) for r in
-            moment_sequence(rs, (1,), a, b, range(1, 9), support_cap=4)]
+            moment_sequence(rs, (1,), a, b, range(1, 9))]
     b_note = ("Klimyk step 3: state of 3 highest weights times 2 weights is "
               "6 pairs, over support_cap 4")
     a_note = b_note.replace("step 3", "step 5")
     assert rows == [[0], [1]] + [b_note] * 2 + [a_note] * 4
     for n in (4, 5):
         with pytest.raises(SupportCapExceeded) as one_n:
-            moment_terms(rs, (1,), a.scaled(n), b.scaled(n), support_cap=4)
+            moment_terms(rs, (1,), a.scaled(n), b.scaled(n))
         assert str(one_n.value) == rows[n - 1]
 
 
@@ -198,10 +224,11 @@ def test_a_side_refusal_stops_the_b_side(monkeypatch):
         return klimyk_step(*args, **kwargs)
 
     monkeypatch.setattr(charring, "klimyk_step", counted)
+    monkeypatch.setattr(charring, "_SUPPORT_CAP", 4)
     rs = build_root_system("A1")
     a, b = CycleType((0, 1)), CycleType((1,))
     rows = [r if isinstance(r, list) else str(r) for r in
-            moment_sequence(rs, (1,), a, b, range(1, 9), support_cap=4)]
+            moment_sequence(rs, (1,), a, b, range(1, 9))]
     note = ("Klimyk step 3: state of 3 highest weights times 2 weights is "
             "6 pairs, over support_cap 4")
     assert rows == [[0], [1]] + [note] * 6

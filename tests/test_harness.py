@@ -1,17 +1,16 @@
-import functools
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from liemoments import asymptotics, harness
+from liemoments import asymptotics, charring, harness
 from liemoments.charring import CycleType, SupportCapExceeded
 from liemoments.cli import main
-from liemoments.harness import (ConvergenceReport, ExperimentConfig,
-                                check_hypotheses, fit_error_exponent,
-                                parse_class_function, parse_schedule,
-                                parse_weight, run_experiment, write_report)
+from liemoments.harness import (ExperimentConfig, check_hypotheses,
+                                fit_error_exponent, parse_class_function,
+                                parse_schedule, parse_weight, run_experiment,
+                                write_report)
 from liemoments.rootsys import ConfigurationError, build_root_system
 
 import oracles
@@ -343,9 +342,7 @@ def test_cli_converge_output_is_byte_identical_to_seed(tmp_path, capsys,
 
 
 def test_support_cap_refusal_becomes_row_note(monkeypatch):
-    monkeypatch.setattr(harness, "_exact_values",
-                        functools.partial(harness._exact_values,
-                                          support_cap=3))
+    monkeypatch.setattr(charring, "_SUPPORT_CAP", 3)
     cfg = ExperimentConfig(group="A1", lam=(1,), a=CycleType((1,)),
                            b=CycleType((1,)), schedule=(1, 6),
                            paths=("exact",))
@@ -528,9 +525,7 @@ def test_cli_exact_applies_the_factors_of_the_scaled_type(monkeypatch,
     # a = (1, 1) at N = 4 is Tr(g)^4 Tr(g^2)^4: the one-N route applies all
     # Tr(g) factors first, as moment_terms on a.scaled(N) does, so the
     # refusal names that order's step and state
-    monkeypatch.setattr(harness, "_exact_values",
-                        functools.partial(harness._exact_values,
-                                          support_cap=6))
+    monkeypatch.setattr(charring, "_SUPPORT_CAP", 6)
     args = ["exact", "--group", "A1", "--lam", "1", "--a", "1,1", "--b",
             "1,1", "--N", "4"]
     assert main(args) == 1

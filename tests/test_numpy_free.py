@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -103,3 +104,9 @@ def test_star_import_binds_every_public_name():
     missing = [name for name in liemoments.__all__ if name not in namespace]
     assert not missing
     assert namespace["quad_sequence"] is torusquad.quad_sequence
+    # and every public name the package binds, submodules aside, is listed
+    bound = [name for name, value in vars(liemoments).items()
+             if not name.startswith("_")
+             and not isinstance(value, types.ModuleType)]
+    unlisted = sorted(set(bound) - set(liemoments.__all__))
+    assert not unlisted, unlisted

@@ -7,13 +7,11 @@ whole product, and ``oracles.full_grid_quadrature`` sums its whole torus
 grid.
 """
 
-import functools
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liemoments import charring, harness, torusquad
+from liemoments import charring, torusquad
 from liemoments.asymptotics import ClassFunction
 from liemoments.charring import CycleType, exact_moment, moment_sequence
 from liemoments.cli import main
@@ -168,10 +166,10 @@ def test_product_quadrature_evaluates_one_factor_alcove_at_a_time(
 def test_chain_refusal_in_one_factor_stops_the_others(monkeypatch, spec,
                                                       steps):
     calls = _record_steps(monkeypatch)
+    monkeypatch.setattr(charring, "_SUPPORT_CAP", 20)
     rs = build_root_system(spec)
     a = CycleType((1,))
-    rows = list(moment_sequence(rs, (1, 1, 1), a, a, range(1, 7),
-                                support_cap=20))
+    rows = list(moment_sequence(rs, (1, 1, 1), a, a, range(1, 7)))
     assert rows[:2] == [[1], [16]]
     message = ("A2 factor: Klimyk step 3: state of 5 highest weights times "
                "7 weights is 35 pairs, over support_cap 20")
@@ -180,15 +178,16 @@ def test_chain_refusal_in_one_factor_stops_the_others(monkeypatch, spec,
     assert calls == steps
 
 
-def test_chain_refusal_message_answers_its_row_over_an_earlier_nu_step():
+def test_chain_refusal_message_answers_its_row_over_an_earlier_nu_step(
+        monkeypatch):
     # at N = 3 the A1 nu step (2 highest weights times 11 weights) and
     # the A2 chain (step 3) both refuse; the chain's message answers that
     # row and every later one
+    monkeypatch.setattr(charring, "_SUPPORT_CAP", 20)
     rs = build_root_system("A1xA2")
     a = CycleType((1,))
     rows = list(moment_sequence(rs, (1, 1, 1), a, a, (1, 3, 4),
-                                weights=[(0, 0, 0), (10, 0, 0)],
-                                support_cap=20))
+                                weights=[(0, 0, 0), (10, 0, 0)]))
     assert rows[0] == [1, 0]
     message = ("A2 factor: Klimyk step 3: state of 5 highest weights times "
                "7 weights is 35 pairs, over support_cap 20")
@@ -196,9 +195,7 @@ def test_chain_refusal_message_answers_its_row_over_an_earlier_nu_step():
 
 
 def test_product_chain_refusal_names_factor_in_sweep_notes(monkeypatch):
-    monkeypatch.setattr(harness, "_exact_values",
-                        functools.partial(harness._exact_values,
-                                          support_cap=20))
+    monkeypatch.setattr(charring, "_SUPPORT_CAP", 20)
     cfg = ExperimentConfig(group="A1xA2", lam=(1, 1, 1), a=CycleType((1,)),
                            b=CycleType((1,)), schedule=(1, 2, 4, 6),
                            paths=("exact",))
@@ -209,13 +206,13 @@ def test_product_chain_refusal_names_factor_in_sweep_notes(monkeypatch):
     assert [r.notes for r in rows[2:]] == [(note,), (note,)]
 
 
-def test_support_cap_bounds_each_factor_step():
+def test_support_cap_bounds_each_factor_step(monkeypatch):
     # the A1 chains of K_16 hold at most 9 highest weights, 18 pairs per
     # step; the whole-group state would hold 9 ** 3 of them
+    monkeypatch.setattr(charring, "_SUPPORT_CAP", 100)
     rs = build_root_system("A1xA1xA1")
     a = CycleType((16,))
-    assert exact_moment(rs, (1, 1, 1), a, a, support_cap=100) == \
-        35357670 ** 3
+    assert exact_moment(rs, (1, 1, 1), a, a) == 35357670 ** 3
 
 
 def test_cli_exact_on_a1_cubed(capsys):

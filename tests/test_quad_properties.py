@@ -12,6 +12,7 @@ row against one-N calls, which sum on each row's own grid.
 
 import math
 from itertools import zip_longest
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ def test_alcove_points_are_one_per_regular_orbit(spec, factor_sizes):
     for per_factor in factor_sizes:
         sizes = tuple(m for m, block in zip(per_factor, blocks)
                       for _ in block)
-        factors, cells = _factor_grids(rs, sizes, max_points=10**6)
+        factors, cells = _factor_grids(rs, sizes)
         assert cells == math.prod(sizes)
         regular = 1
         for block, rs_k, m in factors:
@@ -266,7 +267,7 @@ def _per_call_quadrature(rs, lam, a, b, n, terms, sizes, real_pairs=True):
     chi or conj(chi) in complex, chi_0 = 1 is not evaluated, and a sum
     without phase is one real fsum.  Without it every factor is complex,
     chi^(n a_j) then conj(chi)^(n b_j) and chi_nu for every nu."""
-    factors, cells = _factor_grids(rs, sizes, max_points=10 ** 7)
+    factors, cells = _factor_grids(rs, sizes)
     values = [c for _, c in terms]
     for block, rs_k, m in factors:
         part = slice(block.start, block.stop)
@@ -382,7 +383,7 @@ def _roundoff_scale(rs, lam, a, b, n, terms, sizes):
     """Sum of |c_nu| prod_k sum_alcove |chi_nu_k Delta^2 chi^(n a) ...|
     over the terms, divided by the torus points: the scale the roundoff
     of each factor's fsum, and so of the value, is relative to."""
-    factors, cells = _factor_grids(rs, sizes, max_points=10 ** 7)
+    factors, cells = _factor_grids(rs, sizes)
     scale = [abs(c) for _, c in terms]
     for block, rs_k, m in factors:
         part = slice(block.start, block.stop)
@@ -404,18 +405,18 @@ def _roundoff_scale(rs, lam, a, b, n, terms, sizes):
 @given(sequence_cases())
 def test_sequence_rows_match_one_n_calls(case):
     rs, lam, a, b, ns, f, grid, max_points = case
-    got = list(quad_sequence(rs, lam, a, b, ns, f=f, grid=grid,
-                             max_points=max_points))
-    assert len(got) == len(ns)
-    want, points = {}, {}
-    for n in ns:
-        try:
-            want[n] = quad_K_N(rs, lam, a, b, n, f=f, grid=grid,
-                               max_points=max_points)
-        except GridError as exc:
-            want[n] = exc
-            continue
-        points[n] = (grid or default_grid(rs, lam, a, b, n, f)).num_points
+    with mock.patch.object(torusquad, "_MAX_POINTS", max_points):
+        got = list(quad_sequence(rs, lam, a, b, ns, f=f, grid=grid))
+        assert len(got) == len(ns)
+        want, points = {}, {}
+        for n in ns:
+            try:
+                want[n] = quad_K_N(rs, lam, a, b, n, f=f, grid=grid)
+            except GridError as exc:
+                want[n] = exc
+                continue
+            points[n] = (grid or default_grid(rs, lam, a, b, n,
+                                              f)).num_points
     # bands from the largest admissible N down: a row tops a new band when
     # its grid has fewer than half the points of the current band's top
     tops, top = set(), None
@@ -455,8 +456,8 @@ def test_sequence_checks_every_row_before_it_enumerates(monkeypatch):
     monkeypatch.setattr(torusquad, "_alcove_factor", walked)
     rs = build_root_system("A2")
     one = CycleType((1,))
-    rows = list(quad_sequence(rs, (1, 0), one, one, (1, 2, 6, 7),
-                              max_points=180))
+    monkeypatch.setattr(torusquad, "_MAX_POINTS", 180)
+    rows = list(quad_sequence(rs, (1, 0), one, one, (1, 2, 6, 7)))
     # 196 points at N = 7: refused, so the bands are {6} and {2, 1}, and
     # the walk at N = 6's size 13 serves both
     assert str(rows[-1]) == "grid has 196 points, budget is 180"

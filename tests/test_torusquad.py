@@ -323,9 +323,10 @@ def test_int64_phase_guard_refuses_before_reading_points(monkeypatch):
         raise AssertionError("the alcove was enumerated")
 
     monkeypatch.setattr(torusquad, "_alcove_factor", enumerate_alcove)
+    monkeypatch.setattr(torusquad, "_MAX_POINTS", 2 ** 64)
     with pytest.raises(GridError, match="overflow int64"):
         quad_I_N(build_root_system("A1"), (1,), CycleType((1,)), 1,
-                 grid=TorusGrid(sizes=(2 ** 32,)), max_points=2 ** 64)
+                 grid=TorusGrid(sizes=(2 ** 32,)))
     # the bound is exact: the largest size that cannot overflow on rank 8
     # passes (checked without building its phase tables)
     top = math.isqrt((2 ** 63 - 1) // 8) + 1
@@ -439,11 +440,26 @@ def test_magnitude_refusal():
     assert "float budget" in str(err.value)
 
 
-def test_point_budget_refusal():
+def test_point_budget_refusal(monkeypatch):
     rs = build_root_system("A1")
+    monkeypatch.setattr(torusquad, "_MAX_POINTS", 4)
     with pytest.raises(GridError) as err:
-        quad_I_N(rs, (1,), CycleType((1,)), 3, max_points=4)
+        quad_I_N(rs, (1,), CycleType((1,)), 3)
     assert "budget" in str(err.value)
+
+
+def test_point_budget_is_read_at_call_time(monkeypatch):
+    # the budget is a module constant read by each call, not a default
+    # bound when the function was defined
+    assert torusquad._MAX_POINTS == 4_000_000
+    monkeypatch.setattr(torusquad, "_MAX_POINTS", 180)
+    one = CycleType((1,))
+    (row,) = torusquad.quad_sequence(build_root_system("A2"), (1, 0), one,
+                                     one, (7,))
+    assert str(row) == "grid has 196 points, budget is 180"
+    with pytest.raises(GridError, match=r"puts up to 200 points in the "
+                                        r"alcove .* budget is 180$"):
+        torusquad._factor_grids(build_root_system("A1"), (400,))
 
 
 def test_alcove_budget_refuses_lopsided_grid():
