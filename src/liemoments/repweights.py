@@ -3,15 +3,20 @@
 Multiplicities come from Freudenthal's recursion run over the dominant
 weights (found by closing the highest weight under subtraction of positive
 roots) in order of level, the height of lam - mu (Moody-Patera).  The
-recursion is in integers: inner products are scaled by the lcm D of the
+recursion is in integers: levels are one ``divmod`` per coordinate against
+the integer matrix D' C^-1, inner products are scaled by the lcm D of the
 symmetrizer denominators, and each multiplicity is one exact ``divmod``.
 As soon as a dominant weight's multiplicity is known, its Weyl orbit is
-walked down into the table of weights, so each term mu + k alpha of the
+expanded into the table of weights, so each term mu + k alpha of the
 recursion is one table lookup: its dominant conjugate lies at a strictly
-lower level and was expanded earlier.  Everything is exact: weights are
-integer tuples in fundamental-weight coordinates, multiplicities are ints,
-and the second-moment matrix is a Fraction matrix.  That matrix comes from
-root data alone, never from a weight system.
+lower level and was expanded earlier.  An orbit walk depends only on the
+zero set of mu, so it is walked once per zero set and replayed on the
+other dominant weights with that zero set, which gives the same points in
+the same order (``rootsys.dominant_orbit``).  Everything is exact:
+weights are integer tuples in fundamental-weight coordinates,
+multiplicities are ints, and the second-moment matrix is a Fraction
+matrix.  That matrix comes from root data alone, never from a weight
+system.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from operator import add, mul
+from operator import add, mul, sub
 
 from . import rootsys
 from .exactla import lu_det, lu_solve, positive_lu
@@ -97,17 +102,6 @@ def weight_system(rs, lam):
     return _freudenthal(rs, check_dominant_integral(rs, lam))
 
 
-def _root_coords_below(rs, lam, mu):
-    """Coordinates of lam - mu on the simple roots, as nonnegative ints."""
-    coords = rootsys.root_lattice_coords(
-        rs, tuple(l - m for l, m in zip(lam, mu)))
-    if any(c.denominator != 1 or c < 0 for c in coords):
-        raise RuntimeError(
-            f"{lam} - {mu} is not a nonnegative root combination: "
-            f"corrupted root tables")
-    return [int(c) for c in coords]
-
-
 @cache
 def _freudenthal(rs, lam):
     # Dominant weights of the module: close lam downward under root
@@ -119,13 +113,26 @@ def _freudenthal(rs, lam):
         grown = []
         for mu in frontier:
             for alpha in rs.positive_roots:
-                nu = tuple(m - a for m, a in zip(mu, alpha))
-                if all(c >= 0 for c in nu) and nu not in dominants:
+                nu = tuple(map(sub, mu, alpha))
+                if min(nu) >= 0 and nu not in dominants:
                     dominants.add(nu)
                     grown.append(nu)
         frontier = grown
 
-    below = {mu: _root_coords_below(rs, lam, mu) for mu in dominants}
+    # Simple-root coordinates of lam - mu in integers: with den the common
+    # denominator of the inverse Cartan matrix, each is one divmod of a row
+    # of den * cartan_inv against lam - mu.
+    den = math.lcm(*(x.denominator for row in rs.cartan_inv for x in row))
+    inv = [[int(x * den) for x in row] for row in rs.cartan_inv]
+    below = {}
+    for mu in dominants:
+        diff = tuple(map(sub, lam, mu))
+        coords = [divmod(_dot(row, diff), den) for row in inv]
+        if any(r or q < 0 for q, r in coords):
+            raise RuntimeError(
+                f"{lam} - {mu} is not a nonnegative root combination: "
+                f"corrupted root tables")
+        below[mu] = [q for q, _ in coords]
     levels = {mu: sum(c) for mu, c in below.items()}
     order = sorted(dominants, key=lambda mu: (levels[mu], mu))
 
@@ -142,6 +149,7 @@ def _freudenthal(rs, lam):
     # Each term mu + k alpha has a dominant conjugate of strictly lower
     # level than mu, whose orbit is already in the table.
     entries = {}
+    walks = {}  # zero set -> steps of rootsys._walk_orbit
     for mu in order:
         if mu == lam:
             m_mu = 1
@@ -166,8 +174,15 @@ def _freudenthal(rs, lam):
                     f"Freudenthal multiplicity of {mu} in {lam} is "
                     f"{Fraction(2 * total, denom)}, not a positive integer: "
                     f"corrupted root tables")
-        for w in rootsys.dominant_orbit(rs, mu):
-            entries[w] = m_mu
+        # Walk the orbit of the first dominant weight with each zero set
+        # and replay its steps on the others (see rootsys.dominant_orbit).
+        zeros = tuple(c == 0 for c in mu)
+        steps = walks.get(zeros)
+        if steps is None:
+            orbit, walks[zeros] = rootsys._walk_orbit(rs, mu)
+        else:
+            orbit = rootsys._replay_orbit(rs, steps, mu)
+        entries.update(dict.fromkeys(orbit, m_mu))
 
     # The table already maps int tuples to nonzero ints: wrap it, no copy.
     ws = WeightSystem.__new__(WeightSystem)

@@ -429,24 +429,59 @@ def dominant_orbit(rs, mu):
     is positive, which subtracts a positive multiple of alpha_i.  A point
     w(mu), w shortest in its coset of the stabiliser, is first reached after
     length(w) steps, so the generations of the walk are disjoint and each
-    is deduplicated on its own, with no set of every point seen.
+    is deduplicated on its own, with no set of every point seen.  The walk
+    depends on ``mu`` only through its zero set J: coordinate i of w(mu) is
+    <mu, w^-1 alpha_i^vee>, whose sign J fixes, and w(mu) = w'(mu) exactly
+    when w W_J = w' W_J.  So the steps ``_walk_orbit`` records replay, by
+    ``_replay_orbit``, to this list for any dominant weight with that zero
+    set.
     """
-    steps = {}  # (i, c) -> c * alpha_i in weight coordinates
+    return _walk_orbit(rs, mu)[0]
+
+
+def _walk_orbit(rs, mu):
+    """:func:`dominant_orbit` and, for each point after the first, its
+    first-reach step p * rank + i: the point is s_i of point p.  Following
+    the parents counts each point's generation, length(w), so
+    (-1)^generation is det(w) when ``mu`` is regular.  Each step is one
+    int, not a pair, since a large build keeps one walk per zero set."""
+    multiples = [{} for _ in range(rs.rank)]
     out = [tuple(mu)]
-    frontier = out[:]
-    while frontier:
+    steps = []
+    start = 0
+    while start < len(out):
         grown = {}
-        for w in frontier:
+        for p in range(start, len(out)):
+            w = out[p]
             for i, c in enumerate(w):
                 if c > 0:
-                    step = steps.get((i, c))
-                    if step is None:
-                        step = steps[i, c] = tuple(
-                            c * a for a in rs.simple_roots[i])
-                    grown[tuple(map(sub, w, step))] = None
-        frontier = list(grown)
-        out.extend(frontier)
+                    grown.setdefault(tuple(map(
+                        sub, w, _multiple(rs, multiples, i, c))),
+                        p * rs.rank + i)
+        start = len(out)
+        out.extend(grown)
+        steps.extend(grown.values())
+    return out, steps
+
+
+def _replay_orbit(rs, steps, mu):
+    """The orbit of the dominant weight ``mu`` from the steps
+    :func:`_walk_orbit` recorded on a dominant weight with its zero set."""
+    multiples = [{} for _ in range(rs.rank)]
+    out = [mu]
+    for step in steps:
+        p, i = divmod(step, rs.rank)
+        w = out[p]
+        out.append(tuple(map(sub, w, _multiple(rs, multiples, i, w[i]))))
     return out
+
+
+def _multiple(rs, multiples, i, c):
+    """c * alpha_i in weight coordinates, memoised in ``multiples[i]``."""
+    step = multiples[i].get(c)
+    if step is None:
+        step = multiples[i][c] = tuple(c * a for a in rs.simple_roots[i])
+    return step
 
 
 def root_lattice_coords(rs, mu):

@@ -12,6 +12,9 @@ genuine two-route check:
 * Weyl character formula by Laurent-polynomial division: weight
   multiplicities without Freudenthal, and the second-moment matrix summed
   over them.
+* The weight table in Freudenthal's order: the dominant weights of the Weyl
+  character formula by level (Fraction root coordinates), each walked out
+  by ``rootsys.dominant_orbit``, with no orbit walk replayed.
 * A re-assembly of the leading-order constant from raw transformed data, for
   the basis-independence certificate.
 * One Klimyk step that reflects every (highest weight, weight) pair to the
@@ -203,6 +206,22 @@ def weyl_formula_multiplicities(rs, lam):
             else:
                 num.pop(key, None)
     return {k: v for k, v in quot.items() if v}
+
+
+def weight_table_by_levels(rs, lam):
+    """Weight multiplicities as a list of (weight, multiplicity) in the
+    order of the Freudenthal table: dominant weights mu sorted by (level,
+    mu), level the height of lam - mu, each followed by the rest of its
+    Weyl orbit in ``dominant_orbit`` order."""
+    mults = weyl_formula_multiplicities(rs, lam)
+
+    def level(mu):
+        return sum(mat_vec(rs.cartan_inv, [l - m for l, m in zip(lam, mu)]))
+
+    dominant = sorted((mu for mu in mults if min(mu) >= 0),
+                      key=lambda mu: (level(mu), mu))
+    return [(w, mults[mu]) for mu in dominant
+            for w in dominant_orbit(rs, mu)]
 
 
 def weight_sum_second_moment(rs, lam):

@@ -322,7 +322,8 @@ def test_leading_term_needs_no_weight_system(monkeypatch, spec):
 
     for module in (repweights, charring, torusquad):
         monkeypatch.setattr(module, "weight_system", refuse)
-    monkeypatch.setattr(rootsys, "dominant_orbit", refuse)
+    for name in ("dominant_orbit", "_walk_orbit", "_replay_orbit"):
+        monkeypatch.setattr(rootsys, name, refuse)
     rs = build_root_system(spec)
     est = leading_term_I(rs, rs.rho, CycleType((1,)), 5)
     assert est.det_a > 0

@@ -99,6 +99,32 @@ def test_weight_system_matches_weyl_formula_oracle(spec, data):
         oracles.weyl_formula_multiplicities(rs, lam)
 
 
+TABLE_ORDER_GROUPS = {spec: build_root_system(spec)
+                      for spec in ("A1", "A2", "A3", "A4", "B2", "B3", "B4",
+                                   "C3", "D4", "G2", "F4", "A1xA2", "G2xA1")}
+
+
+@st.composite
+def table_order_case(draw):
+    rs = TABLE_ORDER_GROUPS[draw(st.sampled_from(sorted(TABLE_ORDER_GROUPS)))]
+    top = 3 - rs.rank // 2  # small weights, so that the oracle stays fast
+    return rs, draw(st.tuples(*[st.integers(0, top)] * rs.rank))
+
+
+@settings(max_examples=40, deadline=None)
+@given(table_order_case())
+@example((TABLE_ORDER_GROUPS["F4"], (0, 0, 0, 2)))  # replays one walk
+@example((TABLE_ORDER_GROUPS["G2xA1"], (1, 1, 2)))
+def test_weight_table_order_matches_orbit_walks(case):
+    # the table replays one orbit walk per zero set; its keys, values and
+    # their order must be those of walking every dominant weight's orbit,
+    # since characters sum the weights in table order
+    rs, lam = case
+    assume(weyl_dimension(rs, lam) <= 600)
+    assert list(weight_system(rs, lam).entries.items()) == \
+        oracles.weight_table_by_levels(rs, lam)
+
+
 def test_weight_system_reflects_no_term(monkeypatch):
     # each term mu + k alpha is one lookup in the table of expanded orbits,
     # never a reflection to the dominant chamber
@@ -259,6 +285,19 @@ def test_cache_does_not_serve_a_corrupted_copy():
         weight_system(corrupted, (1, 1))
     assert build_root_system("A2") is rs
     assert weight_system(rs, (1, 1)).dimension() == 8
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 2), -1])
+def test_root_coordinates_refuse_a_corrupted_inverse(scale):
+    # (1, 1) - (0, 0) = alpha_1 + alpha_2 comes out as (1/2, 1/2) or
+    # (-1, -1) from a scaled inverse Cartan matrix
+    rs = build_root_system("A2")
+    corrupted = dataclasses.replace(rs, cartan_inv=tuple(
+        tuple(scale * x for x in row) for row in rs.cartan_inv))
+    with pytest.raises(RuntimeError,
+                       match="^\\(1, 1\\) - \\(0, 0\\) is not a nonnegative "
+                             "root combination: corrupted root tables$"):
+        weight_system(corrupted, (1, 1))
 
 
 # Corrupted root data that each exact cross-check must catch: a wrong

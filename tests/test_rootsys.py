@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -152,6 +153,35 @@ def test_weyl_orbit_walks_down_from_the_dominant_conjugate(spec, mu):
             assert reflect_weight(rs, w, i) in orbit
     regular = _orbit(rs, tuple(abs(c) + 1 for c in dom))
     assert len(regular) == rs.weyl_order
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "D4", "G2", "F4",
+                                  "A1xG2"])
+def test_orbit_walk_replays_on_its_zero_set(spec):
+    # the steps of one walk depend on the weight only through its zero set,
+    # so replaying them on any dominant weight with that zero set is the
+    # walk of that weight, point for point
+    rs = build_root_system(spec)
+    for zeros in itertools.product((True, False), repeat=rs.rank):
+        first = tuple(0 if z else 1 for z in zeros)
+        orbit, steps = rootsys._walk_orbit(rs, first)
+        assert len(steps) == len(orbit) - 1
+        assert rs.weyl_order % len(orbit) == 0
+        free = rs.rank - sum(zeros)
+        for values in itertools.product((1, 2, 5), repeat=free):
+            it = iter(values)
+            mu = tuple(0 if z else next(it) for z in zeros)
+            assert rootsys._replay_orbit(rs, steps, mu) == \
+                dominant_orbit(rs, mu)
+        if not any(zeros):
+            # a regular orbit is free; its generations are lengths, so
+            # (-1)^generation is the sign of the element reaching each point
+            generation = [0]
+            for step in steps:
+                generation.append(generation[step // rs.rank] + 1)
+            assert len(orbit) == rs.weyl_order
+            for w, g in zip(orbit, generation):
+                assert dominant_representative(rs, w) == (first, (-1) ** g)
 
 
 def test_dominant_representative():
