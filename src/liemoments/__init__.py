@@ -16,8 +16,7 @@ from .asymptotics import (AsymptoticEstimate, ClassFunction, HypothesisError,
                           leading_term_K, mehta_closed_form, nu_character,
                           vanish_leading_constant)
 from .charring import (CycleType, SupportCapExceeded, adams, dual,
-                       exact_moment, invariant_dimension, moment_sequence,
-                       moment_terms, product, tensor_decompose,
+                       exact_moment, moment_sequence, product,
                        trivial_multiplicity)
 from .harness import (ConvergenceReport, ExperimentConfig, HypothesisVerdict,
                       check_hypotheses, run_experiment)
@@ -54,11 +53,10 @@ __all__ = [
     "SecondMoment", "SupportCapExceeded", "TorusGrid", "WeightSystem",
     "a_lambda", "adams", "biane_dimension_estimate", "build_root_system",
     "character_at", "check_hypotheses", "default_grid",
-    "dominant_representative", "dual", "exact_moment", "invariant_dimension",
-    "is_regular", "kappa", "leading_term_I", "leading_term_K",
-    "mehta_closed_form", "moment_sequence", "moment_terms", "nu_character",
-    "pairing", "product", "quad_I_N", "quad_K_N", "quad_sequence",
-    "run_experiment", "tensor_decompose", "trivial_multiplicity",
+    "dominant_representative", "dual", "exact_moment", "is_regular",
+    "kappa", "leading_term_I", "leading_term_K", "mehta_closed_form",
+    "moment_sequence", "nu_character", "pairing", "product", "quad_I_N",
+    "quad_K_N", "quad_sequence", "run_experiment", "trivial_multiplicity",
     "vanish_leading_constant", "weight_system", "weyl_dimension",
     "weyl_denominator_sq",
 ]

@@ -8,9 +8,12 @@ it applies one Klimyk step per trace factor to a state of highest weights
 with signed multiplicities (:func:`klimyk_step`), and pairs two such
 decompositions for the two-sided moment (:func:`moment_sequence`, which
 extends one chain across a whole N schedule, on each simple factor of a
-product group separately).  Weight-system
-convolution (:func:`product`) stays available as a character-ring operation.
-Everything here is exact integer arithmetic.
+product group separately); a one-N value is the one-element schedule
+(:func:`exact_moment`).  No route calls the weight-system convolution
+(:func:`product`, :func:`product_all`, :func:`moment_weight_system`) or
+:func:`trivial_multiplicity`: they are the tests' reference for the engine,
+and the benchmark traces them.  Everything here is exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -206,27 +209,11 @@ def klimyk_step(rs, state, x, step=1):
     return {hw: v for hw, v in out.items() if v}
 
 
-def _extend(rs, state, factors, first_step):
-    """``state (x) X_1 (x) ... (x) X_k`` by one :func:`klimyk_step` per
-    factor; the steps are labelled from ``first_step`` on."""
-    for step, ws in enumerate(factors, start=first_step):
-        state = klimyk_step(rs, state, ws.entries, step)
-    return state
-
-
-def tensor_decompose(rs, factors):
-    """Decomposition of ``X_1 (x) ... (x) X_k`` into irreducibles.
-
-    ``factors`` are weight systems (virtual ones allowed); the result maps
-    highest weights to signed multiplicities.  One :func:`klimyk_step` per
-    factor, starting from the trivial representation.
-    """
-    return _extend(rs, {(0,) * rs.rank: 1}, factors, 1)
-
-
 def trivial_multiplicity(rs, ws):
-    """Multiplicity of the trivial representation in a virtual character."""
-    return tensor_decompose(rs, [ws]).get((0,) * rs.rank, 0)
+    """Multiplicity of the trivial representation in a virtual character:
+    one :func:`klimyk_step` from the trivial representation."""
+    zero = (0,) * rs.rank
+    return klimyk_step(rs, {zero: 1}, ws.entries).get(zero, 0)
 
 
 def _power_factors(ws, a):
@@ -244,7 +231,7 @@ def moment_weight_system(rs, lam, a, b=CycleType(())):
     return product_all(factors, rs.rank)
 
 
-def moment_sequence(rs, lam, a, b=CycleType(()), ns=(1,), weights=None):
+def moment_sequence(rs, lam, a, b, ns, weights=None):
     """Haar integrals of P_{a n} * conj(P_{b n}) * chi_nu for each n in
     ``ns`` and each nu in ``weights``, from one Klimyk chain per side and
     simple factor.
@@ -330,8 +317,9 @@ def _chain_rows(rs, lam, a, b, ns, weights):
             if isinstance(decs[i], SupportCapExceeded):
                 continue
             try:
-                decs[i] = _extend(rs, decs[i], factors * (n - done),
-                                  done * len(factors) + 1)
+                for step, x in enumerate(factors * (n - done),
+                                         start=done * len(factors) + 1):
+                    decs[i] = klimyk_step(rs, decs[i], x.entries, step)
             except SupportCapExceeded as exc:
                 decs[i] = exc
         refusal = next((d for d in decs if isinstance(d, SupportCapExceeded)),
@@ -359,35 +347,13 @@ def _chain_rows(rs, lam, a, b, ns, weights):
         yield out, False
 
 
-def moment_terms(rs, lam, a, b=CycleType(()), weights=None):
-    """Haar integrals of P_a * conj(P_b) * chi_nu for each nu in
-    ``weights``: the one-element schedule ``ns = (1,)`` of
-    :func:`moment_sequence`, with its refusal raised.  Returns a list of
-    exact integers."""
-    (terms,) = moment_sequence(rs, lam, a, b, (1,), weights)
-    if isinstance(terms, SupportCapExceeded):
-        raise terms
-    return terms
-
-
 def exact_moment(rs, lam, a, b=CycleType(())):
-    """Haar integral of the trace monomial, as an exact integer."""
-    return moment_terms(rs, lam, a, b)[0]
-
-
-def invariant_dimension(rs, lam, n):
-    """Dimension of the invariant subspace of the n-th tensor power.
-
-    Iterates the Klimyk step on the multiset of constituents, which stays
-    small, so this handles much larger n than convolving the full weight
-    system.  A genuine representation must decompose with positive
-    multiplicities; anything else raises RuntimeError.
-    """
-    lam = check_dominant_integral(rs, lam)
-    state = tensor_decompose(rs, [weight_system(rs, lam)] * n)
-    if any(v <= 0 for v in state.values()):
-        raise RuntimeError(
-            f"tensor power {n} of {lam} decomposed with a non-positive "
-            f"multiplicity")
-    return state.get((0,) * rs.rank, 0)
-
+    """Haar integral of P_a * conj(P_b), P_a = prod_j Tr(g^j)^{a_j} in the
+    irreducible with highest weight ``lam``, as an exact integer: the
+    one-element schedule ``ns = (1,)`` of :func:`moment_sequence`, with its
+    refusal raised.  With a = (n) and b empty it is the dimension of the
+    invariant subspace of the n-th tensor power of V_lam."""
+    (row,) = moment_sequence(rs, lam, a, b, (1,))
+    if isinstance(row, SupportCapExceeded):
+        raise row
+    return row[0]

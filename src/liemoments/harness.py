@@ -337,8 +337,9 @@ def route_value(path, rs, lam, a, b, n, f, grid_sizes=None):
         raise rootsys.ConfigurationError(
             f"power index N must be >= 0, got {n}")
     if path == "exact":
-        # one chain of the scaled types: the factor order, and so every
-        # refusal, is that of moment_terms(rs, lam, a.scaled(n), ...)
+        # one chain of the scaled types, all Tr(g) factors first: the
+        # factor order, and so every refusal, is that of
+        # exact_moment(rs, lam, a.scaled(n), b.scaled(n))
         (value,) = _exact_values(rs, lam, a.scaled(n), b.scaled(n), (1,), f)
         if isinstance(value, charring.SupportCapExceeded):
             raise value

@@ -122,8 +122,7 @@ def _freudenthal(rs, lam):
     # Simple-root coordinates of lam - mu in integers: with den the common
     # denominator of the inverse Cartan matrix, each is one divmod of a row
     # of den * cartan_inv against lam - mu.
-    den = math.lcm(*(x.denominator for row in rs.cartan_inv for x in row))
-    inv = [[int(x * den) for x in row] for row in rs.cartan_inv]
+    den, inv = rootsys.scaled_cartan_inv(rs)
     below = {}
     for mu in dominants:
         diff = tuple(map(sub, lam, mu))
@@ -150,6 +149,7 @@ def _freudenthal(rs, lam):
     # level than mu, whose orbit is already in the table.
     entries = {}
     walks = {}  # zero set -> steps of rootsys._walk_orbit
+    last = {tuple(c == 0 for c in mu): mu for mu in order}
     for mu in order:
         if mu == lam:
             m_mu = 1
@@ -175,13 +175,16 @@ def _freudenthal(rs, lam):
                     f"{Fraction(2 * total, denom)}, not a positive integer: "
                     f"corrupted root tables")
         # Walk the orbit of the first dominant weight with each zero set
-        # and replay its steps on the others (see rootsys.dominant_orbit).
+        # and replay its steps on the others (see rootsys.dominant_orbit);
+        # the steps are freed after the last one.
         zeros = tuple(c == 0 for c in mu)
         steps = walks.get(zeros)
         if steps is None:
             orbit, walks[zeros] = rootsys._walk_orbit(rs, mu)
         else:
             orbit = rootsys._replay_orbit(rs, steps, mu)
+        if last[zeros] == mu:
+            del walks[zeros]
         entries.update(dict.fromkeys(orbit, m_mu))
 
     # The table already maps int tuples to nonzero ints: wrap it, no copy.

@@ -484,14 +484,20 @@ def _multiple(rs, multiples, i, c):
     return step
 
 
-def root_lattice_coords(rs, mu):
-    """Coordinates of ``mu`` on the simple roots (exact; may be fractional)."""
-    return mat_vec(rs.cartan_inv, mu)
+@cache
+def scaled_cartan_inv(rs):
+    """``(D, D C^-1)``: the lcm D of the denominators of the inverse Cartan
+    matrix, and D times that matrix in integers.  Row j pairs a weight with
+    D times its coefficient on alpha_j.  Memoised per datum, and read from
+    ``cartan_inv``, so a copy with an altered inverse gets its own."""
+    den = math.lcm(*(x.denominator for row in rs.cartan_inv for x in row))
+    return den, tuple(tuple(int(x * den) for x in row)
+                      for row in rs.cartan_inv)
 
 
 def order_mod_root_lattice(rs, mu):
-    """Smallest q >= 1 with q * mu in the root lattice."""
-    q = 1
-    for c in root_lattice_coords(rs, mu):
-        q = q * c.denominator // math.gcd(q, c.denominator)
-    return q
+    """Smallest q >= 1 with q * mu in the root lattice: the root
+    coordinates of ``mu`` are (D C^-1 mu) / D, so q = D / gcd(D, D C^-1 mu)
+    for integer ``mu``."""
+    den, inv = scaled_cartan_inv(rs)
+    return den // math.gcd(den, *(sum(map(mul, row, mu)) for row in inv))

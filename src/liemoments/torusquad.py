@@ -110,8 +110,9 @@ class TorusGrid:
 
 @cache
 def _hull_data(rs):
-    """Per simple factor of ``rs``: its axes, Q = D C^-1 in integers, Q
-    composed with lam -> lam* = -w0 lam, and Q 2 rho.
+    """Per simple factor of ``rs``: its axes, Q = D C^-1 in integers
+    (:func:`rootsys.scaled_cartan_inv`), Q composed with
+    lam -> lam* = -w0 lam, and Q 2 rho.
 
     D is the lcm of the denominators of the factor's inverse Cartan matrix,
     and every entry of Q is positive.  Row j of Q pairs a weight with D
@@ -120,9 +121,7 @@ def _hull_data(rs):
     out = []
     for block, rs_k in rootsys.simple_factors(rs):
         r = rs_k.rank
-        den = math.lcm(*(x.denominator for row in rs_k.cartan_inv
-                         for x in row))
-        q = tuple(tuple(int(x * den) for x in row) for row in rs_k.cartan_inv)
+        _, q = rootsys.scaled_cartan_inv(rs_k)
         duals = [rootsys.dominant_representative(
                      rs_k, tuple(-int(p == i) for p in range(r)))[0]
                  for i in range(r)]

@@ -15,6 +15,8 @@ genuine two-route check:
 * The weight table in Freudenthal's order: the dominant weights of the Weyl
   character formula by level (Fraction root coordinates), each walked out
   by ``rootsys.dominant_orbit``, with no orbit walk replayed.
+* Root coordinates as Fractions, and a weight's order modulo the root
+  lattice as the lcm of their denominators.
 * A re-assembly of the leading-order constant from raw transformed data, for
   the basis-independence certificate.
 * One Klimyk step that reflects every (highest weight, weight) pair to the
@@ -208,6 +210,17 @@ def weyl_formula_multiplicities(rs, lam):
     return {k: v for k, v in quot.items() if v}
 
 
+def root_lattice_coords(rs, mu):
+    """Coordinates of ``mu`` on the simple roots (exact; may be fractional)."""
+    return mat_vec(rs.cartan_inv, mu)
+
+
+def order_mod_root_lattice(rs, mu):
+    """Smallest q >= 1 with q * mu in the root lattice: the lcm of the
+    denominators of the root coordinates of ``mu``."""
+    return math.lcm(*(c.denominator for c in root_lattice_coords(rs, mu)))
+
+
 def weight_table_by_levels(rs, lam):
     """Weight multiplicities as a list of (weight, multiplicity) in the
     order of the Freudenthal table: dominant weights mu sorted by (level,
@@ -216,7 +229,7 @@ def weight_table_by_levels(rs, lam):
     mults = weyl_formula_multiplicities(rs, lam)
 
     def level(mu):
-        return sum(mat_vec(rs.cartan_inv, [l - m for l, m in zip(lam, mu)]))
+        return sum(root_lattice_coords(rs, [l - m for l, m in zip(lam, mu)]))
 
     dominant = sorted((mu for mu in mults if min(mu) >= 0),
                       key=lambda mu: (level(mu), mu))

@@ -16,8 +16,8 @@ import pytest
 from liemoments.asymptotics import (ClassFunction, biane_dimension_estimate,
                                     leading_term_I, mehta_closed_form)
 from liemoments.charring import (CycleType, exact_moment,
-                                 invariant_dimension, moment_weight_system,
-                                 product, trivial_multiplicity)
+                                 moment_weight_system, product,
+                                 trivial_multiplicity)
 from liemoments.harness import ExperimentConfig, fit_error_exponent, \
     run_experiment
 from liemoments.repweights import a_lambda, weight_system, weyl_dimension
@@ -166,7 +166,7 @@ def test_invariant_dimension_growth():
     ns = (4, 8, 16, 32, 64, 96, 120)
     errors = []
     for n in ns:
-        dim_inv = invariant_dimension(rs, (2,), n)
+        dim_inv = exact_moment(rs, (2,), CycleType((n,)))
         assert dim_inv == oracles.riordan(n)
         assert dim_inv == oracles.su2_ladder_invariants(2, n)
         est = biane_dimension_estimate(rs, (2,), n)

@@ -3,10 +3,8 @@ import pytest
 
 from liemoments import charring, harness, rootsys
 from liemoments.charring import (CycleType, SupportCapExceeded, adams, dual,
-                                 exact_moment, invariant_dimension,
-                                 klimyk_step, moment_sequence, moment_terms,
-                                 product, product_all, tensor_decompose,
-                                 trivial_multiplicity)
+                                 exact_moment, klimyk_step, moment_sequence,
+                                 product, product_all, trivial_multiplicity)
 from liemoments.cli import main
 from liemoments.repweights import weight_system
 from liemoments.rootsys import ConfigurationError, build_root_system
@@ -40,7 +38,7 @@ def test_adams_a1_square():
     sq = adams(ws, 2)
     assert sq.entries == {(2,): 1, (-2,): 1}
     # psi^2(std) = chi_{2w} - chi_0
-    assert tensor_decompose(rs, [sq]) == {(2,): 1, (0,): -1}
+    assert klimyk_step(rs, {(0,): 1}, sq.entries) == {(2,): 1, (0,): -1}
     assert trivial_multiplicity(rs, sq) == -1
 
 
@@ -59,7 +57,7 @@ def test_product_clebsch_gordan():
     std = weight_system(rs, (1,))
     sq = product(std, std)
     assert sq.entries == {(2,): 1, (0,): 2, (-2,): 1}
-    assert tensor_decompose(rs, [sq]) == {(2,): 1, (0,): 1}
+    assert klimyk_step(rs, {(0,): 1}, sq.entries) == {(2,): 1, (0,): 1}
     assert trivial_multiplicity(rs, sq) == 1
 
 
@@ -123,7 +121,9 @@ def test_klimyk_step_reflects_only_shifts_that_leave_the_chamber(
     # negative and no zero coordinate, are reflected, once per pair
     rs = build_root_system("A2")
     x = weight_system(rs, (1, 1)).entries
-    state = tensor_decompose(rs, [weight_system(rs, (1, 1))] * 3)
+    state = {(0, 0): 1}
+    for _ in range(3):
+        state = klimyk_step(rs, state, x)
     calls = []
     original = rootsys.dominant_representative
 
@@ -191,7 +191,7 @@ def test_chain_refusal_persists_to_later_rows(monkeypatch):
         assert isinstance(refusal, SupportCapExceeded)
         assert str(refusal) == note
         with pytest.raises(SupportCapExceeded) as one_n:
-            moment_terms(rs, (1,), one.scaled(n), one.scaled(n))
+            exact_moment(rs, (1,), one.scaled(n), one.scaled(n))
         assert str(one_n.value) == note
 
 
@@ -210,7 +210,7 @@ def test_a_side_refusal_takes_over_from_b_side(monkeypatch):
     assert rows == [[0], [1]] + [b_note] * 2 + [a_note] * 4
     for n in (4, 5):
         with pytest.raises(SupportCapExceeded) as one_n:
-            moment_terms(rs, (1,), a.scaled(n), b.scaled(n))
+            exact_moment(rs, (1,), a.scaled(n), b.scaled(n))
         assert str(one_n.value) == rows[n - 1]
 
 
@@ -255,7 +255,7 @@ def test_decompose_matches_greedy_on_genuine_characters():
             lam = tuple(int(c) for c in rng.integers(0, 3, size=rs.rank))
             mu = tuple(int(c) for c in rng.integers(0, 3, size=rs.rank))
             ws = product(weight_system(rs, lam), weight_system(rs, mu))
-            dec = tensor_decompose(rs, [ws])
+            dec = klimyk_step(rs, {(0,) * rs.rank: 1}, ws.entries)
             assert dec == oracles.greedy_decompose(rs, ws)
             assert all(v > 0 for v in dec.values())
 
@@ -297,18 +297,9 @@ def test_a2_moment_dimension_counts():
     assert want[3] == 1 and want[6] == 5 and want[9] == 42
 
 
-def test_invariant_dimension_matches_moment():
-    for spec, lam in [("A1", (1,)), ("A1", (2,)), ("A2", (1, 0)),
-                      ("A2", (1, 1)), ("B2", (0, 1))]:
-        rs = build_root_system(spec)
-        for n in range(0, 7):
-            assert invariant_dimension(rs, lam, n) == \
-                exact_moment(rs, lam, CycleType((n,)))
-
-
 def test_invariant_dimension_riordan():
     rs = build_root_system("A1")
-    got = [invariant_dimension(rs, (2,), n) for n in range(10)]
+    got = [exact_moment(rs, (2,), CycleType((n,))) for n in range(10)]
     assert got == [1, 0, 1, 1, 3, 6, 15, 36, 91, 232]
     assert got == [oracles.riordan(n) for n in range(10)]
     assert got == [oracles.su2_ladder_invariants(2, n) for n in range(10)]

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liemoments.charring import (CycleType, adams, dual, exact_moment,
-                                 klimyk_step, moment_sequence, moment_terms)
+                                 klimyk_step, moment_sequence)
 from liemoments.repweights import weight_system
 from liemoments.rootsys import build_root_system, dominant_representative
 
@@ -54,7 +54,7 @@ def moment_cases(draw):
 @given(moment_cases())
 def test_engine_matches_convolution_oracle(case):
     rs, lam, a, b, terms = case
-    mults = moment_terms(rs, lam, a, b, [nu for nu, _ in terms])
+    (mults,) = moment_sequence(rs, lam, a, b, (1,), [nu for nu, _ in terms])
     got = sum(c * m for (_, c), m in zip(terms, mults))
     assert got == oracles.convolution_moment(rs, lam, a.exps, b.exps, terms)
 
@@ -135,9 +135,12 @@ def test_swapping_a_and_b_is_conjugation(case):
     # the trace of lam* is the conjugate trace of lam, so it also equals
     # K(lam*; b, a; nu)
     rs, lam, a, b, nus = case
-    want = moment_terms(rs, lam, a, b, nus)
-    assert moment_terms(rs, lam, b, a, [star(rs, nu) for nu in nus]) == want
-    assert moment_terms(rs, star(rs, lam), b, a, nus) == want
+    (want,) = moment_sequence(rs, lam, a, b, (1,), nus)
+    (swapped,) = moment_sequence(rs, lam, b, a, (1,),
+                                 [star(rs, nu) for nu in nus])
+    (conjugated,) = moment_sequence(rs, star(rs, lam), b, a, (1,), nus)
+    assert swapped == want
+    assert conjugated == want
 
 
 STEP_GROUPS = {spec: build_root_system(spec)

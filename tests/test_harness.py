@@ -523,7 +523,7 @@ def test_cli_internal_error_exits_3_without_traceback(monkeypatch, capsys):
 def test_cli_exact_applies_the_factors_of_the_scaled_type(monkeypatch,
                                                           capsys):
     # a = (1, 1) at N = 4 is Tr(g)^4 Tr(g^2)^4: the one-N route applies all
-    # Tr(g) factors first, as moment_terms on a.scaled(N) does, so the
+    # Tr(g) factors first, as exact_moment on a.scaled(N) does, so the
     # refusal names that order's step and state
     monkeypatch.setattr(charring, "_SUPPORT_CAP", 6)
     args = ["exact", "--group", "A1", "--lam", "1", "--a", "1,1", "--b",

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liemoments import torusquad
@@ -403,6 +403,9 @@ def _roundoff_scale(rs, lam, a, b, n, terms, sizes):
 
 @settings(max_examples=60, deadline=None)
 @given(sequence_cases())
+@example((SEQUENCE_GROUPS["A2"], (1, 1), CycleType(()), CycleType((1,)),
+          (0, 1, 2, 7, 11), ClassFunction((((0, 1), 1.0),)), None,
+          4_000_000))
 def test_sequence_rows_match_one_n_calls(case):
     rs, lam, a, b, ns, f, grid, max_points = case
     with mock.patch.object(torusquad, "_MAX_POINTS", max_points):
@@ -414,7 +417,10 @@ def test_sequence_rows_match_one_n_calls(case):
                 want[n] = quad_K_N(rs, lam, a, b, n, f=f, grid=grid)
             except GridError as exc:
                 want[n] = exc
-                continue
+                # a row refused by its imaginary residual passed every
+                # check before the sum, so it still tops or joins a band
+                if not str(exc).startswith("imaginary residual"):
+                    continue
             points[n] = (grid or default_grid(rs, lam, a, b, n,
                                               f)).num_points
     # bands from the largest admissible N down: a row tops a new band when

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liemoments import rootsys
 from liemoments.rootsys import (ConfigurationError, build_root_system,
@@ -10,6 +12,7 @@ from liemoments.rootsys import (ConfigurationError, build_root_system,
                                 kappa, order_mod_root_lattice, pairing,
                                 parse_group, simple_factors)
 
+import oracles
 from oracles import reflect_covector, reflect_weight
 
 ALL_SIMPLE = ([f"A{n}" for n in range(1, 9)]
@@ -251,6 +254,18 @@ def test_root_lattice_membership():
     rs = build_root_system("A2")
     assert order_mod_root_lattice(rs, (1, 0)) == 3
     assert order_mod_root_lattice(rs, (1, 1)) == 1
+
+
+@settings(max_examples=200)
+@given(spec=st.sampled_from(ALL_SIMPLE + ["A1xA2", "B3xD4", "A3xE6"]),
+       data=st.data())
+def test_order_mod_root_lattice_matches_fraction_oracle(spec, data):
+    # the integer path D / gcd(D, D C^-1 mu) against the lcm of the
+    # denominators of the Fraction root coordinates, on signed weights
+    rs = build_root_system(spec)
+    mu = data.draw(st.tuples(*[st.integers(-12, 12)] * rs.rank))
+    assert order_mod_root_lattice(rs, mu) == \
+        oracles.order_mod_root_lattice(rs, mu)
 
 
 def test_root_datum_is_memoised_but_specs_are_always_parsed():
