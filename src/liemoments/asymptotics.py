@@ -6,7 +6,10 @@ Mehta-type integral, weighted by a root of unity determined by the highest
 weight and by the value of the test class function there.  This module
 assembles those constants exactly where possible (kappa factors and
 determinants as Fractions, central phases as exact roots of unity) and in
-floats only at the very end.
+floats only at the very end.  The peak's kappa(A_lam^-1 rho) and det A_lam
+are closed forms in root data (``repweights.SecondMoment``), and its
+pairings <lam, psi> with the central elements are taken once per sweep;
+only the Mehta closed forms of a caller's form run an elimination.
 """
 
 from __future__ import annotations
@@ -35,14 +38,17 @@ def _unit_phase(t):
     """exp(2 pi i t) for rational t, exact at the lattice points that matter
     (halves and quarters); cmath otherwise."""
     t = Fraction(t)
-    t -= t.__floor__()
-    if t.denominator == 1:
+    den = t.denominator
+    if den == 1:
         return complex(1, 0)
-    if t.denominator == 2:
+    if den == 2:
         return complex(-1, 0)
-    if t.denominator == 4:
-        return complex(0, 1) if t.numerator == 1 else complex(0, -1)
-    return cmath.exp(2j * math.pi * float(t))
+    # t mod 1 is num / den in lowest terms, and float(Fraction) is that
+    # true division
+    num = t.numerator % den
+    if den == 4:
+        return complex(0, 1) if num == 1 else complex(0, -1)
+    return cmath.exp(2j * math.pi * (num / den))
 
 
 def nu_character(rs, lam, m, psi):
@@ -149,23 +155,30 @@ class PeakData(NamedTuple):
     kappa_term: Fraction  # kappa(A_lam^{-1} rho)
     det_a: Fraction       # det A_lam
     f_at_center: tuple    # f at each element of rs.center.elements
+    lam_at_center: tuple  # <lam, psi> at each element psi, Fractions
 
 
 def peak_data(rs, lam, f=None):
     """:class:`PeakData` of ``(rs, lam)`` and the class function ``f``
     (default 1).  None of it depends on N, so a caller evaluating many N
-    builds it once and passes it to the leading terms as ``peak``."""
+    builds it once and passes it to the leading terms as ``peak``.
+
+    ``kappa_term`` and ``det_a`` are the closed forms of
+    :class:`repweights.SecondMoment`, from one :func:`a_lambda` call: no
+    elimination.  ``lam_at_center`` holds each pairing <lam, psi>, so a
+    one-sided row takes its central phases as exp(2 pi i N k_a <lam, psi>)
+    with no pairing of its own."""
     f = ClassFunction.one(rs.rank) if f is None else f
     sm = a_lambda(rs, lam)
-    return PeakData(weyl_dimension(rs, lam),
-                    rootsys.kappa(rs, sm.solve(rs.rho)), sm.det,
-                    tuple(f.central_value(rs, psi)
-                          for psi in rs.center.elements))
+    center = rs.center.elements
+    return PeakData(weyl_dimension(rs, lam), sm.kappa_rho, sm.det,
+                    tuple(f.central_value(rs, psi) for psi in center),
+                    tuple(rootsys.pairing(lam, psi) for psi in center))
 
 
 def _leading_core(rs, num_factors, l_total, pi_sum, n, peak):
     """Shared assembly for the one- and two-sided leading terms."""
-    dim, kap, det_a, _ = peak
+    dim, kap, det_a = peak.dim, peak.kappa_term, peak.det_a
     d = rs.num_positive_roots
     log_dim_power = n * num_factors * math.log(dim)
     try:
@@ -232,8 +245,8 @@ def leading_term_I(rs, lam, a, n, f=None, peak=None):
     f = (ClassFunction.one(rs.rank) if f is None else f).validated(rs)
     peak = peak_data(rs, lam, f) if peak is None else peak
     pi_sum = complex(0, 0)
-    for psi, f_psi in zip(rs.center.elements, peak.f_at_center):
-        pi_sum += nu_character(rs, lam, n * a.weight, psi) * f_psi
+    for pair, f_psi in zip(peak.lam_at_center, peak.f_at_center):
+        pi_sum += _unit_phase(n * a.weight * pair) * f_psi
     return _leading_core(rs, a.size, a.quad, pi_sum, n, peak)
 
 

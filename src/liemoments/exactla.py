@@ -1,5 +1,5 @@
-"""Exact linear algebra on tiny matrices: Fraction elimination, Hermite and
-Smith forms.
+"""Exact linear algebra on tiny matrices: Fraction elimination, leading
+minors in integers, Hermite and Smith forms.
 
 Everything in this module works on nested sequences of ints/Fractions and
 returns plain tuples.  Matrices here are at most rank x rank for rank <= 8,
@@ -37,7 +37,9 @@ def positive_lu(mat):
     ``(low, up)``, the multipliers below the diagonal of ``low`` and the
     upper-triangular ``up``; :func:`lu_det` multiplies the pivots
     ``up[k][k]`` to det mat, and :func:`lu_solve` solves with the pair.
-    This is the package's only Fraction elimination.
+    This is the package's only Fraction elimination.  For an integer matrix
+    whose factors are not needed, :func:`positive_minors` decides the same
+    criterion in integers.
     """
     up = frac_matrix(mat)
     n = len(up)
@@ -72,6 +74,34 @@ def lu_det(factors):
     """det mat from ``positive_lu(mat)``: the product of the pivots."""
     up = factors[1]
     return math.prod(up[k][k] for k in range(len(up)))
+
+
+def positive_minors(mat):
+    """The leading principal minors of the integer matrix ``mat``, or None
+    when one is <= 0.
+
+    Bareiss's fraction-free elimination without row exchanges: after step
+    k every entry below and right of the pivot is a minor of ``mat`` of
+    order k + 1, and the division by the previous pivot is exact, so the
+    k-th pivot is the k-th leading principal minor and every number stays
+    an integer.  The last minor is det mat.
+    """
+    a = [[int(x) for x in row] for row in mat]
+    n = len(a)
+    minors = []
+    prev = 1
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot <= 0:
+            return None
+        minors.append(pivot)
+        tail = a[k][k + 1:]
+        for i in range(k + 1, n):
+            lead = a[i][k]
+            a[i][k + 1:] = [(x * pivot - lead * y) // prev
+                            for x, y in zip(a[i][k + 1:], tail)]
+        prev = pivot
+    return tuple(minors)
 
 
 def hermite_normal_form(mat):

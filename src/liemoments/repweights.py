@@ -14,21 +14,22 @@ zero set of mu, so it is walked once per zero set and replayed on the
 other dominant weights with that zero set, which gives the same points in
 the same order (``rootsys.dominant_orbit``).  Everything is exact:
 weights are integer tuples in fundamental-weight coordinates,
-multiplicities are ints, and the second-moment matrix is a Fraction
-matrix.  That matrix comes from root data alone, never from a weight
-system.
+multiplicities are ints, and the second-moment matrix is one exact
+Casimir scale per simple factor times the invariant form, from root data
+alone, never from a weight system; its determinant, its inverse applied to
+a weight and kappa(A_lam^-1 rho) are closed forms (``SecondMoment``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from operator import add, mul, sub
 
 from . import rootsys
-from .exactla import lu_det, lu_solve, positive_lu
+from .exactla import positive_minors
 
 
 class WeightSystem:
@@ -83,9 +84,10 @@ def is_regular(rs, lam):
 def weyl_dimension(rs, lam):
     """Dimension of the irreducible with highest weight ``lam`` (exact)."""
     lam = check_dominant_integral(rs, lam)
+    shifted = [l + 1 for l in lam]
     num = den = 1
     for cr in rs.positive_coroots:
-        num *= sum((l + 1) * c for l, c in zip(lam, cr))
+        num *= sum(map(mul, shifted, cr))
         den *= sum(cr)
     dim, rem = divmod(num, den)
     if rem or dim <= 0:
@@ -138,8 +140,7 @@ def _freudenthal(rs, lam):
     # Integer inner products: D (mu, alpha) = sum_j mu_j c_j D d_j, with c
     # the simple-root coordinates of alpha and D the lcm of the
     # denominators of the symmetrizers d_j.
-    scale = math.lcm(*(d.denominator for d in rs.symmetrizers))
-    sym = [int(d * scale) for d in rs.symmetrizers]
+    _scale, sym = _integer_symmetrizers(rs)
     roots = []
     for c, alpha in zip(rs.positive_rootcoords, rs.positive_roots):
         pair = tuple(cj * dj for cj, dj in zip(c, sym))
@@ -201,27 +202,103 @@ def _dot(x, y):
     return sum(map(mul, x, y))
 
 
+def _integer_symmetrizers(rs):
+    """``(S, S d)``: the lcm S of the denominators of the symmetrizers d_j,
+    and the symmetrizers scaled by it to integers."""
+    scale = math.lcm(*(d.denominator for d in rs.symmetrizers))
+    return scale, [d.numerator * (scale // d.denominator)
+                   for d in rs.symmetrizers]
+
+
 @dataclass(frozen=True)
 class SecondMoment:
-    """Second-moment matrix of a weight system, dim-normalized, exact."""
-    matrix: tuple  # rank x rank, Fractions
+    """The second-moment matrix A_lam of :func:`a_lambda`, exact, held as
+    one Casimir scale s_k per simple factor k: on factor k's block,
+    A_lam = s_k B_k, where B_k = (cartan[i][j] / d_j) is the invariant form
+    on coroots.  So, with C the Cartan matrix and r_k the rank of factor k,
+    its data are closed forms in root data (Humphreys, Introduction to Lie
+    Algebras, sections 13 and 24):
+
+    - ``det`` = det C / prod_j d_j * prod_k s_k^{r_k};
+    - ``solve(mu)`` is d_i (C^-1 mu)_i / s_k on block k;
+    - ``kappa_rho`` = kappa(A_lam^-1 rho) = prod_{alpha > 0} (alpha, rho)
+      / s_k, with k the factor of alpha, since <alpha, D C^-1 rho> is
+      (alpha, rho) for D = diag(d).
+
+    A_lam is positive definite exactly when every s_k, every d_j and every
+    leading principal minor of C is positive, which ``definite`` decides in
+    integers (:func:`exactla.positive_minors`).  Otherwise A_lam, a Gram
+    sum and so positive semidefinite, is singular: ``det`` is 0, and
+    ``solve`` and ``kappa_rho`` raise ValueError, as when lam vanishes on a
+    simple factor.  ``matrix`` is built only when it is read.
+    """
+    rs: rootsys.RootSystem = field(repr=False)
+    scales: tuple  # s_k = (lam, lam + 2 rho)_k / dim G_k, Fractions
 
     @cached_property
-    def factors(self):
-        """:func:`exactla.positive_lu` of the matrix, or None when a
-        leading principal minor vanishes; ``det`` and ``solve`` read it."""
-        return positive_lu(self.matrix)
+    def matrix(self):
+        """A_lam as a rank x rank tuple of Fractions."""
+        rs = self.rs
+        m = [[Fraction(0)] * rs.rank for _ in range(rs.rank)]
+        for (block, _), s in zip(rootsys.factor_blocks(rs), self.scales):
+            for i in block:
+                for j in block:
+                    m[i][j] = s * rs.cartan[i][j] / rs.symmetrizers[j]
+        return tuple(tuple(row) for row in m)
+
+    @cached_property
+    def _cartan_minors(self):
+        return positive_minors(self.rs.cartan)
+
+    @cached_property
+    def definite(self):
+        """Whether A_lam is positive definite, decided exactly."""
+        return (all(s > 0 for s in self.scales)
+                and all(d > 0 for d in self.rs.symmetrizers)
+                and self._cartan_minors is not None)
 
     @cached_property
     def det(self):
-        # The matrix is a Gram sum, hence positive semidefinite, and a PSD
-        # matrix with a zero leading minor is singular: no factors, det 0.
-        return lu_det(self.factors) if self.factors else Fraction(0)
+        """det A_lam, exact; 0 when A_lam is not positive definite."""
+        if not self.definite:
+            return Fraction(0)
+        scale, sym = _integer_symmetrizers(self.rs)
+        # the last leading minor of C is det C
+        num = self._cartan_minors[-1] * scale ** self.rs.rank
+        den = math.prod(sym)
+        for (block, _), s in zip(rootsys.factor_blocks(self.rs),
+                                 self.scales):
+            num *= s.numerator ** len(block)
+            den *= s.denominator ** len(block)
+        return Fraction(num, den)
+
+    @cached_property
+    def kappa_rho(self):
+        """kappa(A_lam^-1 rho), exact."""
+        if not self.definite:
+            raise ValueError("matrix is singular")
+        scale, sym = _integer_symmetrizers(self.rs)
+        # (alpha, rho) = sum_j c_j d_j for alpha = sum_j c_j alpha_j
+        num = math.prod(sum(map(mul, c, sym))
+                        for c in self.rs.positive_rootcoords)
+        den = scale ** self.rs.num_positive_roots
+        for (block, dim_factor), s in zip(rootsys.factor_blocks(self.rs),
+                                          self.scales):
+            roots = (dim_factor - len(block)) // 2
+            num *= s.denominator ** roots
+            den *= s.numerator ** roots
+        return Fraction(num, den)
 
     def solve(self, mu):
-        if self.factors is None:
+        """A_lam^-1 mu, exact."""
+        if not self.definite:
             raise ValueError("matrix is singular")
-        return lu_solve(self.factors, mu)
+        den, inv = rootsys.scaled_cartan_inv(self.rs)
+        d = self.rs.symmetrizers
+        return tuple(d[i] * Fraction(_dot(inv[i], mu)) / (den * s)
+                     for (block, _), s in zip(rootsys.factor_blocks(self.rs),
+                                              self.scales)
+                     for i in block)
 
 
 def a_lambda(rs, lam):
@@ -233,23 +310,26 @@ def a_lambda(rs, lam):
     trace identity  Tr_V(H H') = dim V (lam, lam + 2 rho) / dim G (H, H')
     (the Dynkin index) fixes the multiple.  Blocks between factors vanish
     because sum_mu m(mu) mu = 0 on each factor.  Only root data enter, no
-    weight system.  For regular ``lam`` the result must be positive
-    definite; that is checked exactly and a failure raises RuntimeError (it
+    weight system: each factor's multiple s_k is one integer sum over
+    ``rootsys.scaled_cartan_inv`` and the scaled symmetrizers, and one
+    Fraction, and :class:`SecondMoment` keeps the multiples.  For regular
+    ``lam`` the result must be positive definite; that is checked exactly,
+    with no Fraction elimination, and a failure raises RuntimeError (it
     would indicate corrupted tables).
     """
     lam = check_dominant_integral(rs, lam)
-    d = rs.symmetrizers
-    m = [[Fraction(0)] * rs.rank for _ in range(rs.rank)]
+    den, inv = rootsys.scaled_cartan_inv(rs)
+    scale, sym = _integer_symmetrizers(rs)
+    shifted = [l + 2 for l in lam]
+    scales = []
     for block, dim_factor in rootsys.factor_blocks(rs):
-        # (lam, lam + 2 rho) restricted to this factor
-        casimir = sum(lam[i] * (lam[j] + 2) * d[i] * rs.cartan_inv[i][j]
-                      for i in block for j in block)
-        scale = casimir / dim_factor
-        for i in block:
-            for j in block:
-                m[i][j] = scale * rs.cartan[i][j] / d[j]
-    sm = SecondMoment(matrix=tuple(tuple(row) for row in m))
-    if is_regular(rs, lam) and sm.factors is None:
+        # den * scale * (lam, lam + 2 rho) restricted to this factor
+        lo, hi = block.start, block.stop
+        casimir = sum(lam[i] * sym[i] * _dot(inv[i][lo:hi], shifted[lo:hi])
+                      for i in block)
+        scales.append(Fraction(casimir, den * scale * dim_factor))
+    sm = SecondMoment(rs, tuple(scales))
+    if is_regular(rs, lam) and not sm.definite:
         raise RuntimeError(f"second-moment matrix for {lam} not positive "
                            f"definite: corrupted root tables")
     return sm

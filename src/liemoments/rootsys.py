@@ -383,10 +383,16 @@ def simple_factors(rs):
 
 
 def pairing(mu, x):
-    """Natural pairing of a weight with a covector (plain dot product)."""
+    """Natural pairing of a weight with a covector (plain dot product),
+    exact for int and Fraction coordinates.  Each side is scaled to
+    integers by the lcm of its denominators, so one Fraction is built."""
     if len(mu) != len(x):
         raise ValueError(f"rank mismatch: weight {mu} vs covector {x}")
-    return sum(Fraction(m) * Fraction(xi) for m, xi in zip(mu, x))
+    den_mu = math.lcm(*(m.denominator for m in mu))
+    den_x = math.lcm(*(xi.denominator for xi in x))
+    return Fraction(sum(m.numerator * (den_mu // m.denominator)
+                        * xi.numerator * (den_x // xi.denominator)
+                        for m, xi in zip(mu, x)), den_mu * den_x)
 
 
 def kappa(rs, x):

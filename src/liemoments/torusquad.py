@@ -404,11 +404,20 @@ def _band_values(rs, lam, a, b, ns, terms, factors, cells, walks):
     multiplies, then takes one exactly rounded :func:`math.fsum` per nu_k,
     real when its integrand has no phase and a real and imaginary pair
     otherwise.  Yields per n the float or the imaginary-residual
-    :class:`GridError`."""
+    :class:`GridError`.
+
+    The residual's tolerance is 1e-10 max(1, |value|, S), where the
+    integrand's scale S = sum_nu |c_nu| prod_k sum |t_k| / P bounds the
+    roundoff of a sum that cancels to a small value.  Only rows with a
+    phase (an unpaired degree or a nontrivial nu) are complex, and only
+    they compute S."""
     degrees = [(j, min(aj, bj), aj - bj) for j, (aj, bj)
                in enumerate(zip_longest(a.exps, b.exps, fillvalue=0), 1)
                if aj or bj]
     values = [[c for _, c in terms] for _ in ns]
+    phased = (any(e for _, _, e in degrees)
+              or any(any(nu) for nu, _ in terms))
+    mags = [[abs(c) for _, c in terms] for _ in ns]
     for (block, rs_k, m), (walk, level) in zip(factors, walks):
         part = slice(block.start, block.stop)
         # one residue array and one pair of tables serve every evaluation
@@ -425,7 +434,7 @@ def _band_values(rs, lam, a, b, ns, terms, factors, cells, walks):
         nus = {nu: character_at(weight_system(rs_k, nu), pts, m)
                if any(nu) else None
                for nu in dict.fromkeys(nu[part] for nu, _ in terms)}
-        for n, row in zip(ns, values):
+        for n, row, mag in zip(ns, values, mags):
             base = delta
             for p, chi_sq in paired:
                 base = base * chi_sq ** (n * p)
@@ -433,18 +442,24 @@ def _band_values(rs, lam, a, b, ns, terms, factors, cells, walks):
                 base = base.astype(complex)
                 for e, chi in unpaired:
                     base *= chi ** (n * e)
-            sums = {}
+            sums, abs_sums = {}, {}
             for nu, chi_nu in nus.items():
                 t = base if chi_nu is None else chi_nu * base
                 sums[nu] = (complex(math.fsum(t.real.tolist()),
                                     math.fsum(t.imag.tolist()))
                             if np.iscomplexobj(t)
                             else math.fsum(t.tolist()))
+                if phased:
+                    abs_sums[nu] = float(np.abs(t).sum())
             row[:] = [v * sums[nu[part]] for v, (nu, _) in zip(row, terms)]
-    for row in values:
+            if phased:
+                mag[:] = [v * abs_sums[nu[part]]
+                          for v, (nu, _) in zip(mag, terms)]
+    for row, mag in zip(values, mags):
         total = sum(row) / cells
         residual = abs(total.imag)
-        if residual > 1e-10 * max(1.0, abs(total.real)):
+        scale = sum(mag) / cells if phased else 0.0
+        if residual > 1e-10 * max(1.0, abs(total.real), scale):
             yield GridError(
                 f"imaginary residual {residual:.3e} above tolerance for "
                 f"value {total.real:.6e}; quadrature inconsistent")

@@ -17,6 +17,8 @@ from liemoments.charring import CycleType
 from liemoments.repweights import a_lambda, weyl_dimension
 from liemoments.rootsys import build_root_system, kappa
 
+import oracles
+
 
 def test_cycle_constants():
     # (number of factors, total power, quadratic weight), read by the
@@ -160,7 +162,7 @@ def test_biane_estimate_where_one_factor_overflows(spec, lam, n):
     # dim^N (E8 rho: 2^{120 N}) or dim^N times the prefactor is past the
     # float range while the estimate itself is not
     rs = build_root_system(spec)
-    dim, kap, det_a, _ = peak_data(rs, lam)
+    dim, kap, det_a, _, _ = peak_data(rs, lam)
     want = (math.log(rs.center.order) + n * math.log(dim)
             + math.log(kap.numerator) - math.log(kap.denominator)
             - (rs.rank / 2) * math.log(2 * math.pi)
@@ -403,9 +405,10 @@ def test_vanish_leading_constant_matches_float_assembly(spec):
 @pytest.mark.parametrize("spec, lam", [("F4", (1, 2, 1, 1)),
                                        ("E8", (1,) * 8),
                                        ("A1xA2", (1, 1, 2))])
-def test_peak_data_is_one_elimination(monkeypatch, spec, lam):
-    # A_lam's definiteness check, kappa(A_lam^{-1} rho) and det A_lam share
-    # one exactla.positive_lu
+def test_peak_data_makes_no_elimination(monkeypatch, spec, lam):
+    # kappa(A_lam^{-1} rho) and det A_lam are closed forms in root data and
+    # definiteness is decided in integers: no exactla.positive_lu, and the
+    # values equal the row-exchange oracles on A_lam's matrix
     rs = build_root_system(spec)
     matrix = a_lambda(rs, lam).matrix
     calls = []
@@ -415,11 +418,13 @@ def test_peak_data_is_one_elimination(monkeypatch, spec, lam):
         calls.append(mat)
         return real(mat)
 
-    for module in (exactla, repweights, asymptotics, rootsys):
+    for module in (exactla, asymptotics, rootsys):
         monkeypatch.setattr(module, "positive_lu", counted)
     peak = peak_data(rs, lam)
-    assert calls == [matrix]
-    assert peak.det_a > 0
+    assert calls == []
+    assert peak.det_a == oracles.det_fraction(matrix) > 0
+    assert peak.kappa_term == kappa(rs, oracles.solve_fraction(matrix,
+                                                               rs.rho))
 
 
 @pytest.mark.parametrize("n", [46, 48, 50, 100, 10 ** 4])
@@ -429,7 +434,7 @@ def test_leading_term_past_float_intermediates(n):
     # to log space and its log stays finite
     rs = build_root_system("E8")
     est = leading_term_I(rs, rs.rho, CycleType((1,)), n)
-    dim, kap, det_a, _ = peak_data(rs, rs.rho)
+    dim, kap, det_a, _, _ = peak_data(rs, rs.rho)
     # the Laplace constant of I_N, a = (1), assembled in log space: E8 has
     # no center, and (2 pi)^d / (2 pi)^{dim G / 2} = (2 pi)^{-rank / 2}
     want = (n * math.log(dim) + math.log(kap.numerator)

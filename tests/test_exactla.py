@@ -6,7 +6,7 @@ import pytest
 
 from liemoments.exactla import (hermite_normal_form, identity_int,
                                 lu_solve, mat_vec, positive_lu,
-                                smith_normal_form)
+                                positive_minors, smith_normal_form)
 from liemoments.rootsys import build_root_system
 
 import oracles
@@ -63,6 +63,31 @@ def test_positive_lu_is_one_sylvester_elimination():
                 det_fraction(m)
             v = rng.integers(-5, 6, size=n).tolist()
             assert lu_solve(lu, v) == solve_fraction(m, v)
+
+
+def test_positive_minors_are_the_leading_minors_in_integers():
+    # Bareiss's pivots are the leading principal minors, so they decide
+    # Sylvester's criterion as positive_lu does, with no Fraction
+    rng = np.random.default_rng(13)
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        a = rng.integers(-4, 5, size=(n, n))
+        m = (a @ a.T + int(rng.integers(-3, 4)) * np.eye(n, dtype=int))
+        m = m.tolist()
+        minors = positive_minors(m)
+        want = leading_principal_minors(m)
+        assert (minors is not None) == all(d > 0 for d in want)
+        assert (minors is not None) == (positive_lu(m) is not None)
+        if minors is not None:
+            assert list(minors) == want
+            assert all(type(d) is int for d in minors)
+    for spec in ("A8", "B8", "C8", "D8", "E8", "F4", "G2", "A1xE7"):
+        rs = build_root_system(spec)
+        assert list(positive_minors(rs.cartan)) == \
+            leading_principal_minors(rs.cartan)
+        assert positive_minors(rs.cartan)[-1] == rs.center.order
+    assert positive_minors([[2, -3], [-3, 2]]) is None
+    assert positive_minors([[0, 1], [1, 2]]) is None
 
 
 def test_snf_properties_random():

@@ -283,6 +283,20 @@ def test_cli_weights_singular_moment_matrix(capsys):
     assert _field(out, "regular") == "False"
 
 
+@pytest.mark.parametrize("group, lam, matrix, det", [
+    ("F4", "1,1,1,1",
+     "[['9/2', '-9/4', '0', '0'], ['-9/4', '9/2', '-9/2', '0'], "
+     "['0', '-9/2', '9', '-9/2'], ['0', '0', '-9/2', '9']]", "6561/64"),
+    ("A1xA2", "0,1,1",
+     "[['0', '0', '0'], ['0', '3/2', '-3/4'], ['0', '-3/4', '3/2']]", "0"),
+], ids=["F4-rho", "A1xA2-singular"])
+def test_cli_weights_moment_matrix_and_det(capsys, group, lam, matrix, det):
+    # A_lam and its det printed from the per-factor closed forms
+    assert main(["weights", group, lam, "--limit", "1"]) == 0
+    out = capsys.readouterr().out
+    assert f"\nmoment matrix    {matrix}\ndet              {det}\n" in out
+
+
 def test_cli_exact(capsys):
     args = ["exact", "--group", "A1", "--lam", "1", "--a", "1", "--N", "4"]
     assert main(args) == 0
@@ -301,6 +315,20 @@ def test_cli_quad_prints_the_readme_bits(capsys):
     args = ["quad", "--group", "A2", "--lam", "1,0", "--a", "1", "--N", "3"]
     assert main(args) == 0
     assert capsys.readouterr().out == "0.9999999999999996\n"
+
+
+def test_cli_quad_answers_a_zero_moment_with_a_large_integrand(capsys):
+    # omega_2 is not in the root lattice and rho is, so the moment is 0;
+    # the terms of the sum are far larger than 0, and the imaginary
+    # residual's tolerance follows their scale, not the value's
+    args = ["quad", "--group", "A2", "--lam", "1,1", "--a", "", "--b", "1",
+            "--N", "11", "--f", "0,1:1"]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert abs(float(captured.out)) <= 1e-9
+    assert main(["exact"] + args[1:]) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 def test_cli_asym(capsys):
@@ -562,6 +590,42 @@ def test_sweep_builds_peak_data_once(monkeypatch, a, builds):
         else:
             assert row.estimate is None
             assert row.notes[0].startswith("asymptotic skipped: ")
+
+
+@pytest.mark.parametrize("group, lam, a, b, terms, schedule", [
+    # the asym-f4 and exact-product benchmark shapes
+    ("F4", (1, 1, 1, 1), (1,), (), (((0, 0, 0, 0), 5.0),), range(1, 9)),
+    ("A1xA2", (1, 1, 1), (1,), (1,),
+     (((0, 0, 0), 2.0), ((0, 1, 1), 4.0)), range(1, 7)),
+    # E8 rho: dim^N overflows from N = 9 and the prefactor from N = 46,
+    # the branches of asymptotics._leading_core
+    ("E8", (1,) * 8, (1,), (), (((0,) * 8, 1.0),), (9, 46, 10 ** 4)),
+])
+def test_sweep_rows_equal_one_n_calls(monkeypatch, group, lam, a, b, terms,
+                                      schedule):
+    # a sweep builds the peak data once, and each of its rows has the bits
+    # of the one-N call, which builds its own
+    calls = []
+    real = asymptotics.a_lambda
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(asymptotics, "a_lambda", counted)
+    rs = build_root_system(group)
+    f = harness.ClassFunction(terms)
+    cfg = ExperimentConfig(group=group, lam=lam, a=CycleType(a),
+                           b=CycleType(b), schedule=tuple(schedule), f=f,
+                           paths=("asymptotic",))
+    report = run_experiment(cfg)
+    assert len(calls) == 1
+    assert [row.n for row in report.rows] == list(schedule)
+    for row in report.rows:
+        want = harness.route_value("asymptotic", rs, lam, cfg.a, cfg.b,
+                                   row.n, f)
+        assert repr(row.estimate) == repr(want)
+    assert len(calls) == 1 + len(report.rows)
 
 
 @pytest.mark.parametrize("b", [(), (1,)])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from liemoments import repweights, rootsys
+from liemoments import asymptotics, repweights, rootsys
 from liemoments.exactla import mat_vec
 from liemoments.rootsys import ConfigurationError, build_root_system
 from liemoments.repweights import (a_lambda, is_regular, weight_system,
@@ -238,9 +238,10 @@ def spec_and_weight(draw):
 @example((build_root_system("F4"), (0, 0, 0, 0)))
 @example((build_root_system("D5"), (1, 0, 0, 0, 0)))
 def test_one_elimination_matches_row_exchange_oracles(case):
-    # the Cartan inverse, rho_vee and A_lam's det and solve come from
-    # exactla.positive_lu; the oracles eliminate with row exchanges.  A_lam
-    # is singular when lam vanishes on a simple factor.
+    # the Cartan inverse and rho_vee come from exactla.positive_lu, and
+    # A_lam's det and solve from closed forms in root data; the oracles
+    # eliminate with row exchanges.  A_lam is singular when lam vanishes on
+    # a simple factor.
     rs, lam = case
     transpose = [[rs.cartan[j][i] for j in range(rs.rank)]
                  for i in range(rs.rank)]
@@ -255,6 +256,79 @@ def test_one_elimination_matches_row_exchange_oracles(case):
     else:
         with pytest.raises(ValueError, match="matrix is singular"):
             sm.solve(rs.rho)
+
+
+SIMPLE_SPECS = [spec for spec in ALL_SPECS if "x" not in spec]
+
+
+def _check_closed_forms(rs, lam):
+    """SecondMoment's closed forms against the row-exchange oracles on its
+    own matrix; the peak data too where lam is regular."""
+    sm = a_lambda(rs, lam)
+    det = oracles.det_fraction(sm.matrix)
+    assert sm.det == det
+    assert sm.definite == (det != 0)
+    if not det:
+        for read in (lambda: sm.solve(rs.rho), lambda: sm.kappa_rho):
+            with pytest.raises(ValueError, match="^matrix is singular$"):
+                read()
+        return
+    x = oracles.solve_fraction(sm.matrix, rs.rho)
+    assert sm.solve(rs.rho) == x
+    assert sm.kappa_rho == rootsys.kappa(rs, x)
+    if is_regular(rs, lam):
+        peak = asymptotics.peak_data(rs, lam)
+        assert (peak.kappa_term, peak.det_a) == (rootsys.kappa(rs, x), det)
+
+
+@pytest.mark.parametrize("spec", SIMPLE_SPECS)
+def test_closed_forms_match_elimination_oracles_at_rho(spec):
+    rs = build_root_system(spec)
+    _check_closed_forms(rs, rs.rho)
+
+
+@st.composite
+def product_and_weight(draw):
+    """A product of one to three simple factors of total rank <= 8, and a
+    weight with coordinates in [0, 2]."""
+    factors, rank = [], 0
+    while len(factors) < 3 and (not factors or draw(st.booleans())):
+        fits = [s for s in SIMPLE_SPECS if int(s[1:]) <= 8 - rank]
+        if not fits:
+            break
+        factors.append(draw(st.sampled_from(fits)))
+        rank += int(factors[-1][1:])
+    rs = build_root_system("x".join(factors))
+    return rs, draw(st.tuples(*[st.integers(0, 2)] * rs.rank))
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_and_weight())
+# not regular, nonzero on every factor: still positive definite
+@example((build_root_system("A1xA2"), (1, 0, 1)))
+@example((build_root_system("G2xB3"), (0, 1, 2, 0, 0)))
+@example((build_root_system("E7"), (0, 0, 0, 0, 0, 0, 1)))
+# vanishing on a factor: det 0, "matrix is singular"
+@example((build_root_system("A1xA2"), (0, 1, 1)))
+@example((build_root_system("A2xD4xA1"), (1, 1, 0, 0, 0, 0, 2)))
+def test_closed_forms_match_elimination_oracles_on_products(case):
+    rs, lam = case
+    _check_closed_forms(rs, lam)
+    nonzero = all(any(lam[i] for i in block)
+                  for block, _ in rootsys.factor_blocks(rs))
+    assert a_lambda(rs, lam).definite == nonzero
+
+
+def test_definiteness_check_catches_a_negative_cartan_minor():
+    # with cartan = ((2, -3), (-3, 2)) the second leading minor of A_lam is
+    # negative: the exact definiteness check refuses the corrupted table
+    rs = build_root_system("A2")
+    corrupted = dataclasses.replace(rs, cartan=((2, -3), (-3, 2)))
+    with pytest.raises(RuntimeError,
+                       match="^second-moment matrix for \\(1, 1\\) not "
+                             "positive definite: corrupted root tables$"):
+        a_lambda(corrupted, (1, 1))
+    assert a_lambda(rs, (1, 1)).det > 0
 
 
 def test_solve_inverts_apply():
