@@ -219,8 +219,10 @@ def _leading_core(rs, num_factors, l_total, pi_sum, n, peak):
                               log_prefactor=log_prefactor, N=n)
 
 
-def _check_common(rs, lam, n):
-    lam = check_dominant_integral(rs, lam)
+def _check_common(rs, lam, n, peak=None):
+    # a caller's peak data was built from a checked lam
+    if peak is None:
+        lam = check_dominant_integral(rs, lam)
     if not is_regular(rs, lam):
         raise HypothesisError(
             f"highest weight {lam} is not regular (every coordinate must be "
@@ -230,20 +232,25 @@ def _check_common(rs, lam, n):
     return lam
 
 
+def _checked_peak(rs, lam, f):
+    f = (ClassFunction.one(rs.rank) if f is None else f).validated(rs)
+    return peak_data(rs, lam, f)
+
+
 def leading_term_I(rs, lam, a, n, f=None, peak=None):
     """Leading term of the one-sided moment with exponents N * a.
 
     Requires a regular highest weight and gcd 1 on the supported powers of
     the cycle type; ``f`` defaults to the constant class function 1.
-    ``peak``, when given, must be :func:`peak_data` of ``(rs, lam, f)``.
+    ``peak``, when given, must be :func:`peak_data` of ``(rs, lam, f)``;
+    ``lam`` and ``f`` are then not checked again, only the hypotheses.
     """
-    lam = _check_common(rs, lam, n)
+    lam = _check_common(rs, lam, n, peak)
     if a.gcd_support != 1:
         raise HypothesisError(
             f"supported powers {a.support()} must have gcd 1, got gcd "
             f"{a.gcd_support}")
-    f = (ClassFunction.one(rs.rank) if f is None else f).validated(rs)
-    peak = peak_data(rs, lam, f) if peak is None else peak
+    peak = _checked_peak(rs, lam, f) if peak is None else peak
     pi_sum = complex(0, 0)
     for pair, f_psi in zip(peak.lam_at_center, peak.f_at_center):
         pi_sum += _unit_phase(n * a.weight * pair) * f_psi
@@ -257,7 +264,7 @@ def leading_term_K(rs, lam, a, b, n, f=None, peak=None):
     different) and gcd 1 over the union of supported powers.  ``peak`` is
     as for :func:`leading_term_I`.
     """
-    lam = _check_common(rs, lam, n)
+    lam = _check_common(rs, lam, n, peak)
     if a.weight != b.weight:
         raise HypothesisError(
             f"total powers must balance: k_a = {a.weight} != k_b = "
@@ -267,8 +274,7 @@ def leading_term_K(rs, lam, a, b, n, f=None, peak=None):
         raise HypothesisError(
             f"supported powers {a.support()} u {b.support()} must have "
             f"gcd 1, got gcd {g}")
-    f = (ClassFunction.one(rs.rank) if f is None else f).validated(rs)
-    peak = peak_data(rs, lam, f) if peak is None else peak
+    peak = _checked_peak(rs, lam, f) if peak is None else peak
     pi_sum = sum(peak.f_at_center, complex(0, 0))
     return _leading_core(rs, a.size + b.size, a.quad + b.quad, pi_sum, n,
                          peak)

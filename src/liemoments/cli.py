@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 from . import asymptotics, charring, harness, repweights, rootsys
@@ -96,8 +95,7 @@ def _cmd_quad(args):
 def _cmd_asym(args):
     rs, lam, a, b, f = _moment_inputs(args)
     est = harness.route_value("asymptotic", rs, lam, a, b, args.N, f)
-    print(json.dumps(est.to_dict(), indent=2, sort_keys=True,
-                     allow_nan=False))
+    print(harness._json_text(est.to_dict()))
     return 0
 
 

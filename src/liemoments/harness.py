@@ -5,7 +5,9 @@ function, then sweeps the power index N over a schedule, computing whichever
 of the three routes are requested and the ratio of the reference value to the
 leading-order estimate.  Reports serialize deterministically (byte-identical
 reruns); wall-clock timings are kept on the report object and only serialized
-on explicit request.
+on explicit request.  JSON is written by :func:`_json_text`, the bytes of
+``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` from the C
+encoder, which ``json.dumps`` itself uses only without ``indent``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,51 @@ from .charring import CycleType
 from .repweights import check_dominant_integral, is_regular
 
 _PATHS = ("exact", "quad", "asymptotic")
+
+
+def _json_text(obj):
+    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``, from
+    one C-encoder call per nonempty dict or list.  The encoder joins items
+    by ``","``, a newline and the depth's indentation, so only the brackets
+    move.  A nonempty child container is encoded as ``null`` and spliced
+    in after its key's line prefix, which is unique because the encoder
+    escapes every newline inside a string; a list holding one joins its
+    rendered items."""
+    containers = (dict, list, tuple)
+    levels = []         # (encoder, item indent, bracket indent) per depth
+    default = json.JSONEncoder().default  # TypeError on unsupported types
+    quote = json.encoder.encode_basestring_ascii
+
+    def render(obj, depth):
+        if len(levels) == depth:
+            inner = "\n" + "  " * (depth + 1)
+            levels.append((json.encoder.c_make_encoder(
+                None, default, quote, None, ": ", "," + inner, True, False,
+                False), inner, inner[:-2]))
+        encode, inner, outer = levels[depth]
+        if not isinstance(obj, containers) or not obj:
+            return "".join(encode(obj, 0))
+        kids = ()
+        if isinstance(obj, dict):
+            kids = [k for k, v in obj.items()
+                    if isinstance(v, containers) and v]
+            text = "".join(encode({**obj, **dict.fromkeys(kids)}
+                                  if kids else obj, 0))
+        elif any(isinstance(v, containers) and v for v in obj):
+            return "[" + inner + ("," + inner).join(
+                [render(v, depth + 1) for v in obj]) + outer + "]"
+        else:
+            text = "".join(encode(obj, 0))
+        text = text[0] + inner + text[1:-1] + outer + text[-1]
+        for k in kids:
+            # a key that is not a string is written as the encoder writes it
+            key = inner + (quote(k) + ": " if isinstance(k, str) else
+                           "".join(encode({k: None}, 0))[1:-5])
+            text = text.replace(key + "null",
+                                key + render(obj[k], depth + 1), 1)
+        return text
+
+    return render(obj, 0)
 
 
 def _parse_ints(text, what, count=None, sep=","):
@@ -277,8 +324,8 @@ class ConvergenceReport:
         return out
 
     def to_json(self, include_timings=False):
-        return json.dumps(self.to_dict(include_timings=include_timings),
-                          indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return _json_text(self.to_dict(include_timings=include_timings)) \
+            + "\n"
 
     def to_csv(self):
         lines = ["N,exact,quad,estimate,ratio,abs_error,notes"]

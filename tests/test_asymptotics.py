@@ -127,6 +127,55 @@ def test_leading_term_hypotheses():
     assert est.value > 0
 
 
+@pytest.mark.parametrize("lam, a, b, n", [
+    ((1, 1), (1,), None, 0),            # N = 0
+    ((1, 0), (1,), None, 4),            # not regular
+    ((1, 1), (0, 1), None, 4),          # gcd 2
+    ((1, 0), (0, 1), None, 0),          # all three: regularity first
+    ((1, 1), (1,), (1,), 0),
+    ((2, 0), (1,), (1,), 4),
+    ((1, 1), (0, 1), (0, 1), 4),
+    ((1, 1), (2,), (1,), 4),            # k_a != k_b
+    ((1, 1), (2,), (0, 1), 0),          # N before balance
+    ((1, 1), (0, 2), (0, 1), 4),        # balance before gcd
+])
+def test_peak_data_keeps_every_refusal(lam, a, b, n):
+    # with peak data the leading terms skip re-checking lam and f, not the
+    # hypotheses: each refusal is the one raised without it
+    rs = build_root_system("A2")
+    f = ClassFunction((((0, 0), 2.0), ((1, 1), 3.0)))
+    peak = peak_data(rs, lam, f)
+
+    def refusal(peak):
+        with pytest.raises(HypothesisError) as info:
+            if b is None:
+                leading_term_I(rs, lam, CycleType(a), n, f=f, peak=peak)
+            else:
+                leading_term_K(rs, lam, CycleType(a), CycleType(b), n, f=f,
+                               peak=peak)
+        return type(info.value), str(info.value)
+
+    assert refusal(peak) == refusal(None)
+    assert ("regular" in refusal(peak)[1]) == (min(lam) == 0)
+
+
+def test_peak_data_skips_rechecking_lam_and_f(monkeypatch):
+    # a sweep's rows reuse its peak data, which checked lam and f once
+    rs = build_root_system("A2")
+    f = ClassFunction((((0, 0), 2.0), ((1, 1), 3.0)))
+    peak = peak_data(rs, (1, 1), f)
+    a = CycleType((1,))
+    want = (leading_term_I(rs, (1, 1), a, 3, f=f),
+            leading_term_K(rs, (1, 1), a, a, 3, f=f))
+
+    def refuse(rs, lam):
+        raise AssertionError(f"{lam} checked again")
+
+    monkeypatch.setattr(asymptotics, "check_dominant_integral", refuse)
+    assert (leading_term_I(rs, (1, 1), a, 3, f=f, peak=peak),
+            leading_term_K(rs, (1, 1), a, a, 3, f=f, peak=peak)) == want
+
+
 def test_leading_term_K_values():
     rs = build_root_system("A1")
     for n in (1, 2, 40, 160):

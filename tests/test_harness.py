@@ -3,6 +3,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from liemoments import asymptotics, charring, harness
 from liemoments.charring import CycleType, SupportCapExceeded
@@ -337,6 +339,86 @@ def test_cli_asym(capsys):
     data = json.loads(capsys.readouterr().out)
     want = 4 * 2 ** 100 / (math.sqrt(2 * math.pi) * 100 ** 1.5)
     assert data["value"] == pytest.approx(want, rel=1e-12)
+
+
+def _dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+
+
+# strings the writer's splicing must not be fooled by: quotes, escapes,
+# raw newlines and NULs, the placeholder itself and a whole splice prefix
+_AWKWARD = ("", "null", '"', "\\", "\n", "\x00", "\u00e9t\u00e9 \u65e5",
+            '\n  "estimate": null', '"a": null,\n  ', "{}", "[\n]")
+_TEXT = st.one_of(st.sampled_from(_AWKWARD), st.text(max_size=6))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), _TEXT,
+    st.integers(min_value=-2 ** 80, max_value=2 ** 80),
+    st.sampled_from([2 ** 64, -2 ** 64 - 1, -0.0, 1e-300, 1e300]),
+    st.floats(allow_nan=False, allow_infinity=False))
+_TREES = st.recursive(
+    _SCALARS,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=3).map(tuple),
+                           st.dictionaries(_TEXT, kids, max_size=4)),
+    max_leaves=25)
+
+
+@given(_TREES)
+@example({"estimate": None, "notes": ['\n  "estimate": null'],
+          "rows": [{"estimate": {"N": 1}}, {}, []]})
+@example([[[]], {"": {"null": [{}]}}, (), "\x00"])
+@example([{0.5: [1], 2: {"a": [1]}, 2 ** 70: {}}, {None: {"b": [1]}},
+          {False: [0], True: {"c": ()}}])
+def test_json_writer_is_json_dumps(obj):
+    assert harness._json_text(obj) == _dumps(obj)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (math.nan, ValueError), (math.inf, ValueError), (-math.inf, ValueError),
+    (object(), TypeError), ({1, 2}, TypeError), (1j, TypeError)])
+@pytest.mark.parametrize("wrap", [
+    lambda x: x, lambda x: [x], lambda x: {"a": 1, "b": x},
+    lambda x: {"rows": [{"estimate": {"N": 1, "value": x}}]},
+    lambda x: [[1, {"a": [2, x]}], "s"]])
+def test_json_writer_refuses_what_json_dumps_refuses(bad, error, wrap):
+    for write in (_dumps, harness._json_text):
+        with pytest.raises(error):
+            write(wrap(bad))
+
+
+@pytest.mark.parametrize("args", [
+    ["--group", "E8", "--lam", "1,1,1,1,1,1,1,1", "--a", "1", "--N", "100"],
+    ["--group", "A2", "--lam", "1,1", "--a", "1", "--N", "6"]])
+def test_cli_asym_prints_the_json_dumps_bytes(capsys, args):
+    assert main(["asym"] + args) == 0
+    out = capsys.readouterr().out
+    rs = build_root_system(args[1])
+    est = harness.route_value("asymptotic", rs, parse_weight(args[3]),
+                              CycleType((1,)), CycleType(()), int(args[-1]),
+                              parse_class_function("1", rs.rank))
+    assert out == _dumps(est.to_dict()) + "\n"
+    assert (json.loads(out)["value"] is None) == (args[1] == "E8")
+
+
+def test_reports_never_take_the_python_json_encoder(monkeypatch, capsys):
+    # json.dumps with indent runs json.encoder._make_iterencode, the pure
+    # Python encoder; reports of every route and `liemoments asym` do not
+    def refuse(*args, **kwargs):
+        raise AssertionError("pure-Python JSON encoder called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):
+        json.dumps({"a": [1]}, indent=2)
+    for paths in ("exact", "quad", "asymptotic"):
+        cfg = ExperimentConfig.from_mapping(
+            {"group": "A1xA2", "lambda": "1,1,1", "a": "1", "b": "1",
+             "n": "1,2", "f": "0,0,0:2; 0,1,1:3", "paths": paths})
+        report = run_experiment(cfg)
+        assert json.loads(report.to_json(include_timings=True))["rows"]
+        assert report.render() == report.to_json()
+    assert main(["asym", "--group", "A2", "--lam", "1,1", "--a", "1",
+                 "--N", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["N"] == 6
 
 
 def test_cli_converge(tmp_path, capsys):
