@@ -324,8 +324,8 @@ class ConvergenceReport:
         return out
 
     def to_json(self, include_timings=False):
-        return _json_text(self.to_dict(include_timings=include_timings)) \
-            + "\n"
+        text = _json_text(self.to_dict(include_timings=include_timings))
+        return text + "\n"
 
     def to_csv(self):
         lines = ["N,exact,quad,estimate,ratio,abs_error,notes"]

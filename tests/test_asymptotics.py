@@ -132,9 +132,9 @@ def test_leading_term_hypotheses():
     ((1, 0), (1,), None, 4),            # not regular
     ((1, 1), (0, 1), None, 4),          # gcd 2
     ((1, 0), (0, 1), None, 0),          # all three: regularity first
-    ((1, 1), (1,), (1,), 0),
-    ((2, 0), (1,), (1,), 4),
-    ((1, 1), (0, 1), (0, 1), 4),
+    ((1, 1), (1,), (1,), 0),            # two-sided: N = 0
+    ((2, 0), (1,), (1,), 4),            # two-sided: not regular
+    ((1, 1), (0, 1), (0, 1), 4),        # two-sided: gcd 2
     ((1, 1), (2,), (1,), 4),            # k_a != k_b
     ((1, 1), (2,), (0, 1), 0),          # N before balance
     ((1, 1), (0, 2), (0, 1), 4),        # balance before gcd
