@@ -35,7 +35,8 @@ the whole torus grid, the alcove budget P / |W|.
 
 Points are exact: an integer array k stands for k / m, the alcove is
 walked one residue class per axis (no candidate is discarded), and every
-phase is an integer mod m that indexes a table of trigonometric values.
+phase <v, k> is an exact integer whose residue mod m indexes a table of
+trigonometric values.
 
 A grid above the certificate of the largest N of a schedule is exact for
 every smaller N, since the bound grows with N.  A sweep
@@ -48,8 +49,12 @@ alcove on every row.  The alcoves themselves are nested: in root-value
 coordinates the alcove of size m is z_j >= 1, sum_j a_j z_j <= m - 1 on a
 lattice that does not depend on m, so it is the alcove of any size M >= m
 cut at level m - 1.  A sweep walks each factor's alcove once, at its
-largest size, and every band reads its points off that walk.  A one-N
-call is the one-element schedule.
+largest size, ordered by level, so every band's points are a prefix of
+the walk.  The phases of the whole walk are formed once per vector set
+(one int64 matrix product each, held for the sweep), and every band reads
+its prefix through its tables repeated over the phases' range, with no
+product or reduction of its own.  A one-N call is the one-element
+schedule.
 
 On the alcove the two-sided integrand |Delta|^2 |chi|^(2N) is real and
 nonnegative: each Adams degree's paired part min(a_j, b_j) is raised as
@@ -207,18 +212,122 @@ def _check_phase_range(rank, m):
             f"overflow int64")
 
 
+def _phase_tables(m):
+    """cos + i sin of 2 pi t / m and 4 sin^2(pi t / m) for t = 0 .. m - 1.
+
+    t and m - t share 4 sin^2 and have conjugate phases, so both tables
+    mirror their first half t = 0..m/2: sin(pi t / m) then never meets a
+    float64 angle near pi, whose rounding costs 4 sin^2 up to ~1000 ulp
+    near t = m.  The half turn t = m/2 is -1 exactly, so every phase is the
+    conjugate of its mirror's."""
+    k = np.arange(m // 2 + 1)
+    circle = np.exp(1j * (2 * math.pi * k / m))
+    if m % 2 == 0:
+        circle[-1] = -1
+    four_sin_sq = 4 * np.sin(math.pi * k / m) ** 2
+    back = slice((m - 1) // 2, 0, -1)   # m - t for t = m/2 + 1 .. m - 1
+    return (np.concatenate((circle, circle[back].conj())),
+            np.concatenate((four_sin_sq, four_sin_sq[back])))
+
+
+def _phases(points, vectors):
+    """<v, k> in int64 for each row k of ``points`` and each row v of the
+    int64 array ``vectors``.  numpy has no BLAS product for integers, so
+    this is the costly step of an evaluation, and a quadrature sweep makes
+    it once per vector set and simple factor."""
+    return points @ vectors.T
+
+
+def _wrapped(table, lo, hi):
+    """``table`` repeated so that indexing it at any integer t in [lo, hi]
+    reads table[t mod m], m = len(table): it covers 0 .. hi and, by
+    numpy's negative indices from its end, lo .. -1, and its length is a
+    multiple of m.  The table itself when [lo, hi] lies in [0, m)."""
+    m = len(table)
+    reps = -(-max(hi + 1, -lo, 1) // m)
+    return table if reps == 1 else np.concatenate((table,) * reps)
+
+
+class _Walk:
+    """One simple factor's alcove walk at its largest size M in a sweep,
+    ordered by level, so that the alcove of any size m <= M (the points of
+    level <= m - 1, :func:`_alcove_levels`) is a prefix of it.  The phases
+    <j v, k> of all its points are formed on first use, once per vector
+    set and Adams degree j, and held with their range for the sweep."""
+
+    __slots__ = ("points", "levels", "sets")
+
+    def __init__(self, rs, m):
+        points = _alcove_factor(rs, m)
+        levels = _alcove_levels(rs, points)
+        # levels lie in [0, m); in the narrowest signed dtype that holds
+        # them, 16 bits or fewer for m <= 2^15, numpy sorts by radix
+        order = np.argsort(levels.astype(np.min_scalar_type(-m)),
+                           kind="stable")
+        self.points, self.levels, self.sets = points[order], levels[order], {}
+
+    def at(self, m):
+        """The alcove of size m <= M, with the tables of m."""
+        count = int(np.searchsorted(self.levels, m))
+        return _GridPoints(self, count, m, *_phase_tables(m))
+
+    def phases(self, vectors, j):
+        """<j v, k> for every point k and row v of ``vectors``, with its
+        least and largest entry; refuses phases that could overflow."""
+        key = (j, tuple(vectors))
+        if key not in self.sets:
+            rank = self.points.shape[1]
+            vecs = np.array(vectors, dtype=np.int64).reshape(len(vectors),
+                                                             rank)
+            top = j * int(np.abs(vecs).max(initial=0))
+            if rank * int(np.abs(self.points).max(initial=0)) * top \
+                    > _INT64_MAX:
+                raise GridError(f"phases of weights up to {top} on an "
+                                f"alcove walk of rank {rank} could "
+                                f"overflow int64")
+            t = _phases(self.points, j * vecs)
+            self.sets[key] = (t, *((int(t.min()), int(t.max())) if t.size
+                                   else (0, 0)))
+        return self.sets[key]
+
+
+class _Residues:
+    """Integer torus points reduced mod m, whose phases are formed and
+    reduced mod m on each call: exact integers in [0, m)."""
+
+    __slots__ = ("points", "m")
+
+    def __init__(self, points, m):
+        self.points, self.m = points, m
+
+    def phases(self, vectors, j):
+        vecs = np.array(vectors, dtype=np.int64).reshape(
+            len(vectors), self.points.shape[-1])
+        t = _phases(self.points, j * vecs % self.m)
+        t %= self.m
+        return t, 0, self.m - 1
+
+
 class _GridPoints:
-    """Integer torus points k / m reduced mod m once, with the two phase
-    tables of m: one alcove sum hands the same residues and tables to every
-    evaluator call instead of each call building its own."""
+    """Integer torus points k / m with the two phase tables of m, and the
+    source of their phases.
 
-    __slots__ = ("residues", "m", "circle", "four_sin_sq")
+    Points from a caller are reduced mod m once (:class:`_Residues`).  A
+    quadrature band passes the first ``count`` points of its factor's
+    :class:`_Walk`, whose phases the sweep formed once, unreduced: the
+    band reads its prefix of them through the tables repeated over their
+    range (:func:`_wrapped`), without a product or a reduction of its own.
+    Either way every phase reads table[<v, k> mod m].  ``dilation`` j
+    stands for the points j k; ``count`` is None for a caller's points."""
 
-    def __init__(self, residues, m, circle, four_sin_sq):
-        self.residues = residues            # k mod m, int64
-        self.m = m
+    __slots__ = ("source", "count", "m", "circle", "four_sin_sq",
+                 "dilation")
+
+    def __init__(self, source, count, m, circle, four_sin_sq, dilation=1):
+        self.source, self.count, self.m = source, count, m
         self.circle = circle                # cos + i sin of 2 pi t / m
         self.four_sin_sq = four_sin_sq      # 4 sin^2(pi t / m)
+        self.dilation = dilation
 
     @classmethod
     def of(cls, k, m):
@@ -230,38 +339,22 @@ class _GridPoints:
         if pts.dtype.kind != "i":
             raise TypeError(f"torus grid points must be signed integers, "
                             f"got {pts.dtype}")
-        # t and m - t share 4 sin^2 and have conjugate phases, so both
-        # tables mirror their first half k = 0..m/2: sin(pi k / m) then
-        # never meets a float64 angle near pi, whose rounding costs 4 sin^2
-        # up to ~1000 ulp near t = m.  The half turn k = m/2 is -1 exactly,
-        # so every phase is the conjugate of its mirror's.
-        k = np.arange(m // 2 + 1)
-        circle = np.exp(1j * (2 * math.pi * k / m))
-        if m % 2 == 0:
-            circle[-1] = -1
-        four_sin_sq = 4 * np.sin(math.pi * k / m) ** 2
-        back = slice((m - 1) // 2, 0, -1)   # m - t for t = m/2 + 1 .. m - 1
-        return cls(pts.astype(np.int64, copy=False) % m, m,
-                   np.concatenate((circle, circle[back].conj())),
-                   np.concatenate((four_sin_sq, four_sin_sq[back])))
+        residues = _Residues(pts.astype(np.int64, copy=False) % m, m)
+        return cls(residues, None, m, *_phase_tables(m))
 
     def dilated(self, j):
         """The points j k, on the same tables."""
-        return _GridPoints(j * self.residues % self.m, self.m, self.circle,
-                           self.four_sin_sq)
+        return _GridPoints(self.source, self.count, self.m, self.circle,
+                           self.four_sin_sq, j * self.dilation)
 
     def __len__(self):
-        return len(self.residues)
+        return len(self.source.points) if self.count is None else self.count
 
-    def phases(self, vectors):
-        """<v, k> mod m in int64 for each row v of ``vectors``:
-        (k mod m) @ (v mod m) mod m, exact integers; no vectors give an
-        empty last axis."""
-        vecs = np.array(vectors, dtype=np.int64).reshape(
-            len(vectors), self.residues.shape[-1]) % self.m
-        t = self.residues @ vecs.T
-        t %= self.m
-        return t
+    def lookup(self, table, vectors):
+        """table[<v, k> mod m] for each point k and each row v of
+        ``vectors``, a last axis of len(vectors)."""
+        t, lo, hi = self.source.phases(vectors, self.dilation)
+        return _wrapped(table, lo, hi)[t[:self.count]]
 
 
 def character_at(ws, k, m):
@@ -269,18 +362,17 @@ def character_at(ws, k, m):
     simple-coroot coordinates, k integral: a complex for one point, a
     length-P complex array for a ``(P, rank)`` integer array k.
 
-    Each phase <mu, k> mod m is an exact integer t that indexes one table of
-    cos + i sin of 2 pi t / m, so k and k + m e_i give identical bits.  The
-    alcove sum passes its points already reduced, with the table built.
-    The empty weight system is the zero character: it forms no phase, and
-    its value is 0 at every point."""
+    Each phase <mu, k> is an exact integer t that indexes one table of
+    cos + i sin of 2 pi t / m at t mod m, so k and k + m e_i give identical
+    bits.  The alcove sum passes its points with their phases formed and
+    the table built.  The empty weight system is the zero character: it
+    forms no phase, and its value is 0 at every point."""
     weights = list(ws.entries)
     _check_phase_range(len(weights[0]) if weights else 0, m)
     pts = _GridPoints.of(k, m)
-    t = pts.phases(weights)
     mults = np.array(list(ws.entries.values()), dtype=float)
-    vals = pts.circle[t] @ mults
-    return complex(vals) if t.ndim == 1 else vals
+    vals = pts.lookup(pts.circle, weights) @ mults
+    return complex(vals) if vals.ndim == 0 else vals
 
 
 def weyl_denominator_sq(rs, k, m):
@@ -290,9 +382,8 @@ def weyl_denominator_sq(rs, k, m):
     integer t = <alpha, k> mod m."""
     _check_phase_range(rs.rank, m)
     pts = _GridPoints.of(k, m)
-    t = pts.phases(rs.positive_roots)
-    vals = np.prod(pts.four_sin_sq[t], axis=-1)
-    return float(vals) if t.ndim == 1 else vals
+    vals = np.prod(pts.lookup(pts.four_sin_sq, rs.positive_roots), axis=-1)
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def _alcove_factor(rs, m):
@@ -390,8 +481,8 @@ def _admit(rs, lam, a, b, n, f, grid, log_dim):
 
 def _band_values(rs, lam, a, b, ns, terms, factors, cells, walks):
     """Values at each n of ``ns`` on the one grid ``factors``, above every
-    row's certificate; ``walks`` holds per simple factor an alcove walk at
-    a size >= m_k and the levels of its points.
+    row's certificate; ``walks`` holds per simple factor its
+    :class:`_Walk` at a size >= m_k.
 
     The integrand is a product over the simple factors, and so is each
     term of f: a row's sum is sum_nu c_nu prod_k S_k(nu_k), one alcove per
@@ -418,10 +509,11 @@ def _band_values(rs, lam, a, b, ns, terms, factors, cells, walks):
     phased = (any(e for _, _, e in degrees)
               or any(any(nu) for nu, _ in terms))
     mags = [[abs(c) for _, c in terms] for _ in ns]
-    for (block, rs_k, m), (walk, level) in zip(factors, walks):
+    for (block, rs_k, m), walk in zip(factors, walks):
         part = slice(block.start, block.stop)
-        # one residue array and one pair of tables serve every evaluation
-        pts = _GridPoints.of(walk[level < m], m)
+        # one prefix of the walk's phases and one pair of tables serve
+        # every evaluation
+        pts = walk.at(m)
         ws = weight_system(rs_k, lam[part])
         delta = weyl_denominator_sq(rs_k, pts, m)
         paired, unpaired = [], []
@@ -482,7 +574,9 @@ def quad_sequence(rs, lam, a, b, ns, f=None, grid=None):
     serves the whole band, and no row sums over more than twice its own
     grid's points.  The alcoves are nested, so each simple factor's is
     walked once, at its largest size over the bands, and each band takes
-    the points of level <= m_k - 1 (:func:`_alcove_levels`).  A caller
+    the points of level <= m_k - 1 (:func:`_alcove_levels`), a prefix of
+    the walk ordered by level; each vector set's phases are formed once
+    on the whole walk and read by every band (:class:`_Walk`).  A caller
     grid is every row's grid, so its rows form one band.  Band tops,
     caller-grid rows and one-element schedules give the bits of a one-N
     call; the other rows are summed on a finer certified grid and differ
@@ -510,11 +604,8 @@ def quad_sequence(rs, lam, a, b, ns, f=None, grid=None):
         else:
             bands.append(([i], factors, cells))
     band_of = {i: band for band in bands for i in band[0]}
-    walks = []      # per simple factor: its largest alcove and the levels
-    for sizes in zip(*(factors for _, factors, _ in bands)):
-        rs_k = sizes[0][1]
-        walk = _alcove_factor(rs_k, max(m for _, _, m in sizes))
-        walks.append((walk, _alcove_levels(rs_k, walk)))
+    walks = [_Walk(sizes[0][1], max(m for _, _, m in sizes))
+             for sizes in zip(*(factors for _, factors, _ in bands))]
     terms = [(check_dominant_integral(rs, nu), c) for nu, c in f.terms]
     for i in range(len(ns)):
         if i not in out:

@@ -13,7 +13,8 @@ from liemoments.harness import (ExperimentConfig, check_hypotheses,
                                 fit_error_exponent, parse_class_function,
                                 parse_schedule, parse_weight, run_experiment,
                                 write_report)
-from liemoments.rootsys import ConfigurationError, build_root_system
+from liemoments.rootsys import (ConfigurationError, build_root_system,
+                                simple_factors)
 
 import oracles
 
@@ -782,6 +783,37 @@ def test_quad_sweep_shares_alcoves_across_bands_of_rows(monkeypatch):
         assert m ** rs.rank <= 2 * own ** rs.rank
         want = harness.route_value("quad", rs, lam, a, a, row.n, f)
         assert row.quad == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("group, lam, terms, schedule, products, evals", [
+    # quad-rank3: A3's positive roots and lambda's weights; five bands
+    # synthesise chi
+    ("A3", (1, 0, 1), (((0, 0, 0), 3.0),), range(2, 15, 2), 2, 5),
+    # the quad route of exact-product: roots and weights on A1 and on A2;
+    # the A2 projection (1, 1) of f is lambda's, so chi_nu reads lambda's
+    # phases; four bands synthesise chi on A1, and chi and chi_nu on A2
+    ("A1xA2", (1, 1, 1), (((0, 0, 0), 2.0), ((0, 1, 1), 5.0)), range(1, 7),
+     4, 12),
+])
+def test_quad_sweep_forms_each_phase_matrix_once(monkeypatch, group, lam,
+                                                 terms, schedule, products,
+                                                 evals):
+    # one integer phase product per vector set and simple factor, on the
+    # whole walk; every band reads its prefix of it (when each band formed
+    # its own, these sweeps made 10 and 20)
+    torusquad, walks, syntheses = _count_quadrature_work(monkeypatch)
+    formed, product = [], torusquad._phases
+    monkeypatch.setattr(torusquad, "_phases", lambda k, v: formed.append(
+        len(k)) or product(k, v))
+    rs, a = build_root_system(group), CycleType((1,))
+    cfg = ExperimentConfig(group=group, lam=lam, a=a, b=a,
+                           schedule=tuple(schedule),
+                           f=harness.ClassFunction(terms), paths=("quad",))
+    run_experiment(cfg)
+    assert len(formed) == products
+    assert len(syntheses) == evals
+    assert set(formed) == {len(oracles.alcove_by_filter(rs_k, m)) for
+                           (_, rs_k), m in zip(simple_factors(rs), walks)}
 
 
 def test_quad_sweep_on_a_caller_grid_walks_once_per_factor(monkeypatch):

@@ -23,7 +23,8 @@ from liemoments import torusquad
 from liemoments.asymptotics import ClassFunction
 from liemoments.charring import CycleType, moment_sequence
 from liemoments.repweights import weight_system, weyl_dimension
-from liemoments.rootsys import build_root_system, factor_blocks
+from liemoments.rootsys import (build_root_system, factor_blocks,
+                                simple_factors)
 from liemoments.torusquad import (GridError, TorusGrid, _alcove_factor,
                                   _factor_grids, character_at, default_grid,
                                   quad_K_N, quad_sequence,
@@ -187,6 +188,64 @@ def test_alcoves_are_level_cuts_of_larger_alcoves(spec, top, data):
     assert sorted(map(tuple, cut.tolist())) == \
         sorted(map(tuple, small.tolist()))
     assert np.array_equal(cut, small)
+
+
+WALK_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2",
+              "A1xA2", "G2xA1", "B2xA1"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(WALK_TYPES), st.integers(2, 20))
+def test_level_ordered_walk_prefixes_are_the_alcoves(spec, top):
+    # a sweep sorts each factor's walk by level once; the alcove of every
+    # m <= top is then a prefix, and a band evaluating on that prefix
+    # through the sweep's unreduced phases reads the bits that the
+    # prefix's own points, reduced mod m, read
+    for _, rs_k in simple_factors(build_root_system(spec)):
+        walk = torusquad._Walk(rs_k, top)
+        assert np.all(np.diff(walk.levels) >= 0)
+        ws = weight_system(rs_k, (1,) + (0,) * (rs_k.rank - 1))
+        for m in range(1, top + 1):
+            band = walk.at(m)
+            prefix = walk.points[:len(band)]
+            assert len(band) == len(oracles.alcove_by_filter(rs_k, m))
+            assert sorted(map(tuple, prefix.tolist())) == \
+                sorted(map(tuple, _alcove_factor(rs_k, m).tolist()))
+            for got, want in [
+                    (weyl_denominator_sq(rs_k, band, m),
+                     weyl_denominator_sq(rs_k, prefix, m)),
+                    (character_at(ws, band, m), character_at(ws, prefix, m)),
+                    (character_at(ws, band.dilated(2), m),
+                     character_at(ws, 2 * prefix, m))]:
+                assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from([1, 2, 3, 4, 31, 42]),
+                 st.integers(1, 100)), st.data())
+def test_wrapped_table_reads_the_table_at_the_phase_mod_m(m, data):
+    # phases of any sign, over ranges up to several times m, read through
+    # the repeated table give the entry of the reduced phase, bit for bit
+    lo = data.draw(st.integers(-4 * m - 3, 4 * m + 3), label="lo")
+    hi = data.draw(st.integers(lo, lo + 9 * m + 3), label="hi")
+    phases = data.draw(st.lists(st.integers(lo, hi), max_size=40),
+                       label="phases")
+    t = np.array([lo, hi, *phases], dtype=np.int64).reshape(-1, 1)
+    for table in torusquad._phase_tables(m):
+        assert len(table) == m
+        got = torusquad._wrapped(table, lo, hi)
+        assert len(got) % m == 0
+        assert got[t].tobytes() == table[t % m].tobytes()
+
+
+def test_walk_refuses_phases_that_could_overflow_int64():
+    walk = torusquad._Walk(build_root_system("A2"), 40)
+    with pytest.raises(GridError, match="overflow int64"):
+        walk.phases([(2 ** 61, 0)], 1)
+    with pytest.raises(GridError, match="overflow int64"):
+        walk.phases([(2 ** 40, 0)], 2 ** 21)
+    t, lo, hi = walk.phases([(2 ** 40, 0)], 1)
+    assert t.dtype == np.int64 and (lo, hi) == (t.min(), t.max())
 
 
 EXACT_GROUPS = {spec: build_root_system(spec)

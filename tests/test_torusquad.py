@@ -1,7 +1,9 @@
 import functools
 import itertools
 import math
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -254,6 +256,15 @@ def test_shift_by_a_period_gives_identical_bits():
             shifted[:, i] += m * rng.integers(-3, 4, len(pts))
             assert np.array_equal(character_at(ws, shifted, m), chi)
             assert np.array_equal(weyl_denominator_sq(rs, shifted, m), dsq)
+
+
+def test_quadrature_bits_are_pinned():
+    # data/quad_bits.py writes the repr of about thirty values and refusals
+    # (one-N calls, sweeps on default and caller grids, Adams degree 2, a
+    # zero moment, F4); a change of the arithmetic shows as a changed byte
+    script = runpy.run_path(str(Path(__file__).parent / "data"
+                                / "quad_bits.py"))
+    assert script["text"]() == script["PATH"].read_text()
 
 
 def test_phase_tables_are_exact_mirrors():
