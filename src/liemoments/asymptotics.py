@@ -81,11 +81,22 @@ class ClassFunction:
 
     def central_value(self, rs, psi):
         """Value at the central element psi: sum c * dim * phase."""
-        out = complex(0, 0)
-        for nu, c in self.terms:
-            phase = _unit_phase(rootsys.pairing(nu, psi))
-            out += c * weyl_dimension(rs, nu) * phase
+        (out,) = _central_values(rs, self, (psi,))
         return out
+
+
+def _central_values(rs, f, center):
+    """:meth:`ClassFunction.central_value` of ``f`` at each element of
+    ``center``, with each term's Weyl dimension taken once."""
+    dims = [weyl_dimension(rs, nu) for nu, _ in f.terms]
+    out = []
+    for psi in center:
+        value = complex(0, 0)
+        for (nu, c), dim in zip(f.terms, dims):
+            phase = _unit_phase(rootsys.pairing(nu, psi))
+            value += c * dim * phase
+        out.append(value)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -172,7 +183,7 @@ def peak_data(rs, lam, f=None):
     sm = a_lambda(rs, lam)
     center = rs.center.elements
     return PeakData(weyl_dimension(rs, lam), sm.kappa_rho, sm.det,
-                    tuple(f.central_value(rs, psi) for psi in center),
+                    _central_values(rs, f, center),
                     tuple(rootsys.pairing(lam, psi) for psi in center))
 
 

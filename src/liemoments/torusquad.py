@@ -59,9 +59,13 @@ schedule.
 On the alcove the two-sided integrand |Delta|^2 |chi|^(2N) is real and
 nonnegative: each Adams degree's paired part min(a_j, b_j) is raised as
 the real |chi|^2, only the unpaired rest is raised in complex, and a row
-without phase (every degree paired, trivial nu) sums one real
-:func:`math.fsum`.  A one-sided row has no paired part: its arithmetic,
-and so its value, is that of an all-complex sum.
+without phase (every degree paired, trivial nu) takes one real sum.  A
+one-sided row has no paired part: its arithmetic, and so its value, is
+that of an all-complex sum.  Every sum is exactly rounded
+(:func:`_exact_sum`): math.fsum over a list of the values on a small
+alcove, and from ``_BINNED_SUM_MIN`` points on exact per-exponent sums
+(np.bincount) that one math.fsum rounds.  Both give the bits of
+math.fsum, so the alcove's size only picks the faster path.
 
 This path shares no code with the character-ring route beyond the weight
 systems themselves, which is the point: the two must agree to roundoff.
@@ -91,6 +95,12 @@ _MAX_LOG = 700.0
 # A row whose torus grid, or whose alcove bound P / |W| (_factor_grids),
 # holds more points than this is refused before any point is enumerated.
 _MAX_POINTS = 4_000_000
+
+# An alcove of at least this many points is summed in exponent bins
+# (_exact_sum), a smaller one by math.fsum over a list, whose per-call cost
+# is lower there; on integrand rows of rank 1-4 the two cross at about 250
+# points.  Both sums are exactly rounded, so the choice moves no bit.
+_BINNED_SUM_MIN = 256
 
 
 class GridError(ValueError):
@@ -169,8 +179,13 @@ def required_bandwidth(rs, lam, a, b, n, f):
     -------
     tuple of int, one bound per torus axis.
     """
-    lam = check_dominant_integral(rs, lam)
-    nus = [check_dominant_integral(rs, nu) for nu, _ in f.terms]
+    return _bandwidth(rs, check_dominant_integral(rs, lam), a, b, n,
+                      [check_dominant_integral(rs, nu) for nu, _ in f.terms])
+
+
+def _bandwidth(rs, lam, a, b, n, nus):
+    """:func:`required_bandwidth` of a checked ``lam`` and the checked
+    highest weights ``nus`` of f's terms; validates nothing."""
     deg_a, deg_b = n * a.weight, n * b.weight
     out = []
     for block, q, q_dual, q_two_rho in _hull_data(rs):
@@ -450,26 +465,28 @@ def _factor_grids(rs, sizes):
     return factors, cells
 
 
-def _admit(rs, lam, a, b, n, f, grid, log_dim):
+def _admit(rs, lam, a, b, n, nus, grid, log_dim):
     """One row's checks, in order: the float budget, the grid (the default
     one, or a caller grid's axis count and aliasing), the point budget and
-    :func:`_factor_grids`.  Returns the factors and P, or raises the
-    :class:`GridError` that refuses the row; enumerates no point."""
+    :func:`_factor_grids`.  ``lam`` and ``nus`` (the highest weights of f's
+    terms) come checked from :func:`quad_sequence`.  Returns the factors
+    and P, or raises the :class:`GridError` that refuses the row;
+    enumerates no point."""
     mag = (a.size + b.size) * n * log_dim
     if mag > _MAX_LOG:
         raise GridError(
             f"integrand magnitude exp({mag:.1f}) exceeds the float budget "
             f"exp({_MAX_LOG}); refusing rather than overflow")
+    bw = _bandwidth(rs, lam, a, b, n, nus)
+    need = tuple(b_ + 1 for b_ in bw)
     if grid is None:
-        grid = default_grid(rs, lam, a, b, n, f)
+        grid = TorusGrid(sizes=need)
     elif len(grid.sizes) != rs.rank:
         raise GridError(f"grid {grid.sizes} has {len(grid.sizes)} axes, "
                         f"the torus of {rs.describe()} has rank {rs.rank}")
     else:
-        bw = required_bandwidth(rs, lam, a, b, n, f)
         bad = [i for i in range(rs.rank) if grid.sizes[i] <= bw[i]]
         if bad:
-            need = tuple(b_ + 1 for b_ in bw)
             raise GridError(
                 f"grid {grid.sizes} aliases on axes {bad}: integrand "
                 f"bandwidth is {bw}, need at least {need} points per axis")
@@ -477,6 +494,36 @@ def _admit(rs, lam, a, b, n, f, grid, log_dim):
         raise GridError(
             f"grid has {grid.num_points} points, budget is {_MAX_POINTS}")
     return _factor_grids(rs, grid.sizes)
+
+
+def _exact_sum(x):
+    """The exactly rounded sum of the float64 array ``x``: the bits of
+    ``math.fsum(x.tolist())``, from :data:`_BINNED_SUM_MIN` values on
+    without a Python float per value.
+
+    Each value splits exactly into hi, its sign, exponent and top 26
+    significant bits, and lo = x - hi.  A bin holds the values whose
+    exponent field lies in one aligned run of 2^s fields.  In a bin every
+    hi is a multiple of 2^-25 times the bin's least power of two and every
+    lo of 2^-52 times it, each below 2^(2^s + 26) such units, so
+    :func:`np.bincount` adds up to 2^k of them exactly while 2^s + k <= 27.
+    s is the largest such for len(x); s >= 0 for every alcove the point
+    budget admits (``_MAX_POINTS`` < 2^26), and a longer x goes to
+    :func:`math.fsum`.  One :func:`math.fsum` over the nonzero bin sums
+    then rounds the values' exact total once, as fsum over the values
+    does.  A nonfinite value or an overflowing bin leaves that total
+    nonfinite; the values then go to :func:`math.fsum` itself, which
+    returns or raises what it does for them."""
+    k = (len(x) - 1).bit_length()
+    if len(x) < _BINNED_SUM_MIN or k > 26:
+        return math.fsum(x.tolist())
+    s = (27 - k).bit_length() - 1
+    bits = x.view(np.int64)
+    bins = bits >> (52 + s) & (0x7FF >> s)
+    hi = (bits & -(1 << 27)).view(np.float64)
+    sums = np.concatenate((np.bincount(bins, hi), np.bincount(bins, x - hi)))
+    total = math.fsum(sums[sums != 0].tolist())
+    return total if math.isfinite(total) else math.fsum(x.tolist())
 
 
 def _band_values(rs, lam, a, b, ns, terms, factors, cells, walks):
@@ -492,10 +539,11 @@ def _band_values(rs, lam, a, b, ns, terms, factors, cells, walks):
     and serve every row.  Degree j's paired part min(a_j, b_j) enters as
     the real |chi|^2, the unpaired rest as chi or conj(chi) to a complex
     power, so a one-sided row is all complex.  A row raises and
-    multiplies, then takes one exactly rounded :func:`math.fsum` per nu_k,
-    real when its integrand has no phase and a real and imaginary pair
-    otherwise.  Yields per n the float or the imaginary-residual
-    :class:`GridError`.
+    multiplies, then takes one exactly rounded :func:`_exact_sum` per nu_k
+    (math.fsum over a list below ``_BINNED_SUM_MIN`` alcove points,
+    exponent bins from there on, the same bits either way), real when its
+    integrand has no phase and a real and imaginary pair otherwise.
+    Yields per n the float or the imaginary-residual :class:`GridError`.
 
     The residual's tolerance is 1e-10 max(1, |value|, S), where the
     integrand's scale S = sum_nu |c_nu| prod_k sum |t_k| / P bounds the
@@ -537,10 +585,8 @@ def _band_values(rs, lam, a, b, ns, terms, factors, cells, walks):
             sums, abs_sums = {}, {}
             for nu, chi_nu in nus.items():
                 t = base if chi_nu is None else chi_nu * base
-                sums[nu] = (complex(math.fsum(t.real.tolist()),
-                                    math.fsum(t.imag.tolist()))
-                            if np.iscomplexobj(t)
-                            else math.fsum(t.tolist()))
+                sums[nu] = (complex(_exact_sum(t.real), _exact_sum(t.imag))
+                            if np.iscomplexobj(t) else _exact_sum(t))
                 if phased:
                     abs_sums[nu] = float(np.abs(t).sum())
             row[:] = [v * sums[nu[part]] for v, (nu, _) in zip(row, terms)]
@@ -563,8 +609,9 @@ def quad_sequence(rs, lam, a, b, ns, f=None, grid=None):
     """Torus quadrature of the two-sided moment (conjugated b factors; an
     empty b gives the one-sided one) at each n of ``ns``.
 
-    Every row is checked before any point is enumerated, in the order and
-    with the messages of a one-N call (:func:`_admit`).  The admissible
+    lam and the highest weight of each term of f are checked once, here;
+    every row is then checked before any point is enumerated, in the order
+    and with the messages of a one-N call (:func:`_admit`).  The admissible
     rows are then cut into bands from the largest n down: a row joins the
     current band while its own grid has at least half the torus points
     P = prod_k m_k^rank_k of the band's top grid, and starts a new band
@@ -585,7 +632,9 @@ def quad_sequence(rs, lam, a, b, ns, f=None, grid=None):
     Yields, per n, the float or the :class:`GridError` that refused it.
     """
     lam = check_dominant_integral(rs, lam)
-    f = (ClassFunction.one(rs.rank) if f is None else f).validated(rs)
+    f = ClassFunction.one(rs.rank) if f is None else f
+    terms = [(check_dominant_integral(rs, nu), c) for nu, c in f.terms]
+    nus = [nu for nu, _ in terms]
     ns = tuple(ns)
     for n in ns:
         if n < 0:
@@ -594,7 +643,8 @@ def quad_sequence(rs, lam, a, b, ns, f=None, grid=None):
     out, admitted = {}, []
     for i, n in enumerate(ns):
         try:
-            admitted.append((i, *_admit(rs, lam, a, b, n, f, grid, log_dim)))
+            admitted.append((i, *_admit(rs, lam, a, b, n, nus, grid,
+                                        log_dim)))
         except GridError as exc:
             out[i] = exc
     bands = []      # (row indices, factors, P of the top grid)
@@ -606,7 +656,6 @@ def quad_sequence(rs, lam, a, b, ns, f=None, grid=None):
     band_of = {i: band for band in bands for i in band[0]}
     walks = [_Walk(sizes[0][1], max(m for _, _, m in sizes))
              for sizes in zip(*(factors for _, factors, _ in bands))]
-    terms = [(check_dominant_integral(rs, nu), c) for nu, c in f.terms]
     for i in range(len(ns)):
         if i not in out:
             rows, factors, cells = band_of[i]

@@ -176,6 +176,26 @@ def test_peak_data_skips_rechecking_lam_and_f(monkeypatch):
             leading_term_K(rs, (1, 1), a, a, 3, f=f, peak=peak)) == want
 
 
+def test_peak_data_takes_each_dimension_once(monkeypatch):
+    # f at the 6 central elements of A1xA2 needs each term's dimension:
+    # one call per term and one for lam, not one per term and element (13)
+    rs = build_root_system("A1xA2")
+    f = ClassFunction((((0, 0, 0), 2.0), ((0, 1, 1), 5.0)))
+    dims, dim = [], asymptotics.weyl_dimension
+    monkeypatch.setattr(asymptotics, "weyl_dimension",
+                        lambda rs, lam: dims.append(lam) or dim(rs, lam))
+    peak = peak_data(rs, (1, 1, 1), f)
+    assert dims == [(1, 1, 1), (0, 0, 0), (0, 1, 1)]
+    monkeypatch.undo()
+    # the bits of sum c * dim * phase, term by term
+    assert len(peak.f_at_center) == len(rs.center.elements) == 6
+    for psi, got in zip(rs.center.elements, peak.f_at_center):
+        want = complex(0, 0)
+        for nu, c in f.terms:
+            want += c * weyl_dimension(rs, nu) * nu_character(rs, nu, 1, psi)
+        assert got == want == f.central_value(rs, psi)
+
+
 def test_leading_term_K_values():
     rs = build_root_system("A1")
     for n in (1, 2, 40, 160):

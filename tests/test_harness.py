@@ -716,13 +716,13 @@ def test_sweep_evaluates_f_at_the_center_once(monkeypatch, b):
     # f at each central element does not depend on N: a sweep evaluates it
     # once per element, not once per row; a one-N call evaluates it itself
     calls = []
-    real = asymptotics.ClassFunction.central_value
+    real = asymptotics._central_values
 
-    def counted(self, rs, psi):
-        calls.append(psi)
-        return real(self, rs, psi)
+    def counted(rs, f, center):
+        calls.extend(center)
+        return real(rs, f, center)
 
-    monkeypatch.setattr(asymptotics.ClassFunction, "central_value", counted)
+    monkeypatch.setattr(asymptotics, "_central_values", counted)
     rs = build_root_system("A2")
     f = harness.ClassFunction((((0, 0), 2.0), ((1, 1), 3.0)))
     cfg = ExperimentConfig(group="A2", lam=(1, 1), a=CycleType((1,)),

@@ -175,8 +175,9 @@ NESTING_TYPES = [f"{letter}{n}" for letter, lo in
 @given(st.sampled_from(NESTING_TYPES), st.integers(2, 30), st.data())
 def test_alcoves_are_level_cuts_of_larger_alcoves(spec, top, data):
     # only the level bound sum_j a_j z_j <= m - 1 depends on m, so the
-    # walk at m is the walk at top cut to level <= m - 1; the cut keeps the
-    # walk's order, so a band reads the very array a walk at m returns
+    # walk at m is the walk at top cut to level <= m - 1, in the same
+    # order; a band reads these points as a prefix of the sweep's walk
+    # sorted by level (test_level_ordered_walk_prefixes_are_the_alcoves)
     rs = build_root_system(spec)
     m = data.draw(st.integers(1, top - 1))
     big = _alcove_factor(rs, top)
@@ -507,7 +508,7 @@ def test_sequence_checks_every_row_before_it_enumerates(monkeypatch):
     # at the largest admitted size, and a negative N anywhere is refused
     # before any walk
     events = []
-    grid, walk = torusquad.default_grid, torusquad._alcove_factor
+    grid, walk = torusquad._bandwidth, torusquad._alcove_factor
 
     def sized(rs, lam, a, b, n, f=None):
         events.append(("grid", n))
@@ -517,7 +518,7 @@ def test_sequence_checks_every_row_before_it_enumerates(monkeypatch):
         events.append(("walk", m))
         return walk(rs, m)
 
-    monkeypatch.setattr(torusquad, "default_grid", sized)
+    monkeypatch.setattr(torusquad, "_bandwidth", sized)
     monkeypatch.setattr(torusquad, "_alcove_factor", walked)
     rs = build_root_system("A2")
     one = CycleType((1,))
@@ -591,3 +592,90 @@ def test_row_without_phase_sums_one_real_fsum(monkeypatch):
     (mults,) = moment_sequence(rs, (1, 1, 0), one, one, (3,),
                                [(0, 0, 0)])
     assert got == pytest.approx(mults[0], rel=1e-13)
+
+
+# finite values whose sums stay finite: ±0 and subnormals from st.floats,
+# and m 2^e with e from -1074 on for exponents spread over the whole range
+SUMMANDS = st.one_of(
+    st.floats(min_value=-2.0 ** 1000, max_value=2.0 ** 1000),
+    st.builds(math.ldexp, st.integers(-2 ** 53 + 1, 2 ** 53 - 1),
+              st.integers(-1074, 1000 - 53)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_exact_sum_is_fsum_bit_for_bit(data):
+    # alcove sums from _BINNED_SUM_MIN points on are exact exponent-bin
+    # sums rounded once; below it they are fsum over a list.  Both must be
+    # fsum's bits, exact x, -x cancellations included
+    values = data.draw(st.lists(SUMMANDS, max_size=80))
+    negated = data.draw(st.lists(st.sampled_from(values), max_size=40)
+                        if values else st.just([]))
+    x = np.array(data.draw(st.permutations(values + [-v for v in negated])),
+                 dtype=np.float64)
+    want = math.fsum(x.tolist()).hex()
+    for least in (0, len(x), len(x) + 1):
+        with mock.patch.object(torusquad, "_BINNED_SUM_MIN", least):
+            assert torusquad._exact_sum(x).hex() == want
+
+
+@pytest.mark.parametrize("values", [
+    [], [0.0], [-0.0], [-0.0, -0.0], [5e-324], [-5e-324, 5e-324],
+    [1.0, -1.0], [2.0 ** 1000, 1e-300, -2.0 ** 1000],
+    [math.ulp(2.0 ** -1022) * (2 ** 52 - 1), 2.0 ** -1022, -2.0 ** -1021],
+    [1.0, 2.0 ** -53, 2.0 ** -106], [0.1] * 10,
+])
+def test_exact_sum_edge_cases(monkeypatch, values):
+    x = np.array(values, dtype=np.float64)
+    monkeypatch.setattr(torusquad, "_BINNED_SUM_MIN", 0)
+    assert torusquad._exact_sum(x).hex() == math.fsum(values).hex()
+
+
+@pytest.mark.parametrize("values", [
+    [math.inf, 1.0], [-math.inf, 2.0 ** 1023], [math.nan, 1.0],
+    [math.inf, -math.inf], [2.0 ** 1023] * 2, [1.7e308, 1.7e308, -1.7e308],
+])
+def test_exact_sum_of_nonfinite_totals_is_fsums(monkeypatch, values):
+    # a nonfinite value or an overflowing bin sends the values to fsum,
+    # which returns or raises what it does for them
+    def outcome(total):
+        try:
+            return total().hex()
+        except (OverflowError, ValueError) as exc:
+            return repr(exc)
+
+    x = np.array(values, dtype=np.float64)
+    monkeypatch.setattr(torusquad, "_BINNED_SUM_MIN", 0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert outcome(lambda: torusquad._exact_sum(x)) == \
+            outcome(lambda: math.fsum(values))
+
+
+@pytest.mark.parametrize("n", [2 ** 11, 2 ** 11 + 1, 2 ** 19 + 1])
+@pytest.mark.parametrize("field", [0, 1023])
+def test_exact_sum_bins_are_exact_at_their_widest(monkeypatch, n, field):
+    # n values set the bin width 2^s (16, 8 and 4 exponent fields here).
+    # Most of them, with every mantissa bit set, sit at the least and the
+    # largest exponent field of one bin: its sums are as long as the bound
+    # allows.  One more sits in each neighbouring bin, which a bin twice
+    # as wide would merge with them.  Adding -fsum of the rest leaves only
+    # the low bits of the exact total, which an inexact bin would move.
+    s = (27 - (n - 1).bit_length()).bit_length() - 1
+    low, width = field >> s << s, 2 ** s
+    fields = [low + width - 1, low, low + 2 * width - 1] + \
+        [low - width] * (low > 0)
+    ones = np.array([f << 52 | (2 ** 52 - 1) for f in fields],
+                    dtype=np.int64).view(np.float64)
+    counts = [n // 2, n - n // 2 + 1 - len(fields)] + \
+        [1] * (len(fields) - 2)
+    values = np.repeat(ones, counts)
+    x = np.append(values, -math.fsum(values.tolist()))
+    assert len(x) == n
+    monkeypatch.setattr(torusquad, "_BINNED_SUM_MIN", 0)
+    assert torusquad._exact_sum(x).hex() == math.fsum(x.tolist()).hex()
+
+
+def test_point_budget_keeps_exponent_bins_exact():
+    # a bin adds at most 2^26 values exactly, and no alcove under the
+    # point budget holds more
+    assert torusquad._MAX_POINTS < 2 ** 26

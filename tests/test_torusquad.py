@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from liemoments import charring, repweights, torusquad
+from liemoments import charring, repweights, rootsys, torusquad
 from liemoments.asymptotics import ClassFunction
 from liemoments.charring import CycleType, adams, exact_moment
 from liemoments.repweights import WeightSystem, weight_system, weyl_dimension
@@ -265,6 +265,65 @@ def test_quadrature_bits_are_pinned():
     script = runpy.run_path(str(Path(__file__).parent / "data"
                                 / "quad_bits.py"))
     assert script["text"]() == script["PATH"].read_text()
+
+
+@pytest.mark.parametrize("least", [0, torusquad._MAX_POINTS + 1])
+def test_quadrature_bits_are_pinned_on_both_sum_paths(monkeypatch, least):
+    # every alcove summed in exponent bins, then every alcove summed by
+    # fsum over a list: both are exactly rounded, so each pinned row reads
+    # the same bytes either way
+    monkeypatch.setattr(torusquad, "_BINNED_SUM_MIN", least)
+    script = runpy.run_path(str(Path(__file__).parent / "data"
+                                / "quad_bits.py"))
+    assert script["text"]() == script["PATH"].read_text()
+
+
+def test_large_alcoves_never_reach_fsum_as_lists(monkeypatch):
+    # the A3 adjoint sweep's bands sum alcoves of 2670, 1015, 285, 91 and
+    # 22 points; math.fsum sees the values of those below _BINNED_SUM_MIN
+    # and only the few nonzero bin sums of the others
+    alcoves, least = {22, 91, 285, 1015, 2670}, torusquad._BINNED_SUM_MIN
+    lengths, fsum = [], math.fsum
+    monkeypatch.setattr(math, "fsum", lambda xs: lengths.append(len(xs))
+                        or fsum(xs))
+    rs, one = build_root_system("A3"), CycleType((1,))
+    f = ClassFunction((((0, 0, 0), 3.0),))
+    assert all(isinstance(v, float) for v in torusquad.quad_sequence(
+        rs, (1, 0, 1), one, one, range(2, 15, 2), f))
+    assert len(lengths) == 7
+    assert set(lengths) & alcoves == {n for n in alcoves if n < least}
+
+
+def test_sweep_checks_lam_and_each_term_once(monkeypatch):
+    # quad_sequence checks lam and each term's highest weight once and
+    # sizes every row from the checked weights (when each row's bandwidth
+    # checked them again, this sweep made 16 checks)
+    checked, check = [], torusquad.check_dominant_integral
+    monkeypatch.setattr(torusquad, "check_dominant_integral",
+                        lambda rs, lam: checked.append(lam) or check(rs, lam))
+    rs, one = build_root_system("A3"), CycleType((1,))
+    f = ClassFunction((((0, 0, 0), 3.0),))
+    rows = list(torusquad.quad_sequence(rs, (1, 0, 1), one, one,
+                                        range(2, 15, 2), f))
+    assert checked == [(1, 0, 1), (0, 0, 0)]
+    assert len(rows) == 7
+    rs = build_root_system("A1xA2")
+    f = ClassFunction((((0, 0, 0), 2.0), ((0, 1, 1), 5.0)))
+    grid = default_grid(rs, (1, 1, 1), one, one, 4, f)
+    checked.clear()
+    list(torusquad.quad_sequence(rs, (1, 1, 1), one, one, (1, 2, 4), f,
+                                 grid))
+    assert checked == [(1, 1, 1), (0, 0, 0), (0, 1, 1)]
+
+
+def test_public_bandwidth_and_grid_still_check_their_weights():
+    rs, one = build_root_system("A2"), CycleType((1,))
+    bad = ClassFunction((((0, -1), 1.0),))
+    for call in (lambda: required_bandwidth(rs, (1, 0), one, one, 2, bad),
+                 lambda: default_grid(rs, (1, 0), one, one, 2, bad),
+                 lambda: default_grid(rs, (1, 0, 0), one, one, 2)):
+        with pytest.raises(rootsys.ConfigurationError):
+            call()
 
 
 def test_phase_tables_are_exact_mirrors():
