@@ -9,7 +9,8 @@ determinants as Fractions, central phases as exact roots of unity) and in
 floats only at the very end.  The peak's kappa(A_lam^-1 rho) and det A_lam
 are closed forms in root data (``repweights.SecondMoment``), and its
 pairings <lam, psi> with the central elements are taken once per sweep;
-only the Mehta closed forms of a caller's form run an elimination.
+A_lam's matrix is never eliminated, and only the Mehta closed forms
+eliminate a caller's form.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 from . import rootsys
 from .charring import CycleType
-from .exactla import lu_det, lu_solve, positive_lu
+from .exactla import eliminate
 from .repweights import (a_lambda, check_dominant_integral, is_regular,
                          weyl_dimension)
 
@@ -176,9 +177,9 @@ def peak_data(rs, lam, f=None):
 
     ``kappa_term`` and ``det_a`` are the closed forms of
     :class:`repweights.SecondMoment`, from one :func:`a_lambda` call: no
-    elimination.  ``lam_at_center`` holds each pairing <lam, psi>, so a
-    one-sided row takes its central phases as exp(2 pi i N k_a <lam, psi>)
-    with no pairing of its own."""
+    elimination of A_lam's matrix.  ``lam_at_center`` holds each pairing
+    <lam, psi>, so a one-sided row takes its central phases as
+    exp(2 pi i N k_a <lam, psi>) with no pairing of its own."""
     f = ClassFunction.one(rs.rank) if f is None else f
     sm = a_lambda(rs, lam)
     center = rs.center.elements
@@ -310,6 +311,14 @@ def biane_dimension_estimate(rs, lam, n):
 _EQUIVARIANCE_TOL = 1e-9
 
 
+def _integer_form(h):
+    """``(L, L h)``: the lcm L of the denominators of the int or Fraction
+    entries of ``h``, and ``h`` scaled by it to integers."""
+    den = math.lcm(*(x.denominator for row in h for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row]
+                 for row in h]
+
+
 def weyl_equivariant(rs, h):
     """Whether the form ``h`` (covectors -> weights; int or Fraction
     entries) commutes with the Weyl action: h o s_i equals s_i^* o h for
@@ -322,8 +331,7 @@ def weyl_equivariant(rs, h):
     scaled by the common denominator of its entries.
     """
     n = rs.rank
-    den = math.lcm(*(x.denominator for row in h for x in row))
-    m = [[x.numerator * (den // x.denominator) for x in row] for row in h]
+    den, m = _integer_form(h)
     # the differences are integers, so comparing with the floor is exact
     limit = math.floor(Fraction(_EQUIVARIANCE_TOL) * max(
         den, max(abs(x) for row in m for x in row)))
@@ -337,12 +345,13 @@ def weyl_equivariant(rs, h):
 
 
 def _checked_form(rs, h):
-    """The quadratic form ``h`` as an exact rank x rank Fraction matrix, and
-    its :func:`exactla.positive_lu` factors, from the elimination that
-    decides definiteness.
+    """The quadratic form ``h`` as an exact rank x rank Fraction matrix,
+    h^-1 rho and det h, from the elimination that decides definiteness.
 
     ``Fraction(x)`` is exact for int, Fraction and float entries alike, so
-    nothing is rounded here.  Refused with ValueError, in this order: a
+    nothing is rounded here.  The elimination runs on L h, in integers, for
+    L the lcm of the entries' denominators: h^-1 rho = L (L h)^-1 rho and
+    det h = det(L h) / L^rank.  Refused with ValueError, in this order: a
     shape other than rank x rank, a form that does not commute with the
     Weyl action, one that is not symmetric, and one that is not positive
     definite.
@@ -360,17 +369,19 @@ def _checked_form(rs, h):
             "form does not apply")
     if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
         raise ValueError("matrix must be symmetric")
-    lu = positive_lu(m)
-    if lu is None:
+    den, scaled = _integer_form(m)
+    done = eliminate(scaled, (rs.rho,))
+    if done is None:
         raise ValueError("matrix must be positive definite")
-    return m, lu
+    minors, (x,) = done
+    return m, tuple(den * c for c in x), Fraction(minors[-1], den ** n)
 
 
 def _mehta_parts(rs, h):
     """kappa(h^{-1} rho) and det h, exact, for a form that passes
     :func:`_checked_form`; one elimination gives both."""
-    _, lu = _checked_form(rs, h)
-    return rootsys.kappa(rs, lu_solve(lu, rs.rho)), lu_det(lu)
+    _, x, det = _checked_form(rs, h)
+    return rootsys.kappa(rs, x), det
 
 
 def mehta_closed_form(rs, h):

@@ -1,20 +1,16 @@
-"""Exact linear algebra on tiny matrices: Fraction elimination, leading
-minors in integers, Hermite and Smith forms.
+"""Exact linear algebra on tiny matrices: one fraction-free elimination
+(leading minors and solutions), Hermite and Smith forms.
 
 Everything in this module works on nested sequences of ints/Fractions and
-returns plain tuples.  Matrices here are at most rank x rank for rank <= 8,
+returns plain tuples; the eliminations run in integers, and Fractions
+appear only in results.  Matrices here are at most rank x rank for rank <= 8,
 so clarity wins over asymptotics throughout.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-
-
-def frac_matrix(rows):
-    """Copy ``rows`` into a list of lists of Fractions."""
-    return [[Fraction(x) for x in row] for row in rows]
+from operator import index
 
 
 def identity_int(n):
@@ -27,67 +23,28 @@ def mat_vec(mat, vec):
                      Fraction(0)) for row in mat)
 
 
-def positive_lu(mat):
-    """LU factors of ``mat`` by elimination without row exchanges, or None
-    when a leading principal minor is <= 0.
+def eliminate(mat, columns=()):
+    """Fraction-free elimination of the integer matrix ``mat`` without row
+    exchanges: ``(minors, solutions)``, or None when a leading principal
+    minor is <= 0.
 
-    The k-th pivot is the ratio of the k-th to the (k-1)-th leading
-    principal minor, so every pivot is positive exactly when every minor
-    is: one elimination decides Sylvester's criterion.  Returns
-    ``(low, up)``, the multipliers below the diagonal of ``low`` and the
-    upper-triangular ``up``; :func:`lu_det` multiplies the pivots
-    ``up[k][k]`` to det mat, and :func:`lu_solve` solves with the pair.
-    This is the package's only Fraction elimination.  For an integer matrix
-    whose factors are not needed, :func:`positive_minors` decides the same
-    criterion in integers.
+    ``minors`` are the leading principal minors, the last one det mat, and
+    ``solutions`` holds mat^-1 c as Fractions for each integer vector c of
+    ``columns``.  Bareiss's step k replaces each entry x of a row by
+    (x p_k - l y) / p_(k-1), with p_k the k-th pivot, l the row's entry in
+    the pivot column and y the pivot row's entry: the division is exact,
+    the entries below and right of the pivot are minors of order k + 1,
+    and the k-th pivot is the k-th leading minor, so the pivots decide
+    Sylvester's criterion.  With columns, the rows above the pivot are
+    reduced as well (the Gauss-Jordan form), which leaves det mat times
+    mat^-1 c in the augmented columns; each solution is divided by det mat
+    once, at the end.  Every intermediate is an int.
     """
-    up = frac_matrix(mat)
-    n = len(up)
-    low = [[Fraction(0)] * n for _ in range(n)]
-    for col in range(n):
-        pivot = up[col][col]
-        if pivot <= 0:
-            return None
-        for r in range(col + 1, n):
-            if up[r][col]:
-                f = low[r][col] = up[r][col] / pivot
-                up[r] = [x - f * y for x, y in zip(up[r], up[col])]
-    return low, up
-
-
-def lu_solve(factors, vec):
-    """Solve ``mat @ x = vec`` exactly from ``positive_lu(mat)``."""
-    low, up = factors
-    n = len(up)
-    y = []
-    for i in range(n):
-        y.append(Fraction(vec[i]) - sum(
-            (low[i][j] * y[j] for j in range(i)), Fraction(0)))
-    x = [Fraction(0)] * n
-    for i in reversed(range(n)):
-        x[i] = (y[i] - sum((up[i][j] * x[j] for j in range(i + 1, n)),
-                           Fraction(0))) / up[i][i]
-    return tuple(x)
-
-
-def lu_det(factors):
-    """det mat from ``positive_lu(mat)``: the product of the pivots."""
-    up = factors[1]
-    return math.prod(up[k][k] for k in range(len(up)))
-
-
-def positive_minors(mat):
-    """The leading principal minors of the integer matrix ``mat``, or None
-    when one is <= 0.
-
-    Bareiss's fraction-free elimination without row exchanges: after step
-    k every entry below and right of the pivot is a minor of ``mat`` of
-    order k + 1, and the division by the previous pivot is exact, so the
-    k-th pivot is the k-th leading principal minor and every number stays
-    an integer.  The last minor is det mat.
-    """
-    a = [[int(x) for x in row] for row in mat]
-    n = len(a)
+    n = len(mat)
+    a = [list(map(index, row)) for row in mat]
+    for c in columns:
+        for row, x in zip(a, c, strict=True):
+            row.append(index(x))
     minors = []
     prev = 1
     for k in range(n):
@@ -96,12 +53,15 @@ def positive_minors(mat):
             return None
         minors.append(pivot)
         tail = a[k][k + 1:]
-        for i in range(k + 1, n):
-            lead = a[i][k]
-            a[i][k + 1:] = [(x * pivot - lead * y) // prev
-                            for x, y in zip(a[i][k + 1:], tail)]
+        for i in range(n) if columns else range(k + 1, n):
+            if i != k:
+                lead = a[i][k]
+                a[i][k + 1:] = [(x * pivot - lead * y) // prev
+                                for x, y in zip(a[i][k + 1:], tail)]
         prev = pivot
-    return tuple(minors)
+    return tuple(minors), tuple(
+        tuple(Fraction(row[j], prev) for row in a)
+        for j in range(n, n + len(columns)))
 
 
 def hermite_normal_form(mat):

@@ -29,7 +29,7 @@ from functools import cache, cached_property
 from operator import add, mul, sub
 
 from . import rootsys
-from .exactla import positive_minors
+from .exactla import eliminate
 
 
 class WeightSystem:
@@ -226,11 +226,12 @@ class SecondMoment:
       (alpha, rho) for D = diag(d).
 
     A_lam is positive definite exactly when every s_k, every d_j and every
-    leading principal minor of C is positive, which ``definite`` decides in
-    integers (:func:`exactla.positive_minors`).  Otherwise A_lam, a Gram
-    sum and so positive semidefinite, is singular: ``det`` is 0, and
-    ``solve`` and ``kappa_rho`` raise ValueError, as when lam vanishes on a
-    simple factor.  ``matrix`` is built only when it is read.
+    leading principal minor of C is positive.  ``definite`` and ``det`` read
+    those minors from one :func:`exactla.eliminate` of C, in integers; A_lam
+    itself is never eliminated.  Otherwise A_lam, a Gram sum and so
+    positive semidefinite, is singular: ``det`` is 0, and ``solve`` and
+    ``kappa_rho`` raise ValueError, as when lam vanishes on a simple
+    factor.  ``matrix`` is built only when it is read.
     """
     rs: rootsys.RootSystem = field(repr=False)
     scales: tuple  # s_k = (lam, lam + 2 rho)_k / dim G_k, Fractions
@@ -248,7 +249,8 @@ class SecondMoment:
 
     @cached_property
     def _cartan_minors(self):
-        return positive_minors(self.rs.cartan)
+        done = eliminate(self.rs.cartan)
+        return None if done is None else done[0]
 
     @cached_property
     def definite(self):
@@ -314,8 +316,8 @@ def a_lambda(rs, lam):
     ``rootsys.scaled_cartan_inv`` and the scaled symmetrizers, and one
     Fraction, and :class:`SecondMoment` keeps the multiples.  For regular
     ``lam`` the result must be positive definite; that is checked exactly,
-    with no Fraction elimination, and a failure raises RuntimeError (it
-    would indicate corrupted tables).
+    from the leading minors of the Cartan matrix in integers, and a failure
+    raises RuntimeError (it would indicate corrupted tables).
     """
     lam = check_dominant_integral(rs, lam)
     den, inv = rootsys.scaled_cartan_inv(rs)

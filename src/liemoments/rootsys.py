@@ -25,8 +25,8 @@ from fractions import Fraction
 from functools import cache
 from operator import mul, sub
 
-from .exactla import (hermite_normal_form, lu_det, lu_solve, mat_vec,
-                      positive_lu, smith_normal_form)
+from .exactla import (eliminate, hermite_normal_form, identity_int, mat_vec,
+                      smith_normal_form)
 
 Weight = tuple  # coordinates on fundamental weights; ints or Fractions
 Covector = tuple  # coordinates on simple coroots; ints or Fractions
@@ -279,17 +279,16 @@ def _root_system(factors):
 
     # Every finite-type Cartan matrix has positive leading minors, so one
     # elimination without row exchanges gives its inverse and determinant.
-    lu = positive_lu(cartan)
-    if lu is None:
+    done = eliminate(cartan, identity_int(rank))
+    if done is None:
         raise RuntimeError(f"Cartan matrix of {factors} has a non-positive "
                            f"leading minor: corrupted root tables")
-    columns = [lu_solve(lu, [int(i == j) for i in range(rank)])
-               for j in range(rank)]
+    minors, columns = done
     cartan_inv = tuple(zip(*columns))
     rho = tuple([1] * rank)
 
     center = _fundamental_group(cartan)
-    if center.order != lu_det(lu):
+    if center.order != minors[-1]:
         raise RuntimeError("center order disagrees with det of Cartan matrix")
     grid_basis = _coroot_grid_basis(cartan, center)
 

@@ -511,17 +511,24 @@ def _exact_sum(x):
     budget admits (``_MAX_POINTS`` < 2^26), and a longer x goes to
     :func:`math.fsum`.  One :func:`math.fsum` over the nonzero bin sums
     then rounds the values' exact total once, as fsum over the values
-    does.  A nonfinite value or an overflowing bin leaves that total
-    nonfinite; the values then go to :func:`math.fsum` itself, which
-    returns or raises what it does for them."""
+    does.  A nonfinite value has the top exponent field, so it leaves the
+    top bin's hi sum nonfinite, and an overflowing bin leaves the total
+    nonfinite; either way the values go to :func:`math.fsum` itself, which
+    returns or raises what it does for them.  The top bin is read before
+    lo is formed, so no nonfinite value reaches a subtraction and numpy
+    raises no floating-point warning."""
     k = (len(x) - 1).bit_length()
     if len(x) < _BINNED_SUM_MIN or k > 26:
         return math.fsum(x.tolist())
     s = (27 - k).bit_length() - 1
+    top = 0x7FF >> s
     bits = x.view(np.int64)
-    bins = bits >> (52 + s) & (0x7FF >> s)
+    bins = bits >> (52 + s) & top
     hi = (bits & -(1 << 27)).view(np.float64)
-    sums = np.concatenate((np.bincount(bins, hi), np.bincount(bins, x - hi)))
+    hi_sums = np.bincount(bins, hi, minlength=top + 1)
+    if not math.isfinite(hi_sums[top]):
+        return math.fsum(x.tolist())
+    sums = np.concatenate((hi_sums, np.bincount(bins, x - hi)))
     total = math.fsum(sums[sums != 0].tolist())
     return total if math.isfinite(total) else math.fsum(x.tolist())
 

@@ -5,7 +5,7 @@ data like root coordinates), so agreement between library and oracle is a
 genuine two-route check:
 
 * Exact determinant, inverse and solve by elimination with row exchanges,
-  sharing no elimination with ``exactla.positive_lu``.
+  sharing no elimination with ``exactla.eliminate``.
 * Catalan / Fourier-coefficient formulas: plain binomials.
 * Simple reflections on weight and covector coordinates, one at a time.
 * su(2) ladder walks: invariant counts by explicit Clebsch-Gordan recursion.
@@ -47,8 +47,13 @@ from math import comb
 
 import numpy as np
 
-from liemoments.exactla import frac_matrix, mat_vec
+from liemoments.exactla import mat_vec
 from liemoments.rootsys import dominant_orbit, dominant_representative
+
+
+def frac_matrix(rows):
+    """Copy ``rows`` into a list of lists of Fractions."""
+    return [[Fraction(x) for x in row] for row in rows]
 
 
 def det_fraction(mat):

@@ -5,7 +5,8 @@ import mpmath
 import pytest
 
 from liemoments.asymptotics import (ClassFunction, HypothesisError,
-                                    _checked_form, biane_dimension_estimate,
+                                    _checked_form, _mehta_parts,
+                                    biane_dimension_estimate,
                                     leading_term_I,
                                     leading_term_K, mehta_closed_form,
                                     nu_character, peak_data,
@@ -416,6 +417,29 @@ def test_equivariance_accepts_float_multiples_of_invariant_forms():
         assert len(_checked_form(rs, _rho_form(rs))[0]) == rs.rank
 
 
+def _g2_tenth(rs):
+    return [[0.1 * float(x) for x in row]
+            for row in a_lambda(rs, rs.rho).matrix]
+
+
+@pytest.mark.parametrize("spec, form", [
+    ("A2", lambda rs: [[2, -1], [-1, 2]]),
+    ("E8", lambda rs: rs.cartan),
+    ("G2", lambda rs: a_lambda(rs, rs.rho).matrix),
+    ("F4", lambda rs: a_lambda(rs, (1, 2, 1, 1)).matrix),
+    ("G2", _g2_tenth),
+    ("F4", _rho_form),
+    ("E8", _rho_form)])
+def test_mehta_parts_are_the_row_exchange_oracles(spec, form):
+    # int, Fraction and float entries: the elimination of the form scaled
+    # to integers gives exactly the oracles' kappa(h^-1 rho) and det h
+    rs = build_root_system(spec)
+    h = form(rs)
+    assert _mehta_parts(rs, h) == (
+        kappa(rs, oracles.solve_fraction(h, rs.rho)),
+        oracles.det_fraction(h))
+
+
 @pytest.mark.parametrize("spec", ["G2", "F4", "E8"])
 def test_equivariance_refuses_a_relative_perturbation(spec):
     rs = build_root_system(spec)
@@ -476,21 +500,22 @@ def test_vanish_leading_constant_matches_float_assembly(spec):
                                        ("A1xA2", (1, 1, 2))])
 def test_peak_data_makes_no_elimination(monkeypatch, spec, lam):
     # kappa(A_lam^{-1} rho) and det A_lam are closed forms in root data and
-    # definiteness is decided in integers: no exactla.positive_lu, and the
-    # values equal the row-exchange oracles on A_lam's matrix
+    # definiteness is decided in integers on the Cartan matrix: A_lam's
+    # matrix is never eliminated, and the values equal the row-exchange
+    # oracles on it
     rs = build_root_system(spec)
     matrix = a_lambda(rs, lam).matrix
     calls = []
-    real = exactla.positive_lu
+    real = exactla.eliminate
 
-    def counted(mat):
-        calls.append(mat)
-        return real(mat)
+    def counted(mat, columns=()):
+        calls.append(tuple(map(tuple, mat)))
+        return real(mat, columns)
 
-    for module in (exactla, asymptotics, rootsys):
-        monkeypatch.setattr(module, "positive_lu", counted)
+    for module in (exactla, asymptotics, repweights, rootsys):
+        monkeypatch.setattr(module, "eliminate", counted)
     peak = peak_data(rs, lam)
-    assert calls == []
+    assert calls == [rs.cartan]
     assert peak.det_a == oracles.det_fraction(matrix) > 0
     assert peak.kappa_term == kappa(rs, oracles.solve_fraction(matrix,
                                                                rs.rho))

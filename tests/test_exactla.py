@@ -1,12 +1,15 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liemoments.exactla import (hermite_normal_form, identity_int,
-                                lu_solve, mat_vec, positive_lu,
-                                positive_minors, smith_normal_form)
+from liemoments import exactla
+from liemoments.exactla import (eliminate, hermite_normal_form, identity_int,
+                                mat_vec, smith_normal_form)
 from liemoments.rootsys import build_root_system
 
 import oracles
@@ -41,53 +44,118 @@ def test_solve_roundtrip():
 
 def test_minors_and_definiteness():
     assert leading_principal_minors([[2, -1], [-1, 2]]) == [2, 3]
-    assert positive_lu([[2, -1], [-1, 2]]) is not None
-    assert positive_lu([[1, 2], [2, 1]]) is None
-    assert positive_lu([[0, 0], [0, 1]]) is None
+    assert eliminate([[2, -1], [-1, 2]]) == ((2, 3), ())
+    assert eliminate([[1, 2], [2, 1]]) is None
+    assert eliminate([[0, 0], [0, 1]]) is None
+    assert eliminate([[2, -1], [-1, 2]], [[1, 1]]) == ((2, 3), ((1, 1),))
+    # the elimination runs in integers only: other entries are refused,
+    # not truncated
+    for bad in ([[Fraction(1, 2)]], [[2.0]]):
+        with pytest.raises(TypeError):
+            eliminate(bad)
+    with pytest.raises(TypeError):
+        eliminate([[2]], [[0.5]])
+    # a right-hand side of the wrong length is refused, not truncated
+    with pytest.raises(ValueError):
+        eliminate([[2, -1], [-1, 2]], [[1]])
 
 
-def test_positive_lu_is_one_sylvester_elimination():
-    # None exactly when a leading minor is <= 0; otherwise the pivots
-    # multiply to the determinant and the factors solve exactly
+def test_elimination_is_one_sylvester_elimination():
+    # None exactly when a leading minor is <= 0; otherwise the last minor
+    # is the determinant and the solutions are exact
     rng = np.random.default_rng(11)
     for _ in range(60):
         n = int(rng.integers(1, 6))
         a = rng.integers(-4, 5, size=(n, n))
         m = (a @ a.T + int(rng.integers(-3, 4)) * np.eye(n, dtype=int))
         m = m.tolist()
-        lu = positive_lu(m)
-        assert (lu is not None) == all(
+        v = rng.integers(-5, 6, size=n).tolist()
+        done = eliminate(m, [v])
+        assert (done is not None) == all(
             d > 0 for d in leading_principal_minors(m))
-        if lu is not None:
-            assert math.prod(lu[1][k][k] for k in range(n)) == \
-                det_fraction(m)
-            v = rng.integers(-5, 6, size=n).tolist()
-            assert lu_solve(lu, v) == solve_fraction(m, v)
+        if done is not None:
+            minors, (x,) = done
+            assert minors[-1] == det_fraction(m)
+            assert x == solve_fraction(m, v)
 
 
-def test_positive_minors_are_the_leading_minors_in_integers():
+def test_elimination_minors_are_the_leading_minors_in_integers():
     # Bareiss's pivots are the leading principal minors, so they decide
-    # Sylvester's criterion as positive_lu does, with no Fraction
+    # Sylvester's criterion with no Fraction
     rng = np.random.default_rng(13)
     for _ in range(60):
         n = int(rng.integers(1, 7))
         a = rng.integers(-4, 5, size=(n, n))
         m = (a @ a.T + int(rng.integers(-3, 4)) * np.eye(n, dtype=int))
         m = m.tolist()
-        minors = positive_minors(m)
+        done = eliminate(m)
         want = leading_principal_minors(m)
-        assert (minors is not None) == all(d > 0 for d in want)
-        assert (minors is not None) == (positive_lu(m) is not None)
-        if minors is not None:
-            assert list(minors) == want
-            assert all(type(d) is int for d in minors)
+        assert (done is not None) == all(d > 0 for d in want)
+        if done is not None:
+            assert list(done[0]) == want
+            assert all(type(d) is int for d in done[0])
+            assert done[1] == ()
     for spec in ("A8", "B8", "C8", "D8", "E8", "F4", "G2", "A1xE7"):
         rs = build_root_system(spec)
-        assert list(positive_minors(rs.cartan)) == \
-            leading_principal_minors(rs.cartan)
-        assert positive_minors(rs.cartan)[-1] == rs.center.order
-    assert positive_minors([[2, -3], [-3, 2]]) is None
-    assert positive_minors([[0, 1], [1, 2]]) is None
+        minors, _ = eliminate(rs.cartan)
+        assert list(minors) == leading_principal_minors(rs.cartan)
+        assert minors[-1] == rs.center.order
+    assert eliminate([[2, -3], [-3, 2]]) is None
+    assert eliminate([[0, 1], [1, 2]]) is None
+
+
+@st.composite
+def integer_systems(draw):
+    """An integer matrix of order 1..6 and 0..3 integer right-hand sides.
+    Half the matrices are L U with unit lower L and an upper U with a
+    positive diagonal, so every leading minor is positive; most of the
+    other half have a leading minor <= 0."""
+    n = draw(st.integers(1, 6))
+    entries = st.integers(-5, 5)
+
+    def square():
+        return draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+
+    m = square()
+    if draw(st.booleans()):
+        u = square()
+        for i in range(n):
+            u[i][i] = draw(st.integers(1, 6))
+        m = [[(m[i][j] if j < i else int(i == j)) for j in range(n)]
+             for i in range(n)]
+        u = [[u[i][j] if j >= i else 0 for j in range(n)] for i in range(n)]
+        m = _matmul(m, u)
+    columns = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                            max_size=3))
+    return m, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_systems())
+def test_elimination_decides_sylvester_and_solves_in_integers(system):
+    # None exactly when an oracle minor is <= 0.  Otherwise the minors are
+    # the oracle's, every solution is the oracle's, and the only Fractions
+    # are the results: one per entry, of two ints
+    m, columns = system
+    made = []
+    real = exactla.Fraction
+
+    def recorded(num, den):
+        made.append((type(num), type(den)))
+        return real(num, den)
+
+    with mock.patch.object(exactla, "Fraction", recorded):
+        done = eliminate(m, columns)
+    want = leading_principal_minors(m)
+    assert (done is None) == any(d <= 0 for d in want)
+    if done is None:
+        return
+    minors, solutions = done
+    assert list(minors) == want
+    assert all(type(d) is int for d in minors)
+    assert solutions == tuple(solve_fraction(m, c) for c in columns)
+    assert made == [(int, int)] * (len(m) * len(columns))
 
 
 def test_snf_properties_random():

@@ -238,7 +238,7 @@ def spec_and_weight(draw):
 @example((build_root_system("F4"), (0, 0, 0, 0)))
 @example((build_root_system("D5"), (1, 0, 0, 0, 0)))
 def test_one_elimination_matches_row_exchange_oracles(case):
-    # the Cartan inverse and rho_vee come from exactla.positive_lu, and
+    # the Cartan inverse and rho_vee come from exactla.eliminate, and
     # A_lam's det and solve from closed forms in root data; the oracles
     # eliminate with row exchanges.  A_lam is singular when lam vanishes on
     # a simple factor.

@@ -279,20 +279,31 @@ def test_root_datum_is_memoised_but_specs_are_always_parsed():
 
 def test_root_datum_is_one_elimination(monkeypatch):
     # the Cartan inverse, rho_vee and the det cross-check of the center
-    # share one exactla.positive_lu per datum
+    # share one exactla.eliminate per datum
     calls = []
-    real = rootsys.positive_lu
+    real = rootsys.eliminate
 
-    def counted(mat):
+    def counted(mat, columns=()):
         calls.append(tuple(map(tuple, mat)))
-        return real(mat)
+        return real(mat, columns)
 
-    monkeypatch.setattr(rootsys, "positive_lu", counted)
+    monkeypatch.setattr(rootsys, "eliminate", counted)
     for spec in ("E8", "A2xB2", "G2xA1"):
         calls.clear()
         rs = rootsys._root_system.__wrapped__(parse_group(spec))
         assert calls == [rs.cartan]
     # a Cartan matrix without positive leading minors is refused
-    monkeypatch.setattr(rootsys, "positive_lu", lambda mat: None)
+    monkeypatch.setattr(rootsys, "eliminate", lambda mat, columns=(): None)
     with pytest.raises(RuntimeError, match="corrupted root tables"):
         rootsys._root_system.__wrapped__(parse_group("B3"))
+
+
+@pytest.mark.parametrize("spec", [
+    *(f"{letter}{n}" for letter, (lo, hi) in rootsys._RANK_RANGE.items()
+      for n in range(lo, hi + 1)),
+    "A1xA2", "G2xB3"])
+def test_cartan_inverse_is_the_row_exchange_inverse(spec):
+    # exact equality with an elimination that exchanges rows and divides
+    # in Fractions, on every supported simple type and two products
+    rs = build_root_system(spec)
+    assert rs.cartan_inv == oracles.inv_fraction(rs.cartan)
