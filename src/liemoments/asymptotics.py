@@ -7,10 +7,14 @@ weight and by the value of the test class function there.  This module
 assembles those constants exactly where possible (kappa factors and
 determinants as Fractions, central phases as exact roots of unity) and in
 floats only at the very end.  The peak's kappa(A_lam^-1 rho) and det A_lam
-are closed forms in root data (``repweights.SecondMoment``), and its
-pairings <lam, psi> with the central elements are taken once per sweep;
-A_lam's matrix is never eliminated, and only the Mehta closed forms
-eliminate a caller's form.
+are closed forms in root data (``repweights.SecondMoment``), whose
+lam-free parts are memoised per root datum; A_lam's matrix is never
+eliminated, and only the Mehta closed forms eliminate a caller's form.
+A sweep builds one :class:`PeakData` for all its N: the values of f and
+the pairings <lam, psi> at the central elements, and the floats derived
+from the exact constants (log dim, kappa, log kappa, sqrt det A, log det A)
+are taken once per sweep, so a row is float arithmetic and one integer
+gcd per central element, and carries its log |value| from the start.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from . import rootsys
@@ -39,14 +44,18 @@ def _unit_phase(t):
     """exp(2 pi i t) for rational t, exact at the lattice points that matter
     (halves and quarters); cmath otherwise."""
     t = Fraction(t)
-    den = t.denominator
+    return _root_of_unity(t.numerator, t.denominator)
+
+
+def _root_of_unity(num, den):
+    """exp(2 pi i num / den) for num / den in lowest terms, den > 0."""
     if den == 1:
         return complex(1, 0)
     if den == 2:
         return complex(-1, 0)
-    # t mod 1 is num / den in lowest terms, and float(Fraction) is that
-    # true division
-    num = t.numerator % den
+    # num / den mod 1 is (num mod den) / den, still in lowest terms, and
+    # float(Fraction) is that true division
+    num %= den
     if den == 4:
         return complex(0, 1) if num == 1 else complex(0, -1)
     return cmath.exp(2j * math.pi * (num / den))
@@ -124,9 +133,16 @@ class AsymptoticEstimate:
     N: int
 
     def log_abs_value(self):
-        """log |value| computed in log space; -inf when the value is 0."""
+        """log |value| computed in log space; -inf when the value is 0.
+        The leading terms take it once, when they build the estimate."""
+        return self._log_abs_value
+
+    @cached_property
+    def _log_abs_value(self):
+        # an estimate not built by a leading term (by hand, or by
+        # dataclasses.replace) takes its log from its fields
         return _log_abs(self.log_dim_power, self.log_prefactor,
-                        self.kappa_term, self.pi_sum.real)
+                        _log_fraction(self.kappa_term), self.pi_sum.real)
 
     def to_dict(self):
         """Plain fields for strict JSON: a value past the float range is
@@ -153,21 +169,41 @@ def _log_fraction(fr):
     return math.log(fr.numerator) - math.log(fr.denominator)
 
 
-def _log_abs(log_dim_power, log_prefactor, kap, re):
-    """log |dim^{N k} * prefactor * kap * re| from its logs; -inf at re = 0."""
+def _log_abs(log_dim_power, log_prefactor, log_kappa, re):
+    """log |dim^{N k} * prefactor * kappa * re| from its logs; -inf at
+    re = 0."""
     if re == 0:
         return float("-inf")
-    return (log_dim_power + log_prefactor + _log_fraction(kap)
-            + math.log(abs(re)))
+    return log_dim_power + log_prefactor + log_kappa + math.log(abs(re))
 
 
-class PeakData(NamedTuple):
-    """The N-independent data of the Laplace peaks at the center."""
+class _PeakFields(NamedTuple):
     dim: int              # dim V_lam
     kappa_term: Fraction  # kappa(A_lam^{-1} rho)
     det_a: Fraction       # det A_lam
     f_at_center: tuple    # f at each element of rs.center.elements
     lam_at_center: tuple  # <lam, psi> at each element psi, Fractions
+
+
+class PeakData(_PeakFields):
+    """The N-independent data of the Laplace peaks at the center: five
+    exact fields.  The floats a leading-term row reads are derived from
+    them on the first row and kept on the instance, so a sweep that passes
+    one PeakData to every row derives them once."""
+
+    @cached_property
+    def _floats(self):
+        """``(log dim, float(kappa), log kappa, sqrt(det A), log det A)``."""
+        return (math.log(self.dim), float(self.kappa_term),
+                _log_fraction(self.kappa_term), math.sqrt(self.det_a),
+                _log_fraction(self.det_a))
+
+    @cached_property
+    def _pairs(self):
+        """Each pairing <lam, psi> as its (numerator, denominator) in
+        lowest terms."""
+        return tuple((p.numerator, p.denominator)
+                     for p in self.lam_at_center)
 
 
 def peak_data(rs, lam, f=None):
@@ -189,14 +225,15 @@ def peak_data(rs, lam, f=None):
 
 
 def _leading_core(rs, num_factors, l_total, pi_sum, n, peak):
-    """Shared assembly for the one- and two-sided leading terms."""
-    dim, kap, det_a = peak.dim, peak.kappa_term, peak.det_a
+    """Shared assembly for the one- and two-sided leading terms: float
+    arithmetic on the peak's floats, which do not depend on N."""
+    log_dim, kappa, log_kappa, sqrt_det, log_det = peak._floats
     d = rs.num_positive_roots
-    log_dim_power = n * num_factors * math.log(dim)
+    log_dim_power = n * num_factors * log_dim
     try:
         prefactor = ((2 * math.pi) ** d
                      / ((2 * math.pi * l_total * n) ** (rs.dim_group / 2)
-                        * math.sqrt(det_a)))
+                        * sqrt_det))
     except OverflowError:
         prefactor = 0.0
     direct = prefactor >= sys.float_info.min
@@ -208,27 +245,29 @@ def _leading_core(rs, num_factors, l_total, pi_sum, n, peak):
         log_prefactor = (d * math.log(2 * math.pi)
                          - rs.dim_group / 2 * math.log(2 * math.pi
                                                        * l_total * n)
-                         - _log_fraction(det_a) / 2)
+                         - log_det / 2)
         prefactor = math.exp(log_prefactor)
     re = pi_sum.real
+    log_abs = _log_abs(log_dim_power, log_prefactor, log_kappa, re)
     value = math.nan
     if direct:
         try:
-            value = math.exp(log_dim_power) * prefactor * float(kap) * re
+            value = math.exp(log_dim_power) * prefactor * kappa * re
         except OverflowError:
             pass
     if not math.isfinite(value):
         # a factor alone is past the float range while the value need not
         # be (dim^N for E8 rho from N = 9): add the logs instead
         try:
-            value = (math.copysign(math.exp(_log_abs(
-                log_dim_power, log_prefactor, kap, re)), re) if re else 0.0)
+            value = math.copysign(math.exp(log_abs), re) if re else 0.0
         except OverflowError:
             value = math.copysign(math.inf, re)
-    return AsymptoticEstimate(value=value, log_dim_power=log_dim_power,
-                              kappa_term=kap, det_a=det_a, pi_sum=pi_sum,
-                              prefactor=prefactor,
-                              log_prefactor=log_prefactor, N=n)
+    est = AsymptoticEstimate(value=value, log_dim_power=log_dim_power,
+                             kappa_term=peak.kappa_term, det_a=peak.det_a,
+                             pi_sum=pi_sum, prefactor=prefactor,
+                             log_prefactor=log_prefactor, N=n)
+    object.__setattr__(est, "_log_abs_value", log_abs)
+    return est
 
 
 def _check_common(rs, lam, n, peak=None):
@@ -263,9 +302,14 @@ def leading_term_I(rs, lam, a, n, f=None, peak=None):
             f"supported powers {a.support()} must have gcd 1, got gcd "
             f"{a.gcd_support}")
     peak = _checked_peak(rs, lam, f) if peak is None else peak
+    # the phase exp(2 pi i N k_a <lam, psi>) of each central element, with
+    # N k_a <lam, psi> reduced to lowest terms in integers
+    k = n * a.weight
     pi_sum = complex(0, 0)
-    for pair, f_psi in zip(peak.lam_at_center, peak.f_at_center):
-        pi_sum += _unit_phase(n * a.weight * pair) * f_psi
+    for (num, den), f_psi in zip(peak._pairs, peak.f_at_center):
+        m = k * num
+        g = math.gcd(m, den)
+        pi_sum += _root_of_unity(m // g, den // g) * f_psi
     return _leading_core(rs, a.size, a.quad, pi_sum, n, peak)
 
 
@@ -330,8 +374,13 @@ def weyl_equivariant(rs, h):
     c_j h[i][k] - h[j][i] c_k.  It is checked exactly, in integers, on ``h``
     scaled by the common denominator of its entries.
     """
+    return _scaled_equivariant(rs, *_integer_form(h))
+
+
+def _scaled_equivariant(rs, den, m):
+    """:func:`weyl_equivariant` of the form ``m / den``, for ``(den, m)``
+    from :func:`_integer_form`."""
     n = rs.rank
-    den, m = _integer_form(h)
     # the differences are integers, so comparing with the floor is exact
     limit = math.floor(Fraction(_EQUIVARIANCE_TOL) * max(
         den, max(abs(x) for row in m for x in row)))
@@ -349,12 +398,13 @@ def _checked_form(rs, h):
     h^-1 rho and det h, from the elimination that decides definiteness.
 
     ``Fraction(x)`` is exact for int, Fraction and float entries alike, so
-    nothing is rounded here.  The elimination runs on L h, in integers, for
-    L the lcm of the entries' denominators: h^-1 rho = L (L h)^-1 rho and
-    det h = det(L h) / L^rank.  Refused with ValueError, in this order: a
-    shape other than rank x rank, a form that does not commute with the
-    Weyl action, one that is not symmetric, and one that is not positive
-    definite.
+    nothing is rounded here.  The form is scaled once to L h, in integers,
+    for L the lcm of the entries' denominators; the equivariance and
+    symmetry checks and the elimination all run on L h, and
+    h^-1 rho = L (L h)^-1 rho and det h = det(L h) / L^rank.  Refused with
+    ValueError, in this order: a shape other than rank x rank, a form that
+    does not commute with the Weyl action, one that is not symmetric, and
+    one that is not positive definite.
     """
     try:
         m = [[Fraction(x) for x in row] for row in h]
@@ -363,13 +413,13 @@ def _checked_form(rs, h):
     n = len(m)
     if n != rs.rank or any(len(r) != n for r in m):
         raise ValueError(f"form must be {rs.rank} x {rs.rank}")
-    if not weyl_equivariant(rs, m):
+    den, scaled = _integer_form(m)
+    if not _scaled_equivariant(rs, den, scaled):
         raise ValueError(
             "form does not commute with the Weyl action; the kappa closed "
             "form does not apply")
-    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
+    if any(scaled[i][j] != scaled[j][i] for i in range(n) for j in range(i)):
         raise ValueError("matrix must be symmetric")
-    den, scaled = _integer_form(m)
     done = eliminate(scaled, (rs.rho,))
     if done is None:
         raise ValueError("matrix must be positive definite")

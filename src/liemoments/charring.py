@@ -22,7 +22,7 @@ import heapq
 import math
 import re
 from dataclasses import dataclass
-from operator import add, neg
+from operator import add, mul, neg
 
 from . import rootsys
 from .repweights import WeightSystem, check_dominant_integral, weight_system
@@ -45,7 +45,14 @@ class CycleType:
     """Exponent vector (a_1, a_2, ...): a_j copies of the j-th power trace.
 
     Trailing zeros are not significant; ``CycleType((2,))`` equals
-    ``CycleType((2, 0))``.
+    ``CycleType((2, 0))``.  Its scalars do not depend on N and are taken
+    once, when the type is built:
+
+    - ``size``: the number of trace factors, sum a_j;
+    - ``weight``: the total power of the group element, sum j a_j;
+    - ``quad``: the quadratic weight sum j^2 a_j (the Laplace scale);
+    - ``gcd_support``: the gcd of the j with a_j > 0 (0 for the empty
+      type).
     """
     exps: tuple
 
@@ -56,7 +63,14 @@ class CycleType:
                 f"cycle exponents must be >= 0, got {exps}")
         while exps and exps[-1] == 0:
             exps = exps[:-1]
-        object.__setattr__(self, "exps", exps)
+        powers = range(1, len(exps) + 1)
+        put = object.__setattr__
+        put(self, "exps", exps)
+        put(self, "size", sum(exps))
+        put(self, "weight", sum(map(mul, powers, exps)))
+        put(self, "quad", sum(j * j * a for j, a in zip(powers, exps)))
+        put(self, "gcd_support",
+            math.gcd(*(j for j, a in zip(powers, exps) if a)))
 
     @staticmethod
     def parse(text):
@@ -67,30 +81,6 @@ class CycleType:
         if not re.fullmatch(r"\d+(\s*,\s*\d+)*", text):
             raise rootsys.ConfigurationError(f"bad cycle type {text!r}")
         return CycleType(tuple(int(t) for t in text.split(",")))
-
-    @property
-    def size(self):
-        """Number of trace factors, sum a_j."""
-        return sum(self.exps)
-
-    @property
-    def weight(self):
-        """Total power of the group element, sum j a_j."""
-        return sum(j * a for j, a in enumerate(self.exps, start=1))
-
-    @property
-    def quad(self):
-        """Quadratic weight sum j^2 a_j (controls the Laplace scale)."""
-        return sum(j * j * a for j, a in enumerate(self.exps, start=1))
-
-    @property
-    def gcd_support(self):
-        """gcd of the j with a_j > 0 (0 for the empty type)."""
-        g = 0
-        for j, a in enumerate(self.exps, start=1):
-            if a:
-                g = math.gcd(g, j)
-        return g
 
     def scaled(self, n):
         """The type with every exponent multiplied by n."""

@@ -9,10 +9,11 @@ symmetrizer denominators, and each multiplicity is one exact ``divmod``.
 As soon as a dominant weight's multiplicity is known, its Weyl orbit is
 expanded into the table of weights, so each term mu + k alpha of the
 recursion is one table lookup: its dominant conjugate lies at a strictly
-lower level and was expanded earlier.  An orbit walk depends only on the
-zero set of mu, so it is walked once per zero set and replayed on the
-other dominant weights with that zero set, which gives the same points in
-the same order (``rootsys.dominant_orbit``).  Everything is exact:
+lower level and was expanded earlier, and each alpha-string stops at its
+first miss.  An orbit walk depends only on the zero set of mu, so it is
+walked once per zero set and replayed on the other dominant weights with
+that zero set, which gives the same points in the same order
+(``rootsys.dominant_orbit``).  Everything is exact:
 weights are integer tuples in fundamental-weight coordinates,
 multiplicities are ints, and the second-moment matrix is one exact
 Casimir scale per simple factor times the invariant form, from root data
@@ -78,17 +79,18 @@ def check_dominant_integral(rs, lam):
 
 def is_regular(rs, lam):
     """True when the weight is strictly inside the dominant chamber."""
-    return all(c >= 1 for c in lam)
+    return min(lam, default=1) >= 1
 
 
 def weyl_dimension(rs, lam):
-    """Dimension of the irreducible with highest weight ``lam`` (exact)."""
+    """Dimension of the irreducible with highest weight ``lam`` (exact):
+    prod <lam + rho, alpha^vee> over the memoised prod <rho, alpha^vee>."""
     lam = check_dominant_integral(rs, lam)
     shifted = [l + 1 for l in lam]
-    num = den = 1
+    num = 1
     for cr in rs.positive_coroots:
         num *= sum(map(mul, shifted, cr))
-        den *= sum(cr)
+    den = _weyl_denominator(rs)
     dim, rem = divmod(num, den)
     if rem or dim <= 0:
         raise RuntimeError(
@@ -147,7 +149,9 @@ def _freudenthal(rs, lam):
         roots.append((alpha, pair, _dot(alpha, pair), sum(c)))
 
     # Each term mu + k alpha has a dominant conjugate of strictly lower
-    # level than mu, whose orbit is already in the table.
+    # level than mu, whose orbit is already in the table.  The alpha-string
+    # through the weight mu is unbroken (Humphreys, section 21.3), so the
+    # first k that misses the table ends the string.
     entries = {}
     walks = {}  # zero set -> steps of rootsys._walk_orbit
     last = {tuple(c == 0 for c in mu): mu for mu in order}
@@ -163,8 +167,9 @@ def _freudenthal(rs, lam):
                 for k in range(1, lv // height + 1):
                     nu = tuple(map(add, nu, alpha))
                     m_nu = entries.get(nu)
-                    if m_nu:
-                        total += m_nu * (base + k * norm)
+                    if not m_nu:
+                        break
+                    total += m_nu * (base + k * norm)
             # (lam + rho, lam + rho) - (mu + rho, mu + rho)
             # = (lam - mu, lam + mu + 2 rho), lam - mu a root combination.
             denom = sum(c * d * (l + m + 2) for c, d, l, m
@@ -202,12 +207,38 @@ def _dot(x, y):
     return sum(map(mul, x, y))
 
 
+# The exact constants of a datum below are memoised per datum, as
+# rootsys.scaled_cartan_inv is, so a dataclasses.replace'd copy gets its own.
+@cache
 def _integer_symmetrizers(rs):
     """``(S, S d)``: the lcm S of the denominators of the symmetrizers d_j,
     and the symmetrizers scaled by it to integers."""
     scale = math.lcm(*(d.denominator for d in rs.symmetrizers))
-    return scale, [d.numerator * (scale // d.denominator)
-                   for d in rs.symmetrizers]
+    return scale, tuple(d.numerator * (scale // d.denominator)
+                        for d in rs.symmetrizers)
+
+
+@cache
+def _cartan_minors(rs):
+    """The leading principal minors of the Cartan matrix, from one
+    :func:`exactla.eliminate` in integers; None when one is not positive."""
+    done = eliminate(rs.cartan)
+    return None if done is None else done[0]
+
+
+@cache
+def _weyl_denominator(rs):
+    """prod <rho, alpha^vee> over the positive coroots."""
+    return math.prod(map(sum, rs.positive_coroots))
+
+
+@cache
+def _kappa_numerator(rs):
+    """prod S (alpha, rho) over the positive roots, S as in
+    :func:`_integer_symmetrizers`: (alpha, rho) = sum_j c_j d_j for
+    alpha = sum_j c_j alpha_j."""
+    _scale, sym = _integer_symmetrizers(rs)
+    return math.prod(sum(map(mul, c, sym)) for c in rs.positive_rootcoords)
 
 
 @dataclass(frozen=True)
@@ -226,8 +257,11 @@ class SecondMoment:
       (alpha, rho) for D = diag(d).
 
     A_lam is positive definite exactly when every s_k, every d_j and every
-    leading principal minor of C is positive.  ``definite`` and ``det`` read
-    those minors from one :func:`exactla.eliminate` of C, in integers; A_lam
+    leading principal minor of C is positive.  The parts that do not depend
+    on lam are memoised per root datum: those minors, from one
+    :func:`exactla.eliminate` of C in integers (:func:`_cartan_minors`),
+    the integer symmetrizers and the numerator prod (alpha, rho) of
+    ``kappa_rho``; so only the scales s_k are taken per lam, and A_lam
     itself is never eliminated.  Otherwise A_lam, a Gram sum and so
     positive semidefinite, is singular: ``det`` is 0, and ``solve`` and
     ``kappa_rho`` raise ValueError, as when lam vanishes on a simple
@@ -248,16 +282,12 @@ class SecondMoment:
         return tuple(tuple(row) for row in m)
 
     @cached_property
-    def _cartan_minors(self):
-        done = eliminate(self.rs.cartan)
-        return None if done is None else done[0]
-
-    @cached_property
     def definite(self):
-        """Whether A_lam is positive definite, decided exactly."""
-        return (all(s > 0 for s in self.scales)
-                and all(d > 0 for d in self.rs.symmetrizers)
-                and self._cartan_minors is not None)
+        """Whether A_lam is positive definite, decided exactly: a scale's
+        sign is its numerator's, and d_j > 0 exactly when S d_j > 0."""
+        return (all(s.numerator > 0 for s in self.scales)
+                and min(_integer_symmetrizers(self.rs)[1]) > 0
+                and _cartan_minors(self.rs) is not None)
 
     @cached_property
     def det(self):
@@ -266,7 +296,7 @@ class SecondMoment:
             return Fraction(0)
         scale, sym = _integer_symmetrizers(self.rs)
         # the last leading minor of C is det C
-        num = self._cartan_minors[-1] * scale ** self.rs.rank
+        num = _cartan_minors(self.rs)[-1] * scale ** self.rs.rank
         den = math.prod(sym)
         for (block, _), s in zip(rootsys.factor_blocks(self.rs),
                                  self.scales):
@@ -279,11 +309,8 @@ class SecondMoment:
         """kappa(A_lam^-1 rho), exact."""
         if not self.definite:
             raise ValueError("matrix is singular")
-        scale, sym = _integer_symmetrizers(self.rs)
-        # (alpha, rho) = sum_j c_j d_j for alpha = sum_j c_j alpha_j
-        num = math.prod(sum(map(mul, c, sym))
-                        for c in self.rs.positive_rootcoords)
-        den = scale ** self.rs.num_positive_roots
+        num = _kappa_numerator(self.rs)
+        den = _integer_symmetrizers(self.rs)[0] ** self.rs.num_positive_roots
         for (block, dim_factor), s in zip(rootsys.factor_blocks(self.rs),
                                           self.scales):
             roots = (dim_factor - len(block)) // 2

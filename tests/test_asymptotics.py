@@ -500,9 +500,10 @@ def test_vanish_leading_constant_matches_float_assembly(spec):
                                        ("A1xA2", (1, 1, 2))])
 def test_peak_data_makes_no_elimination(monkeypatch, spec, lam):
     # kappa(A_lam^{-1} rho) and det A_lam are closed forms in root data and
-    # definiteness is decided in integers on the Cartan matrix: A_lam's
-    # matrix is never eliminated, and the values equal the row-exchange
-    # oracles on it
+    # definiteness is decided in integers on the Cartan matrix, whose
+    # minors are memoised per datum: the first peak data eliminates the
+    # Cartan matrix once, later ones nothing, A_lam's matrix is never
+    # eliminated, and the values equal the row-exchange oracles on it
     rs = build_root_system(spec)
     matrix = a_lambda(rs, lam).matrix
     calls = []
@@ -514,8 +515,12 @@ def test_peak_data_makes_no_elimination(monkeypatch, spec, lam):
 
     for module in (exactla, asymptotics, repweights, rootsys):
         monkeypatch.setattr(module, "eliminate", counted)
+    repweights._cartan_minors.cache_clear()
     peak = peak_data(rs, lam)
     assert calls == [rs.cartan]
+    assert peak_data(rs, lam) == peak
+    assert calls == [rs.cartan]
+    assert matrix not in calls
     assert peak.det_a == oracles.det_fraction(matrix) > 0
     assert peak.kappa_term == kappa(rs, oracles.solve_fraction(matrix,
                                                                rs.rho))

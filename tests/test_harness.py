@@ -3,10 +3,11 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liemoments import asymptotics, charring, harness
+from liemoments import (asymptotics, charring, exactla, harness, repweights,
+                        rootsys)
 from liemoments.charring import CycleType, SupportCapExceeded
 from liemoments.cli import main
 from liemoments.harness import (ExperimentConfig, check_hypotheses,
@@ -735,6 +736,98 @@ def test_sweep_evaluates_f_at_the_center_once(monkeypatch, b):
             "asymptotic", rs, (1, 1), cfg.a, cfg.b, row.n, f)
     assert len(calls) == 3 + 3 * len(report.rows)
 
+
+_SWEEP_GROUPS = ("A1", "A2", "A3", "B2", "C3", "G2", "F4", "A1xA2", "A1xA3")
+
+
+def _asymptotic_config(group, lam, a, b, terms, schedule):
+    return ExperimentConfig(group=group, lam=lam, a=CycleType(a),
+                            b=CycleType(b), schedule=schedule,
+                            f=harness.ClassFunction(terms),
+                            paths=("asymptotic",))
+
+
+@st.composite
+def asymptotic_sweeps(draw):
+    """An asymptotic sweep whose hypotheses hold: a regular lam, a with
+    a_1 >= 1 (so gcd 1), b empty, equal to a, or one k_a-th power trace
+    (so k_b = k_a), and f terms whose highest weights need not lie in the
+    root lattice, so their central phases vary."""
+    group = draw(st.sampled_from(_SWEEP_GROUPS))
+    rank = build_root_system(group).rank
+    lam = draw(st.tuples(*[st.integers(1, 3)] * rank))
+    a = (draw(st.integers(1, 2)),) + tuple(
+        draw(st.lists(st.integers(0, 2), max_size=2)))
+    k_a = CycleType(a).weight
+    b = draw(st.sampled_from([(), a, (0,) * (k_a - 1) + (1,)]))
+    terms = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 2)] * rank),
+                  st.sampled_from([1.0, -2.0, 0.5, 3.0])),
+        min_size=1, max_size=2, unique_by=lambda term: term[0]))
+    schedule = draw(st.sets(st.integers(1, 12), min_size=1, max_size=4))
+    return _asymptotic_config(group, lam, a, b, tuple(terms),
+                              tuple(sorted(schedule)))
+
+
+@settings(max_examples=60)
+@given(asymptotic_sweeps())
+# the phases of lam and of f's term (1, 0) at the center of A2 are cube
+# roots of unity
+@example(_asymptotic_config("A2", (1, 2), (1,), (), (((1, 0), 2.0),),
+                            (1, 2, 3, 4)))
+# E8 rho: dim^N overflows from N = 9 (the value comes from the logs) and
+# (2 pi N)^{dim G / 2} sqrt(det A) from N = 46 (the log prefactor)
+@example(_asymptotic_config("E8", (1,) * 8, (1,), (), (((0,) * 8, 1.0),),
+                            (8, 9, 45, 46, 100)))
+@example(_asymptotic_config("E8", (1,) * 8, (1,), (1,), (((0,) * 8, 1.0),),
+                            (5, 9, 30, 46)))
+def test_sweep_rows_have_the_bits_of_one_n_estimates(cfg):
+    # a sweep derives the peak's floats once and reuses them on every row;
+    # each row has the bits of the one-N estimate, which derives its own
+    rs = build_root_system(cfg.group)
+    report = run_experiment(cfg)
+    assert [row.n for row in report.rows] == list(cfg.schedule)
+    for row in report.rows:
+        assert row.notes == ()
+        want = harness.route_value("asymptotic", rs, cfg.lam, cfg.a, cfg.b,
+                                   row.n, cfg.f)
+        assert row.estimate.to_dict() == want.to_dict()
+        assert repr(row.estimate) == repr(want)
+        assert (row.estimate.log_abs_value().hex()
+                == want.log_abs_value().hex())
+
+
+def test_warm_sweep_eliminates_nothing_and_takes_logs_once(monkeypatch):
+    # the Cartan minors are memoised per datum, and the peak's logs are
+    # taken once per sweep, not per row: a warm F4 rho sweep (the asym-f4
+    # benchmark shape, rendered) makes no elimination, and 16 rows take as
+    # many logs of Fractions as 8
+    def sweep(rows):
+        cfg = _asymptotic_config("F4", (1,) * 4, (1,), (),
+                                 (((0,) * 4, 5.0),), tuple(range(1, rows + 1)))
+        return run_experiment(cfg).to_json()
+
+    sweep(8)
+    eliminations, logs = [], []
+    eliminate, log_fraction = exactla.eliminate, asymptotics._log_fraction
+
+    def counted_eliminate(mat, columns=()):
+        eliminations.append(mat)
+        return eliminate(mat, columns)
+
+    def counted_log(fr):
+        logs.append(fr)
+        return log_fraction(fr)
+
+    for module in (exactla, asymptotics, repweights, rootsys):
+        monkeypatch.setattr(module, "eliminate", counted_eliminate)
+    monkeypatch.setattr(asymptotics, "_log_fraction", counted_log)
+    sweep(8)
+    assert eliminations == []
+    eight = len(logs)
+    sweep(16)
+    assert eliminations == []
+    assert len(logs) == 2 * eight
 
 def _count_quadrature_work(monkeypatch):
     """Record the grid size m of every alcove walk, and the grid size and
