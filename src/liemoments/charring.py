@@ -149,7 +149,7 @@ def product_all(factors, rank):
     return heap[0][2]
 
 
-def klimyk_step(rs, state, x, step=1):
+def klimyk_step(rs, state, x, step=1, memo=None):
     """Decompose ``sum_mu state[mu] V_mu (x) X`` into irreducibles.
 
     ``state`` maps highest weights to signed multiplicities and ``x`` maps
@@ -167,6 +167,11 @@ def klimyk_step(rs, state, x, step=1):
     positive adds directly, one with a zero coordinate lies on a wall (as
     does its dominant conjugate) and is dropped, and only the rest are
     reflected by :func:`rootsys.dominant_representative`.
+
+    ``memo`` is a chain's :class:`_Memo` for ``x`` (:func:`_chain_rows`):
+    the transition dec(V_mu (x) X) of such a mu, found once, is read from
+    it at every later step with the same X.  Without one nothing is
+    stored.
     """
     pairs = len(state) * len(x)
     if pairs > _SUPPORT_CAP:
@@ -174,8 +179,8 @@ def klimyk_step(rs, state, x, step=1):
             f"Klimyk step {step}: state of {len(state)} highest weights "
             f"times {len(x)} weights is {pairs} pairs, over support_cap "
             f"{_SUPPORT_CAP}")
-    terms = list(x.items())
-    depth = max((max(map(neg, w)) for w in x), default=0)
+    memo = _Memo(x, [0], {}) if memo is None else memo
+    terms, depth, canon = memo.terms, memo.depth, memo.canon
     reflect = rootsys.dominant_representative
     out = {}
     get = out.get
@@ -185,18 +190,47 @@ def klimyk_step(rs, state, x, step=1):
                 hw = tuple(map(add, mu, w))
                 out[hw] = get(hw, 0) + c * m
             continue
-        shifted_mu = tuple(m + 1 for m in mu)
-        for w, m in terms:
-            s = tuple(map(add, shifted_mu, w))
-            if min(s) > 0:
-                hw = tuple(map(add, mu, w))
-                out[hw] = get(hw, 0) + c * m
-            elif 0 not in s:
-                dom, sign = reflect(rs, s)
-                if 0 not in dom:
-                    hw = tuple(d - 1 for d in dom)
-                    out[hw] = get(hw, 0) + sign * c * m
+        moves = memo.get(mu)
+        if moves is None:
+            found = {}
+            shifted_mu = tuple(m + 1 for m in mu)
+            for w, m in terms:
+                s = tuple(map(add, shifted_mu, w))
+                if min(s) > 0:
+                    hw = tuple(map(add, mu, w))
+                elif 0 in s:
+                    continue
+                else:
+                    dom, sign = reflect(rs, s)
+                    if 0 in dom:
+                        continue
+                    hw, m = tuple(d - 1 for d in dom), sign * m
+                found[hw] = found.get(hw, 0) + m
+            moves = tuple(t for hw, v in found.items() if v
+                          for t in (canon.setdefault(hw, hw), v))
+            if len(moves) <= 2 * memo.room[0]:
+                memo[mu] = moves
+                memo.room[0] -= len(moves) // 2
+        flat = iter(moves)
+        for hw, v in zip(flat, flat):
+            out[hw] = get(hw, 0) + c * v
     return {hw: v for hw, v in out.items() if v}
+
+
+class _Memo(dict):
+    """One chain's wall-adjacent transitions for the character X with
+    weights ``x``, whose terms and depth it takes once: each highest weight
+    mu with min(mu) below the depth maps to dec(V_mu (x) X) as a flat
+    tuple (hw_1, m_1, hw_2, m_2, ...).  The chain's memos share
+    ``room``, a one-element list of how many more (hw, m) pairs they may
+    store (``_SUPPORT_CAP`` in all; later transitions are not stored), and
+    ``canon``, which keeps one tuple per stored highest weight."""
+
+    def __init__(self, x, room, canon, seed=()):
+        super().__init__(seed)
+        self.terms = list(x.items())
+        self.depth = max((max(map(neg, w)) for w in x), default=0)
+        self.room, self.canon = room, canon
 
 
 def trivial_multiplicity(rs, ws):
@@ -241,13 +275,21 @@ def moment_sequence(rs, lam, a, b, ns, weights=None):
     step and a lookup per nu.  dec(P_{a n}) is dec(P_{a (n-1)}) extended by
     the |a| trace factors of P_a, so a strictly increasing schedule costs
     max(ns) * (|a| + |b|) chain steps per factor, gaps included;
-    dec(P_{b n}) is dec(P_{a n}) when a == b.  Steps are numbered along
-    each chain, whose factors come in rounds of P_a's factors, one round
-    per unit of n.  For a cycle type with one part (a_j = 0 for all but one
-    j) step k is the same step with the same state as in the one-element
-    schedule ``ns = (n,)``; with two or more parts the order of the trace
-    factors, and so the step at which a cap refuses, differs from that of
-    ``a.scaled(n)`` (all Tr(g) factors first), while the integers agree.
+    dec(P_{b n}) is dec(P_{a n}) when a == b.  The factor's steps share one
+    memo per character X (lam's Adams factor of each degree, each nu):
+    a highest weight below X's depth is reflected against X only the first
+    time it appears (:func:`klimyk_step`), and the memos of V_lam and V_nu
+    start with dec(V_0 (x) V_kappa) = {kappa: 1}, so step 1 from the
+    trivial state reflects nothing.  The memos hold at most
+    ``_SUPPORT_CAP`` pairs per factor (past that, transitions are found
+    again and not stored) and last as long as the call.  Steps are
+    numbered along each chain, whose factors come in rounds of P_a's
+    factors, one round per unit of n.  For a cycle type with one part
+    (a_j = 0 for all but one j) step k is the same step with the same
+    state as in the one-element schedule ``ns = (n,)``; with two or more
+    parts the order of the trace factors, and so the step at which a cap
+    refuses, differs from that of ``a.scaled(n)`` (all Tr(g) factors
+    first), while the integers agree.
 
     Yields, per n, a list of exact integers (one per nu) or the
     :class:`SupportCapExceeded` that refused the row; on a product group
@@ -291,9 +333,26 @@ def _chain_rows(rs, lam, a, b, ns, weights):
     and whether a chain refused it, which answers every later row too."""
     zero = (0,) * rs.rank
     ws = weight_system(rs, lam)
-    sides = [_power_factors(ws, a)]
-    if b != a:
-        sides.append(_power_factors(ws, b))
+    room, canon, memos = [_SUPPORT_CAP], {}, {}
+
+    def memo(key, x):
+        """The memo of V_key for a highest weight ``key``, seeded with
+        dec(V_0 (x) V_key) = {key: 1}, or of the virtual psi^key(V_lam)."""
+        if key not in memos:
+            seed = {}
+            if isinstance(key, tuple) and room[0]:
+                seed, room[0] = {zero: (key, 1)}, room[0] - 1
+            memos[key] = _Memo(x, room, canon, seed)
+        return memos[key]
+
+    def side(t):
+        factors = []
+        for j, aj in enumerate(t.exps, start=1):
+            x = adams(ws, j).entries
+            factors += [(x, memo(lam if j == 1 else j, x))] * aj
+        return factors
+
+    sides = [side(a)] if b == a else [side(a), side(b)]
     decs = [{zero: 1} for _ in sides]   # dec(P^done), or its refusal
     prev = -1
     for n in ns:
@@ -307,9 +366,9 @@ def _chain_rows(rs, lam, a, b, ns, weights):
             if isinstance(decs[i], SupportCapExceeded):
                 continue
             try:
-                for step, x in enumerate(factors * (n - done),
-                                         start=done * len(factors) + 1):
-                    decs[i] = klimyk_step(rs, decs[i], x.entries, step)
+                for step, (x, x_memo) in enumerate(
+                        factors * (n - done), start=done * len(factors) + 1):
+                    decs[i] = klimyk_step(rs, decs[i], x, step, x_memo)
             except SupportCapExceeded as exc:
                 decs[i] = exc
         refusal = next((d for d in decs if isinstance(d, SupportCapExceeded)),
@@ -323,9 +382,9 @@ def _chain_rows(rs, lam, a, b, ns, weights):
             left = dec_a
             if nu != zero:
                 try:
-                    left = klimyk_step(rs, dec_a,
-                                       weight_system(rs, nu).entries,
-                                       step=n * a.size + 1)
+                    x = weight_system(rs, nu).entries
+                    left = klimyk_step(rs, dec_a, x, step=n * a.size + 1,
+                                       memo=memo(nu, x))
                 except SupportCapExceeded as exc:
                     out = exc
                     break

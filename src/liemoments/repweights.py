@@ -84,8 +84,11 @@ def is_regular(rs, lam):
 
 def weyl_dimension(rs, lam):
     """Dimension of the irreducible with highest weight ``lam`` (exact):
-    prod <lam + rho, alpha^vee> over the memoised prod <rho, alpha^vee>."""
+    prod <lam + rho, alpha^vee> over the memoised prod <rho, alpha^vee>,
+    and 1 with no product for the zero weight."""
     lam = check_dominant_integral(rs, lam)
+    if not any(lam):
+        return 1
     shifted = [l + 1 for l in lam]
     num = 1
     for cr in rs.positive_coroots:

@@ -1,3 +1,7 @@
+import runpy
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -146,6 +150,104 @@ def test_klimyk_step_reflects_only_shifts_that_leave_the_chamber(
     assert klimyk_step(rs, high, x) == oracles.klimyk_step_reference(
         rs, high, x)
     assert calls == []
+
+
+def _step_keys(monkeypatch):
+    """Patch ``charring.klimyk_step`` to log each call's character (as its
+    sorted weights), state and memo, and ``rootsys.dominant_representative``
+    to log each reflection with the character of its step."""
+    steps, reflections = [], []
+    reflect = rootsys.dominant_representative
+
+    def logged_step(rs, state, x, *args, **kwargs):
+        steps.append((tuple(sorted(x.items())), dict(state),
+                      kwargs.get("memo", args[1] if len(args) > 1 else None)))
+        return klimyk_step(rs, state, x, *args, **kwargs)
+
+    def logged_reflect(rs, s):
+        reflections.append((steps[-1][0], s))
+        return reflect(rs, s)
+
+    monkeypatch.setattr(charring, "klimyk_step", logged_step)
+    monkeypatch.setattr(rootsys, "dominant_representative", logged_reflect)
+    return steps, reflections
+
+
+def test_chain_reflects_each_wall_adjacent_pair_once(monkeypatch):
+    # every step of a chain and its nu steps (here nu = lam, the same
+    # character) read a wall-adjacent mu's transition from the chain's
+    # memo once it is known: a pair (X, mu, w) is reflected at most once
+    steps, reflections = _step_keys(monkeypatch)
+    rs = build_root_system("A2")
+    one = CycleType((1,))
+    rows = list(moment_sequence(rs, (1, 1), one, one, range(1, 7),
+                                [(1, 1)]))
+    assert rows == [[oracles.convolution_moment(rs, (1, 1), (n,), (n,),
+                                                [((1, 1), 1)])]
+                    for n in range(1, 7)]
+    leaving = set()
+    for key, state, _ in steps:
+        depth = max(max(-c for c in w) for w, _ in key)
+        for mu in state:
+            for w, _ in key:
+                s = tuple(m + 1 + c for m, c in zip(mu, w))
+                if min(mu) < depth and min(s) < 0 and 0 not in s:
+                    leaving.add((key, mu, w))
+    most = Counter((key, tuple(m + 1 + c for m, c in zip(mu, w)))
+                   for key, mu, w in leaving)
+    assert reflections and Counter(reflections) <= most
+    assert len({key for key, _, _ in steps}) == 1
+
+
+def test_seeded_first_step_makes_no_reflection(monkeypatch):
+    # dec(V_0 (x) V_lam) = {lam: 1} seeds the memo of lam's degree-1
+    # factor, so step 1 finds {lam: 1} without reflecting any of the
+    # 15,145 weights of F4's V_rho; psi^2(V_lam) is virtual and not seeded
+    steps, reflections = _step_keys(monkeypatch)
+    rs = build_root_system("F4")
+    lam = (1, 1, 1, 1)
+    assert list(moment_sequence(rs, lam, CycleType((1,)), CycleType(()),
+                                (1,))) == [[0]]
+    assert [dict(state) for _, state, _ in steps] == [{(0, 0, 0, 0): 1}]
+    assert reflections == []
+    rs = build_root_system("A2")
+    (row,) = moment_sequence(rs, (1, 0), CycleType((0, 1)), CycleType(()),
+                             (1,))
+    assert row == [oracles.convolution_moment(rs, (1, 0), (0, 1), (),
+                                              [((0, 0), 1)])]
+    assert reflections
+
+
+def test_chain_memo_stores_at_most_the_support_cap(monkeypatch):
+    # the chain's memos share _SUPPORT_CAP: past it a transition is found
+    # again at each step instead of stored, and the integers do not move
+    rs = build_root_system("A2")
+    a, b, ns = CycleType((1,)), CycleType((0, 1)), range(1, 8)
+    weights = [(0, 0), (1, 1)]
+    want = list(moment_sequence(rs, (1, 0), a, b, ns, weights))
+    stored = []
+    for cap in (10 ** 7, 60):
+        monkeypatch.setattr(charring, "_SUPPORT_CAP", cap)
+        steps, _ = _step_keys(monkeypatch)
+        assert list(moment_sequence(rs, (1, 0), a, b, ns, weights)) == want
+        memos = {id(memo): memo for _, _, memo in steps}
+        assert len(memos) == 3      # V_lam, psi^2(V_lam) and V_nu
+        stored.append(sum(len(moves) // 2 for memo in memos.values()
+                          for moves in memo.values()))
+        # no step comes near the lower budget: only the memo is bounded
+        assert max(len(state) * len(key) for key, state, _ in steps) <= 56
+        monkeypatch.undo()
+    assert stored[1] <= 60 < stored[0]
+
+
+def test_exact_chain_integers_are_pinned():
+    # data/exact_chains.py writes the rows of a few chains (A3, G2, B3
+    # rho-like weights, Adams degree 2 with nu terms, two budgets that
+    # refuse part way); a change of the chain's arithmetic shows as a
+    # changed byte
+    script = runpy.run_path(str(Path(__file__).parent / "data"
+                                / "exact_chains.py"))
+    assert script["text"]() == script["PATH"].read_text()
 
 
 @pytest.mark.parametrize("group, lam, a, b, f", [

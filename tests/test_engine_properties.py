@@ -179,3 +179,68 @@ def test_klimyk_step_matches_reflect_every_pair(case):
     rs, state, x = case
     assert klimyk_step(rs, state, x) == oracles.klimyk_step_reference(
         rs, state, x)
+
+
+def reference_chain(rs, lam, a, b, n, weights):
+    """The row of ``moment_sequence`` at n from steps that reflect every
+    pair: dec(P_{a n}) and dec(P_{b n}) built factor by factor from the
+    trivial state, one more step per nu, then the pairing."""
+    ws = weight_system(rs, lam)
+    decs = []
+    for t in (a.scaled(n), b.scaled(n)):
+        dec = {(0,) * rs.rank: 1}
+        for j, aj in enumerate(t.exps, start=1):
+            for _ in range(aj):
+                dec = oracles.klimyk_step_reference(rs, dec,
+                                                    adams(ws, j).entries)
+        decs.append(dec)
+    dec_a, dec_b = decs
+    row = []
+    for nu in weights:
+        left = oracles.klimyk_step_reference(rs, dec_a,
+                                             weight_system(rs, nu).entries)
+        row.append(sum(c * dec_b.get(mu, 0) for mu, c in left.items()))
+    return row
+
+
+@st.composite
+def chain_cases(draw):
+    """A schedule on STEP_GROUPS: gapped, Adams degree 2 on either side,
+    b == a about a third of the time, and nu = lam about half the time, so
+    a nu step shares the memo of lam's degree-1 factor."""
+    rs = STEP_GROUPS[draw(st.sampled_from(sorted(STEP_GROUPS)))]
+    lam = draw(small_weights(rs.rank))
+    a = CycleType(draw(cycle_types()))
+    b = a if draw(st.integers(0, 2)) == 0 else CycleType(draw(cycle_types()))
+    top = max(1, (MAX_FACTORS if rs.rank < 3 else 4)
+              // max(1, a.size + b.size))
+    ns = tuple(sorted(draw(st.sets(st.integers(0, top), min_size=1,
+                                   max_size=3))))
+    weights = draw(st.lists(small_weights(rs.rank), min_size=1, max_size=2))
+    if draw(st.booleans()):
+        weights.append(lam)
+    return rs, lam, a, b, ns, weights
+
+
+@settings(max_examples=60)
+@given(chain_cases())
+@example((STEP_GROUPS["A3"], (1, 0, 1), CycleType((1, 1)), CycleType((0, 1)),
+          (1, 3), [(0, 0, 0), (1, 0, 1)]))
+@example((STEP_GROUPS["C3"], (1, 0, 1), CycleType((1,)), CycleType((1,)),
+          (0, 2, 4), [(1, 0, 1), (0, 1, 0)]))
+@example((STEP_GROUPS["A1xA2"], (1, 1, 0), CycleType((0, 1)),
+          CycleType((2,)), (1, 2), [(1, 1, 0), (0, 1, 1)]))
+@example((STEP_GROUPS["G2"], (1, 1), CycleType((1,)), CycleType(()),
+          (2, 5), [(1, 1), (0, 0)]))
+def test_memoised_chain_matches_steps_that_reflect_every_pair(case):
+    # the chain reads wall-adjacent transitions from its memo; the
+    # reference reflects every pair of every step, and the convolution
+    # oracle shares no step with either (taken where it is cheap)
+    rs, lam, a, b, ns, weights = case
+    rows = list(moment_sequence(rs, lam, a, b, ns, weights))
+    for n, row in zip(ns, rows):
+        assert row == reference_chain(rs, lam, a, b, n, weights)
+        if rs.rank < 3 and n * (a.size + b.size) <= 4:
+            assert row == [oracles.convolution_moment(
+                rs, lam, a.scaled(n).exps, b.scaled(n).exps, [(nu, 1)])
+                for nu in weights]

@@ -38,6 +38,20 @@ def test_weyl_dimension_known_values():
     assert weyl_dimension(build_root_system("A1xA1"), (2, 3)) == 12
 
 
+def test_weyl_dimension_of_the_zero_weight_takes_no_product(monkeypatch):
+    # the trivial term of a class function has dimension 1: no product
+    # over F4's 24 positive coroots, but the weight is still checked
+    rs = build_root_system("F4")
+
+    def refuse(rs):
+        raise AssertionError("the coroot product was taken")
+
+    monkeypatch.setattr(repweights, "_weyl_denominator", refuse)
+    assert weyl_dimension(rs, (0, 0, 0, 0)) == 1
+    with pytest.raises(ConfigurationError):
+        weyl_dimension(rs, (0, 0, 0))
+
+
 def test_built_weight_system_is_already_normal():
     # _freudenthal wraps its table without the public constructor's copy,
     # so the table itself must be what that copy would make
