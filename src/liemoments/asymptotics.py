@@ -10,11 +10,11 @@ floats only at the very end.  The peak's kappa(A_lam^-1 rho) and det A_lam
 are closed forms in root data (``repweights.SecondMoment``), whose
 lam-free parts are memoised per root datum; A_lam's matrix is never
 eliminated, and only the Mehta closed forms eliminate a caller's form.
-A sweep builds one :class:`PeakData` for all its N: the values of f and
-the pairings <lam, psi> at the central elements, and the floats derived
-from the exact constants (log dim, kappa, log kappa, sqrt det A, log det A)
-are taken once per sweep, so a row is float arithmetic and one integer
-gcd per central element, and carries its log |value| from the start.
+A sweep builds one :class:`PeakData` for all its N, whose values are all
+computed when it is built: f and the pairings <lam, psi> at the central
+elements, and the floats of the exact constants (log dim, kappa, log kappa,
+sqrt det A, log det A).  So a row is float arithmetic and one integer gcd
+per central element, and its estimate holds log |value| as a field.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 from . import rootsys
@@ -84,11 +83,6 @@ class ClassFunction:
         """The constant function 1 (the trivial character)."""
         return ClassFunction((((0,) * rank, 1.0),))
 
-    def validated(self, rs):
-        for nu, _ in self.terms:
-            check_dominant_integral(rs, nu)
-        return self
-
     def central_value(self, rs, psi):
         """Value at the central element psi: sum c * dim * phase."""
         (out,) = _central_values(rs, self, (psi,))
@@ -122,6 +116,8 @@ class AsymptoticEstimate:
     prefactor    -- (2 pi)^d / ((2 pi l N)^{dim G / 2} sqrt(det A)); 0.0
                     below the float range
     log_prefactor-- log of the prefactor, finite where it is 0.0
+    log_abs      -- log |value|, finite past the float range; -inf when the
+                    value is 0
     """
     value: float
     log_dim_power: float
@@ -131,18 +127,11 @@ class AsymptoticEstimate:
     prefactor: float
     log_prefactor: float
     N: int
+    log_abs: float
 
     def log_abs_value(self):
-        """log |value| computed in log space; -inf when the value is 0.
-        The leading terms take it once, when they build the estimate."""
-        return self._log_abs_value
-
-    @cached_property
-    def _log_abs_value(self):
-        # an estimate not built by a leading term (by hand, or by
-        # dataclasses.replace) takes its log from its fields
-        return _log_abs(self.log_dim_power, self.log_prefactor,
-                        _log_fraction(self.kappa_term), self.pi_sum.real)
+        """log |value| computed in log space; -inf when the value is 0."""
+        return self.log_abs
 
     def to_dict(self):
         """Plain fields for strict JSON: a value past the float range is
@@ -169,41 +158,14 @@ def _log_fraction(fr):
     return math.log(fr.numerator) - math.log(fr.denominator)
 
 
-def _log_abs(log_dim_power, log_prefactor, log_kappa, re):
-    """log |dim^{N k} * prefactor * kappa * re| from its logs; -inf at
-    re = 0."""
-    if re == 0:
-        return float("-inf")
-    return log_dim_power + log_prefactor + log_kappa + math.log(abs(re))
-
-
-class _PeakFields(NamedTuple):
+class PeakData(NamedTuple):
+    """The N-independent data of the Laplace peaks at the center."""
     dim: int              # dim V_lam
     kappa_term: Fraction  # kappa(A_lam^{-1} rho)
     det_a: Fraction       # det A_lam
     f_at_center: tuple    # f at each element of rs.center.elements
-    lam_at_center: tuple  # <lam, psi> at each element psi, Fractions
-
-
-class PeakData(_PeakFields):
-    """The N-independent data of the Laplace peaks at the center: five
-    exact fields.  The floats a leading-term row reads are derived from
-    them on the first row and kept on the instance, so a sweep that passes
-    one PeakData to every row derives them once."""
-
-    @cached_property
-    def _floats(self):
-        """``(log dim, float(kappa), log kappa, sqrt(det A), log det A)``."""
-        return (math.log(self.dim), float(self.kappa_term),
-                _log_fraction(self.kappa_term), math.sqrt(self.det_a),
-                _log_fraction(self.det_a))
-
-    @cached_property
-    def _pairs(self):
-        """Each pairing <lam, psi> as its (numerator, denominator) in
-        lowest terms."""
-        return tuple((p.numerator, p.denominator)
-                     for p in self.lam_at_center)
+    lam_at_center: tuple  # (num, den) of <lam, psi> at each psi, lowest terms
+    floats: tuple         # log dim, kappa, log kappa, sqrt det A, log det A
 
 
 def peak_data(rs, lam, f=None):
@@ -215,19 +177,24 @@ def peak_data(rs, lam, f=None):
     :class:`repweights.SecondMoment`, from one :func:`a_lambda` call: no
     elimination of A_lam's matrix.  ``lam_at_center`` holds each pairing
     <lam, psi>, so a one-sided row takes its central phases as
-    exp(2 pi i N k_a <lam, psi>) with no pairing of its own."""
+    exp(2 pi i N k_a <lam, psi>) with no pairing of its own.  ``lam`` and
+    every highest weight of ``f`` are checked here, each refusal a
+    ConfigurationError."""
     f = ClassFunction.one(rs.rank) if f is None else f
     sm = a_lambda(rs, lam)
+    dim, kap, det = weyl_dimension(rs, lam), sm.kappa_rho, sm.det
     center = rs.center.elements
-    return PeakData(weyl_dimension(rs, lam), sm.kappa_rho, sm.det,
-                    _central_values(rs, f, center),
-                    tuple(rootsys.pairing(lam, psi) for psi in center))
+    pairs = (rootsys.pairing(lam, psi) for psi in center)
+    return PeakData(dim, kap, det, _central_values(rs, f, center),
+                    tuple((p.numerator, p.denominator) for p in pairs),
+                    (math.log(dim), float(kap), _log_fraction(kap),
+                     math.sqrt(det), _log_fraction(det)))
 
 
 def _leading_core(rs, num_factors, l_total, pi_sum, n, peak):
     """Shared assembly for the one- and two-sided leading terms: float
     arithmetic on the peak's floats, which do not depend on N."""
-    log_dim, kappa, log_kappa, sqrt_det, log_det = peak._floats
+    log_dim, kappa, log_kappa, sqrt_det, log_det = peak.floats
     d = rs.num_positive_roots
     log_dim_power = n * num_factors * log_dim
     try:
@@ -248,7 +215,9 @@ def _leading_core(rs, num_factors, l_total, pi_sum, n, peak):
                          - log_det / 2)
         prefactor = math.exp(log_prefactor)
     re = pi_sum.real
-    log_abs = _log_abs(log_dim_power, log_prefactor, log_kappa, re)
+    # log |dim^{N k} * prefactor * kappa * re| from its logs; -inf at re = 0
+    log_abs = (log_dim_power + log_prefactor + log_kappa + math.log(abs(re))
+               if re else -math.inf)
     value = math.nan
     if direct:
         try:
@@ -262,12 +231,11 @@ def _leading_core(rs, num_factors, l_total, pi_sum, n, peak):
             value = math.copysign(math.exp(log_abs), re) if re else 0.0
         except OverflowError:
             value = math.copysign(math.inf, re)
-    est = AsymptoticEstimate(value=value, log_dim_power=log_dim_power,
-                             kappa_term=peak.kappa_term, det_a=peak.det_a,
-                             pi_sum=pi_sum, prefactor=prefactor,
-                             log_prefactor=log_prefactor, N=n)
-    object.__setattr__(est, "_log_abs_value", log_abs)
-    return est
+    return AsymptoticEstimate(value=value, log_dim_power=log_dim_power,
+                              kappa_term=peak.kappa_term, det_a=peak.det_a,
+                              pi_sum=pi_sum, prefactor=prefactor,
+                              log_prefactor=log_prefactor, N=n,
+                              log_abs=log_abs)
 
 
 def _check_common(rs, lam, n, peak=None):
@@ -283,11 +251,6 @@ def _check_common(rs, lam, n, peak=None):
     return lam
 
 
-def _checked_peak(rs, lam, f):
-    f = (ClassFunction.one(rs.rank) if f is None else f).validated(rs)
-    return peak_data(rs, lam, f)
-
-
 def leading_term_I(rs, lam, a, n, f=None, peak=None):
     """Leading term of the one-sided moment with exponents N * a.
 
@@ -301,12 +264,12 @@ def leading_term_I(rs, lam, a, n, f=None, peak=None):
         raise HypothesisError(
             f"supported powers {a.support()} must have gcd 1, got gcd "
             f"{a.gcd_support}")
-    peak = _checked_peak(rs, lam, f) if peak is None else peak
+    peak = peak_data(rs, lam, f) if peak is None else peak
     # the phase exp(2 pi i N k_a <lam, psi>) of each central element, with
     # N k_a <lam, psi> reduced to lowest terms in integers
     k = n * a.weight
     pi_sum = complex(0, 0)
-    for (num, den), f_psi in zip(peak._pairs, peak.f_at_center):
+    for (num, den), f_psi in zip(peak.lam_at_center, peak.f_at_center):
         m = k * num
         g = math.gcd(m, den)
         pi_sum += _root_of_unity(m // g, den // g) * f_psi
@@ -330,7 +293,7 @@ def leading_term_K(rs, lam, a, b, n, f=None, peak=None):
         raise HypothesisError(
             f"supported powers {a.support()} u {b.support()} must have "
             f"gcd 1, got gcd {g}")
-    peak = _checked_peak(rs, lam, f) if peak is None else peak
+    peak = peak_data(rs, lam, f) if peak is None else peak
     pi_sum = sum(peak.f_at_center, complex(0, 0))
     return _leading_core(rs, a.size + b.size, a.quad + b.quad, pi_sum, n,
                          peak)

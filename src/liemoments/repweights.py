@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from operator import add, mul, sub
 
 from . import rootsys
@@ -268,12 +268,12 @@ class SecondMoment:
     itself is never eliminated.  Otherwise A_lam, a Gram sum and so
     positive semidefinite, is singular: ``det`` is 0, and ``solve`` and
     ``kappa_rho`` raise ValueError, as when lam vanishes on a simple
-    factor.  ``matrix`` is built only when it is read.
+    factor.  Each property is computed on every read; nothing is kept.
     """
     rs: rootsys.RootSystem = field(repr=False)
     scales: tuple  # s_k = (lam, lam + 2 rho)_k / dim G_k, Fractions
 
-    @cached_property
+    @property
     def matrix(self):
         """A_lam as a rank x rank tuple of Fractions."""
         rs = self.rs
@@ -284,7 +284,7 @@ class SecondMoment:
                     m[i][j] = s * rs.cartan[i][j] / rs.symmetrizers[j]
         return tuple(tuple(row) for row in m)
 
-    @cached_property
+    @property
     def definite(self):
         """Whether A_lam is positive definite, decided exactly: a scale's
         sign is its numerator's, and d_j > 0 exactly when S d_j > 0."""
@@ -292,7 +292,7 @@ class SecondMoment:
                 and min(_integer_symmetrizers(self.rs)[1]) > 0
                 and _cartan_minors(self.rs) is not None)
 
-    @cached_property
+    @property
     def det(self):
         """det A_lam, exact; 0 when A_lam is not positive definite."""
         if not self.definite:
@@ -307,7 +307,7 @@ class SecondMoment:
             den *= s.denominator ** len(block)
         return Fraction(num, den)
 
-    @cached_property
+    @property
     def kappa_rho(self):
         """kappa(A_lam^-1 rho), exact."""
         if not self.definite:

@@ -15,6 +15,7 @@ from liemoments.asymptotics import (ClassFunction, HypothesisError,
 from liemoments import (asymptotics, charring, exactla, repweights, rootsys,
                         torusquad)
 from liemoments.charring import CycleType
+from liemoments.cli import main
 from liemoments.repweights import a_lambda, weyl_dimension
 from liemoments.rootsys import build_root_system, kappa
 
@@ -177,6 +178,34 @@ def test_peak_data_skips_rechecking_lam_and_f(monkeypatch):
             leading_term_K(rs, (1, 1), a, a, 3, f=f, peak=peak)) == want
 
 
+@pytest.mark.parametrize("terms, text", [
+    ((((0, -1), 1.0),),
+     "highest weight must be dominant integral, got (0, -1)"),
+    ((((0, 0), 2.0), ((1,), 1.0)), "weight (1,) has wrong rank for A2"),
+])
+@pytest.mark.parametrize("call", [
+    lambda rs, f, a: peak_data(rs, (1, 1), f),
+    lambda rs, f, a: leading_term_I(rs, (1, 1), a, 3, f=f),
+    lambda rs, f, a: leading_term_K(rs, (1, 1), a, a, 3, f=f),
+    lambda rs, f, a: leading_term_K(rs, (1, 1), a, a, 3, f=f,
+                                    peak=peak_data(rs, (1, 1), f)),
+], ids=["peak_data", "I", "K", "K_with_peak"])
+def test_peak_data_refuses_a_bad_term_of_f(terms, text, call):
+    # every highest weight of f is checked once, where the peak is built
+    rs = build_root_system("A2")
+    with pytest.raises(rootsys.ConfigurationError) as info:
+        call(rs, ClassFunction(terms), CycleType((1,)))
+    assert str(info.value) == text
+
+
+def test_cli_refuses_a_bad_term_of_f(capsys):
+    args = ["asym", "--group", "A2", "--lam", "1,1", "--a", "1", "--N", "3",
+            "--f", "0,-1:1"]
+    assert main(args) == 2
+    assert ("highest weight must be dominant integral, got (0, -1)"
+            in capsys.readouterr().err)
+
+
 def test_peak_data_takes_each_dimension_once(monkeypatch):
     # f at the 6 central elements of A1xA2 needs each term's dimension:
     # one call per term and one for lam, not one per term and element (13)
@@ -232,7 +261,7 @@ def test_biane_estimate_where_one_factor_overflows(spec, lam, n):
     # dim^N (E8 rho: 2^{120 N}) or dim^N times the prefactor is past the
     # float range while the estimate itself is not
     rs = build_root_system(spec)
-    dim, kap, det_a, _, _ = peak_data(rs, lam)
+    dim, kap, det_a, *_ = peak_data(rs, lam)
     want = (math.log(rs.center.order) + n * math.log(dim)
             + math.log(kap.numerator) - math.log(kap.denominator)
             - (rs.rank / 2) * math.log(2 * math.pi)
@@ -533,7 +562,7 @@ def test_leading_term_past_float_intermediates(n):
     # to log space and its log stays finite
     rs = build_root_system("E8")
     est = leading_term_I(rs, rs.rho, CycleType((1,)), n)
-    dim, kap, det_a, _, _ = peak_data(rs, rs.rho)
+    dim, kap, det_a, *_ = peak_data(rs, rs.rho)
     # the Laplace constant of I_N, a = (1), assembled in log space: E8 has
     # no center, and (2 pi)^d / (2 pi)^{dim G / 2} = (2 pi)^{-rank / 2}
     want = (n * math.log(dim) + math.log(kap.numerator)

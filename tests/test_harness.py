@@ -241,6 +241,33 @@ def test_skip_notes_on_unusable_rows():
         assert any("asymptotic skipped" in note for note in row.notes)
 
 
+@pytest.mark.parametrize("group, lam, f, n, ratio, abs_error, notes", [
+    # reference 0, estimate nonzero: the estimate misses by its whole size
+    ("A2", "1,1", "1", 1, 0.0, 1.0, ()),
+    # opposite signs: the ratio is negative
+    ("A1", "2", "0:1; 2:-0.5", 2, pytest.approx(-0.8576014868838726),
+     pytest.approx(1.8576014868838726), ()),
+    # estimate 0, reference -1/3: no ratio, a note
+    ("A1", "2", "0:1; 2:-0.3333333333333333", 1, None, None,
+     ("estimate zero but reference nonzero",)),
+])
+def test_ratio_branches(group, lam, f, n, ratio, abs_error, notes):
+    cfg = ExperimentConfig.from_mapping(
+        {"group": group, "lambda": lam, "a": "1", "N": str(n), "f": f,
+         "paths": "exact,asymptotic"})
+    (row,) = run_experiment(cfg).rows
+    assert row.estimate is not None
+    assert (row.ratio, row.abs_error, row.notes) == (ratio, abs_error, notes)
+    if notes:
+        assert row.exact == pytest.approx(-1 / 3)
+        assert row.estimate.log_abs_value() == float("-inf")
+
+
+def test_config_mapping_needs_a_group():
+    with pytest.raises(ConfigurationError, match="^config needs a group$"):
+        ExperimentConfig.from_mapping({"lambda": "1", "a": "1", "N": "1"})
+
+
 # -------------------------------------------------------------------- CLI
 
 def _field(out, name):
