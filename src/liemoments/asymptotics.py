@@ -1,25 +1,29 @@
 """Closed-form leading-order values for large-power trace moments.
 
-The Laplace analysis of the torus integral concentrates at the center of the
-group: every central element contributes a Gaussian peak whose constant is a
-Mehta-type integral, weighted by a root of unity determined by the highest
-weight and by the value of the test class function there.  This module
-assembles those constants exactly where possible (kappa factors and
-determinants as Fractions, central phases as exact roots of unity) and in
+The Laplace analysis of the torus integral concentrates at the center Z of
+the group: every central element contributes a Gaussian peak whose constant
+is a Mehta-type integral, weighted by the central characters of V_lam and of
+the test class function there.  Z's characters are orthogonal, so the
+weights sum exactly to |Z| times the sum of c dim V_nu over the terms
+c chi_nu of f whose highest weight completes N k_a lam to the root lattice:
+one integer test on classes mod the root lattice
+(``rootsys.root_lattice_class``) per term, with no phase evaluated.  This
+module assembles the constants exactly where possible (kappa factors and
+determinants as Fractions, the central sum from integer classes) and in
 floats only at the very end.  The peak's kappa(A_lam^-1 rho) and det A_lam
 are closed forms in root data (``repweights.SecondMoment``), whose
 lam-free parts are memoised per root datum; A_lam's matrix is never
 eliminated, and only the Mehta closed forms eliminate a caller's form.
 A sweep builds one :class:`PeakData` for all its N, whose values are all
-computed when it is built: f and the pairings <lam, psi> at the central
-elements, and the floats of the exact constants (log dim, kappa, log kappa,
-sqrt det A, log det A).  So a row is float arithmetic and one integer gcd
-per central element, and its estimate holds log |value| as a field.
+computed when it is built: the classes of lam and of each term of f with
+the term's c dim V_nu, and the floats of the exact constants (log dim,
+kappa, log kappa, sqrt det A, log det A).  So a row is float arithmetic and
+one class test per term of f, and its estimate holds log |value| as a
+field.
 """
 
 from __future__ import annotations
 
-import cmath
 import decimal
 import math
 import sys
@@ -39,36 +43,6 @@ class HypothesisError(ValueError):
     """An input violates a hypothesis of the asymptotic formulas."""
 
 
-def _unit_phase(t):
-    """exp(2 pi i t) for rational t, exact at the lattice points that matter
-    (halves and quarters); cmath otherwise."""
-    t = Fraction(t)
-    return _root_of_unity(t.numerator, t.denominator)
-
-
-def _root_of_unity(num, den):
-    """exp(2 pi i num / den) for num / den in lowest terms, den > 0."""
-    if den == 1:
-        return complex(1, 0)
-    if den == 2:
-        return complex(-1, 0)
-    # num / den mod 1 is (num mod den) / den, still in lowest terms, and
-    # float(Fraction) is that true division
-    num %= den
-    if den == 4:
-        return complex(0, 1) if num == 1 else complex(0, -1)
-    return cmath.exp(2j * math.pi * (num / den))
-
-
-def nu_character(rs, lam, m, psi):
-    """Phase of the central element ``psi`` on the m-th dilate of ``lam``.
-
-    ``psi`` is a covector representing an element of the center; the value is
-    exp(2 pi i m <lam, psi>), a root of unity.
-    """
-    return _unit_phase(m * rootsys.pairing(lam, psi))
-
-
 @dataclass(frozen=True)
 class ClassFunction:
     """Finite real-coefficient combination of irreducible characters.
@@ -83,36 +57,21 @@ class ClassFunction:
         """The constant function 1 (the trivial character)."""
         return ClassFunction((((0,) * rank, 1.0),))
 
-    def central_value(self, rs, psi):
-        """Value at the central element psi: sum c * dim * phase."""
-        (out,) = _central_values(rs, self, (psi,))
-        return out
-
-
-def _central_values(rs, f, center):
-    """:meth:`ClassFunction.central_value` of ``f`` at each element of
-    ``center``, with each term's Weyl dimension taken once."""
-    dims = [weyl_dimension(rs, nu) for nu, _ in f.terms]
-    out = []
-    for psi in center:
-        value = complex(0, 0)
-        for (nu, c), dim in zip(f.terms, dims):
-            phase = _unit_phase(rootsys.pairing(nu, psi))
-            value += c * dim * phase
-        out.append(value)
-    return tuple(out)
-
 
 @dataclass(frozen=True)
 class AsymptoticEstimate:
     """Factored leading-order value of a trace-moment sequence at index N.
 
-    value        -- the leading term itself (may be 0 when the central phases
-                    cancel, or +-inf past the float range)
+    value        -- the leading term itself: exactly 0.0 when pi_sum is,
+                    +-inf past the float range
     log_dim_power-- N * (number of factors) * log dim
     kappa_term   -- kappa(A^{-1} rho), exact
     det_a        -- det A, exact
-    pi_sum       -- complex sum over the center of phase * f value
+    pi_sum       -- the central sum, a real float: |Z| times the sum of
+                    c dim V_nu over the terms of f whose class completes
+                    that of N k_a lam (one-sided; 0 two-sided) to 0 mod the
+                    root lattice, in term order; exactly 0.0 when no term
+                    does
     prefactor    -- (2 pi)^d / ((2 pi l N)^{dim G / 2} sqrt(det A)); 0.0
                     below the float range
     log_prefactor-- log of the prefactor, finite where it is 0.0
@@ -123,7 +82,7 @@ class AsymptoticEstimate:
     log_dim_power: float
     kappa_term: Fraction
     det_a: Fraction
-    pi_sum: complex
+    pi_sum: float
     prefactor: float
     log_prefactor: float
     N: int
@@ -144,8 +103,8 @@ class AsymptoticEstimate:
             "log_dim_power": self.log_dim_power,
             "kappa_term": str(self.kappa_term),
             "det_a": str(self.det_a),
-            "pi_sum_re": self.pi_sum.real,
-            "pi_sum_im": self.pi_sum.imag,
+            "pi_sum_re": self.pi_sum,
+            "pi_sum_im": 0.0,
             "prefactor": self.prefactor,
             "N": self.N,
         }
@@ -163,8 +122,8 @@ class PeakData(NamedTuple):
     dim: int              # dim V_lam
     kappa_term: Fraction  # kappa(A_lam^{-1} rho)
     det_a: Fraction       # det A_lam
-    f_at_center: tuple    # f at each element of rs.center.elements
-    lam_at_center: tuple  # (num, den) of <lam, psi> at each psi, lowest terms
+    lam_class: tuple      # rootsys.root_lattice_class of lam
+    f_classes: tuple      # (class of nu, c * dim V_nu) per term c chi_nu of f
     floats: tuple         # log dim, kappa, log kappa, sqrt det A, log det A
 
 
@@ -175,20 +134,33 @@ def peak_data(rs, lam, f=None):
 
     ``kappa_term`` and ``det_a`` are the closed forms of
     :class:`repweights.SecondMoment`, from one :func:`a_lambda` call: no
-    elimination of A_lam's matrix.  ``lam_at_center`` holds each pairing
-    <lam, psi>, so a one-sided row takes its central phases as
-    exp(2 pi i N k_a <lam, psi>) with no pairing of its own.  ``lam`` and
-    every highest weight of ``f`` are checked here, each refusal a
-    ConfigurationError."""
+    elimination of A_lam's matrix.  The classes mod the root lattice of lam
+    and of each term of f, with the term's c dim V_nu, are all a row needs
+    for its central sum (:func:`_central_sum`).  ``lam`` and every highest
+    weight of ``f`` are checked here, by their Weyl dimensions, before any
+    class is taken; each refusal is a ConfigurationError."""
     f = ClassFunction.one(rs.rank) if f is None else f
     sm = a_lambda(rs, lam)
     dim, kap, det = weyl_dimension(rs, lam), sm.kappa_rho, sm.det
-    center = rs.center.elements
-    pairs = (rootsys.pairing(lam, psi) for psi in center)
-    return PeakData(dim, kap, det, _central_values(rs, f, center),
-                    tuple((p.numerator, p.denominator) for p in pairs),
+    weights = [c * weyl_dimension(rs, nu) for nu, c in f.terms]
+    classes = (rootsys.root_lattice_class(rs, nu) for nu, _ in f.terms)
+    return PeakData(dim, kap, det, rootsys.root_lattice_class(rs, lam),
+                    tuple(zip(classes, weights)),
                     (math.log(dim), float(kap), _log_fraction(kap),
                      math.sqrt(det), _log_fraction(det)))
+
+
+def _central_sum(rs, peak, k):
+    """|Z| times the sum, in term order, of c dim V_nu over the terms of f
+    with k lam + nu in the root lattice: the sum over the center of the
+    phase of the k-th dilate of lam times f, by the orthogonality of Z's
+    characters.  A real float, exactly 0.0 when no term survives."""
+    den = rootsys.scaled_cartan_inv(rs)[0]
+    total = 0.0
+    for cls, weight in peak.f_classes:
+        if not any((k * l + c) % den for l, c in zip(peak.lam_class, cls)):
+            total += weight
+    return rs.center.order * total
 
 
 def _leading_core(rs, num_factors, l_total, pi_sum, n, peak):
@@ -214,23 +186,24 @@ def _leading_core(rs, num_factors, l_total, pi_sum, n, peak):
                                                        * l_total * n)
                          - log_det / 2)
         prefactor = math.exp(log_prefactor)
-    re = pi_sum.real
-    # log |dim^{N k} * prefactor * kappa * re| from its logs; -inf at re = 0
-    log_abs = (log_dim_power + log_prefactor + log_kappa + math.log(abs(re))
-               if re else -math.inf)
+    # log |dim^{N k} * prefactor * kappa * pi_sum| from its logs; -inf at
+    # pi_sum = 0
+    log_abs = (log_dim_power + log_prefactor + log_kappa
+               + math.log(abs(pi_sum)) if pi_sum else -math.inf)
     value = math.nan
     if direct:
         try:
-            value = math.exp(log_dim_power) * prefactor * kappa * re
+            value = math.exp(log_dim_power) * prefactor * kappa * pi_sum
         except OverflowError:
             pass
     if not math.isfinite(value):
         # a factor alone is past the float range while the value need not
         # be (dim^N for E8 rho from N = 9): add the logs instead
         try:
-            value = math.copysign(math.exp(log_abs), re) if re else 0.0
+            value = (math.copysign(math.exp(log_abs), pi_sum) if pi_sum
+                     else 0.0)
         except OverflowError:
-            value = math.copysign(math.inf, re)
+            value = math.copysign(math.inf, pi_sum)
     return AsymptoticEstimate(value=value, log_dim_power=log_dim_power,
                               kappa_term=peak.kappa_term, det_a=peak.det_a,
                               pi_sum=pi_sum, prefactor=prefactor,
@@ -265,15 +238,8 @@ def leading_term_I(rs, lam, a, n, f=None, peak=None):
             f"supported powers {a.support()} must have gcd 1, got gcd "
             f"{a.gcd_support}")
     peak = peak_data(rs, lam, f) if peak is None else peak
-    # the phase exp(2 pi i N k_a <lam, psi>) of each central element, with
-    # N k_a <lam, psi> reduced to lowest terms in integers
-    k = n * a.weight
-    pi_sum = complex(0, 0)
-    for (num, den), f_psi in zip(peak.lam_at_center, peak.f_at_center):
-        m = k * num
-        g = math.gcd(m, den)
-        pi_sum += _root_of_unity(m // g, den // g) * f_psi
-    return _leading_core(rs, a.size, a.quad, pi_sum, n, peak)
+    return _leading_core(rs, a.size, a.quad,
+                         _central_sum(rs, peak, n * a.weight), n, peak)
 
 
 def leading_term_K(rs, lam, a, b, n, f=None, peak=None):
@@ -294,9 +260,10 @@ def leading_term_K(rs, lam, a, b, n, f=None, peak=None):
             f"supported powers {a.support()} u {b.support()} must have "
             f"gcd 1, got gcd {g}")
     peak = peak_data(rs, lam, f) if peak is None else peak
-    pi_sum = sum(peak.f_at_center, complex(0, 0))
-    return _leading_core(rs, a.size + b.size, a.quad + b.quad, pi_sum, n,
-                         peak)
+    # k_a = k_b: the phases of lam cancel, so only the terms of f in the
+    # root lattice survive
+    return _leading_core(rs, a.size + b.size, a.quad + b.quad,
+                         _central_sum(rs, peak, 0), n, peak)
 
 
 def biane_dimension_estimate(rs, lam, n):

@@ -420,10 +420,10 @@ def _quad_column(rs, lam, cfg, f):
 
 def _asymptotic_column(rs, lam, cfg, f, verdict):
     """Leading terms over the schedule.  When the hypotheses hold, the
-    N-independent peak data (:func:`asymptotics.peak_data`, with the values
-    of ``f`` at the center) is built once here, not once per row; otherwise
-    every row refuses as it would alone.  Yields per N the estimate or the
-    :class:`HypothesisError`."""
+    N-independent peak data (:func:`asymptotics.peak_data`, with the
+    classes mod the root lattice of lam and of each term of ``f``) is built
+    once here, not once per row; otherwise every row refuses as it would
+    alone.  Yields per N the estimate or the :class:`HypothesisError`."""
     problems = (verdict.problems_two_sided if cfg.b.exps
                 else verdict.problems_one_sided)
     peak = None if problems else asymptotics.peak_data(rs, lam, f)
@@ -475,7 +475,7 @@ def run_experiment(cfg):
                 row.ratio = 0.0
                 row.abs_error = 1.0
             else:
-                sign = (1.0 if (ref > 0) == (row.estimate.pi_sum.real > 0)
+                sign = (1.0 if (ref > 0) == (row.estimate.pi_sum > 0)
                         else -1.0)
                 row.ratio = sign * math.exp(_log_abs(ref) - est_log)
                 row.abs_error = abs(row.ratio - 1.0)

@@ -500,9 +500,18 @@ def scaled_cartan_inv(rs):
                       for row in rs.cartan_inv)
 
 
-def order_mod_root_lattice(rs, mu):
-    """Smallest q >= 1 with q * mu in the root lattice: the root
-    coordinates of ``mu`` are (D C^-1 mu) / D, so q = D / gcd(D, D C^-1 mu)
-    for integer ``mu``."""
+def root_lattice_class(rs, mu):
+    """Class of the integer weight ``mu`` modulo the root lattice Q: the
+    residues of D C^-1 mu mod D (D from :func:`scaled_cartan_inv`).  The
+    root coordinates of ``mu`` are (D C^-1 mu) / D, so the class is linear
+    in ``mu`` and all zeros exactly when ``mu`` lies in Q, that is when
+    every central element acts trivially on V_mu."""
     den, inv = scaled_cartan_inv(rs)
-    return den // math.gcd(den, *(sum(map(mul, row, mu)) for row in inv))
+    return tuple(sum(map(mul, row, mu)) % den for row in inv)
+
+
+def order_mod_root_lattice(rs, mu):
+    """Smallest q >= 1 with q * mu in the root lattice: D / gcd(D, class)
+    for the :func:`root_lattice_class` of the integer weight ``mu``."""
+    den = scaled_cartan_inv(rs)[0]
+    return den // math.gcd(den, *root_lattice_class(rs, mu))

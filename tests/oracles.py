@@ -17,6 +17,13 @@ genuine two-route check:
   by ``rootsys.dominant_orbit``, with no orbit walk replayed.
 * Root coordinates as Fractions, and a weight's order modulo the root
   lattice as the lcm of their denominators.
+* The central sum of the leading term as a float phase sum over the
+  center's elements: exp(2 pi i m <lam, psi>) from the Fraction pairing,
+  and the class function's value at each element, term by term, with Weyl
+  dimensions from the product formula over the positive coroots.
+* Permutations with no increasing subsequence longer than n, by the
+  hook-length formula summed over the partitions with at most n rows, and
+  Regev's leading term for them.
 * A re-assembly of the leading-order constant from raw transformed data, for
   the basis-independence certificate.
 * One Klimyk step that reflects every (highest weight, weight) pair to the
@@ -48,7 +55,8 @@ from math import comb
 import numpy as np
 
 from liemoments.exactla import mat_vec
-from liemoments.rootsys import dominant_orbit, dominant_representative
+from liemoments.rootsys import (dominant_orbit, dominant_representative,
+                                pairing)
 
 
 def frac_matrix(rows):
@@ -137,11 +145,7 @@ def su2_ladder_invariants(step_m, n):
 
 def syt_rectangular(rows, cols):
     """Standard Young tableaux of a rows x cols rectangle (hook lengths)."""
-    hooks = 1
-    for r in range(rows):
-        for c in range(cols):
-            hooks *= (cols - c - 1) + (rows - r - 1) + 1
-    return math.factorial(rows * cols) // hooks
+    return standard_tableaux((cols,) * rows)
 
 
 def riordan(n):
@@ -152,6 +156,49 @@ def riordan(n):
     for k in range(2, n + 1):
         vals.append((k - 1) * (2 * vals[k - 1] + 3 * vals[k - 2]) // (k + 1))
     return vals[n]
+
+
+def partitions(n, max_parts, largest=None):
+    """Partitions of n into at most ``max_parts`` parts, largest first."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    if max_parts == 0:
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in partitions(n - first, max_parts - 1, first):
+            yield (first,) + rest
+
+
+def standard_tableaux(shape):
+    """f^mu, the standard Young tableaux of ``shape``, by hook lengths."""
+    cols = [sum(1 for r in shape if r > c) for c in range(shape[0])]
+    hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            hooks *= (row - j - 1) + (cols[j] - i - 1) + 1
+    return math.factorial(sum(shape)) // hooks
+
+
+def bounded_lis_count(n, size):
+    """Permutations of ``size`` with no increasing subsequence longer than
+    n: sum of (f^mu)^2 over the partitions mu of ``size`` with at most n
+    rows (Robinson-Schensted).  It equals K_N of the standard
+    representation of SU(n), with a = b = (1) and N = ``size``."""
+    if size == 0:
+        return 1
+    return sum(standard_tableaux(mu) ** 2 for mu in partitions(size, n))
+
+
+def regev_leading(n, size):
+    """Regev's leading term of :func:`bounded_lis_count`:
+    c_n n^{2N} N^{-(n^2 - 1)/2} with
+    c_n = (2 pi)^{-(n-1)/2} 2^{-(n^2-1)/2} 1! 2! ... (n-1)! n^{n^2/2}."""
+    c = ((2 * math.pi) ** (-(n - 1) / 2) * 2 ** (-(n * n - 1) / 2)
+         * math.prod(math.factorial(j) for j in range(1, n))
+         * n ** (n * n / 2))
+    return c * n ** (2 * size) * size ** (-(n * n - 1) / 2)
 
 
 def reflect_weight(rs, mu, i):
@@ -224,6 +271,57 @@ def order_mod_root_lattice(rs, mu):
     """Smallest q >= 1 with q * mu in the root lattice: the lcm of the
     denominators of the root coordinates of ``mu``."""
     return math.lcm(*(c.denominator for c in root_lattice_coords(rs, mu)))
+
+
+def unit_phase(t):
+    """exp(2 pi i t) for rational t: exactly 1, -1, i or -i at the integers,
+    halves and quarters, cmath elsewhere."""
+    t = Fraction(t)
+    num, den = t.numerator % t.denominator, t.denominator
+    if den == 1:
+        return complex(1, 0)
+    if den == 2:
+        return complex(-1, 0)
+    if den == 4:
+        return complex(0, 1) if num == 1 else complex(0, -1)
+    return cmath.exp(2j * math.pi * (num / den))
+
+
+def nu_character(rs, lam, m, psi):
+    """Phase exp(2 pi i m <lam, psi>) of the central element ``psi`` (a
+    covector) on the m-th dilate of ``lam``: a root of unity."""
+    return unit_phase(m * pairing(lam, psi))
+
+
+def weyl_dimension_product(rs, lam):
+    """dim V_lam as prod over the positive coroots of
+    <lam + rho, a^v> / <rho, a^v>, in Fractions."""
+    shifted = [l + 1 for l in lam]
+    out = Fraction(1)
+    for cor in rs.positive_coroots:
+        out *= pairing(shifted, cor) / pairing(rs.rho, cor)
+    assert out.denominator == 1
+    return int(out)
+
+
+def central_value(rs, f, psi):
+    """The class function ``f`` at the central element ``psi``: the sum
+    over its terms of c dim V_nu times nu's phase, term by term."""
+    value = complex(0, 0)
+    for nu, c in f.terms:
+        value += (c * weyl_dimension_product(rs, nu)
+                  * nu_character(rs, nu, 1, psi))
+    return value
+
+
+def phase_central_sum(rs, lam, k, f):
+    """The leading term's central sum as a float phase sum over
+    ``rs.center.elements``: sum_psi exp(2 pi i k <lam, psi>) f(psi), with
+    k = N k_a one-sided and 0 two-sided."""
+    total = complex(0, 0)
+    for psi in rs.center.elements:
+        total += nu_character(rs, lam, k, psi) * central_value(rs, f, psi)
+    return total
 
 
 def weight_table_by_levels(rs, lam):

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liemoments.asymptotics import (ClassFunction, HypothesisError,
                                     _checked_form, _mehta_parts,
                                     biane_dimension_estimate,
                                     leading_term_I,
                                     leading_term_K, mehta_closed_form,
-                                    nu_character, peak_data,
+                                    peak_data,
                                     vanish_leading_constant,
                                     weyl_equivariant)
 from liemoments import (asymptotics, charring, exactla, repweights, rootsys,
@@ -20,6 +22,7 @@ from liemoments.repweights import a_lambda, weyl_dimension
 from liemoments.rootsys import build_root_system, kappa
 
 import oracles
+from oracles import central_value, nu_character
 
 
 def test_cycle_constants():
@@ -49,21 +52,21 @@ def test_class_function_one():
     rs = build_root_system("A2")
     f = ClassFunction.one(2)
     assert f.terms == (((0, 0), 1.0),)
-    assert f.central_value(rs, rs.center.elements[0]) == 1
+    assert central_value(rs, f, rs.center.elements[0]) == 1
     for psi in rs.center.elements:
-        assert f.central_value(rs, psi) == 1
+        assert central_value(rs, f, psi) == 1
 
 
 def test_class_function_central_values():
     rs = build_root_system("A2")
     f = ClassFunction((((1, 0), 2.0),))
-    vals = [f.central_value(rs, psi) for psi in rs.center.elements]
+    vals = [central_value(rs, f, psi) for psi in rs.center.elements]
     assert vals[0] == 6.0
     # the nontrivial central elements multiply the standard character by the
     # two primitive cube roots of unity, so the three values sum to zero
     assert abs(sum(vals)) < 1e-12
     g = ClassFunction((((1, 0), 1.0), ((0, 1), 1.0)))
-    total = sum(g.central_value(rs, psi) for psi in rs.center.elements)
+    total = sum(central_value(rs, g, psi) for psi in rs.center.elements)
     assert abs(total.imag) < 1e-13
 
 
@@ -207,23 +210,25 @@ def test_cli_refuses_a_bad_term_of_f(capsys):
 
 
 def test_peak_data_takes_each_dimension_once(monkeypatch):
-    # f at the 6 central elements of A1xA2 needs each term's dimension:
-    # one call per term and one for lam, not one per term and element (13)
+    # the central sum of f on A1xA2 (6 central elements) needs each term's
+    # dimension and class once: one call per term and one for lam, not one
+    # per term and element (13)
     rs = build_root_system("A1xA2")
-    f = ClassFunction((((0, 0, 0), 2.0), ((0, 1, 1), 5.0)))
+    f = ClassFunction((((0, 0, 0), 2.0), ((1, 1, 0), 5.0)))
     dims, dim = [], asymptotics.weyl_dimension
+    classes, cls = [], rootsys.root_lattice_class
     monkeypatch.setattr(asymptotics, "weyl_dimension",
                         lambda rs, lam: dims.append(lam) or dim(rs, lam))
+    monkeypatch.setattr(rootsys, "root_lattice_class",
+                        lambda rs, mu: classes.append(mu) or cls(rs, mu))
     peak = peak_data(rs, (1, 1, 1), f)
-    assert dims == [(1, 1, 1), (0, 0, 0), (0, 1, 1)]
+    assert dims == [(1, 1, 1), (0, 0, 0), (1, 1, 0)]
+    assert classes == [(1, 1, 1), (0, 0, 0), (1, 1, 0)]
     monkeypatch.undo()
-    # the bits of sum c * dim * phase, term by term
-    assert len(peak.f_at_center) == len(rs.center.elements) == 6
-    for psi, got in zip(rs.center.elements, peak.f_at_center):
-        want = complex(0, 0)
-        for nu, c in f.terms:
-            want += c * weyl_dimension(rs, nu) * nu_character(rs, nu, 1, psi)
-        assert got == want == f.central_value(rs, psi)
+    # lam's class, and per term its class and c * dim V_nu, in term order:
+    # residues of D C^-1 mu mod D, D = 6 on A1xA2
+    assert peak.lam_class == (3, 0, 0)
+    assert peak.f_classes == (((0, 0, 0), 2.0), ((3, 4, 2), 5.0 * 6))
 
 
 def test_leading_term_K_values():
@@ -236,6 +241,23 @@ def test_leading_term_K_values():
     a2 = build_root_system("A2")
     est = leading_term_K(a2, (1, 1), CycleType((1,)), CycleType((1,)), 7)
     assert est.pi_sum == 3  # the constant test function sums to |center|
+
+
+def test_leading_term_k_is_regevs_constant_on_a1():
+    # K_N of the standard representation of SU(2) counts the permutations
+    # of N with no increasing subsequence of length 3; Regev's leading term
+    # for them is the paper's two-sided leading term
+    rs = build_root_system("A1")
+    one = CycleType((1,))
+    for n in (5, 10, 20, 40, 160):
+        est = leading_term_K(rs, (1,), one, one, n)
+        assert est.value == pytest.approx(oracles.regev_leading(2, n),
+                                          rel=1e-13)
+    # and the exact counts approach it: K_N / leading -> 1 like 1 + c/N
+    ratios = [oracles.bounded_lis_count(2, n) / oracles.regev_leading(2, n)
+              for n in (50, 100, 200)]
+    assert ratios[0] < ratios[1] < ratios[2] < 1
+    assert 1 - ratios[2] < 0.01
 
 
 def test_biane_estimate_a1():
@@ -407,11 +429,13 @@ def test_composition_identity():
 
 def test_pi_sum_real_for_real_class_functions():
     # conjugate center elements pair up, so the central sum of a real
-    # combination of characters has negligible imaginary part
+    # combination of characters is real: a float, with no imaginary part
     rs = build_root_system("A2")
     f = ClassFunction((((1, 0), 1.5), ((1, 1), 0.25)))
     est = leading_term_I(rs, (1, 1), CycleType((1,)), 3, f=f)
-    assert abs(est.pi_sum.imag) < 1e-14 * max(1.0, abs(est.pi_sum.real))
+    assert est.pi_sum.imag == 0
+    assert est.to_dict()["pi_sum_im"] == 0.0
+    assert est.pi_sum == 3 * 0.25 * 8
 
 
 @pytest.mark.parametrize("spec", ["E7", "E8"])
@@ -574,3 +598,65 @@ def test_leading_term_past_float_intermediates(n):
     assert est.log_abs_value() == pytest.approx(want, rel=1e-12)
     assert est.value == math.inf
     assert est.to_dict()["log_abs_value"] == est.log_abs_value()
+
+
+# one cyclic center of each order up to 5, two types with a center of order
+# 2 and 4 (B2, C3: Z/2; D4: Z/2 x Z/2), E6 (Z/3) and a product (Z/2 x Z/3)
+_CLASS_GROUPS = ("A1", "A2", "A3", "A4", "B2", "C3", "D4", "E6", "A1xA2")
+# where the exact route is cheap enough to run on every drawn row
+_EXACT_GROUPS = ("A1", "A2", "B2", "A1xA2")
+
+
+def _in_root_lattice(rs, mu):
+    return all(c.denominator == 1 for c in oracles.root_lattice_coords(rs, mu))
+
+
+@st.composite
+def _class_rows(draw):
+    """(group, lam, a, b, terms of f, N) of a row whose hypotheses hold:
+    lam regular, a with a_1 >= 1, b empty or a; f has 1-3 distinct terms,
+    most of them off the root lattice, with positive coefficients."""
+    spec = draw(st.sampled_from(_CLASS_GROUPS))
+    rank = build_root_system(spec).rank
+    lam = draw(st.tuples(*[st.integers(1, 2)] * rank))
+    a = draw(st.sampled_from([(1,), (2,), (1, 1)]))
+    b = a if draw(st.booleans()) else ()
+    nus = draw(st.lists(st.tuples(*[st.integers(0, 2)] * rank),
+                        min_size=1, max_size=3, unique=True))
+    coeffs = draw(st.lists(st.integers(1, 5), min_size=len(nus),
+                           max_size=len(nus)))
+    return spec, lam, a, b, tuple(zip(nus, map(float, coeffs))), \
+        draw(st.integers(1, 10))
+
+
+@settings(max_examples=100)
+@given(_class_rows())
+@example(("A2", (1, 1), (1,), (1,), (((1, 0), 1.0), ((0, 2), 2.0)), 3))
+@example(("A1xA2", (1, 1, 2), (1,), (), (((1, 1, 0), 1.0),), 2))
+@example(("D4", (1, 1, 1, 1), (1,), (1,), (((1, 0, 0, 0), 1.0),), 1))
+def test_leading_term_is_zero_exactly_when_no_term_completes_the_class(row):
+    # A term c chi_nu of f survives the central sum when N k_a lam + nu
+    # (one-sided) or nu (two-sided) lies in the root lattice, decided here
+    # from Fraction root coordinates.  The leading term is 0.0 exactly when
+    # no term survives, and the exact moment is 0 there too; otherwise
+    # pi_sum is |Z| sum c dim V_nu over the survivors.  Either way it equals
+    # the float phase sum over the center's elements to roundoff.
+    spec, lam, a, b, terms, n = row
+    rs = build_root_system(spec)
+    a, b, f = CycleType(a), CycleType(b), ClassFunction(terms)
+    k = 0 if b.exps else n * a.weight
+    survivors = [(nu, c) for nu, c in terms
+                 if _in_root_lattice(rs, [k * l + v for l, v in zip(lam, nu)])]
+    est = (leading_term_K(rs, lam, a, b, n, f=f) if b.exps
+           else leading_term_I(rs, lam, a, n, f=f))
+    assert (est.value == 0.0) == (not survivors)
+    assert est.pi_sum == rs.center.order * sum(
+        c * weyl_dimension(rs, nu) for nu, c in survivors)
+    scale = sum(abs(c) * weyl_dimension(rs, nu) for nu, c in terms)
+    phases = oracles.phase_central_sum(rs, lam, k, f)
+    assert abs(est.pi_sum - phases.real) <= 1e-12 * scale
+    assert abs(phases.imag) <= 1e-12 * scale
+    if not survivors and spec in _EXACT_GROUPS and n * a.weight <= 8:
+        nus = [nu for nu, _ in terms]
+        (got,) = charring.moment_sequence(rs, lam, a, b, (n,), weights=nus)
+        assert got == [0] * len(nus)

@@ -449,3 +449,17 @@ def test_permutation_trace_cap():
     b = [[1.0] * 4 for _ in range(4)]
     with pytest.raises(ValueError):
         permutation_trace_bruteforce(b, CycleType((9,)), cap=10 ** 4)
+
+
+@pytest.mark.parametrize("n, top", [(2, 60), (3, 40), (4, 30)])
+def test_standard_k_n_counts_permutations_with_bounded_lis(n, top):
+    # K_N of SU(n)'s standard representation (lam = omega_1, a = b = (1))
+    # counts the permutations of N with no increasing subsequence longer
+    # than n: sum of (f^mu)^2 over the partitions mu of N with at most n
+    # rows, from hook lengths (Robinson-Schensted)
+    rs = build_root_system(f"A{n - 1}")
+    lam = (1,) + (0,) * (n - 2)
+    ns = range(1, top + 1)
+    rows = moment_sequence(rs, lam, CycleType((1,)), CycleType((1,)), ns)
+    assert [row for row in rows] == [[oracles.bounded_lis_count(n, size)]
+                                     for size in ns]

@@ -1,5 +1,6 @@
 import json
 import math
+import runpy
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,34 @@ def test_ratio_branches(group, lam, f, n, ratio, abs_error, notes):
         assert row.estimate.log_abs_value() == float("-inf")
 
 
+def test_rows_off_the_root_lattice_are_both_zero():
+    # A2 (2, 1) is off the root lattice with period 3: I_N is exactly 0
+    # unless 3 | N, and so is the leading term, not roundoff beside it
+    cfg = ExperimentConfig.from_mapping(
+        {"group": "A2", "lambda": "2,1", "a": "1", "N": "1:7",
+         "paths": "exact,asymptotic"})
+    for row in run_experiment(cfg).rows:
+        if row.n % 3:
+            assert row.exact == 0 and row.estimate.value == 0.0
+            assert row.estimate.pi_sum == 0.0
+            assert (row.ratio, row.abs_error) == (None, None)
+            assert row.notes == ("estimate and reference both zero",)
+        else:
+            assert row.exact > 0 and row.estimate.pi_sum == 3.0
+            assert row.ratio > 0 and not row.notes
+
+
+@pytest.mark.parametrize("group, lam, n", [
+    ("A2", "2,1", 31), ("A2", "2,1", 4), ("A4", "2,1,1,1", 51)])
+def test_cli_asym_prints_exact_zeros_off_the_root_lattice(capsys, group,
+                                                         lam, n):
+    assert main(["asym", "--group", group, "--lam", lam, "--a", "1",
+                 "--N", str(n)]) == 0
+    data = _strict_json(capsys.readouterr().out)
+    assert (data["value"], data["pi_sum_re"], data["pi_sum_im"],
+            data["log_abs_value"]) == (0.0, 0.0, 0.0, None)
+
+
 def test_config_mapping_needs_a_group():
     with pytest.raises(ConfigurationError, match="^config needs a group$"):
         ExperimentConfig.from_mapping({"lambda": "1", "a": "1", "N": "1"})
@@ -283,6 +312,22 @@ def test_cli_info(capsys):
     assert _field(out, "rank") == "2"
     assert _field(out, "weyl order") == "6"
     assert _field(out, "center order") == "3"
+
+
+# data/info.py writes what `liemoments info` prints for every supported
+# simple type and five products, the order of the center's elements included
+_INFO = runpy.run_path(str(Path(__file__).parent / "data" / "info.py"))
+_INFO_PINS = _INFO["sections"](_INFO["PATH"].read_text())
+
+
+def test_cli_info_pins_cover_every_group():
+    assert list(_INFO_PINS) == _INFO["GROUPS"]
+
+
+@pytest.mark.parametrize("group", _INFO["GROUPS"])
+def test_cli_info_is_pinned(capsys, group):
+    assert main(["info", group]) == 0
+    assert capsys.readouterr().out == _INFO_PINS[group]
 
 
 def test_cli_weights(capsys):
@@ -741,27 +786,35 @@ def test_sweep_rows_equal_one_n_calls(monkeypatch, group, lam, a, b, terms,
 
 @pytest.mark.parametrize("b", [(), (1,)])
 def test_sweep_evaluates_f_at_the_center_once(monkeypatch, b):
-    # f at each central element does not depend on N: a sweep evaluates it
-    # once per element, not once per row; a one-N call evaluates it itself
+    # f's central data, the class mod the root lattice of each term with
+    # c dim V_nu, does not depend on N: a sweep takes each class once, not
+    # once per row; a one-N call takes them itself
     calls = []
-    real = asymptotics._central_values
+    real = rootsys.root_lattice_class
 
-    def counted(rs, f, center):
-        calls.extend(center)
-        return real(rs, f, center)
+    def counted(rs, mu):
+        calls.append(mu)
+        return real(rs, mu)
 
-    monkeypatch.setattr(asymptotics, "_central_values", counted)
+    monkeypatch.setattr(rootsys, "root_lattice_class", counted)
     rs = build_root_system("A2")
-    f = harness.ClassFunction((((0, 0), 2.0), ((1, 1), 3.0)))
-    cfg = ExperimentConfig(group="A2", lam=(1, 1), a=CycleType((1,)),
+    f = harness.ClassFunction((((0, 0), 2.0), ((1, 0), 3.0)))
+    cfg = ExperimentConfig(group="A2", lam=(2, 1), a=CycleType((1,)),
                            b=CycleType(b), schedule=(1, 2, 3, 5), f=f,
                            paths=("asymptotic",))
     report = run_experiment(cfg)
-    assert len(calls) == rs.center.order == 3
+    # the verdict's vanishing period reads k_a lam's class; the peak data
+    # lam's and each term's
+    assert calls == [(2, 1), (2, 1), (0, 0), (1, 0)]
+    # one-sided, 2 chi_0 survives where N lam is in Q (N = 3) and
+    # 3 chi_(1,0) where N lam + (1, 0) is (N = 2, 5); two-sided, lam's
+    # phases cancel and only 2 chi_0 lies in Q
+    pi_sums = [6.0] * 4 if b else [0.0, 27.0, 6.0, 27.0]
+    assert [row.estimate.pi_sum for row in report.rows] == pi_sums
     for row in report.rows:
         assert row.estimate == harness.route_value(
-            "asymptotic", rs, (1, 1), cfg.a, cfg.b, row.n, f)
-    assert len(calls) == 3 + 3 * len(report.rows)
+            "asymptotic", rs, (2, 1), cfg.a, cfg.b, row.n, f)
+    assert len(calls) == 4 + 3 * len(report.rows)
 
 
 _SWEEP_GROUPS = ("A1", "A2", "A3", "B2", "C3", "G2", "F4", "A1xA2", "A1xA3")

@@ -256,6 +256,25 @@ def test_root_lattice_membership():
     assert order_mod_root_lattice(rs, (1, 1)) == 1
 
 
+@pytest.mark.parametrize("spec", ALL_SIMPLE + [
+    "A1xA1", "A1xA2", "A2xA2", "A3xA1", "D4xA1", "B3xD4"])
+def test_root_lattice_class_is_the_action_of_the_center(spec):
+    # mu lies in the root lattice exactly when every central element pairs
+    # integrally with it; and two weights share a class exactly when the
+    # center acts on them alike (their pairings agree mod 1), so the class
+    # is the central character, read in integers
+    rs = build_root_system(spec)
+    seen = {}
+    for mu in itertools.chain(itertools.product((0, 1), repeat=rs.rank),
+                              rs.simple_roots, [(-1,) + (0,) * (rs.rank - 1)]):
+        cls = rootsys.root_lattice_class(rs, mu)
+        phases = tuple(pairing(mu, psi) % 1 for psi in rs.center.elements)
+        assert (not any(cls)) == (not any(phases)), mu
+        assert seen.setdefault(cls, phases) == phases, mu
+    # every central character shows up on the 0/1 weights
+    assert len(seen) == rs.center.order
+
+
 @settings(max_examples=200)
 @given(spec=st.sampled_from(ALL_SIMPLE + ["A1xA2", "B3xD4", "A3xE6"]),
        data=st.data())
