@@ -254,7 +254,6 @@ class SecondMoment:
     Algebras, sections 13 and 24):
 
     - ``det`` = det C / prod_j d_j * prod_k s_k^{r_k};
-    - ``solve(mu)`` is d_i (C^-1 mu)_i / s_k on block k;
     - ``kappa_rho`` = kappa(A_lam^-1 rho) = prod_{alpha > 0} (alpha, rho)
       / s_k, with k the factor of alpha, since <alpha, D C^-1 rho> is
       (alpha, rho) for D = diag(d).
@@ -266,9 +265,9 @@ class SecondMoment:
     the integer symmetrizers and the numerator prod (alpha, rho) of
     ``kappa_rho``; so only the scales s_k are taken per lam, and A_lam
     itself is never eliminated.  Otherwise A_lam, a Gram sum and so
-    positive semidefinite, is singular: ``det`` is 0, and ``solve`` and
-    ``kappa_rho`` raise ValueError, as when lam vanishes on a simple
-    factor.  Each property is computed on every read; nothing is kept.
+    positive semidefinite, is singular: ``det`` is 0, and ``kappa_rho``
+    raises ValueError, as when lam vanishes on a simple factor.  Each
+    property is computed on every read; nothing is kept.
     """
     rs: rootsys.RootSystem = field(repr=False)
     scales: tuple  # s_k = (lam, lam + 2 rho)_k / dim G_k, Fractions
@@ -320,17 +319,6 @@ class SecondMoment:
             num *= s.denominator ** roots
             den *= s.numerator ** roots
         return Fraction(num, den)
-
-    def solve(self, mu):
-        """A_lam^-1 mu, exact."""
-        if not self.definite:
-            raise ValueError("matrix is singular")
-        den, inv = rootsys.scaled_cartan_inv(self.rs)
-        d = self.rs.symmetrizers
-        return tuple(d[i] * Fraction(_dot(inv[i], mu)) / (den * s)
-                     for (block, _), s in zip(rootsys.factor_blocks(self.rs),
-                                              self.scales)
-                     for i in block)
 
 
 def a_lambda(rs, lam):

@@ -2,15 +2,16 @@
 
 The integrands are trigonometric polynomials on the torus (characters at
 powers of the argument, a band-limited class function, and the squared Weyl
-denominator).  A uniform grid of size m on a simple factor sums e^mu to
-m^r when mu lies in m P, P the weight lattice, and to 0 otherwise, so it
-integrates the integrand *exactly* up to roundoff once no nonzero point of
-m P lies in the convex hull of the integrand's weights.  That hull is the
-W-permutohedron conv(W Lam) of one dominant weight Lam, and the largest m
-that fails is an integer function of Lam and the inverse Cartan matrix
-(:func:`required_bandwidth`, after Moody-Patera's elements of finite
-order).  It comes from root data alone, never from a weight system, so the
-budgets refuse before any weight system is built.  It is the only
+denominator).  chi_V(g^j) is the character of psi^j V, whose weights are
+V's times j (:func:`charring.adams`).  A uniform grid of size m on a simple
+factor sums e^mu to m^r when mu lies in m P, P the weight lattice, and to 0
+otherwise, so it integrates the integrand *exactly* up to roundoff once no
+nonzero point of m P lies in the convex hull of the integrand's weights.
+That hull is the W-permutohedron conv(W Lam) of one dominant weight Lam,
+and the largest m that fails is an integer function of Lam and the inverse
+Cartan matrix (:func:`required_bandwidth`, after Moody-Patera's elements of
+finite order).  It comes from root data alone, never from a weight system,
+so the budgets refuse before any weight system is built.  It is the only
 aliasing certificate: a grid carries none of its own, and the default grid
 is the bound plus one on every axis, since the alcove walk and the phase
 tables below take any size.  On A_r it needs about ((r + 1) / (2 r))^r of
@@ -48,13 +49,13 @@ twice its own grid's points, so a long sweep does not pay for its largest
 alcove on every row.  The alcoves themselves are nested: in root-value
 coordinates the alcove of size m is z_j >= 1, sum_j a_j z_j <= m - 1 on a
 lattice that does not depend on m, so it is the alcove of any size M >= m
-cut at level m - 1.  A sweep walks each factor's alcove once, at its
-largest size, ordered by level, so every band's points are a prefix of
-the walk.  The phases of the whole walk are formed once per vector set
-(one int64 matrix product each, held for the sweep), and every band reads
-its prefix through its tables repeated over the phases' range, with no
-product or reduction of its own.  A one-N call is the one-element
-schedule.
+cut at level m - 1.  A sweep evaluates its bands in order and walks each
+factor's alcove once, at the first band's size (the largest), ordered by
+level, so every band's points are a prefix of the walk.  The phases of
+the whole walk are formed once per vector set (one int64 matrix product
+each, held for the sweep), and every band reads its prefix through its
+tables repeated over the phases' range, with no product or reduction of
+its own.  A one-N call is the one-element schedule.
 
 On the alcove the two-sided integrand |Delta|^2 |chi|^(2N) is real and
 nonnegative: each Adams degree's paired part min(a_j, b_j) is raised as
@@ -83,7 +84,7 @@ import numpy as np
 
 from . import rootsys
 from .asymptotics import ClassFunction
-from .charring import CycleType
+from .charring import CycleType, adams
 from .repweights import (check_dominant_integral, weight_system,
                          weyl_dimension)
 
@@ -95,6 +96,9 @@ _MAX_LOG = 700.0
 # A row whose torus grid, or whose alcove bound P / |W| (_factor_grids),
 # holds more points than this is refused before any point is enumerated.
 _MAX_POINTS = 4_000_000
+
+# Bytes that a walk's held phases, or one gathered table, may take.
+_MAX_BYTES = 2 ** 28
 
 # An alcove of at least this many points is summed in exponent bins
 # (_exact_sum), a smaller one by math.fsum over a list, whose per-call cost
@@ -245,6 +249,13 @@ def _phase_tables(m):
             np.concatenate((four_sin_sq, four_sin_sq[back])))
 
 
+def _check_bytes(nbytes, what):
+    """Refuse, before it is formed, an array of more than ``_MAX_BYTES``."""
+    if nbytes > _MAX_BYTES:
+        raise GridError(f"{what} would take {nbytes} bytes, byte budget is "
+                        f"{_MAX_BYTES}")
+
+
 def _phases(points, vectors):
     """<v, k> in int64 for each row k of ``points`` and each row v of the
     int64 array ``vectors``.  numpy has no BLAS product for integers, so
@@ -264,11 +275,11 @@ def _wrapped(table, lo, hi):
 
 
 class _Walk:
-    """One simple factor's alcove walk at its largest size M in a sweep,
-    ordered by level, so that the alcove of any size m <= M (the points of
-    level <= m - 1, :func:`_alcove_levels`) is a prefix of it.  The phases
-    <j v, k> of all its points are formed on first use, once per vector
-    set and Adams degree j, and held with their range for the sweep."""
+    """One simple factor's alcove walk at its first band's size M in a
+    sweep, ordered by level, so that the alcove of any size m <= M (the
+    points of level <= m - 1, :func:`_alcove_levels`) is a prefix of it.
+    The phases <v, k> of all its points are formed on first use, once per
+    vector set, and held with their range for the sweep."""
 
     __slots__ = ("points", "levels", "sets")
 
@@ -286,21 +297,24 @@ class _Walk:
         count = int(np.searchsorted(self.levels, m))
         return _GridPoints(self, count, m, *_phase_tables(m))
 
-    def phases(self, vectors, j):
-        """<j v, k> for every point k and row v of ``vectors``, with its
+    def phases(self, vectors):
+        """<v, k> for every point k and row v of ``vectors``, with its
         least and largest entry; refuses phases that could overflow."""
-        key = (j, tuple(vectors))
+        key = tuple(vectors)
         if key not in self.sets:
-            rank = self.points.shape[1]
+            count, rank = self.points.shape
             vecs = np.array(vectors, dtype=np.int64).reshape(len(vectors),
                                                              rank)
-            top = j * int(np.abs(vecs).max(initial=0))
+            top = int(np.abs(vecs).max(initial=0))
             if rank * int(np.abs(self.points).max(initial=0)) * top \
                     > _INT64_MAX:
                 raise GridError(f"phases of weights up to {top} on an "
                                 f"alcove walk of rank {rank} could "
                                 f"overflow int64")
-            t = _phases(self.points, j * vecs)
+            held = sum(t.nbytes for t, _, _ in self.sets.values())
+            _check_bytes(held + 8 * count * len(vectors), f"the phases held "
+                         f"on an alcove walk of {count} points")
+            t = _phases(self.points, vecs)
             self.sets[key] = (t, *((int(t.min()), int(t.max())) if t.size
                                    else (0, 0)))
         return self.sets[key]
@@ -315,10 +329,13 @@ class _Residues:
     def __init__(self, points, m):
         self.points, self.m = points, m
 
-    def phases(self, vectors, j):
+    def phases(self, vectors):
         vecs = np.array(vectors, dtype=np.int64).reshape(
             len(vectors), self.points.shape[-1])
-        t = _phases(self.points, j * vecs % self.m)
+        count = math.prod(self.points.shape[:-1])
+        _check_bytes(8 * count * len(vectors), f"the phases of "
+                     f"{len(vectors)} vectors at {count} points")
+        t = _phases(self.points, vecs % self.m)
         t %= self.m
         return t, 0, self.m - 1
 
@@ -332,17 +349,15 @@ class _GridPoints:
     :class:`_Walk`, whose phases the sweep formed once, unreduced: the
     band reads its prefix of them through the tables repeated over their
     range (:func:`_wrapped`), without a product or a reduction of its own.
-    Either way every phase reads table[<v, k> mod m].  ``dilation`` j
-    stands for the points j k; ``count`` is None for a caller's points."""
+    Either way every phase reads table[<v, k> mod m]; ``count`` is None
+    for a caller's points."""
 
-    __slots__ = ("source", "count", "m", "circle", "four_sin_sq",
-                 "dilation")
+    __slots__ = ("source", "count", "m", "circle", "four_sin_sq")
 
-    def __init__(self, source, count, m, circle, four_sin_sq, dilation=1):
+    def __init__(self, source, count, m, circle, four_sin_sq):
         self.source, self.count, self.m = source, count, m
         self.circle = circle                # cos + i sin of 2 pi t / m
         self.four_sin_sq = four_sin_sq      # 4 sin^2(pi t / m)
-        self.dilation = dilation
 
     @classmethod
     def of(cls, k, m):
@@ -357,19 +372,16 @@ class _GridPoints:
         residues = _Residues(pts.astype(np.int64, copy=False) % m, m)
         return cls(residues, None, m, *_phase_tables(m))
 
-    def dilated(self, j):
-        """The points j k, on the same tables."""
-        return _GridPoints(self.source, self.count, self.m, self.circle,
-                           self.four_sin_sq, j * self.dilation)
-
     def __len__(self):
         return len(self.source.points) if self.count is None else self.count
 
     def lookup(self, table, vectors):
         """table[<v, k> mod m] for each point k and each row v of
         ``vectors``, a last axis of len(vectors)."""
-        t, lo, hi = self.source.phases(vectors, self.dilation)
-        return _wrapped(table, lo, hi)[t[:self.count]]
+        t, lo, hi = self.source.phases(vectors)
+        t = t[:self.count]
+        _check_bytes(t.size * table.itemsize, f"a table of {t.size} phases")
+        return _wrapped(table, lo, hi)[t]
 
 
 def character_at(ws, k, m):
@@ -413,7 +425,7 @@ def _alcove_factor(rs, m):
     c_1 .. c_{j-1}) are fixed, z_j runs over one residue class mod H_jj.
     Every z the walk visits is a grid point, k = c @ U; none is discarded.
     """
-    marks = max(rs.positive_rootcoords, key=sum)
+    marks = rs.positive_rootcoords[-1]     # the highest root
     h, u = rs.coroot_grid_basis
     c = np.zeros((1, 0), dtype=np.int64)
     room = np.array([m - 1], dtype=np.int64)
@@ -438,8 +450,7 @@ def _alcove_levels(rs, k):
     :func:`_alcove_factor`, theta the highest root.  Only the level bound
     depends on m, so for m <= M the walk at m is the walk at M cut to the
     points of level <= m - 1, in the same order."""
-    marks = max(rs.positive_rootcoords, key=sum)
-    return k @ (np.array(rs.cartan, dtype=np.int64) @ marks)
+    return k @ np.array(rs.positive_roots[-1], dtype=np.int64)
 
 
 def _factor_grids(rs, sizes):
@@ -538,18 +549,19 @@ def _band_values(rs, lam, a, b, ns, terms, factors, cells, walks):
     row's certificate; ``walks`` holds per simple factor its
     :class:`_Walk` at a size >= m_k.
 
-    The integrand is a product over the simple factors, and so is each
-    term of f: a row's sum is sum_nu c_nu prod_k S_k(nu_k), one alcove per
+    The integrand is a product over the simple factors, and so is each term
+    of f: a row's sum is sum_nu c_nu prod_k S_k(nu_k), one alcove per
     factor.  Each factor's alcove (the walk cut at level m_k - 1),
-    |Delta|^2, characters chi(g^j) (one per Adams degree: chi at j k) and
+    |Delta|^2, characters chi(g^j) (one per Adams degree: the character of
+    psi^j V, whose weights are V's times j, :func:`charring.adams`) and
     chi_nu (one per distinct nontrivial nu_k; chi_0 is 1) are built once
     and serve every row.  Degree j's paired part min(a_j, b_j) enters as
     the real |chi|^2, the unpaired rest as chi or conj(chi) to a complex
-    power, so a one-sided row is all complex.  A row raises and
-    multiplies, then takes one exactly rounded :func:`_exact_sum` per nu_k
-    (math.fsum over a list below ``_BINNED_SUM_MIN`` alcove points,
-    exponent bins from there on, the same bits either way), real when its
-    integrand has no phase and a real and imaginary pair otherwise.
+    power, so a one-sided row is all complex.  A row raises and multiplies,
+    then takes one exactly rounded :func:`_exact_sum` per nu_k (math.fsum
+    over a list below ``_BINNED_SUM_MIN`` alcove points, exponent bins from
+    there on, the same bits either way), real when its integrand has no
+    phase and a real and imaginary pair otherwise.
     Yields per n the float or the imaginary-residual :class:`GridError`.
 
     The residual's tolerance is 1e-10 max(1, |value|, S), where the
@@ -573,7 +585,7 @@ def _band_values(rs, lam, a, b, ns, terms, factors, cells, walks):
         delta = weyl_denominator_sq(rs_k, pts, m)
         paired, unpaired = [], []
         for j, p, e in degrees:
-            chi = character_at(ws, pts.dilated(j), m)
+            chi = character_at(adams(ws, j), pts, m)
             if p:
                 paired.append((p, chi.real ** 2 + chi.imag ** 2))
             if e:
@@ -622,21 +634,22 @@ def quad_sequence(rs, lam, a, b, ns, f=None, grid=None):
     rows are then cut into bands from the largest n down: a row joins the
     current band while its own grid has at least half the torus points
     P = prod_k m_k^rank_k of the band's top grid, and starts a new band
-    otherwise.  The bandwidth grows with n, so the top grid is above every
-    band row's certificate and each band sums on it alone
-    (:func:`_band_values`): one character synthesis per simple factor
-    serves the whole band, and no row sums over more than twice its own
-    grid's points.  The alcoves are nested, so each simple factor's is
-    walked once, at its largest size over the bands, and each band takes
+    otherwise; the bands are evaluated in that order.  The bandwidth grows
+    with n, so the top grid is above every band row's certificate and each
+    band sums on it alone (:func:`_band_values`): one character synthesis
+    per simple factor serves the whole band, and no row sums over more than
+    twice its own grid's points.  The alcoves are nested, so each simple
+    factor's is walked once, at the first band's size, and each band takes
     the points of level <= m_k - 1 (:func:`_alcove_levels`), a prefix of
-    the walk ordered by level; each vector set's phases are formed once
-    on the whole walk and read by every band (:class:`_Walk`).  A caller
-    grid is every row's grid, so its rows form one band.  Band tops,
-    caller-grid rows and one-element schedules give the bits of a one-N
-    call; the other rows are summed on a finer certified grid and differ
-    from it at roundoff.
+    the walk ordered by level; each vector set's phases are formed once on
+    the whole walk and read by every band (:class:`_Walk`).  A caller grid
+    is every row's grid, so its rows form one band.  Band tops, caller-grid
+    rows and one-element schedules give the bits of a one-N call; the other
+    rows are summed on a finer certified grid and differ from it at
+    roundoff.
 
-    Yields, per n, the float or the :class:`GridError` that refused it.
+    Yields, per n, the float or the :class:`GridError` that refused it; a
+    band refused by the byte budget ``_MAX_BYTES`` refuses each of its rows.
     """
     lam = check_dominant_integral(rs, lam)
     f = ClassFunction.one(rs.rank) if f is None else f
@@ -660,16 +673,15 @@ def quad_sequence(rs, lam, a, b, ns, f=None, grid=None):
             bands[-1][0].append(i)
         else:
             bands.append(([i], factors, cells))
-    band_of = {i: band for band in bands for i in band[0]}
-    walks = [_Walk(sizes[0][1], max(m for _, _, m in sizes))
-             for sizes in zip(*(factors for _, factors, _ in bands))]
-    for i in range(len(ns)):
-        if i not in out:
-            rows, factors, cells = band_of[i]
+    walks = [_Walk(rs_k, m) for _, rs_k, m in bands[0][1]] if bands else []
+    for rows, factors, cells in bands:
+        try:
             out.update(zip(rows, _band_values(
                 rs, lam, a, b, [ns[j] for j in rows], terms, factors,
                 cells, walks)))
-        yield out.pop(i)
+        except GridError as exc:
+            out.update(dict.fromkeys(rows, exc))
+    yield from (out[i] for i in range(len(ns)))
 
 
 def _one_row(rs, lam, a, b, n, f, grid):

@@ -24,6 +24,11 @@ genuine two-route check:
 * Permutations with no increasing subsequence longer than n, by the
   hook-length formula summed over the partitions with at most n rows, and
   Regev's leading term for them.
+* SU(n) moments of the standard representation in closed form: the
+  Diaconis-Shahshahani product in the stable range, and Rains's
+  multinomial sum for a single high power.
+* The center from the special nodes of the extended Dynkin diagram, with
+  no Smith form.
 * A re-assembly of the leading-order constant from raw transformed data, for
   the basis-independence certificate.
 * One Klimyk step that reflects every (highest weight, weight) pair to the
@@ -56,7 +61,7 @@ import numpy as np
 
 from liemoments.exactla import mat_vec
 from liemoments.rootsys import (dominant_orbit, dominant_representative,
-                                pairing)
+                                pairing, simple_factors)
 
 
 def frac_matrix(rows):
@@ -201,6 +206,33 @@ def regev_leading(n, size):
     return c * n ** (2 * size) * size ** (-(n * n - 1) / 2)
 
 
+def diaconis_shahshahani(n, a, size):
+    """K_N of the standard representation of SU(n) with a = b = ``a`` and
+    N = ``size`` in the stable range n >= N sum_j j a_j, where the traces
+    Tr(g^j) are moment-equivalent to independent complex Gaussians of
+    variance j (Diaconis-Shahshahani): prod_j j^{a_j N} (a_j N)!."""
+    if n < size * sum(j * aj for j, aj in enumerate(a, 1)):
+        raise ValueError(f"N = {size} is outside the stable range of SU({n})")
+    return math.prod(j ** (aj * size) * math.factorial(aj * size)
+                     for j, aj in enumerate(a, 1))
+
+
+def rains_moment(n, j, size):
+    """K_N of the standard representation of SU(n) with a = b = e_j, j >= n,
+    and N = ``size``: the eigenvalues of g^j are n independent uniform
+    points of the circle (Rains), so K_N = E|z_1 + ... + z_n|^{2N}, the sum
+    over k_1 + ... + k_n = N of (N! / (k_1! ... k_n!))^2."""
+    if j < n:
+        raise ValueError(f"Rains's law needs j >= n, got j = {j}, n = {n}")
+    total = 0
+    for ks in itertools.product(range(size + 1), repeat=n - 1):
+        if sum(ks) <= size:
+            parts = (*ks, size - sum(ks))
+            total += (math.factorial(size)
+                      // math.prod(map(math.factorial, parts))) ** 2
+    return total
+
+
 def reflect_weight(rs, mu, i):
     """Simple reflection s_i acting on weight coordinates."""
     ci = mu[i]
@@ -271,6 +303,21 @@ def order_mod_root_lattice(rs, mu):
     """Smallest q >= 1 with q * mu in the root lattice: the lcm of the
     denominators of the root coordinates of ``mu``."""
     return math.lcm(*(c.denominator for c in root_lattice_coords(rs, mu)))
+
+
+def special_node_center(rs):
+    """The center from the special nodes (Bourbaki VI 2.3): on each simple
+    factor, 0 and the fundamental coweights omega_j^vee (row j of the
+    inverse Cartan matrix, mod 1) of the nodes whose mark in the highest
+    root is 1; on a product, every combination of the factors' elements.
+    No Smith form is taken."""
+    parts = []
+    for _, rs_k in simple_factors(rs):
+        marks = max(rs_k.positive_rootcoords, key=sum)
+        parts.append([(Fraction(0),) * rs_k.rank] + [
+            tuple(x % 1 for x in rs_k.cartan_inv[j])
+            for j, mark in enumerate(marks) if mark == 1])
+    return [sum(elements, ()) for elements in itertools.product(*parts)]
 
 
 def unit_phase(t):

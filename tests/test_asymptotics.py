@@ -109,7 +109,7 @@ def test_leading_term_manual_assembly():
               * (2 * math.pi) ** rs.num_positive_roots
               / ((2 * math.pi * n) ** (rs.dim_group / 2)
                  * math.sqrt(sm.det))
-              * float(kappa(rs, sm.solve(rs.rho)))
+              * float(kappa(rs, oracles.solve_fraction(sm.matrix, rs.rho)))
               * 2)
     assert est.value == pytest.approx(manual, rel=1e-12)
 

@@ -451,6 +451,35 @@ def test_permutation_trace_cap():
         permutation_trace_bruteforce(b, CycleType((9,)), cap=10 ** 4)
 
 
+def _adams_degree(j):
+    """The cycle type e_j: one trace of g^j."""
+    return CycleType((0,) * (j - 1) + (1,))
+
+
+@pytest.mark.parametrize("a", [(1,), (0, 1), (1, 1), (0, 0, 1)])
+def test_stable_range_moments_are_diaconis_shahshahani(a):
+    # SU(8)'s standard representation, a = b, every N with
+    # N sum_j j a_j <= 8: K_N = prod_j j^{a_j N} (a_j N)!
+    rs = build_root_system("A7")
+    ns = range(1, 8 // sum(j * aj for j, aj in enumerate(a, 1)) + 1)
+    rows = moment_sequence(rs, (1,) + (0,) * 6, CycleType(a), CycleType(a),
+                           ns)
+    assert list(rows) == [[oracles.diaconis_shahshahani(8, a, size)]
+                          for size in ns]
+
+
+@pytest.mark.parametrize("n, j, top", [(2, 2, 40), (3, 3, 12), (2, 3, 20),
+                                       (4, 4, 6)])
+def test_high_power_moments_are_rains_multinomial_sums(n, j, top):
+    # SU(n)'s standard representation with a = b = e_j, j >= n: pure Adams
+    # degree rows, sum over k_1 + ... + k_n = N of (N! / prod k_i!)^2
+    rs = build_root_system(f"A{n - 1}")
+    ns = range(1, top + 1)
+    rows = moment_sequence(rs, (1,) + (0,) * (n - 2), _adams_degree(j),
+                           _adams_degree(j), ns)
+    assert list(rows) == [[oracles.rains_moment(n, j, size)] for size in ns]
+
+
 @pytest.mark.parametrize("n, top", [(2, 60), (3, 40), (4, 30)])
 def test_standard_k_n_counts_permutations_with_bounded_lis(n, top):
     # K_N of SU(n)'s standard representation (lam = omega_1, a = b = (1))

@@ -989,6 +989,42 @@ def test_quad_sweep_forms_each_phase_matrix_once(monkeypatch, group, lam,
                            (_, rs_k), m in zip(simple_factors(rs), walks)}
 
 
+def test_quad_sweep_refuses_a_band_before_its_phases(monkeypatch):
+    # the quad-rank3 sweep under a lowered byte budget.  At 1,000 bytes its
+    # walk (2,670 alcove points at m = 42) cannot hold the roots' phases,
+    # so every band is refused before any phase product; at 500,000 the
+    # walk holds both sets (405,840 bytes) but the top band {14, 12}
+    # cannot gather its 2,670 x 13 complex table, and the other bands
+    # answer with the bits of the unlowered sweep
+    from liemoments import torusquad
+    a = CycleType((1,))
+    cfg = ExperimentConfig(group="A3", lam=(1, 0, 1), a=a, b=a,
+                           schedule=tuple(range(2, 15, 2)),
+                           f=harness.ClassFunction((((0, 0, 0), 3.0),)),
+                           paths=("quad",))
+    want = {row.n: row.quad for row in run_experiment(cfg).rows}
+    formed, product = [], torusquad._phases
+    monkeypatch.setattr(torusquad, "_phases", lambda k, v: formed.append(
+        len(k)) or product(k, v))
+    monkeypatch.setattr(torusquad, "_MAX_BYTES", 1000)
+    for row in run_experiment(cfg).rows:
+        assert row.quad is None
+        assert row.notes == (
+            "quad skipped: the phases held on an alcove walk of 2670 points "
+            "would take 128160 bytes, byte budget is 1000",)
+    assert formed == []
+    monkeypatch.setattr(torusquad, "_MAX_BYTES", 500_000)
+    for row in run_experiment(cfg).rows:
+        if row.n >= 12:
+            assert row.quad is None
+            assert row.notes == ("quad skipped: a table of 34710 phases "
+                                 "would take 555360 bytes, byte budget is "
+                                 "500000",)
+        else:
+            assert row.quad == want[row.n] and not row.notes
+    assert formed == [2670, 2670]
+
+
 def test_quad_sweep_on_a_caller_grid_walks_once_per_factor(monkeypatch):
     torusquad, walks, syntheses = _count_quadrature_work(monkeypatch)
     rs = build_root_system("A1xA2")

@@ -253,9 +253,9 @@ def spec_and_weight(draw):
 @example((build_root_system("D5"), (1, 0, 0, 0, 0)))
 def test_one_elimination_matches_row_exchange_oracles(case):
     # the Cartan inverse and rho_vee come from exactla.eliminate, and
-    # A_lam's det and solve from closed forms in root data; the oracles
-    # eliminate with row exchanges.  A_lam is singular when lam vanishes on
-    # a simple factor.
+    # A_lam's det from a closed form in root data; the oracles eliminate
+    # with row exchanges.  A_lam is singular when lam vanishes on a simple
+    # factor.
     rs, lam = case
     transpose = [[rs.cartan[j][i] for j in range(rs.rank)]
                  for i in range(rs.rank)]
@@ -263,13 +263,7 @@ def test_one_elimination_matches_row_exchange_oracles(case):
     rho_covector = tuple(sum(col) for col in zip(*rs.cartan_inv))
     assert rho_covector == oracles.solve_fraction(transpose, rs.rho)
     sm = a_lambda(rs, lam)
-    det = oracles.det_fraction(sm.matrix)
-    assert sm.det == det
-    if det:
-        assert sm.solve(rs.rho) == oracles.solve_fraction(sm.matrix, rs.rho)
-    else:
-        with pytest.raises(ValueError, match="matrix is singular"):
-            sm.solve(rs.rho)
+    assert sm.det == oracles.det_fraction(sm.matrix)
 
 
 SIMPLE_SPECS = [spec for spec in ALL_SPECS if "x" not in spec]
@@ -283,12 +277,10 @@ def _check_closed_forms(rs, lam):
     assert sm.det == det
     assert sm.definite == (det != 0)
     if not det:
-        for read in (lambda: sm.solve(rs.rho), lambda: sm.kappa_rho):
-            with pytest.raises(ValueError, match="^matrix is singular$"):
-                read()
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            sm.kappa_rho
         return
     x = oracles.solve_fraction(sm.matrix, rs.rho)
-    assert sm.solve(rs.rho) == x
     assert sm.kappa_rho == rootsys.kappa(rs, x)
     if is_regular(rs, lam):
         peak = asymptotics.peak_data(rs, lam)
@@ -343,13 +335,6 @@ def test_definiteness_check_catches_a_negative_cartan_minor():
                              "positive definite: corrupted root tables$"):
         a_lambda(corrupted, (1, 1))
     assert a_lambda(rs, (1, 1)).det > 0
-
-
-def test_solve_inverts_apply():
-    rs = build_root_system("B2")
-    sm = a_lambda(rs, (1, 1))
-    x = sm.solve(rs.rho)
-    assert tuple(mat_vec(sm.matrix, x)) == (Fraction(1), Fraction(1))
 
 
 def test_is_regular():

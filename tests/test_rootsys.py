@@ -1,5 +1,8 @@
 import itertools
+import math
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +224,48 @@ def test_center_elements_pair_integrally_with_roots():
             assert all(0 <= x < 1 for x in psi)
             for alpha in rs.positive_roots:
                 assert pairing(alpha, psi).denominator == 1
+
+
+# the products whose `liemoments info` is pinned, and a few more
+_CENTER_PRODUCTS = [spec for spec in runpy.run_path(
+    str(Path(__file__).parent / "data" / "info.py"))["GROUPS"]
+    if "x" in spec] + ["A3xA5", "A1xA1xA2", "D4xD4", "A2xE6"]
+
+
+@pytest.mark.parametrize("spec", ALL_SIMPLE + _CENTER_PRODUCTS)
+def test_special_nodes_give_the_smith_form_center(spec):
+    # 0 and the coweights of the nodes with mark 1 in the highest root, per
+    # simple factor, are the Smith form's center as a set
+    rs = build_root_system(spec)
+    center = oracles.special_node_center(rs)
+    assert len(center) == rs.center.order
+    assert set(center) == set(rs.center.elements)
+
+
+# One generator per cyclic factor of the center of each simple type, by
+# Bourbaki node number; E8, F4 and G2 have none.
+_CENTER_GENERATORS = {"A": lambda n: [n], "B": lambda n: [1],
+                      "C": lambda n: [n],
+                      "D": lambda n: [n - 1] if n % 2 else [1, n],
+                      "E": {6: [1], 7: [7], 8: []}.get,
+                      "F": lambda n: [], "G": lambda n: []}
+
+
+@pytest.mark.parametrize("spec", ALL_SIMPLE)
+def test_center_generator_multiples_are_the_smith_form_order(spec):
+    # the multiples c_1 g_1 + ... mod 1 of the generators' coweights, the c
+    # in itertools.product order, are the Smith form's elements in its own
+    # order (D_2k included): a center built from the special nodes would
+    # keep every simple type's `liemoments info` bytes
+    rs = build_root_system(spec)
+    ((letter, n),) = rs.factors
+    gens = [rs.cartan_inv[j - 1] for j in _CENTER_GENERATORS[letter](n)]
+    orders = [math.lcm(*(x.denominator for x in g)) for g in gens]
+    multiples = [
+        tuple(sum((c * g[i] for c, g in zip(cs, gens)), Fraction(0)) % 1
+              for i in range(rs.rank))
+        for cs in itertools.product(*map(range, orders))]
+    assert multiples == list(rs.center.elements)
 
 
 def test_a1_center_representative():

@@ -1,7 +1,11 @@
 import functools
 import itertools
 import math
+import os
+import resource
 import runpy
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -530,6 +534,111 @@ def test_point_budget_is_read_at_call_time(monkeypatch):
     with pytest.raises(GridError, match=r"puts up to 200 points in the "
                                         r"alcove .* budget is 180$"):
         torusquad._factor_grids(build_root_system("A1"), (400,))
+
+
+@pytest.mark.parametrize("n, top", [(2, 12), (3, 6), (4, 3)])
+def test_quadrature_of_pure_adams_rows_is_rains_multinomial_sum(n, top):
+    # SU(n)'s standard representation with a = b = e_n: chi(g^n) is
+    # synthesised as the character of psi^n V (the weights times n), and
+    # K_N is Rains's multinomial sum; A1 at N = 12 is C(24, 12)
+    rs = build_root_system(f"A{n - 1}")
+    e_n = CycleType((0,) * (n - 1) + (1,))
+    ns = range(1, top + 1)
+    values = list(torusquad.quad_sequence(rs, (1,) + (0,) * (n - 2), e_n,
+                                          e_n, ns))
+    assert values == pytest.approx([oracles.rains_moment(n, n, size)
+                                    for size in ns], rel=1e-9)
+    if n == 2:
+        assert values[-1] == pytest.approx(math.comb(24, 12), rel=1e-9)
+
+
+def _run_in_capped_child(args):
+    """``python *args`` with ``src`` on the path, in a child whose address
+    space is capped at 2 GiB (set in the child only), with one BLAS thread
+    and a timeout."""
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30,
+                                                                    hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, preexec_fn=cap, timeout=60,
+                          check=False)
+
+
+_A6_RHO_AT_23 = """
+import sys
+from liemoments import torusquad
+from liemoments.repweights import weight_system
+from liemoments.rootsys import build_root_system
+rs = build_root_system("A6")
+try:
+    torusquad.character_at(weight_system(rs, rs.rho),
+                           torusquad._alcove_factor(rs, 23), 23)
+except torusquad.GridError as exc:
+    sys.exit(f"error: {exc}")
+"""
+
+
+@pytest.mark.parametrize("args, message", [
+    # A2 (60, 60) K_2 passes every other check; its walk would hold
+    # 21,901 x 10,981 int64 phases (1.92 GB), then gather a 3.58 GiB
+    # complex table
+    (["-m", "liemoments", "quad", "--group", "A2", "--lam", "60,60",
+      "--a", "1", "--b", "1", "--N", "2"],
+     "the phases held on an alcove walk of 21901 points would take "
+     "1924484672 bytes"),
+    # A6 rho (36,961 weights) on the 10,659 alcove points at m = 23: 2.94
+    # GiB of int64 phases on caller points
+    (["-c", _A6_RHO_AT_23],
+     "the phases of 36961 vectors at 10659 points would take 3151738392 "
+     "bytes"),
+], ids=["quad-A2-60-60-K2", "character_at-A6-rho-m23"])
+def test_byte_budget_refuses_before_allocating(args, message):
+    # each input exits 1 with the byte budget's message under a 2 GiB
+    # address space, where the allocation it refuses would fail
+    proc = _run_in_capped_child(args)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.endswith(
+        f"error: {message}, byte budget is {torusquad._MAX_BYTES}\n")
+    assert "Traceback" not in proc.stderr
+    assert "MemoryError" not in proc.stderr
+
+
+def test_byte_budget_refuses_caller_points_before_their_phases(monkeypatch):
+    # 10 points and the 7 weights of A2 (1, 1): 560 bytes of int64 phases,
+    # then a 1,120-byte complex table; the roots' float table is 240 bytes.
+    # The budget is read at call time.
+    assert torusquad._MAX_BYTES == 2 ** 28
+    rs = build_root_system("A2")
+    ws = weight_system(rs, (1, 1))
+    pts = np.arange(20, dtype=np.int64).reshape(10, 2)
+    want = character_at(ws, pts, 5)
+    formed, product = [], torusquad._phases
+    monkeypatch.setattr(torusquad, "_phases", lambda k, v: formed.append(
+        len(v)) or product(k, v))
+    monkeypatch.setattr(torusquad, "_MAX_BYTES", 559)
+    with pytest.raises(GridError, match="^the phases of 7 vectors at 10 "
+                                        "points would take 560 bytes, "
+                                        "byte budget is 559$"):
+        character_at(ws, pts, 5)
+    assert formed == []
+    monkeypatch.setattr(torusquad, "_MAX_BYTES", 1119)
+    with pytest.raises(GridError, match="^a table of 70 phases would take "
+                                        "1120 bytes, byte budget is 1119$"):
+        character_at(ws, pts, 5)
+    monkeypatch.setattr(torusquad, "_MAX_BYTES", 1120)
+    assert character_at(ws, pts, 5).tobytes() == want.tobytes()
+    monkeypatch.setattr(torusquad, "_MAX_BYTES", 239)
+    with pytest.raises(GridError, match="^the phases of 3 vectors at 10 "
+                                        "points would take 240 bytes"):
+        weyl_denominator_sq(rs, pts, 5)
+    assert formed == [7, 7]
 
 
 def test_alcove_budget_refuses_lopsided_grid():
