@@ -51,11 +51,14 @@ coordinates the alcove of size m is z_j >= 1, sum_j a_j z_j <= m - 1 on a
 lattice that does not depend on m, so it is the alcove of any size M >= m
 cut at level m - 1.  A sweep evaluates its bands in order and walks each
 factor's alcove once, at the first band's size (the largest), ordered by
-level, so every band's points are a prefix of the walk.  The phases of
-the whole walk are formed once per vector set (one int64 matrix product
-each, held for the sweep), and every band reads its prefix through its
-tables repeated over the phases' range, with no product or reduction of
-its own.  A one-N call is the one-element schedule.
+level, so every band's points are a prefix of the walk; only a band that
+is refused leaves the next band to walk its own, smaller alcove.  The
+walk is one pass over 1-D integer columns.  The phases of the whole walk
+are formed once per vector set (one int64 matrix product each, held for
+the sweep), and every band reads its prefix through its tables repeated
+over the phases' range, with no product or reduction of its own.  The
+rows' certificates share their N-independent sums (:func:`_hull_sums`),
+formed once per sweep.  A one-N call is the one-element schedule.
 
 On the alcove the two-sided integrand |Delta|^2 |chi|^(2N) is real and
 nonnegative: each Adams degree's paired part min(a_j, b_j) is raised as
@@ -78,7 +81,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import zip_longest
-from operator import mul
+from operator import floordiv, mul
 
 import numpy as np
 
@@ -183,28 +186,46 @@ def required_bandwidth(rs, lam, a, b, n, f):
     -------
     tuple of int, one bound per torus axis.
     """
-    return _bandwidth(rs, check_dominant_integral(rs, lam), a, b, n,
-                      [check_dominant_integral(rs, nu) for nu, _ in f.terms])
+    return _bandwidth(_hull_sums(
+        rs, check_dominant_integral(rs, lam),
+        [check_dominant_integral(rs, nu) for nu, _ in f.terms]), a, b, n)
 
 
-def _bandwidth(rs, lam, a, b, n, nus):
-    """:func:`required_bandwidth` of a checked ``lam`` and the checked
-    highest weights ``nus`` of f's terms; validates nothing."""
-    deg_a, deg_b = n * a.weight, n * b.weight
+def _hull_sums(rs, lam, nus):
+    """The N-independent part of :func:`required_bandwidth` for a checked
+    ``lam`` and the checked highest weights ``nus`` of f's terms; validates
+    nothing.  Per simple factor: its axis count, the columns of Q, Q lam,
+    Q lam*, and Q 2 rho + Q nu for each distinct projection nu of ``nus``
+    (nu = 0 when there is none).  A sweep forms them once for all its
+    rows."""
     out = []
     for block, q, q_dual, q_two_rho in _hull_data(rs):
-        lam_k = lam[block.start:block.stop]
-        # Q Lam - Q nu, one entry per simple root of the factor
-        trace = [deg_a * sum(map(mul, row, lam_k))
-                 + deg_b * sum(map(mul, drow, lam_k)) + two_rho
-                 for row, drow, two_rho in zip(q, q_dual, q_two_rho)]
+        part = slice(block.start, block.stop)
+        lam_k = lam[part]
+        fixed = [tuple(t + sum(map(mul, row, nu)) for t, row
+                       in zip(q_two_rho, q))
+                 for nu in dict.fromkeys(nu[part] for nu in nus
+                                         or [(0,) * rs.rank])]
+        out.append((len(block), tuple(zip(*q)),
+                    [sum(map(mul, row, lam_k)) for row in q],
+                    [sum(map(mul, row, lam_k)) for row in q_dual], fixed))
+    return out
+
+
+def _bandwidth(sums, a, b, n):
+    """:func:`required_bandwidth` at n from the :func:`_hull_sums` of its
+    weights: (Q Lam)_j = N (a.weight (Q lam)_j + b.weight (Q lam*)_j) plus
+    the row's fixed sum, then the floor divisions."""
+    deg_a, deg_b = n * a.weight, n * b.weight
+    out = []
+    for width, cols, q_lam, q_dual, fixed in sums:
+        trace = [deg_a * x + deg_b * y for x, y in zip(q_lam, q_dual)]
         bound = 0
-        for nu in nus or [(0,) * rs.rank]:
-            nu_k = nu[block.start:block.stop]
-            top = [t + sum(map(mul, row, nu_k)) for t, row in zip(trace, q)]
-            bound = max(bound, max(min(x // row[i] for x, row in zip(top, q))
-                                   for i in range(len(block))))
-        out.extend([bound] * len(block))
+        for sums_nu in fixed:
+            top = [t + x for t, x in zip(trace, sums_nu)]
+            bound = max(bound, max(min(map(floordiv, top, col))
+                                   for col in cols))
+        out.extend([bound] * width)
     return tuple(out)
 
 
@@ -260,7 +281,7 @@ def _phases(points, vectors):
     """<v, k> in int64 for each row k of ``points`` and each row v of the
     int64 array ``vectors``.  numpy has no BLAS product for integers, so
     this is the costly step of an evaluation, and a quadrature sweep makes
-    it once per vector set and simple factor."""
+    it once per vector set and walk."""
     return points @ vectors.T
 
 
@@ -275,13 +296,15 @@ def _wrapped(table, lo, hi):
 
 
 class _Walk:
-    """One simple factor's alcove walk at its first band's size M in a
-    sweep, ordered by level, so that the alcove of any size m <= M (the
-    points of level <= m - 1, :func:`_alcove_levels`) is a prefix of it.
-    The phases <v, k> of all its points are formed on first use, once per
-    vector set, and held with their range for the sweep."""
+    """One simple factor's alcove walk at the size M of the band that built
+    it (a sweep's first band, or the band after a refused one), ordered by
+    level, so that the alcove of any size m <= M (the points of level
+    <= m - 1, :func:`_alcove_levels`) is a prefix of it.  The phases
+    <v, k> of all its points are formed on first use, once per vector set,
+    and held with their range until the walk is dropped; the int64 guard
+    on them reads the walk's largest |k_i|, taken once."""
 
-    __slots__ = ("points", "levels", "sets")
+    __slots__ = ("points", "levels", "reach", "sets")
 
     def __init__(self, rs, m):
         points = _alcove_factor(rs, m)
@@ -290,7 +313,9 @@ class _Walk:
         # them, 16 bits or fewer for m <= 2^15, numpy sorts by radix
         order = np.argsort(levels.astype(np.min_scalar_type(-m)),
                            kind="stable")
-        self.points, self.levels, self.sets = points[order], levels[order], {}
+        self.points = np.take(points, order, axis=0)
+        self.levels, self.sets = levels[order], {}
+        self.reach = int(np.abs(points).max(initial=0))   # max |k_i|
 
     def at(self, m):
         """The alcove of size m <= M, with the tables of m."""
@@ -306,8 +331,7 @@ class _Walk:
             vecs = np.array(vectors, dtype=np.int64).reshape(len(vectors),
                                                              rank)
             top = int(np.abs(vecs).max(initial=0))
-            if rank * int(np.abs(self.points).max(initial=0)) * top \
-                    > _INT64_MAX:
+            if rank * self.reach * top > _INT64_MAX:
                 raise GridError(f"phases of weights up to {top} on an "
                                 f"alcove walk of rank {rank} could "
                                 f"overflow int64")
@@ -406,10 +430,18 @@ def weyl_denominator_sq(rs, k, m):
     """prod over positive roots of 4 sin^2(pi <alpha, k / m>), k integral: a
     float for one point, a length-P array for a ``(P, rank)`` integer array
     k.  Each factor indexes one table of 4 sin^2(pi t / m) at the exact
-    integer t = <alpha, k> mod m."""
+    integer t = <alpha, k> mod m.
+
+    The factors are multiplied root by root, in the order of the positive
+    roots, into one running product: numpy reduces a short last axis in
+    that order too, so the bits are those of np.prod(..., axis=-1) over
+    the looked-up factors, without its reduction's per-call cost."""
     _check_phase_range(rs.rank, m)
     pts = _GridPoints.of(k, m)
-    vals = np.prod(pts.lookup(pts.four_sin_sq, rs.positive_roots), axis=-1)
+    factors = pts.lookup(pts.four_sin_sq, rs.positive_roots)
+    vals = factors[..., 0].copy()
+    for i in range(1, factors.shape[-1]):
+        vals *= factors[..., i]
     return float(vals) if vals.ndim == 0 else vals
 
 
@@ -424,25 +456,30 @@ def _alcove_factor(rs, m):
     they are z = c @ H, c integral, so once z_1 .. z_{j-1} (and with them
     c_1 .. c_{j-1}) are fixed, z_j runs over one residue class mod H_jj.
     Every z the walk visits is a grid point, k = c @ U; none is discarded.
+
+    The walk is one pass over 1-D columns: each axis repeats the columns
+    c_1 .. c_{j-1} fixed so far, and every later axis l carries its partial
+    base sum_{i<j} c_i H_il, which gains c_j H_jl once c_j is fixed.
     """
     marks = rs.positive_rootcoords[-1]     # the highest root
     h, u = rs.coroot_grid_basis
-    c = np.zeros((1, 0), dtype=np.int64)
+    cols = []
+    bases = [np.zeros(1, dtype=np.int64)] * len(marks)
     room = np.array([m - 1], dtype=np.int64)
     for j, aj in enumerate(marks):
-        # z_j = base + c_j H_jj with base = sum_{i<j} c_i H_ij; c_j runs
-        # from lo (z_j >= 1) to hi, leaving room for z_i = 1 on later axes
-        step = h[j][j]
-        base = c @ np.array([row[j] for row in h[:j]], dtype=np.int64)
+        # z_j = base + c_j H_jj; c_j runs from lo (z_j >= 1) to hi, leaving
+        # room for z_i = 1 on later axes
+        step, base = h[j][j], bases[0]
         lo = -((base - 1) // step)
         hi = ((room - sum(marks[j + 1:])) // aj - base) // step
         count = np.maximum(hi - lo + 1, 0)
-        rows = np.repeat(np.arange(len(c)), count)
-        cj = np.arange(len(rows)) + np.repeat(lo - np.cumsum(count) + count,
-                                              count)
-        c = np.column_stack([c[rows], cj])
-        room = room[rows] - aj * (base[rows] + step * cj)
-    return c @ np.array(u, dtype=np.int64)
+        cj = np.arange(int(count.sum())) + np.repeat(
+            lo - np.cumsum(count) + count, count)
+        cols = [np.repeat(col, count) for col in cols] + [cj]
+        room = np.repeat(room - aj * base, count) - aj * step * cj
+        bases = [np.repeat(b, count) + h_jl * cj
+                 for b, h_jl in zip(bases[1:], h[j][j + 1:])]
+    return np.column_stack(cols) @ np.array(u, dtype=np.int64)
 
 
 def _alcove_levels(rs, k):
@@ -476,19 +513,18 @@ def _factor_grids(rs, sizes):
     return factors, cells
 
 
-def _admit(rs, lam, a, b, n, nus, grid, log_dim):
+def _admit(rs, sums, a, b, n, grid, log_dim):
     """One row's checks, in order: the float budget, the grid (the default
     one, or a caller grid's axis count and aliasing), the point budget and
-    :func:`_factor_grids`.  ``lam`` and ``nus`` (the highest weights of f's
-    terms) come checked from :func:`quad_sequence`.  Returns the factors
-    and P, or raises the :class:`GridError` that refuses the row;
-    enumerates no point."""
+    :func:`_factor_grids`.  ``sums`` are the sweep's :func:`_hull_sums`.
+    Returns the factors and P, or raises the :class:`GridError` that
+    refuses the row; enumerates no point."""
     mag = (a.size + b.size) * n * log_dim
     if mag > _MAX_LOG:
         raise GridError(
             f"integrand magnitude exp({mag:.1f}) exceeds the float budget "
             f"exp({_MAX_LOG}); refusing rather than overflow")
-    bw = _bandwidth(rs, lam, a, b, n, nus)
+    bw = _bandwidth(sums, a, b, n)
     need = tuple(b_ + 1 for b_ in bw)
     if grid is None:
         grid = TorusGrid(sizes=need)
@@ -642,8 +678,10 @@ def quad_sequence(rs, lam, a, b, ns, f=None, grid=None):
     factor's is walked once, at the first band's size, and each band takes
     the points of level <= m_k - 1 (:func:`_alcove_levels`), a prefix of
     the walk ordered by level; each vector set's phases are formed once on
-    the whole walk and read by every band (:class:`_Walk`).  A caller grid
-    is every row's grid, so its rows form one band.  Band tops, caller-grid
+    the whole walk and read by every band (:class:`_Walk`).  After a band
+    is refused, the next band walks its own alcove, so no band is refused
+    for the walk of a larger one.  A caller grid is every row's grid, so
+    its rows form one band.  Band tops, caller-grid
     rows and one-element schedules give the bits of a one-N call; the other
     rows are summed on a finer certified grid and differ from it at
     roundoff.
@@ -654,17 +692,16 @@ def quad_sequence(rs, lam, a, b, ns, f=None, grid=None):
     lam = check_dominant_integral(rs, lam)
     f = ClassFunction.one(rs.rank) if f is None else f
     terms = [(check_dominant_integral(rs, nu), c) for nu, c in f.terms]
-    nus = [nu for nu, _ in terms]
     ns = tuple(ns)
     for n in ns:
         if n < 0:
             raise ValueError(f"N must be >= 0, got {n}")
     log_dim = math.log(weyl_dimension(rs, lam))
+    sums = _hull_sums(rs, lam, [nu for nu, _ in terms])
     out, admitted = {}, []
     for i, n in enumerate(ns):
         try:
-            admitted.append((i, *_admit(rs, lam, a, b, n, nus, grid,
-                                        log_dim)))
+            admitted.append((i, *_admit(rs, sums, a, b, n, grid, log_dim)))
         except GridError as exc:
             out[i] = exc
     bands = []      # (row indices, factors, P of the top grid)
@@ -673,14 +710,18 @@ def quad_sequence(rs, lam, a, b, ns, f=None, grid=None):
             bands[-1][0].append(i)
         else:
             bands.append(([i], factors, cells))
-    walks = [_Walk(rs_k, m) for _, rs_k, m in bands[0][1]] if bands else []
+    walks = None
     for rows, factors, cells in bands:
+        if walks is None:
+            walks = [_Walk(rs_k, m) for _, rs_k, m in factors]
         try:
             out.update(zip(rows, _band_values(
                 rs, lam, a, b, [ns[j] for j in rows], terms, factors,
                 cells, walks)))
         except GridError as exc:
+            # a smaller walk may fit where this one did not
             out.update(dict.fromkeys(rows, exc))
+            walks = None
     yield from (out[i] for i in range(len(ns)))
 
 

@@ -27,6 +27,9 @@ genuine two-route check:
 * SU(n) moments of the standard representation in closed form: the
   Diaconis-Shahshahani product in the stable range, and Rains's
   multinomial sum for a single high power.
+* Sp(2r) moments of the standard representation: perfect matchings with
+  no (r + 1)-crossing, as oscillating-tableau walks on partitions with at
+  most r rows.
 * The center from the special nodes of the extended Dynkin diagram, with
   no Smith form.
 * A re-assembly of the leading-order constant from raw transformed data, for
@@ -39,6 +42,8 @@ genuine two-route check:
   and the squared Weyl denominator at one point.
 * Torus quadrature over the whole uniform grid, every point of every Weyl
   orbit, with characters from the Weyl character formula.
+* The alcove walk with its coefficient matrix restacked on every axis, the
+  reference for the one-pass walk's points and their order.
 * The per-axis quadrature bandwidth: the largest |mu_i| of every factor of
   the integrand, read off the vertices W lam of its weight polytope and
   added axis by axis.
@@ -231,6 +236,33 @@ def rains_moment(n, j, size):
             total += (math.factorial(size)
                       // math.prod(map(math.factorial, parts))) ** 2
     return total
+
+
+def crossing_free_matchings(r, size):
+    """Perfect matchings of [``size``] with no (r + 1)-crossing, counted as
+    oscillating tableaux: walks of ``size`` steps from the empty partition
+    back to it, each step adding or removing one box, through partitions
+    with at most r rows (Sundaram; Chen-Deng-Du-Stanley-Yan).  It equals
+    I_N of the standard representation of Sp(2r), a = (1) and N =
+    ``size``: 0 at odd N, and (N - 1)!! while N <= 2r."""
+    walks = {(): 1}
+    for step in range(size):
+        left = size - step - 1      # a shape must empty in the steps left
+        nxt = {}
+        for shape, count in walks.items():
+            for i in range(min(len(shape) + 1, r)):
+                row = shape[i] if i < len(shape) else 0
+                if i == 0 or shape[i - 1] > row:        # add a box to row i
+                    new = shape[:i] + (row + 1,) + shape[i + 1:]
+                    if sum(new) <= left:
+                        nxt[new] = nxt.get(new, 0) + count
+            for i, row in enumerate(shape):
+                if i + 1 == len(shape) or shape[i + 1] < row:   # remove one
+                    new = shape[:i] + (row - 1,) + shape[i + 1:]
+                    new = new[:-1] if new[-1] == 0 else new
+                    nxt[new] = nxt.get(new, 0) + count
+        walks = nxt
+    return walks.get((), 0)
 
 
 def reflect_weight(rs, mu, i):
@@ -732,6 +764,29 @@ def alcove_by_filter(rs, m):
                       dtype=np.int64)
     k = z @ scaled
     return k[np.all(k % den == 0, axis=1)] // den
+
+
+def stacked_alcove_walk(rs, m):
+    """The alcove walk of ``torusquad._alcove_factor`` (same points, same
+    order), with the whole coefficient matrix c restacked on every axis:
+    each axis gathers c's rows, appends its column c_j, and forms z_j's
+    base as the product of c with column j of the Hermite form H."""
+    marks = rs.positive_rootcoords[-1]
+    h, u = rs.coroot_grid_basis
+    c = np.zeros((1, 0), dtype=np.int64)
+    room = np.array([m - 1], dtype=np.int64)
+    for j, aj in enumerate(marks):
+        step = h[j][j]
+        base = c @ np.array([row[j] for row in h[:j]], dtype=np.int64)
+        lo = -((base - 1) // step)
+        hi = ((room - sum(marks[j + 1:])) // aj - base) // step
+        count = np.maximum(hi - lo + 1, 0)
+        rows = np.repeat(np.arange(len(c)), count)
+        cj = np.arange(len(rows)) + np.repeat(lo - np.cumsum(count) + count,
+                                              count)
+        c = np.column_stack([c[rows], cj])
+        room = room[rows] - aj * (base[rows] + step * cj)
+    return c @ np.array(u, dtype=np.int64)
 
 
 def mehta_quadrature(rs, h, extra_nodes=0):

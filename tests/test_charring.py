@@ -1,3 +1,4 @@
+import math
 import runpy
 from collections import Counter
 from pathlib import Path
@@ -492,3 +493,40 @@ def test_standard_k_n_counts_permutations_with_bounded_lis(n, top):
     rows = moment_sequence(rs, lam, CycleType((1,)), CycleType((1,)), ns)
     assert [row for row in rows] == [[oracles.bounded_lis_count(n, size)]
                                      for size in ns]
+
+
+@pytest.mark.parametrize("spec, lam, r", [("C3", (1, 0, 0), 3),
+                                          ("C4", (1, 0, 0, 0), 4),
+                                          ("B2", (0, 1), 2)])
+def test_symplectic_standard_moments_count_crossing_free_matchings(spec,
+                                                                   lam, r):
+    # I_N of Sp(2r)'s standard representation (B2's spin representation
+    # is C2's) counts the perfect matchings of [N] with no (r + 1)-crossing:
+    # oscillating tableaux on partitions with at most r rows (Sundaram)
+    rs = build_root_system(spec)
+    ns = range(1, 15)
+    rows = moment_sequence(rs, lam, CycleType((1,)), CycleType(()), ns)
+    assert list(rows) == [[oracles.crossing_free_matchings(r, size)]
+                          for size in ns]
+
+
+def test_crossing_free_matchings_past_the_stable_range():
+    # (N - 1)!! until N = 2r, then fewer: C3 and C4 at N = 8, 10, 12, 14
+    assert [oracles.crossing_free_matchings(3, n) for n in (8, 10, 12, 14)] \
+        == [104, 909, 9449, 112398]
+    assert [oracles.crossing_free_matchings(4, n) for n in (8, 10, 12, 14)] \
+        == [105, 944, 10340, 133055]
+
+
+@pytest.mark.parametrize("spec, top, past", [("B3", 6, 1), ("B4", 8, 1),
+                                             ("D4", 7, 106)])
+def test_orthogonal_standard_moments_below_the_epsilon_bound(spec, top, past):
+    # I_N of SO(m)'s standard representation is (N - 1)!! at even N and 0
+    # at odd N (Brauer) while N < m; from N = m the epsilon tensor adds
+    # invariants (B3 and B4 give 1 at N = 7 and 9, D4 gives 106 at N = 8)
+    rs = build_root_system(spec)
+    lam = (1,) + (0,) * (rs.rank - 1)
+    ns = range(1, top + 2)
+    rows = list(moment_sequence(rs, lam, CycleType((1,)), CycleType(()), ns))
+    assert rows == [[math.prod(range(n - 1, 0, -2)) if n % 2 == 0 else 0]
+                    for n in range(1, top + 1)] + [[past]]

@@ -991,11 +991,13 @@ def test_quad_sweep_forms_each_phase_matrix_once(monkeypatch, group, lam,
 
 def test_quad_sweep_refuses_a_band_before_its_phases(monkeypatch):
     # the quad-rank3 sweep under a lowered byte budget.  At 1,000 bytes its
-    # walk (2,670 alcove points at m = 42) cannot hold the roots' phases,
-    # so every band is refused before any phase product; at 500,000 the
-    # walk holds both sets (405,840 bytes) but the top band {14, 12}
-    # cannot gather its 2,670 x 13 complex table, and the other bands
-    # answer with the bits of the unlowered sweep
+    # walk (2,670 alcove points at m = 42) cannot hold the roots' phases;
+    # each later band walks its own alcove again, and every band is
+    # refused before any phase product with its own walk's size.  At
+    # 500,000 the walk holds both sets (405,840 bytes) but the top band
+    # {14, 12} cannot gather its 2,670 x 13 complex table; the next band's
+    # walk (1,015 points) forms both sets again, and the other bands answer
+    # with the bits of the unlowered sweep
     from liemoments import torusquad
     a = CycleType((1,))
     cfg = ExperimentConfig(group="A3", lam=(1, 0, 1), a=a, b=a,
@@ -1007,11 +1009,14 @@ def test_quad_sweep_refuses_a_band_before_its_phases(monkeypatch):
     monkeypatch.setattr(torusquad, "_phases", lambda k, v: formed.append(
         len(k)) or product(k, v))
     monkeypatch.setattr(torusquad, "_MAX_BYTES", 1000)
+    # the points of each band's walk: {14, 12}, {10, 8}, {6}, {4}, {2}
+    walked = {14: 2670, 12: 2670, 10: 1015, 8: 1015, 6: 285, 4: 91, 2: 22}
     for row in run_experiment(cfg).rows:
         assert row.quad is None
+        points = walked[row.n]
         assert row.notes == (
-            "quad skipped: the phases held on an alcove walk of 2670 points "
-            "would take 128160 bytes, byte budget is 1000",)
+            f"quad skipped: the phases held on an alcove walk of {points} "
+            f"points would take {48 * points} bytes, byte budget is 1000",)
     assert formed == []
     monkeypatch.setattr(torusquad, "_MAX_BYTES", 500_000)
     for row in run_experiment(cfg).rows:
@@ -1022,7 +1027,7 @@ def test_quad_sweep_refuses_a_band_before_its_phases(monkeypatch):
                                  "500000",)
         else:
             assert row.quad == want[row.n] and not row.notes
-    assert formed == [2670, 2670]
+    assert formed == [2670, 2670, 1015, 1015]
 
 
 def test_quad_sweep_on_a_caller_grid_walks_once_per_factor(monkeypatch):

@@ -221,6 +221,61 @@ def test_level_ordered_walk_prefixes_are_the_alcoves(spec, top):
                 assert got.tobytes() == want.tobytes()
 
 
+# every simple type of rank <= 4, and A5, D5 and E6
+ONE_PASS_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4",
+                  "F4", "G2", "A5", "D5", "E6"]
+
+
+@pytest.mark.parametrize("spec", ONE_PASS_TYPES)
+def test_one_pass_walk_is_the_stacked_walk(spec):
+    # the walk builds 1-D columns in one pass, each later axis carrying its
+    # partial Hermite base; it gives the points of the walk that restacks
+    # its coefficient matrix on every axis, in the same order, from the
+    # empty alcoves below the Coxeter number h up
+    rs = build_root_system(spec)
+    h = sum(rs.positive_rootcoords[-1]) + 1
+    theta = np.array(rs.positive_roots[-1], dtype=np.int64)
+    for m in (1, h - 1, h, h + 1, h + 6, 2 * h + 3):
+        got, want = _alcove_factor(rs, m), oracles.stacked_alcove_walk(rs, m)
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape == (len(want), rs.rank)
+        assert np.array_equal(got, want)
+        assert np.array_equal(torusquad._alcove_levels(rs, got),
+                              want @ theta)
+        if m < h:
+            assert len(got) == 0
+    assert len(_alcove_factor(rs, 2 * h + 3)) > 0
+
+
+@pytest.mark.parametrize("spec, top", [("A1", 40), ("F4", 30), ("E8", 40)])
+def test_denominator_running_product_has_the_bits_of_np_prod(spec, top):
+    # |Delta|^2 multiplies its looked-up root factors one root at a time;
+    # np.prod over the same factors (1, 24 and 120 roots) gives the same
+    # bits at caller points, one or many, and on every prefix of a walk
+    rs = build_root_system(spec)
+
+    def by_prod(pts, m):
+        pts = torusquad._GridPoints.of(pts, m)
+        return np.prod(pts.lookup(pts.four_sin_sq, rs.positive_roots),
+                       axis=-1)
+
+    rng = np.random.default_rng(33)
+    for m in (7, 31, top):
+        for count in (1, 2, 7, 100, 2670):
+            pts = rng.integers(-3 * m, 3 * m, (count, rs.rank))
+            assert weyl_denominator_sq(rs, pts, m).tobytes() == \
+                by_prod(pts, m).tobytes()
+        one = tuple(int(x) for x in rng.integers(-m, m, rs.rank))
+        got = weyl_denominator_sq(rs, one, m)
+        assert type(got) is float and got.hex() == float(by_prod(one, m)).hex()
+    walk = torusquad._Walk(rs, top)
+    for m in range(1, top + 1):
+        band = walk.at(m)
+        assert weyl_denominator_sq(rs, band, m).tobytes() == \
+            by_prod(band, m).tobytes()
+    assert len(walk.at(top)) > 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(st.sampled_from([1, 2, 3, 4, 31, 42]),
                  st.integers(1, 100)), st.data())
@@ -510,9 +565,9 @@ def test_sequence_checks_every_row_before_it_enumerates(monkeypatch):
     events = []
     grid, walk = torusquad._bandwidth, torusquad._alcove_factor
 
-    def sized(rs, lam, a, b, n, f=None):
+    def sized(sums, a, b, n):
         events.append(("grid", n))
-        return grid(rs, lam, a, b, n, f)
+        return grid(sums, a, b, n)
 
     def walked(rs, m):
         events.append(("walk", m))

@@ -641,6 +641,22 @@ def test_byte_budget_refuses_caller_points_before_their_phases(monkeypatch):
     assert formed == [7, 7]
 
 
+def test_sweep_walks_again_after_a_refused_band(monkeypatch):
+    # at 1,000 bytes the walk of N = 8's band (35 alcove points of A2)
+    # cannot hold the roots' phases; the band of N = 1 walks its own
+    # alcove again, and each row gets what its one-N call gives
+    rs, one = build_root_system("A2"), CycleType((1,))
+    monkeypatch.setattr(torusquad, "_MAX_BYTES", 1000)
+    low, high = torusquad.quad_sequence(rs, (1, 0), one, one, (1, 8))
+    (alone,) = torusquad.quad_sequence(rs, (1, 0), one, one, (1,))
+    assert low.hex() == alone.hex() == (0.9999999999999997).hex()
+    (refused,) = torusquad.quad_sequence(rs, (1, 0), one, one, (8,))
+    assert type(high) is type(refused) is GridError
+    assert str(high) == str(refused) == (
+        "the phases held on an alcove walk of 35 points would take 1680 "
+        "bytes, byte budget is 1000")
+
+
 def test_alcove_budget_refuses_lopsided_grid():
     # 4e6 torus points pass the point budget, but one size of 250000 on
     # both axes of B2 would put up to 250000^2 / 8 points in the alcove
