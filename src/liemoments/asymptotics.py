@@ -74,7 +74,6 @@ class AsymptoticEstimate:
                     does
     prefactor    -- (2 pi)^d / ((2 pi l N)^{dim G / 2} sqrt(det A)); 0.0
                     below the float range
-    log_prefactor-- log of the prefactor, finite where it is 0.0
     log_abs      -- log |value|, finite past the float range; -inf when the
                     value is 0
     """
@@ -84,7 +83,6 @@ class AsymptoticEstimate:
     det_a: Fraction
     pi_sum: float
     prefactor: float
-    log_prefactor: float
     N: int
     log_abs: float
 
@@ -206,8 +204,7 @@ def _leading_core(rs, num_factors, l_total, pi_sum, n, peak):
             value = math.copysign(math.inf, pi_sum)
     return AsymptoticEstimate(value=value, log_dim_power=log_dim_power,
                               kappa_term=peak.kappa_term, det_a=peak.det_a,
-                              pi_sum=pi_sum, prefactor=prefactor,
-                              log_prefactor=log_prefactor, N=n,
+                              pi_sum=pi_sum, prefactor=prefactor, N=n,
                               log_abs=log_abs)
 
 
@@ -222,6 +219,55 @@ def _check_common(rs, lam, n, peak=None):
     if n < 1:
         raise HypothesisError(f"index N must be >= 1, got {n}")
     return lam
+
+
+@dataclass(frozen=True)
+class HypothesisVerdict:
+    """Structured yes/no record of the leading-term hypotheses.
+
+    ``vanishing_period`` is the smallest q >= 1 such that q * k_a * lam lies
+    in the root lattice; the one-sided moment is identically zero whenever N
+    is not a multiple of it.
+    """
+    regular: bool
+    gcd_one_sided: int
+    gcd_two_sided: int
+    k_a: int
+    k_b: int
+    balanced: bool
+    vanishing_period: int
+    problems_one_sided: tuple
+    problems_two_sided: tuple
+
+    def to_dict(self):
+        """The fields by name; the problems stay tuples, which JSON writes
+        as lists."""
+        return dict(vars(self))
+
+
+def check_hypotheses(rs, lam, a, b=CycleType(())):
+    """The hypotheses of :func:`leading_term_I` and :func:`leading_term_K`
+    on ``(lam, a, b)``, reported without raising; N >= 1 is not among
+    them."""
+    lam = check_dominant_integral(rs, lam)
+    regular = is_regular(rs, lam)
+    g1 = a.gcd_support
+    g2 = math.gcd(a.gcd_support, b.gcd_support)
+    k_a, k_b = a.weight, b.weight
+    p1 = [] if regular else ["highest weight is not regular"]
+    p2 = list(p1)
+    if g1 != 1:
+        p1.append(f"one-sided support gcd is {g1}, need 1")
+    if g2 != 1:
+        p2.append(f"combined support gcd is {g2}, need 1")
+    if k_a != k_b:
+        p2.append(f"unbalanced powers: k_a={k_a}, k_b={k_b}")
+    return HypothesisVerdict(
+        regular=regular, gcd_one_sided=g1, gcd_two_sided=g2, k_a=k_a,
+        k_b=k_b, balanced=(k_a == k_b),
+        vanishing_period=rootsys.order_mod_root_lattice(
+            rs, tuple(k_a * c for c in lam)),
+        problems_one_sided=tuple(p1), problems_two_sided=tuple(p2))
 
 
 def leading_term_I(rs, lam, a, n, f=None, peak=None):

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 
 from . import asymptotics, charring, rootsys
 from .asymptotics import (AsymptoticEstimate, ClassFunction, HypothesisError,
-                          leading_term_I, leading_term_K)
+                          HypothesisVerdict, check_hypotheses, leading_term_I,
+                          leading_term_K)
 from .charring import CycleType
-from .repweights import check_dominant_integral, is_regular
+from .repweights import check_dominant_integral
 
 _PATHS = ("exact", "quad", "asymptotic")
 
@@ -219,69 +220,6 @@ class ExperimentConfig:
         }
 
 
-@dataclass(frozen=True)
-class HypothesisVerdict:
-    """Structured yes/no record of the leading-term hypotheses.
-
-    ``vanishing_period`` is the smallest q >= 1 such that q * k_a * lam lies
-    in the root lattice; the one-sided moment is identically zero whenever N
-    is not a multiple of it.
-    """
-    regular: bool
-    gcd_one_sided: int
-    gcd_two_sided: int
-    k_a: int
-    k_b: int
-    balanced: bool
-    vanishing_period: int
-    problems_one_sided: tuple
-    problems_two_sided: tuple
-
-    def to_dict(self):
-        return {
-            "regular": self.regular,
-            "gcd_one_sided": self.gcd_one_sided,
-            "gcd_two_sided": self.gcd_two_sided,
-            "k_a": self.k_a,
-            "k_b": self.k_b,
-            "balanced": self.balanced,
-            "vanishing_period": self.vanishing_period,
-            "problems_one_sided": list(self.problems_one_sided),
-            "problems_two_sided": list(self.problems_two_sided),
-        }
-
-
-def check_hypotheses(rs, lam, a, b=CycleType(())):
-    """Check leading-term hypotheses without throwing on failures."""
-    lam = check_dominant_integral(rs, lam)
-    regular = is_regular(rs, lam)
-    g1 = a.gcd_support
-    g2 = math.gcd(a.gcd_support, b.gcd_support)
-    k_a, k_b = a.weight, b.weight
-    if k_a == 0:
-        period = 1
-    else:
-        period = rootsys.order_mod_root_lattice(
-            rs, tuple(k_a * c for c in lam))
-    p1 = []
-    p2 = []
-    if not regular:
-        p1.append("highest weight is not regular")
-        p2.append("highest weight is not regular")
-    if g1 != 1:
-        p1.append(f"one-sided support gcd is {g1}, need 1")
-    if g2 != 1:
-        p2.append(f"combined support gcd is {g2}, need 1")
-    if k_a != k_b:
-        p2.append(f"unbalanced powers: k_a={k_a}, k_b={k_b}")
-    return HypothesisVerdict(regular=regular, gcd_one_sided=g1,
-                             gcd_two_sided=g2, k_a=k_a, k_b=k_b,
-                             balanced=(k_a == k_b),
-                             vanishing_period=period,
-                             problems_one_sided=tuple(p1),
-                             problems_two_sided=tuple(p2))
-
-
 @dataclass
 class ExperimentRow:
     n: int
@@ -345,10 +283,6 @@ class ConvergenceReport:
         if fmt == "csv":
             return self.to_csv()
         return self.to_json(include_timings=include_timings)
-
-
-def _log_abs(x):
-    return math.log(abs(x)) if x else float("-inf")
 
 
 def _exact_values(rs, lam, a, b, ns, f):
@@ -477,7 +411,7 @@ def run_experiment(cfg):
             else:
                 sign = (1.0 if (ref > 0) == (row.estimate.pi_sum > 0)
                         else -1.0)
-                row.ratio = sign * math.exp(_log_abs(ref) - est_log)
+                row.ratio = sign * math.exp(math.log(abs(ref)) - est_log)
                 row.abs_error = abs(row.ratio - 1.0)
         row.notes = tuple(notes)
         rows.append(row)

@@ -51,14 +51,16 @@ coordinates the alcove of size m is z_j >= 1, sum_j a_j z_j <= m - 1 on a
 lattice that does not depend on m, so it is the alcove of any size M >= m
 cut at level m - 1.  A sweep evaluates its bands in order and walks each
 factor's alcove once, at the first band's size (the largest), ordered by
-level, so every band's points are a prefix of the walk; only a band that
-is refused leaves the next band to walk its own, smaller alcove.  The
-walk is one pass over 1-D integer columns.  The phases of the whole walk
-are formed once per vector set (one int64 matrix product each, held for
-the sweep), and every band reads its prefix through its tables repeated
-over the phases' range, with no product or reduction of its own.  The
-rows' certificates share their N-independent sums (:func:`_hull_sums`),
-formed once per sweep.  A one-N call is the one-element schedule.
+level, so every band's points are a prefix of the walk.  A refused band
+refuses only its top row, at that row's own grid size, as a one-N call
+would; the rows below it band again, and the next band walks its own,
+smaller alcove.  The walk is one pass over 1-D integer columns.  The
+phases of the whole walk are formed once per vector set (one int64 matrix
+product each, held for the sweep), and every band reads its prefix
+through its tables repeated over the phases' range, with no product or
+reduction of its own.  The rows' certificates share their N-independent
+sums (:func:`_hull_sums`), formed once per sweep.  A one-N call is the
+one-element schedule.
 
 On the alcove the two-sided integrand |Delta|^2 |chi|^(2N) is real and
 nonnegative: each Adams degree's paired part min(a_j, b_j) is raised as
@@ -80,7 +82,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import zip_longest
+from itertools import takewhile, zip_longest
 from operator import floordiv, mul
 
 import numpy as np
@@ -297,12 +299,13 @@ def _wrapped(table, lo, hi):
 
 class _Walk:
     """One simple factor's alcove walk at the size M of the band that built
-    it (a sweep's first band, or the band after a refused one), ordered by
-    level, so that the alcove of any size m <= M (the points of level
-    <= m - 1, :func:`_alcove_levels`) is a prefix of it.  The phases
-    <v, k> of all its points are formed on first use, once per vector set,
-    and held with their range until the walk is dropped; the int64 guard
-    on them reads the walk's largest |k_i|, taken once."""
+    it (a sweep's first band, or the band that starts at the row below a
+    refused band's top), ordered by level, so that the alcove of any size
+    m <= M (the points of level <= m - 1, :func:`_alcove_levels`) is a
+    prefix of it.  The phases <v, k> of all its points are formed on first
+    use, once per vector set, and held with their range until the walk is
+    dropped; the int64 guard on them reads the walk's largest |k_i|, taken
+    once."""
 
     __slots__ = ("points", "levels", "reach", "sets")
 
@@ -580,7 +583,7 @@ def _exact_sum(x):
     return total if math.isfinite(total) else math.fsum(x.tolist())
 
 
-def _band_values(rs, lam, a, b, ns, terms, factors, cells, walks):
+def _band_values(lam, a, b, ns, terms, factors, cells, walks):
     """Values at each n of ``ns`` on the one grid ``factors``, above every
     row's certificate; ``walks`` holds per simple factor its
     :class:`_Walk` at a size >= m_k.
@@ -667,27 +670,27 @@ def quad_sequence(rs, lam, a, b, ns, f=None, grid=None):
     lam and the highest weight of each term of f are checked once, here;
     every row is then checked before any point is enumerated, in the order
     and with the messages of a one-N call (:func:`_admit`).  The admissible
-    rows are then cut into bands from the largest n down: a row joins the
-    current band while its own grid has at least half the torus points
-    P = prod_k m_k^rank_k of the band's top grid, and starts a new band
-    otherwise; the bands are evaluated in that order.  The bandwidth grows
-    with n, so the top grid is above every band row's certificate and each
-    band sums on it alone (:func:`_band_values`): one character synthesis
-    per simple factor serves the whole band, and no row sums over more than
-    twice its own grid's points.  The alcoves are nested, so each simple
-    factor's is walked once, at the first band's size, and each band takes
-    the points of level <= m_k - 1 (:func:`_alcove_levels`), a prefix of
-    the walk ordered by level; each vector set's phases are formed once on
-    the whole walk and read by every band (:class:`_Walk`).  After a band
-    is refused, the next band walks its own alcove, so no band is refused
-    for the walk of a larger one.  A caller grid is every row's grid, so
-    its rows form one band.  Band tops, caller-grid
+    rows are then evaluated in bands from the largest n down: a band is its
+    top row and the rows after it whose own grids have at least half the
+    torus points P = prod_k m_k^rank_k of the top's grid.  The bandwidth
+    grows with n, so the top grid is above every band row's certificate
+    and each band sums on it alone (:func:`_band_values`): one character
+    synthesis per simple factor serves the whole band, and no row sums over
+    more than twice its own grid's points.  The alcoves are nested, so each
+    simple factor's is walked once, at the first band's size, and each band
+    takes the points of level <= m_k - 1 (:func:`_alcove_levels`), a prefix
+    of the walk ordered by level; each vector set's phases are formed once
+    on the whole walk and read by every band (:class:`_Walk`).  A band
+    refused with a :class:`GridError` refuses its top row alone; the walks
+    are dropped, and the rows below band again from the next one, on a walk
+    of its own size.  So a refused row is a band top summed on its own
+    grid, and carries the refusal of its one-N call.  A caller grid is
+    every row's grid, so its rows form one band.  Band tops, caller-grid
     rows and one-element schedules give the bits of a one-N call; the other
     rows are summed on a finer certified grid and differ from it at
     roundoff.
 
-    Yields, per n, the float or the :class:`GridError` that refused it; a
-    band refused by the byte budget ``_MAX_BYTES`` refuses each of its rows.
+    Yields, per n, the float or the :class:`GridError` that refused it.
     """
     lam = check_dominant_integral(rs, lam)
     f = ClassFunction.one(rs.rank) if f is None else f
@@ -704,24 +707,24 @@ def quad_sequence(rs, lam, a, b, ns, f=None, grid=None):
             admitted.append((i, *_admit(rs, sums, a, b, n, grid, log_dim)))
         except GridError as exc:
             out[i] = exc
-    bands = []      # (row indices, factors, P of the top grid)
-    for i, factors, cells in sorted(admitted, key=lambda row: -ns[row[0]]):
-        if bands and 2 * cells >= bands[-1][2]:
-            bands[-1][0].append(i)
-        else:
-            bands.append(([i], factors, cells))
+    rest = sorted(admitted, key=lambda row: -ns[row[0]])
     walks = None
-    for rows, factors, cells in bands:
+    while rest:
+        _, factors, cells = rest[0]
+        rows = [i for i, _, _ in takewhile(lambda row: 2 * row[2] >= cells,
+                                           rest)]
         if walks is None:
             walks = [_Walk(rs_k, m) for _, rs_k, m in factors]
         try:
             out.update(zip(rows, _band_values(
-                rs, lam, a, b, [ns[j] for j in rows], terms, factors,
-                cells, walks)))
+                lam, a, b, [ns[j] for j in rows], terms, factors, cells,
+                walks)))
         except GridError as exc:
-            # a smaller walk may fit where this one did not
-            out.update(dict.fromkeys(rows, exc))
-            walks = None
+            # the top row is refused at its own grid; the rest band again,
+            # from a walk of their own
+            out[rows[0]] = exc
+            rows, walks = rows[:1], None
+        del rest[:len(rows)]
     yield from (out[i] for i in range(len(ns)))
 
 

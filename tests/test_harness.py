@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import runpy
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import liemoments
 from liemoments import (asymptotics, charring, exactla, harness, repweights,
                         rootsys)
 from liemoments.charring import CycleType, SupportCapExceeded
@@ -153,6 +155,19 @@ def test_check_hypotheses_balanced():
     assert w.vanishing_period == 3     # (2,1) generates the order-3 quotient
     assert 6 % w.vanishing_period == 0
     assert 4 % w.vanishing_period != 0
+
+
+def test_hypotheses_are_checked_in_asymptotics():
+    # one verdict, next to the leading terms that raise on the same
+    # conditions; harness and the package bind the same names
+    assert check_hypotheses is asymptotics.check_hypotheses
+    assert liemoments.check_hypotheses is asymptotics.check_hypotheses
+    assert harness.HypothesisVerdict is asymptotics.HypothesisVerdict
+    # k_a = 0: the zero weight lies in the root lattice
+    v = check_hypotheses(build_root_system("A2"), (2, 1), CycleType(()))
+    assert v.k_a == 0 and v.vanishing_period == 1
+    # to_dict holds the nine fields, in field order
+    assert list(v.to_dict()) == [f.name for f in dataclasses.fields(v)]
 
 
 # ------------------------------------------------------------ experiments
@@ -990,27 +1005,32 @@ def test_quad_sweep_forms_each_phase_matrix_once(monkeypatch, group, lam,
 
 
 def test_quad_sweep_refuses_a_band_before_its_phases(monkeypatch):
-    # the quad-rank3 sweep under a lowered byte budget.  At 1,000 bytes its
-    # walk (2,670 alcove points at m = 42) cannot hold the roots' phases;
-    # each later band walks its own alcove again, and every band is
-    # refused before any phase product with its own walk's size.  At
-    # 500,000 the walk holds both sets (405,840 bytes) but the top band
-    # {14, 12} cannot gather its 2,670 x 13 complex table; the next band's
-    # walk (1,015 points) forms both sets again, and the other bands answer
-    # with the bits of the unlowered sweep
+    # the quad-rank3 sweep under a lowered byte budget.  A refused band
+    # refuses its top row alone, at that row's own grid, and the rows below
+    # band again on a walk of their own.  At 1,000 bytes no walk can hold
+    # the roots' phases, so every row tops a band and is refused with its
+    # own walk's size, before any phase product.  At 500,000 the top walk
+    # (2,670 alcove points at m = 42) holds both sets (405,840 bytes) but
+    # row 14 cannot gather its 2,670 x 13 complex table; row 12 then walks
+    # its own alcove (1,785 points), forms both sets again and tops the
+    # band of rows 12 and 10, so rows 2-12 have the bits of the unlowered
+    # sweep over N = 2..12, and row 12 its one-N bits
     from liemoments import torusquad
     a = CycleType((1,))
+    f = harness.ClassFunction((((0, 0, 0), 3.0),))
     cfg = ExperimentConfig(group="A3", lam=(1, 0, 1), a=a, b=a,
-                           schedule=tuple(range(2, 15, 2)),
-                           f=harness.ClassFunction((((0, 0, 0), 3.0),)),
+                           schedule=tuple(range(2, 15, 2)), f=f,
                            paths=("quad",))
-    want = {row.n: row.quad for row in run_experiment(cfg).rows}
+    lower = ExperimentConfig(group="A3", lam=(1, 0, 1), a=a, b=a,
+                             schedule=tuple(range(2, 13, 2)), f=f,
+                             paths=("quad",))
+    want = {row.n: row.quad for row in run_experiment(lower).rows}
     formed, product = [], torusquad._phases
     monkeypatch.setattr(torusquad, "_phases", lambda k, v: formed.append(
         len(k)) or product(k, v))
     monkeypatch.setattr(torusquad, "_MAX_BYTES", 1000)
-    # the points of each band's walk: {14, 12}, {10, 8}, {6}, {4}, {2}
-    walked = {14: 2670, 12: 2670, 10: 1015, 8: 1015, 6: 285, 4: 91, 2: 22}
+    # each row's own walk
+    walked = {14: 2670, 12: 1785, 10: 1015, 8: 578, 6: 285, 4: 91, 2: 22}
     for row in run_experiment(cfg).rows:
         assert row.quad is None
         points = walked[row.n]
@@ -1020,14 +1040,15 @@ def test_quad_sweep_refuses_a_band_before_its_phases(monkeypatch):
     assert formed == []
     monkeypatch.setattr(torusquad, "_MAX_BYTES", 500_000)
     for row in run_experiment(cfg).rows:
-        if row.n >= 12:
+        if row.n == 14:
             assert row.quad is None
             assert row.notes == ("quad skipped: a table of 34710 phases "
                                  "would take 555360 bytes, byte budget is "
                                  "500000",)
         else:
             assert row.quad == want[row.n] and not row.notes
-    assert formed == [2670, 2670, 1015, 1015]
+    assert want[12] == 1.8928015928802882e+20
+    assert formed == [2670, 2670, 1785, 1785]
 
 
 def test_quad_sweep_on_a_caller_grid_walks_once_per_factor(monkeypatch):

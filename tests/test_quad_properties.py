@@ -558,6 +558,61 @@ def test_sequence_rows_match_one_n_calls(case):
                                                        1.0)
 
 
+# The quadrature schedules of the quad-rank3 and exact-product benchmark
+# workloads: (group, lam, terms of f, schedule), with a = b = (1).
+BENCH_SWEEPS = {
+    "quad-rank3": ("A3", (1, 0, 1), (((0, 0, 0), 3.0),), range(2, 15, 2)),
+    "exact-product": ("A1xA2", (1, 1, 1),
+                      (((0, 0, 0), 2.0), ((0, 1, 1), 5.0)), range(1, 7)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(BENCH_SWEEPS)),
+       st.integers(1_000, 600_000) | st.integers(1_000, 2 ** 28))
+# quad-rank3: every walk too small for the roots' phases; the top walk
+# holding both sets (405,840 bytes); row 14's weight table (555,360) just
+# out of and just in the budget.  exact-product: 1,000 bytes and the
+# default budget
+@example("quad-rank3", 1_000)
+@example("quad-rank3", 405_840)
+@example("quad-rank3", 500_000)
+@example("quad-rank3", 555_359)
+@example("quad-rank3", 555_360)
+@example("exact-product", 1_000)
+@example("exact-product", 2 ** 28)
+def test_sweep_rows_are_their_one_n_calls(name, max_bytes):
+    # under any byte budget a refused row is a band top, refused with its
+    # one-N message; a band top has its one-N bits, and every other row
+    # its one-N value to 1e-12 relative
+    spec, lam, terms, schedule = BENCH_SWEEPS[name]
+    rs, a, f = GROUPS[spec], CycleType((1,)), ClassFunction(terms)
+    ns = tuple(schedule)
+    with mock.patch.object(torusquad, "_MAX_BYTES", max_bytes):
+        got = dict(zip(ns, quad_sequence(rs, lam, a, a, ns, f=f)))
+        want = {}
+        for n in ns:
+            try:
+                want[n] = quad_K_N(rs, lam, a, a, n, f=f)
+            except GridError as exc:
+                want[n] = exc
+    top_cells = None    # torus points P of the current band top's grid
+    for n in sorted(ns, reverse=True):
+        cells = _factor_grids(rs, default_grid(rs, lam, a, a, n, f).sizes)[1]
+        is_top = top_cells is None or 2 * cells < top_cells
+        if is_top:
+            top_cells = cells
+        if isinstance(want[n], GridError):
+            assert is_top and type(got[n]) is GridError
+            assert str(got[n]) == str(want[n])
+        elif is_top:
+            assert got[n] == want[n]
+        else:
+            assert got[n] == pytest.approx(want[n], rel=1e-12, abs=0)
+        if isinstance(got[n], GridError):
+            top_cells = None
+
+
 def test_sequence_checks_every_row_before_it_enumerates(monkeypatch):
     # every row's grid is sized and checked before the one alcove walk,
     # at the largest admitted size, and a negative N anywhere is refused

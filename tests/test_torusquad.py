@@ -552,6 +552,42 @@ def test_quadrature_of_pure_adams_rows_is_rains_multinomial_sum(n, top):
         assert values[-1] == pytest.approx(math.comb(24, 12), rel=1e-9)
 
 
+def _double_factorial_or_zero(n):
+    return math.prod(range(n - 1, 0, -2)) if n % 2 == 0 else 0
+
+
+@pytest.mark.parametrize("spec, two_sided, top, oracle", [
+    # Sp(6) and Sp(8): perfect matchings of [N] with no 4- or 5-crossing
+    # (C3 gives 104 and 909 at N = 8 and 10, below (N - 1)!!)
+    ("C3", False, 10, functools.partial(oracles.crossing_free_matchings, 3)),
+    ("C4", False, 8, functools.partial(oracles.crossing_free_matchings, 4)),
+    # SU(3): permutations of N with no increasing subsequence longer than 3
+    ("A2", True, 8, functools.partial(oracles.bounded_lis_count, 3)),
+    # SO(7) and SO(8): (N - 1)!! or 0 below the epsilon bound, then the
+    # first epsilon row (B3 I_7 = 1, D4 I_8 = 106)
+    ("B3", False, 7, lambda n: 1 if n == 7 else _double_factorial_or_zero(n)),
+    ("D4", False, 8,
+     lambda n: 106 if n == 8 else _double_factorial_or_zero(n)),
+])
+def test_quadrature_of_standard_rows_matches_classical_counts(spec,
+                                                              two_sided, top,
+                                                              oracle):
+    # lam = omega_1 and a = (1), with b = (1) on A2: a sweep over N = 1..top
+    # gives each count to 1e-9 relative, and each zero row below 1e-12
+    rs = build_root_system(spec)
+    a = CycleType((1,))
+    ns = range(1, top + 1)
+    values = list(torusquad.quad_sequence(
+        rs, (1,) + (0,) * (rs.rank - 1), a, a if two_sided else CycleType(()),
+        ns))
+    for n, value in zip(ns, values):
+        want = oracle(n)
+        if want:
+            assert value == pytest.approx(want, rel=1e-9)
+        else:
+            assert abs(value) < 1e-12
+
+
 def _run_in_capped_child(args):
     """``python *args`` with ``src`` on the path, in a child whose address
     space is capped at 2 GiB (set in the child only), with one BLAS thread
