@@ -19,7 +19,8 @@ computed when it is built: the classes of lam and of each term of f with
 the term's c dim V_nu, and the floats of the exact constants (log dim,
 kappa, log kappa, sqrt det A, log det A).  So a row is float arithmetic and
 one class test per term of f, and its estimate holds log |value| as a
-field.
+field.  An estimate is an immutable named tuple, so a row builds it in one
+tuple construction, with no attribute set.
 """
 
 from __future__ import annotations
@@ -58,9 +59,11 @@ class ClassFunction:
         return ClassFunction((((0,) * rank, 1.0),))
 
 
-@dataclass(frozen=True)
-class AsymptoticEstimate:
+class AsymptoticEstimate(NamedTuple):
     """Factored leading-order value of a trace-moment sequence at index N.
+
+    An immutable named tuple, as :class:`PeakData` is: it compares, hashes
+    and unpacks as the tuple of its fields, in the order below.
 
     value        -- the leading term itself: exactly 0.0 when pi_sum is,
                     +-inf past the float range
@@ -202,10 +205,8 @@ def _leading_core(rs, num_factors, l_total, pi_sum, n, peak):
                      else 0.0)
         except OverflowError:
             value = math.copysign(math.inf, pi_sum)
-    return AsymptoticEstimate(value=value, log_dim_power=log_dim_power,
-                              kappa_term=peak.kappa_term, det_a=peak.det_a,
-                              pi_sum=pi_sum, prefactor=prefactor, N=n,
-                              log_abs=log_abs)
+    return AsymptoticEstimate(value, log_dim_power, peak.kappa_term,
+                              peak.det_a, pi_sum, prefactor, n, log_abs)
 
 
 def _check_common(rs, lam, n, peak=None):

@@ -7,7 +7,9 @@ leading-order estimate.  Reports serialize deterministically (byte-identical
 reruns); wall-clock timings are kept on the report object and only serialized
 on explicit request.  JSON is written by :func:`_json_text`, the bytes of
 ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` from the C
-encoder, which ``json.dumps`` itself uses only without ``indent``.
+encoder, which ``json.dumps`` itself uses only without ``indent``.  Its
+per-depth encoders are module constants, built at import for the depths a
+report reaches; a container of plain scalars is one encoder call.
 """
 
 from __future__ import annotations
@@ -27,49 +29,70 @@ from .repweights import check_dominant_integral
 _PATHS = ("exact", "quad", "asymptotic")
 
 
+_DEFAULT = json.JSONEncoder().default  # TypeError on unsupported types
+_QUOTE = json.encoder.encode_basestring_ascii
+
+
+def _level(depth):
+    """The C encoder of a container at ``depth``, with its item and bracket
+    indentation: items are joined by ``","``, a newline and the indentation
+    of depth + 1, so only the brackets move."""
+    inner = "\n" + "  " * (depth + 1)
+    return (json.encoder.c_make_encoder(None, _DEFAULT, _QUOTE, None, ": ",
+                                        "," + inner, True, False, False),
+            inner, inner[:-2])
+
+
+# A report nests containers five deep (report, config, f, a term of f, its
+# weight); a deeper object builds its deeper levels during the call.
+_LEVELS = tuple(map(_level, range(5)))
+# Values of exactly these types hold no container: a container of only
+# such values is written by one encoder call.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_CONTAINERS = (dict, list, tuple)
+
+
 def _json_text(obj):
     """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``, from
-    one C-encoder call per nonempty dict or list.  The encoder joins items
-    by ``","``, a newline and the depth's indentation, so only the brackets
-    move.  A nonempty child container is encoded as ``null`` and spliced
-    in after its key's line prefix, which is unique because the encoder
-    escapes every newline inside a string; a list holding one joins its
-    rendered items."""
-    containers = (dict, list, tuple)
-    levels = []         # (encoder, item indent, bracket indent) per depth
-    default = json.JSONEncoder().default  # TypeError on unsupported types
-    quote = json.encoder.encode_basestring_ascii
+    one C-encoder call per nonempty dict or list (:data:`_LEVELS`)."""
+    return _render(obj, 0)
 
-    def render(obj, depth):
-        if len(levels) == depth:
-            inner = "\n" + "  " * (depth + 1)
-            levels.append((json.encoder.c_make_encoder(
-                None, default, quote, None, ": ", "," + inner, True, False,
-                False), inner, inner[:-2]))
-        encode, inner, outer = levels[depth]
-        if not isinstance(obj, containers) or not obj:
-            return "".join(encode(obj, 0))
-        kids = ()
+
+def _render(obj, depth):
+    """``obj`` as :func:`_json_text` writes it at ``depth``.  A container
+    whose values are all of :data:`_SCALARS` types is one encoder call, with
+    no scan for child containers.  In any other, a nonempty child container
+    is encoded as ``null`` and spliced in after its key's line prefix,
+    which is unique because the encoder escapes every newline inside a
+    string; a list holding one joins its rendered items."""
+    encode, inner, outer = (_LEVELS[depth] if depth < len(_LEVELS)
+                            else _level(depth))
+    if isinstance(obj, dict):
+        values = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        values = obj
+    else:
+        values = ()
+    if not values:      # a scalar or an empty container
+        return "".join(encode(obj, 0))
+    kids = ()
+    if not _SCALARS.issuperset(map(type, values)):
         if isinstance(obj, dict):
             kids = [k for k, v in obj.items()
-                    if isinstance(v, containers) and v]
-            text = "".join(encode({**obj, **dict.fromkeys(kids)}
-                                  if kids else obj, 0))
-        elif any(isinstance(v, containers) and v for v in obj):
+                    if isinstance(v, _CONTAINERS) and v]
+        elif any(isinstance(v, _CONTAINERS) and v for v in obj):
             return "[" + inner + ("," + inner).join(
-                [render(v, depth + 1) for v in obj]) + outer + "]"
-        else:
-            text = "".join(encode(obj, 0))
-        text = text[0] + inner + text[1:-1] + outer + text[-1]
-        for k in kids:
-            # a key that is not a string is written as the encoder writes it
-            key = inner + (quote(k) + ": " if isinstance(k, str) else
-                           "".join(encode({k: None}, 0))[1:-5])
-            text = text.replace(key + "null",
-                                key + render(obj[k], depth + 1), 1)
-        return text
-
-    return render(obj, 0)
+                [_render(v, depth + 1) for v in obj]) + outer + "]"
+    text = "".join(encode({**obj, **dict.fromkeys(kids)} if kids else obj,
+                          0))
+    text = text[0] + inner + text[1:-1] + outer + text[-1]
+    for k in kids:
+        # a key that is not a string is written as the encoder writes it
+        key = inner + (_QUOTE(k) + ": " if isinstance(k, str) else
+                       "".join(encode({k: None}, 0))[1:-5])
+        text = text.replace(key + "null", key + _render(obj[k], depth + 1),
+                            1)
+    return text
 
 
 def _parse_ints(text, what, count=None, sep=","):

@@ -52,9 +52,10 @@ lattice that does not depend on m, so it is the alcove of any size M >= m
 cut at level m - 1.  A sweep evaluates its bands in order and walks each
 factor's alcove once, at the first band's size (the largest), ordered by
 level, so every band's points are a prefix of the walk.  A refused band
-refuses only its top row, at that row's own grid size, as a one-N call
-would; the rows below it band again, and the next band walks its own,
-smaller alcove.  The walk is one pass over 1-D integer columns.  The
+refuses only its top row, as a one-N call would; the rows below it band
+again on the same walk, which is walked again, at a band top's own size,
+only when it cannot hold that band's phases.  On a caller grid a refusal
+refuses every row.  The walk is one pass over 1-D integer columns.  The
 phases of the whole walk are formed once per vector set (one int64 matrix
 product each, held for the sweep), and every band reads its prefix
 through its tables repeated over the phases' range, with no product or
@@ -299,15 +300,15 @@ def _wrapped(table, lo, hi):
 
 class _Walk:
     """One simple factor's alcove walk at the size M of the band that built
-    it (a sweep's first band, or the band that starts at the row below a
-    refused band's top), ordered by level, so that the alcove of any size
-    m <= M (the points of level <= m - 1, :func:`_alcove_levels`) is a
-    prefix of it.  The phases <v, k> of all its points are formed on first
-    use, once per vector set, and held with their range until the walk is
-    dropped; the int64 guard on them reads the walk's largest |k_i|, taken
-    once."""
+    it (a sweep's first band, or a band whose phases the held walk could
+    not hold), ordered by level, so that the alcove of any size m <= M (the
+    points of level <= m - 1, :func:`_alcove_levels`) is a prefix of it.
+    The phases <v, k> of all its points are formed on first use, once per
+    vector set, and held with their range until the walk is dropped; the
+    int64 guard on them reads the walk's largest |k_i|, taken once.
+    ``refused`` records that the guard or the byte budget refused a set."""
 
-    __slots__ = ("points", "levels", "reach", "sets")
+    __slots__ = ("points", "levels", "reach", "sets", "refused")
 
     def __init__(self, rs, m):
         points = _alcove_factor(rs, m)
@@ -319,6 +320,7 @@ class _Walk:
         self.points = np.take(points, order, axis=0)
         self.levels, self.sets = levels[order], {}
         self.reach = int(np.abs(points).max(initial=0))   # max |k_i|
+        self.refused = False
 
     def at(self, m):
         """The alcove of size m <= M, with the tables of m."""
@@ -334,13 +336,17 @@ class _Walk:
             vecs = np.array(vectors, dtype=np.int64).reshape(len(vectors),
                                                              rank)
             top = int(np.abs(vecs).max(initial=0))
-            if rank * self.reach * top > _INT64_MAX:
-                raise GridError(f"phases of weights up to {top} on an "
-                                f"alcove walk of rank {rank} could "
-                                f"overflow int64")
             held = sum(t.nbytes for t, _, _ in self.sets.values())
-            _check_bytes(held + 8 * count * len(vectors), f"the phases held "
-                         f"on an alcove walk of {count} points")
+            try:
+                if rank * self.reach * top > _INT64_MAX:
+                    raise GridError(f"phases of weights up to {top} on an "
+                                    f"alcove walk of rank {rank} could "
+                                    f"overflow int64")
+                _check_bytes(held + 8 * count * len(vectors), f"the phases "
+                             f"held on an alcove walk of {count} points")
+            except GridError:
+                self.refused = True
+                raise
             t = _phases(self.points, vecs)
             self.sets[key] = (t, *((int(t.min()), int(t.max())) if t.size
                                    else (0, 0)))
@@ -681,14 +687,19 @@ def quad_sequence(rs, lam, a, b, ns, f=None, grid=None):
     takes the points of level <= m_k - 1 (:func:`_alcove_levels`), a prefix
     of the walk ordered by level; each vector set's phases are formed once
     on the whole walk and read by every band (:class:`_Walk`).  A band
-    refused with a :class:`GridError` refuses its top row alone; the walks
-    are dropped, and the rows below band again from the next one, on a walk
-    of its own size.  So a refused row is a band top summed on its own
-    grid, and carries the refusal of its one-N call.  A caller grid is
-    every row's grid, so its rows form one band.  Band tops, caller-grid
-    rows and one-element schedules give the bits of a one-N call; the other
-    rows are summed on a finer certified grid and differ from it at
-    roundoff.
+    refused with a :class:`GridError` refuses its top row alone, and the
+    rows below band again from the next one, on the same walks and their
+    phases.  Only a walk refusing its own phases is dropped: a band on a
+    walk of its top's own sizes is then refused as a one-N call is, and a
+    band on a larger walk, whose held phases and largest |k_i| a one-N
+    call would not have, walks again at its own sizes.  Every other
+    refusal reads the band's own points and tables, as a one-N call does.
+    So a refused row is a band top and carries the refusal of its one-N
+    call.  A caller grid is every row's grid, so its rows form one band,
+    and a raised refusal, which does not depend on N, refuses them all.
+    Band tops, caller-grid rows and one-element schedules give the bits of
+    a one-N call; the other rows are summed on a finer certified grid and
+    differ from it at roundoff.
 
     Yields, per n, the float or the :class:`GridError` that refused it.
     """
@@ -713,17 +724,25 @@ def quad_sequence(rs, lam, a, b, ns, f=None, grid=None):
         _, factors, cells = rest[0]
         rows = [i for i, _, _ in takewhile(lambda row: 2 * row[2] >= cells,
                                            rest)]
-        if walks is None:
+        own = walks is None     # walks at the band top's own sizes
+        if own:
             walks = [_Walk(rs_k, m) for _, rs_k, m in factors]
         try:
             out.update(zip(rows, _band_values(
                 lam, a, b, [ns[j] for j in rows], terms, factors, cells,
                 walks)))
         except GridError as exc:
-            # the top row is refused at its own grid; the rest band again,
-            # from a walk of their own
-            out[rows[0]] = exc
-            rows, walks = rows[:1], None
+            if any(walk.refused for walk in walks):
+                # a walk refused its own phases, which only a walk of the
+                # band top's own sizes decides: a held one walks again
+                walks = None
+                if not own:
+                    continue
+            # a raised refusal does not depend on N: on a caller grid it
+            # is every row's, otherwise the top's, and the rest band again
+            if grid is None:
+                rows = rows[:1]
+            out.update(dict.fromkeys(rows, exc))
         del rest[:len(rows)]
     yield from (out[i] for i in range(len(ns)))
 

@@ -95,6 +95,17 @@ def test_estimate_reconstruction():
     d = est.to_dict()
     assert d["N"] == 12
     assert d["kappa_term"] == str(est.kappa_term)
+    # an immutable named tuple: it unpacks, compares and hashes as the
+    # tuple of its fields, and its repr names them in order
+    value, *_, n, log_abs = est
+    assert (value, n, log_abs) == (est.value, 12, est.log_abs)
+    assert est == tuple(est) and hash(est) == hash(tuple(est))
+    assert repr(est) == "AsymptoticEstimate(" + ", ".join(
+        f"{name}={getattr(est, name)!r}" for name in (
+            "value", "log_dim_power", "kappa_term", "det_a", "pi_sum",
+            "prefactor", "N", "log_abs")) + ")"
+    with pytest.raises(AttributeError):
+        est.value = 0.0
 
 
 def test_leading_term_manual_assembly():

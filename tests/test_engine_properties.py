@@ -6,12 +6,15 @@ alternating sum over the orbit of rho; the engine tracks highest weights
 with Freudenthal multiplicities.  The two routes share only root data.
 One Klimyk step is also checked against ``oracles.klimyk_step_reference``,
 which reflects every pair: it shares the reflection with the engine, so it
-checks the step's short cuts.
+checks the step's short cuts.  The leading terms of the asymptotic route
+are checked against the conjugation identity the exact route satisfies.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from liemoments.asymptotics import (ClassFunction, leading_term_I,
+                                    leading_term_K)
 from liemoments.charring import (CycleType, adams, dual, exact_moment,
                                  klimyk_step, moment_sequence)
 from liemoments.repweights import weight_system
@@ -141,6 +144,49 @@ def test_swapping_a_and_b_is_conjugation(case):
     (conjugated,) = moment_sequence(rs, star(rs, lam), b, a, (1,), nus)
     assert swapped == want
     assert conjugated == want
+
+
+# The leading terms need root data alone, so A3, D5 and E6, whose duality
+# lam -> lam* is not the identity, join at no weight-system cost.
+ASYM_GROUPS = {**SWAP_GROUPS, **{spec: build_root_system(spec)
+                                 for spec in ("A3", "D5", "E6")}}
+
+
+@st.composite
+def asymptotic_swap_cases(draw):
+    """A regular lam, one-sided powers a of gcd 1, two-sided powers b of
+    a's weight, a small f and an index N."""
+    rs = ASYM_GROUPS[draw(st.sampled_from(sorted(ASYM_GROUPS)))]
+    lam = tuple(c + 1 for c in draw(small_weights(rs.rank)))
+    a = CycleType((draw(st.integers(1, 2)), draw(st.integers(0, 2))))
+    twos = draw(st.integers(0, a.weight // 2))
+    b = CycleType((a.weight - 2 * twos, twos))
+    terms = draw(st.lists(st.tuples(
+        small_weights(rs.rank, top=2),
+        st.integers(-3, 3) | st.sampled_from([0.5, -1.25])),
+        min_size=1, max_size=3))
+    return rs, lam, a, b, terms, draw(st.integers(1, 12))
+
+
+@settings(max_examples=60)
+@given(asymptotic_swap_cases())
+@example((ASYM_GROUPS["A2"], (1, 2), CycleType((1, 1)), CycleType((3,)),
+          [((1, 2), 2), ((2, 1), 0.5), ((0, 0), -1)], 5))
+@example((ASYM_GROUPS["E6"], (1, 1, 2, 1, 1, 1), CycleType((1,)),
+          CycleType((1,)),
+          [((1, 0, 0, 0, 0, 0), 3), ((0, 0, 0, 0, 0, 0), 1)], 3))
+def test_leading_terms_are_conjugation_invariant(case):
+    # the asymptotic twin of test_swapping_a_and_b_is_conjugation: with
+    # k_a = k_b, K(lam; a, b; f) = K(lam; b, a; f*) = K(lam*; b, a; f),
+    # and one-sided, I(lam*; a; f*) = I(lam; a; f), bit for bit
+    rs, lam, a, b, terms, n = case
+    f = ClassFunction(tuple(terms))
+    f_star = ClassFunction(tuple((star(rs, nu), c) for nu, c in terms))
+    want = leading_term_K(rs, lam, a, b, n, f=f).to_dict()
+    assert leading_term_K(rs, lam, b, a, n, f=f_star).to_dict() == want
+    assert leading_term_K(rs, star(rs, lam), b, a, n, f=f).to_dict() == want
+    assert (leading_term_I(rs, star(rs, lam), a, n, f=f_star)
+            == leading_term_I(rs, lam, a, n, f=f))
 
 
 STEP_GROUPS = {spec: build_root_system(spec)

@@ -693,6 +693,61 @@ def test_sweep_walks_again_after_a_refused_band(monkeypatch):
         "bytes, byte budget is 1000")
 
 
+def _one_n_rows(rs, lam, a, b, ns, grid=None):
+    rows = []
+    for n in ns:
+        try:
+            rows.append(torusquad.quad_K_N(rs, lam, a, b, n, grid=grid))
+        except GridError as exc:
+            rows.append(exc)
+    return rows
+
+
+def _same_rows(got, want):
+    assert [(type(x), str(x) if isinstance(x, GridError) else x.hex())
+            for x in got] == [(type(x), str(x) if isinstance(x, GridError)
+                               else x.hex()) for x in want]
+
+
+def test_held_walk_refusing_a_new_set_walks_again(monkeypatch):
+    # A2 (1, 1), a = b = (1, 1) at 5,600 bytes: N = 4 and N = 3 are
+    # refused by their own walks' phases.  N = 2's walk (70 points) holds
+    # the phases of the roots and of chi but not chi's 490-entry table, so
+    # it is kept; on it the phases of chi(g^2) would not fit beside them,
+    # so N = 1 walks its own alcove (13) and answers as its one-N call does
+    rs, two = build_root_system("A2"), CycleType((1, 1))
+    walks, walk = [], torusquad._alcove_factor
+    monkeypatch.setattr(torusquad, "_alcove_factor",
+                        lambda rs_k, m: walks.append(m) or walk(rs_k, m))
+    monkeypatch.setattr(torusquad, "_MAX_BYTES", 5600)
+    ns = (1, 2, 3, 4)
+    got = list(torusquad.quad_sequence(rs, (1, 1), two, two, ns))
+    assert walks == [40, 31, 22, 13]
+    assert got[0] == 1.0
+    assert str(got[1]) == ("a table of 490 phases would take 7840 bytes, "
+                           "byte budget is 5600")
+    _same_rows(got, _one_n_rows(rs, (1, 1), two, two, ns))
+
+
+def test_refused_caller_grid_band_walks_once(monkeypatch):
+    # every row of a caller grid shares one walk, and a refusal raised on
+    # it does not depend on N: the top row's error refuses them all, as
+    # each one-N call is refused, and the walk is not built again
+    rs, one = build_root_system("A2"), CycleType((1,))
+    grid = TorusGrid(sizes=(30, 30))
+    walks, walk = [], torusquad._alcove_factor
+    monkeypatch.setattr(torusquad, "_alcove_factor",
+                        lambda rs_k, m: walks.append(m) or walk(rs_k, m))
+    monkeypatch.setattr(torusquad, "_MAX_BYTES", 1000)
+    ns = (1, 2, 3, 4)
+    got = list(torusquad.quad_sequence(rs, (1, 0), one, one, ns, grid=grid))
+    assert walks == [30]
+    assert {str(x) for x in got} == {
+        "the phases held on an alcove walk of 136 points would take 3264 "
+        "bytes, byte budget is 1000"}
+    _same_rows(got, _one_n_rows(rs, (1, 0), one, one, ns, grid))
+
+
 def test_alcove_budget_refuses_lopsided_grid():
     # 4e6 torus points pass the point budget, but one size of 250000 on
     # both axes of B2 would put up to 250000^2 / 8 points in the alcove
