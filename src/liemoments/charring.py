@@ -8,8 +8,9 @@ it applies one Klimyk step per trace factor to a state of highest weights
 with signed multiplicities (:func:`klimyk_step`), and pairs two such
 decompositions for the two-sided moment (:func:`moment_sequence`, which
 extends one chain across a whole N schedule, on each simple factor of a
-product group separately); a one-N value is the one-element schedule
-(:func:`exact_moment`).  No route calls the weight-system convolution
+product group separately, and takes a class-function term's step once
+where it is also the chain's next step); a one-N value is the one-element
+schedule (:func:`exact_moment`).  No route calls the weight-system convolution
 (:func:`product`, :func:`product_all`, :func:`moment_weight_system`) or
 :func:`trivial_multiplicity`: they are the tests' reference for the engine,
 and the benchmark traces them.  Everything here is exact integer
@@ -275,12 +276,17 @@ def moment_sequence(rs, lam, a, b, ns, weights=None):
     step and a lookup per nu.  dec(P_{a n}) is dec(P_{a (n-1)}) extended by
     the |a| trace factors of P_a, so a strictly increasing schedule costs
     max(ns) * (|a| + |b|) chain steps per factor, gaps included;
-    dec(P_{b n}) is dec(P_{a n}) when a == b.  The factor's steps share one
-    memo per character X (lam's Adams factor of each degree, each nu):
-    a highest weight below X's depth is reflected against X only the first
-    time it appears (:func:`klimyk_step`), and the memos of V_lam and V_nu
-    start with dec(V_0 (x) V_kappa) = {kappa: 1}, so step 1 from the
-    trivial state reflects nothing.  The memos hold at most
+    dec(P_{b n}) is dec(P_{a n}) when a == b.  When nu is lam on the
+    factor and a_1 >= 1, the step dec(P_{a n}) (x) V_nu is step
+    n |a| + 1 of the a chain, from the same state with the same memo: the
+    row reads it as its nu step and the next row extends the chain from
+    it, so it is taken once (a refused one is taken again, and refuses
+    again before any work with the same message).  The factor's steps
+    share one memo per character X (lam's Adams factor of each degree,
+    each nu): a highest weight below X's depth is reflected against X only
+    the first time it appears (:func:`klimyk_step`), and the memos of
+    V_lam and V_nu start with dec(V_0 (x) V_kappa) = {kappa: 1}, so step 1
+    from the trivial state reflects nothing.  The memos hold at most
     ``_SUPPORT_CAP`` pairs per factor (past that, transitions are found
     again and not stored) and last as long as the call.  Steps are
     numbered along each chain, whose factors come in rounds of P_a's
@@ -354,7 +360,10 @@ def _chain_rows(rs, lam, a, b, ns, weights):
 
     sides = [side(a)] if b == a else [side(a), side(b)]
     decs = [{zero: 1} for _ in sides]   # dec(P^done), or its refusal
-    prev = -1
+    # a nu step with the memo of P_a's first factor (nu = lam, a_1 >= 1)
+    # is side a's next step: the next row takes its result as that step
+    lead = sides[0][0][1] if sides[0] else None
+    ahead, prev = None, -1
     for n in ns:
         if n <= prev:
             raise ValueError(
@@ -365,9 +374,13 @@ def _chain_rows(rs, lam, a, b, ns, weights):
                 break   # its refusal answers every later row: stop building
             if isinstance(decs[i], SupportCapExceeded):
                 continue
+            steps = enumerate(factors * (n - done),
+                              start=done * len(factors) + 1)
+            if i == 0 and ahead is not None:
+                next(steps)
+                decs[0], ahead = ahead, None
             try:
-                for step, (x, x_memo) in enumerate(
-                        factors * (n - done), start=done * len(factors) + 1):
+                for step, (x, x_memo) in steps:
                     decs[i] = klimyk_step(rs, decs[i], x, step, x_memo)
             except SupportCapExceeded as exc:
                 decs[i] = exc
@@ -381,13 +394,16 @@ def _chain_rows(rs, lam, a, b, ns, weights):
         for nu in weights:
             left = dec_a
             if nu != zero:
+                x = weight_system(rs, nu).entries
+                x_memo = memo(nu, x)
                 try:
-                    x = weight_system(rs, nu).entries
                     left = klimyk_step(rs, dec_a, x, step=n * a.size + 1,
-                                       memo=memo(nu, x))
+                                       memo=x_memo)
                 except SupportCapExceeded as exc:
                     out = exc
                     break
+                if x_memo is lead:
+                    ahead = left
             if len(left) > len(dec_b):
                 left, right = dec_b, left
             else:

@@ -134,6 +134,13 @@ class TorusGrid:
 
 
 @cache
+def _simple_factors(rs):
+    """:func:`rootsys.simple_factors` of ``rs`` as a tuple, memoised per
+    datum: every row of a sweep reads it (:func:`_factor_grids`)."""
+    return tuple(rootsys.simple_factors(rs))
+
+
+@cache
 def _hull_data(rs):
     """Per simple factor of ``rs``: its axes, Q = D C^-1 in integers
     (:func:`rootsys.scaled_cartan_inv`), Q composed with
@@ -144,7 +151,7 @@ def _hull_data(rs):
     times its coefficient on alpha_j, and column i is D omega_i on the
     simple roots.  -w0 is linear: its column i is dom(-omega_i)."""
     out = []
-    for block, rs_k in rootsys.simple_factors(rs):
+    for block, rs_k in _simple_factors(rs):
         r = rs_k.rank
         _, q = rootsys.scaled_cartan_inv(rs_k)
         duals = [rootsys.dominant_representative(
@@ -262,12 +269,18 @@ def _phase_tables(m):
     mirror their first half t = 0..m/2: sin(pi t / m) then never meets a
     float64 angle near pi, whose rounding costs 4 sin^2 up to ~1000 ulp
     near t = m.  The half turn t = m/2 is -1 exactly, so every phase is the
-    conjugate of its mirror's."""
+    conjugate of its mirror's.
+
+    Both tables read one angle array u = pi t / m; the phase takes 2 u,
+    which is the float64 2 pi t / m bit for bit (doubling is exact, and
+    rounding commutes with it), so the tables are those of the two
+    separate angles."""
     k = np.arange(m // 2 + 1)
-    circle = np.exp(1j * (2 * math.pi * k / m))
+    u = math.pi * k / m
+    circle = np.exp(1j * (2 * u))
     if m % 2 == 0:
         circle[-1] = -1
-    four_sin_sq = 4 * np.sin(math.pi * k / m) ** 2
+    four_sin_sq = 4 * np.sin(u) ** 2
     back = slice((m - 1) // 2, 0, -1)   # m - t for t = m/2 + 1 .. m - 1
     return (np.concatenate((circle, circle[back].conj())),
             np.concatenate((four_sin_sq, four_sin_sq[back])))
@@ -507,10 +520,11 @@ def _factor_grids(rs, sizes):
     The alcove of the whole group holds at most P / |W| points; a caller
     grid whose sizes within a factor differ so much that this exceeds
     ``_MAX_POINTS``, or a size whose phases could overflow int64, is
-    refused before any point is enumerated.
+    refused before any point is enumerated.  The factors are read from
+    :func:`_simple_factors`, built once per datum.
     """
     factors = [(block, rs_k, max(sizes[i] for i in block))
-               for block, rs_k in rootsys.simple_factors(rs)]
+               for block, rs_k in _simple_factors(rs)]
     for block, _, m in factors:
         _check_phase_range(len(block), m)
     cells = math.prod(m ** len(block) for block, _, m in factors)

@@ -44,6 +44,8 @@ genuine two-route check:
   orbit, with characters from the Weyl character formula.
 * The alcove walk with its coefficient matrix restacked on every axis, the
   reference for the one-pass walk's points and their order.
+* The two torus tables of a grid size from two separate angle arrays,
+  2 pi t / m and pi t / m, the reference for tables read off one.
 * The per-axis quadrature bandwidth: the largest |mu_i| of every factor of
   the integrand, read off the vertices W lam of its weight polytope and
   added axis by axis.
@@ -787,6 +789,20 @@ def stacked_alcove_walk(rs, m):
         c = np.column_stack([c[rows], cj])
         room = room[rows] - aj * (base[rows] + step * cj)
     return c @ np.array(u, dtype=np.int64)
+
+
+def two_angle_phase_tables(m):
+    """``torusquad._phase_tables(m)`` with each table from its own angle:
+    cos + i sin of 2 pi t / m, -1 at the half turn, and 4 sin^2(pi t / m),
+    for t = 0 .. m / 2, mirrored to t = m - 1."""
+    k = np.arange(m // 2 + 1)
+    circle = np.exp(1j * (2 * math.pi * k / m))
+    if m % 2 == 0:
+        circle[-1] = -1
+    four_sin_sq = 4 * np.sin(math.pi * k / m) ** 2
+    back = slice((m - 1) // 2, 0, -1)
+    return (np.concatenate((circle, circle[back].conj())),
+            np.concatenate((four_sin_sq, four_sin_sq[back])))
 
 
 def mehta_quadrature(rs, h, extra_nodes=0):

@@ -258,7 +258,9 @@ def test_exact_chain_integers_are_pinned():
 ])
 def test_sweep_extends_one_chain(monkeypatch, group, lam, a, b, f):
     # a sweep over N = 1..m: |a| chain steps per unit of N, |b| more when
-    # b != a, and one step per nontrivial class-function term per row
+    # b != a, and one step per nontrivial class-function term per row; a
+    # term chi_lam, when a_1 >= 1, takes the chain's next step, so every row
+    # but the last shares it with the row after
     calls = []
 
     def counted(*args, **kwargs):
@@ -274,12 +276,79 @@ def test_sweep_extends_one_chain(monkeypatch, group, lam, a, b, f):
         paths=("exact",), f=harness.parse_class_function(f, rs.rank))
     rows = harness.run_experiment(cfg).rows
     nontrivial = sum(any(nu) for nu, _ in cfg.f.terms)
+    shared = (a.exps[:1] > (0,)
+              and any(nu == lam for nu, _ in cfg.f.terms))
     assert len(calls) == m * (a.size + (b.size if b != a else 0)
-                              + nontrivial)
+                              + nontrivial) - (m - 1) * shared
     for row in rows:
         assert row.notes == ()
         assert row.exact == harness.route_value("exact", rs, lam, a, b,
                                                 row.n, cfg.f)
+
+
+def _exact_column(rs, lam, a, f, ns):
+    """The exact column of a sweep over ``ns`` with b = a: per row its
+    integer or its notes."""
+    cfg = harness.ExperimentConfig(group=rs.describe(), lam=lam, a=a, b=a,
+                                   schedule=ns, f=f, paths=("exact",))
+    return [row.exact if row.exact is not None else row.notes
+            for row in harness.run_experiment(cfg).rows]
+
+
+def _one_n_calls(rs, lam, a, f, ns):
+    """:func:`_exact_column` from one ``route_value`` call per row."""
+    want = []
+    for n in ns:
+        try:
+            want.append(harness.route_value("exact", rs, lam, a, a, n, f))
+        except SupportCapExceeded as exc:
+            want.append((f"exact skipped: {exc}",))
+    return want
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_nu_step_of_lam_is_the_chains_next_step(monkeypatch, first):
+    # the f-term chi_(1,1) on dec(P_{a n}) is step n + 1 of the chain, with
+    # V_lam's memo: the sweep takes it once, as the nu step of row n and
+    # the chain's step of row n + 1, wherever the term stands in f
+    rs, lam, ns = build_root_system("A2"), (1, 1), tuple(range(1, 7))
+    terms = [((1, 1), 3.0), ((0, 0), 2.0)]
+    f = harness.ClassFunction(tuple(terms if first else terms[::-1]))
+    steps = []
+
+    def counted(*args, **kwargs):
+        steps.append(kwargs.get("step", args[3] if len(args) > 3 else 1))
+        return klimyk_step(*args, **kwargs)
+
+    for a, want_steps in ((CycleType((1,)), [1, 2, 3, 4, 5, 6, 7]),
+                          # a psi^2 chain never meets V_lam's memo
+                          (CycleType((0, 1)), [1, 2, 2, 3, 3, 4, 4, 5, 5,
+                                               6, 6, 7])):
+        with monkeypatch.context() as patch:
+            patch.setattr(charring, "klimyk_step", counted)
+            got = _exact_column(rs, lam, a, f, ns)
+        assert steps == want_steps
+        assert got == _one_n_calls(rs, lam, a, f, ns)
+        assert all(isinstance(v, int) for v in got)
+        steps.clear()
+
+
+@pytest.mark.parametrize("first", [True, False])
+@pytest.mark.parametrize("cap", [10, 40, 60, 100, 130])
+def test_shared_step_refuses_as_both_of_its_calls(monkeypatch, first, cap):
+    # the state before step k + 1 is dec(P_k), of 1, 1, 5, 8, 13, 18
+    # highest weights, times 7 weights of V_(1,1): a cap refuses the shared
+    # step first as row k's nu step (a refusal of row k alone) and then as
+    # the chain's step (a refusal of every later row), with one message
+    rs, lam, a, ns = build_root_system("A2"), (1, 1), CycleType((1,)), \
+        tuple(range(1, 7))
+    terms = [((1, 1), 3.0), ((0, 0), 2.0)]
+    f = harness.ClassFunction(tuple(terms if first else terms[::-1]))
+    monkeypatch.setattr(charring, "_SUPPORT_CAP", cap)
+    got = _exact_column(rs, lam, a, f, ns)
+    assert got == _one_n_calls(rs, lam, a, f, ns)
+    notes = [row for row in got if isinstance(row, tuple)]
+    assert notes and len(set(notes)) == 1
 
 
 def test_chain_refusal_persists_to_later_rows(monkeypatch):

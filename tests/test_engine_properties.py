@@ -10,15 +10,19 @@ checks the step's short cuts.  The leading terms of the asymptotic route
 are checked against the conjugation identity the exact route satisfies.
 """
 
+from unittest import mock
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from liemoments import charring
 from liemoments.asymptotics import (ClassFunction, leading_term_I,
                                     leading_term_K)
-from liemoments.charring import (CycleType, adams, dual, exact_moment,
-                                 klimyk_step, moment_sequence)
+from liemoments.charring import (CycleType, SupportCapExceeded, adams, dual,
+                                 exact_moment, klimyk_step, moment_sequence)
 from liemoments.repweights import weight_system
-from liemoments.rootsys import build_root_system, dominant_representative
+from liemoments.rootsys import (build_root_system, dominant_representative,
+                                simple_factors)
 
 import oracles
 
@@ -290,3 +294,70 @@ def test_memoised_chain_matches_steps_that_reflect_every_pair(case):
             assert row == [oracles.convolution_moment(
                 rs, lam, a.scaled(n).exps, b.scaled(n).exps, [(nu, 1)])
                 for nu in weights]
+
+
+SHARE_GROUPS = {spec: build_root_system(spec)
+                for spec in ("A1", "A2", "B2", "G2", "A3", "A1xA2")}
+
+
+def one_part_types():
+    """a_j copies of Tr(g^j) for one j: the types whose sweep steps are
+    those of their one-N calls, refusals included."""
+    return st.builds(lambda j, aj: CycleType((0,) * (j - 1) + (aj,)),
+                     st.integers(1, 2), st.integers(1, 2))
+
+
+@st.composite
+def shared_step_cases(draw):
+    """A gapped schedule whose f has a term equal to lam on some simple
+    factor (so with a_1 >= 1 its step there is the chain's next one), and
+    a support cap that may refuse part way."""
+    rs = SHARE_GROUPS[draw(st.sampled_from(sorted(SHARE_GROUPS)))]
+    lam = draw(small_weights(rs.rank))
+    a = draw(one_part_types())
+    b = draw(st.sampled_from(["same", "empty", "other"]))
+    b = {"same": a, "empty": CycleType(())}.get(b) or draw(one_part_types())
+    weights = draw(st.lists(small_weights(rs.rank), min_size=1, max_size=3))
+    blocks = [block for block, _ in simple_factors(rs)]
+    block = draw(st.sampled_from(blocks))
+    i = draw(st.integers(0, len(weights) - 1))
+    weights[i] = tuple(lam[p] if p in block else c
+                       for p, c in enumerate(weights[i]))
+    top = max(1, (MAX_FACTORS if rs.rank < 3 else 4)
+              // (a.size + b.size))
+    ns = tuple(sorted(draw(st.sets(st.integers(0, top + 1), min_size=1,
+                                   max_size=4))))
+    cap = draw(st.integers(1, 300) | st.just(charring._SUPPORT_CAP))
+    return rs, lam, a, b, ns, list(dict.fromkeys(weights)), cap
+
+
+def _text(row):
+    return str(row) if isinstance(row, SupportCapExceeded) else row
+
+
+@settings(max_examples=80, deadline=None)
+@given(shared_step_cases())
+# A2's adjoint: row 4's nu step (1,1), step 5 of the chain, refuses
+@example((SHARE_GROUPS["A2"], (1, 1), CycleType((1,)), CycleType((1,)),
+          (1, 2, 4, 5, 6), [(0, 0), (1, 1)], 60))
+@example((SHARE_GROUPS["A2"], (1, 1), CycleType((1,)), CycleType((1,)),
+          (1, 3, 4, 6), [(1, 1), (0, 0)], 60))
+# row 2's nu step (1, 1) refuses before its step (1, 0), the chain's next
+@example((SHARE_GROUPS["A2"], (1, 0), CycleType((1,)), CycleType((1,)),
+          (1, 2, 3), [(1, 1), (1, 0)], 10))
+# the A2 projection of (0, 1, 1) is lam's: the A2 chain shares its step,
+# the A1 chain does not
+@example((SHARE_GROUPS["A1xA2"], (1, 1, 1), CycleType((1,)), CycleType(()),
+          (0, 2, 3, 5), [(0, 1, 1), (1, 0, 0)], 40))
+def test_sweep_rows_share_steps_as_their_one_n_calls(case):
+    # every row, integers or refusal text, is the one-element schedule of
+    # its scaled types, whose chain shares no step with an f-term
+    rs, lam, a, b, ns, weights, cap = case
+    with mock.patch.object(charring, "_SUPPORT_CAP", cap):
+        rows = list(moment_sequence(rs, lam, a, b, ns, weights))
+        assert len(rows) == len(ns)
+        for n, row in zip(ns, rows):
+            (want,) = moment_sequence(rs, lam, a.scaled(n), b.scaled(n),
+                                      (1,), weights)
+            assert type(row) is type(want)
+            assert _text(row) == _text(want)

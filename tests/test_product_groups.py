@@ -128,10 +128,12 @@ def test_product_sweep_steps_only_one_factor_data(monkeypatch):
     rows = run_experiment(cfg).rows
     assert all(r.exact is not None for r in rows)
     # one chain step per factor and unit of N, plus the (1, 1) nu step of
-    # the A2 factor per row (the A1 projection of both f-terms is 0)
+    # the A2 factor per row (the A1 projection of both f-terms is 0); that
+    # nu is lam's A2 projection, so the step is the A2 chain's next one,
+    # taken once for rows N and N + 1
     assert calls.count("A1") == 6
-    assert calls.count("A2") == 12
-    assert len(calls) == 18
+    assert calls.count("A2") == 7
+    assert len(calls) == 13
 
 
 def test_product_quadrature_evaluates_one_factor_alcove_at_a_time(

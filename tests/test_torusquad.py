@@ -347,6 +347,12 @@ def test_phase_tables_are_exact_mirrors():
                 exact = 4 * mpmath.sin(mpmath.pi * j / m) ** 2
                 err = abs(mpmath.mpf(float(pts.four_sin_sq[j])) - exact)
                 assert err <= 4 * 2.0 ** -52 * exact, (m, j)
+    # both tables come from the one angle array pi t / m, doubled for the
+    # phases: the bits of forming 2 pi t / m on its own
+    for m in range(1, 4097):
+        got = torusquad._phase_tables(m)
+        want = oracles.two_angle_phase_tables(m)
+        assert [t.tobytes() for t in got] == [t.tobytes() for t in want], m
 
 
 def test_evaluators_refuse_non_integer_points_and_sizes():
