@@ -12,15 +12,18 @@ module assembles the constants exactly where possible (kappa factors and
 determinants as Fractions, the central sum from integer classes) and in
 floats only at the very end.  The peak's kappa(A_lam^-1 rho) and det A_lam
 are closed forms in root data (``repweights.SecondMoment``), whose
-lam-free parts are memoised per root datum; A_lam's matrix is never
-eliminated, and only the Mehta closed forms eliminate a caller's form.
-A sweep builds one :class:`PeakData` for all its N, whose values are all
-computed when it is built: the classes of lam and of each term of f with
-the term's c dim V_nu, and the floats of the exact constants (log dim,
-kappa, log kappa, sqrt det A, log det A).  So a row is float arithmetic and
-one class test per term of f, and its estimate holds log |value| as a
-field.  An estimate is an immutable named tuple, so a row builds it in one
-tuple construction, with no attribute set.
+lam-free parts are memoised per root datum: one integer pass over the
+Casimir scales of one ``a_lambda`` call gives both, as one reduced
+Fraction each.  A_lam's matrix is never eliminated, and only the Mehta
+closed forms eliminate a caller's form.  A sweep builds one
+:class:`PeakData` for all its N, whose values are all computed when it is
+built: dim V_lam by the coroot recurrence of ``repweights.weyl_dimension``,
+the classes of lam and of each term of f with the term's c dim V_nu, and
+the floats of the exact constants (log dim, kappa, log kappa, sqrt det A,
+log det A), each read off the reduced Fractions.  So a row is float
+arithmetic and one class test per term of f, and its estimate holds
+log |value| as a field.  An estimate is an immutable named tuple, so a row
+builds it in one tuple construction, with no attribute set.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from typing import NamedTuple
 from . import rootsys
 from .charring import CycleType
 from .exactla import eliminate
-from .repweights import (a_lambda, check_dominant_integral, is_regular,
-                         weyl_dimension)
+from .repweights import (_closed_forms, a_lambda, check_dominant_integral,
+                         is_regular, weyl_dimension)
 
 
 class HypothesisError(ValueError):
@@ -112,9 +115,8 @@ class AsymptoticEstimate(NamedTuple):
 
 
 def _log_fraction(fr):
-    fr = Fraction(fr)
-    if fr <= 0:
-        raise ValueError(f"log of non-positive fraction {fr}")
+    """log of a positive Fraction from its numerator and denominator, so
+    it stays finite where ``float(fr)`` would not."""
     return math.log(fr.numerator) - math.log(fr.denominator)
 
 
@@ -134,15 +136,18 @@ def peak_data(rs, lam, f=None):
     builds it once and passes it to the leading terms as ``peak``.
 
     ``kappa_term`` and ``det_a`` are the closed forms of
-    :class:`repweights.SecondMoment`, from one :func:`a_lambda` call: no
-    elimination of A_lam's matrix.  The classes mod the root lattice of lam
+    :class:`repweights.SecondMoment`, from one :func:`a_lambda` call and
+    one integer pass over its scales: no elimination of A_lam's matrix,
+    and ValueError("matrix is singular") when lam vanishes on a simple
+    factor.  The classes mod the root lattice of lam
     and of each term of f, with the term's c dim V_nu, are all a row needs
     for its central sum (:func:`_central_sum`).  ``lam`` and every highest
     weight of ``f`` are checked here, by their Weyl dimensions, before any
     class is taken; each refusal is a ConfigurationError."""
     f = ClassFunction.one(rs.rank) if f is None else f
     sm = a_lambda(rs, lam)
-    dim, kap, det = weyl_dimension(rs, lam), sm.kappa_rho, sm.det
+    dim = weyl_dimension(rs, lam)
+    kap, det = _closed_forms(sm)
     weights = [c * weyl_dimension(rs, nu) for nu, c in f.terms]
     classes = (rootsys.root_lattice_class(rs, nu) for nu, _ in f.terms)
     return PeakData(dim, kap, det, rootsys.root_lattice_class(rs, lam),

@@ -65,11 +65,17 @@ class WeightSystem:
         return WeightSystem({(0,) * rank: 1})
 
 
+_INT = frozenset((int,))
+
+
 def check_dominant_integral(rs, lam):
     lam = tuple(lam)
     if len(lam) != rs.rank:
         raise rootsys.ConfigurationError(
             f"weight {lam} has wrong rank for {rs.describe()}")
+    # the common case, checked in C: exact ints, none negative
+    if _INT.issuperset(map(type, lam)) and min(lam, default=0) >= 0:
+        return lam
     if any((not isinstance(c, int) and Fraction(c).denominator != 1)
            or c < 0 for c in lam):
         raise rootsys.ConfigurationError(
@@ -85,14 +91,19 @@ def is_regular(rs, lam):
 def weyl_dimension(rs, lam):
     """Dimension of the irreducible with highest weight ``lam`` (exact):
     prod <lam + rho, alpha^vee> over the memoised prod <rho, alpha^vee>,
-    and 1 with no product for the zero weight."""
+    and 1 with no product for the zero weight.  The pairings follow the
+    coroot recurrence of :func:`_coroot_steps`, one integer add each: a
+    simple coroot alpha_i^vee pairs to lam_i + 1, and every other positive
+    coroot to the pairing of the coroot one simple coroot below it plus
+    lam_i + 1."""
     lam = check_dominant_integral(rs, lam)
     if not any(lam):
         return 1
     shifted = [l + 1 for l in lam]
-    num = 1
-    for cr in rs.positive_coroots:
-        num *= sum(map(mul, shifted, cr))
+    pairings = [0]
+    for parent, i in _coroot_steps(rs):
+        pairings.append(pairings[parent] + shifted[i])
+    num = math.prod(pairings[1:])
     den = _weyl_denominator(rs)
     dim, rem = divmod(num, den)
     if rem or dim <= 0:
@@ -236,12 +247,63 @@ def _weyl_denominator(rs):
 
 
 @cache
-def _kappa_numerator(rs):
-    """prod S (alpha, rho) over the positive roots, S as in
-    :func:`_integer_symmetrizers`: (alpha, rho) = sum_j c_j d_j for
-    alpha = sum_j c_j alpha_j."""
-    _scale, sym = _integer_symmetrizers(rs)
-    return math.prod(sum(map(mul, c, sym)) for c in rs.positive_rootcoords)
+def _coroot_steps(rs):
+    """The recurrence of :func:`weyl_dimension`: one ``(parent, i)`` per
+    positive coroot, in order of height.  Slot 0 holds the zero covector
+    and step k fills slot k + 1 with the coroot of slot ``parent`` plus
+    alpha_i^vee, so a simple coroot is ``(0, i)``.  The coroots form the
+    dual root system, so every other positive coroot is a positive coroot
+    of height one less plus a simple coroot; a coroot with no such parent
+    raises RuntimeError, as it would mean corrupted tables."""
+    slots, steps = {}, []
+    for cr in sorted(rs.positive_coroots, key=sum):
+        for i, c in enumerate(cr):
+            below = cr[:i] + (c - 1,) + cr[i + 1:]
+            if c > 0 and (below in slots or not any(below)):
+                steps.append((slots.get(below, 0), i))
+                break
+        else:
+            raise RuntimeError(
+                f"positive coroot {cr} is no positive coroot plus a simple "
+                f"coroot: corrupted root tables")
+        slots.setdefault(cr, len(steps))
+    return tuple(steps)
+
+
+@cache
+def _form_parts(rs):
+    """The lam-free parts of :func:`_closed_forms`, S as in
+    :func:`_integer_symmetrizers`: kappa's numerator prod S (alpha, rho)
+    over the positive roots, with (alpha, rho) = sum_j c_j d_j for
+    alpha = sum_j c_j alpha_j, and its denominator S^|Phi+|; det's S^rank
+    over prod S d_j; and per simple factor k its rank r_k and its number of
+    positive roots."""
+    scale, sym = _integer_symmetrizers(rs)
+    return (math.prod(sum(map(mul, c, sym)) for c in rs.positive_rootcoords),
+            scale ** rs.num_positive_roots, scale ** rs.rank, math.prod(sym),
+            tuple((len(block), (dim_factor - len(block)) // 2)
+                  for block, dim_factor in rootsys.factor_blocks(rs)))
+
+
+def _closed_forms(sm):
+    """``(kappa_rho, det)`` of the :class:`SecondMoment` ``sm``, each one
+    reduced Fraction from one integer pass over its scales: a scale
+    s_k = p / q multiplies kappa's numerator by q and its denominator by p
+    once per positive root of factor k, and det's numerator by p and its
+    denominator by q once per simple root of k.  ValueError when A_lam is
+    not positive definite."""
+    if not sm.definite:
+        raise ValueError("matrix is singular")
+    kappa_num, kappa_den, det_num, det_den, shape = _form_parts(sm.rs)
+    for (rank, roots), s in zip(shape, sm.scales):
+        p, q = s.numerator, s.denominator
+        kappa_num *= q ** roots
+        kappa_den *= p ** roots
+        det_num *= p ** rank
+        det_den *= q ** rank
+    # the last leading minor of C is det C
+    return (Fraction(kappa_num, kappa_den),
+            Fraction(_cartan_minors(sm.rs)[-1] * det_num, det_den))
 
 
 @dataclass(frozen=True)
@@ -262,12 +324,14 @@ class SecondMoment:
     leading principal minor of C is positive.  The parts that do not depend
     on lam are memoised per root datum: those minors, from one
     :func:`exactla.eliminate` of C in integers (:func:`_cartan_minors`),
-    the integer symmetrizers and the numerator prod (alpha, rho) of
-    ``kappa_rho``; so only the scales s_k are taken per lam, and A_lam
-    itself is never eliminated.  Otherwise A_lam, a Gram sum and so
+    and the integer numerators and denominators of both forms
+    (:func:`_form_parts`); so only the scales s_k are taken per lam, and
+    A_lam itself is never eliminated.  Otherwise A_lam, a Gram sum and so
     positive semidefinite, is singular: ``det`` is 0, and ``kappa_rho``
-    raises ValueError, as when lam vanishes on a simple factor.  Each
-    property is computed on every read; nothing is kept.
+    raises ValueError, as when lam vanishes on a simple factor.  Both forms
+    come from one pass over the scales (:func:`_closed_forms`), which
+    ``asymptotics.peak_data`` reads once for the pair; each property takes
+    that pass again on every read, and nothing is kept.
     """
     rs: rootsys.RootSystem = field(repr=False)
     scales: tuple  # s_k = (lam, lam + 2 rho)_k / dim G_k, Fractions
@@ -294,31 +358,12 @@ class SecondMoment:
     @property
     def det(self):
         """det A_lam, exact; 0 when A_lam is not positive definite."""
-        if not self.definite:
-            return Fraction(0)
-        scale, sym = _integer_symmetrizers(self.rs)
-        # the last leading minor of C is det C
-        num = _cartan_minors(self.rs)[-1] * scale ** self.rs.rank
-        den = math.prod(sym)
-        for (block, _), s in zip(rootsys.factor_blocks(self.rs),
-                                 self.scales):
-            num *= s.numerator ** len(block)
-            den *= s.denominator ** len(block)
-        return Fraction(num, den)
+        return _closed_forms(self)[1] if self.definite else Fraction(0)
 
     @property
     def kappa_rho(self):
         """kappa(A_lam^-1 rho), exact."""
-        if not self.definite:
-            raise ValueError("matrix is singular")
-        num = _kappa_numerator(self.rs)
-        den = _integer_symmetrizers(self.rs)[0] ** self.rs.num_positive_roots
-        for (block, dim_factor), s in zip(rootsys.factor_blocks(self.rs),
-                                          self.scales):
-            roots = (dim_factor - len(block)) // 2
-            num *= s.denominator ** roots
-            den *= s.numerator ** roots
-        return Fraction(num, den)
+        return _closed_forms(self)[0]
 
 
 def a_lambda(rs, lam):

@@ -179,7 +179,7 @@ class RootSystem:
     simple_roots: tuple         # weight coords (columns of cartan)
     positive_roots: tuple       # weight coords
     positive_rootcoords: tuple  # simple-root coords
-    positive_coroots: tuple     # covector coords, Fractions
+    positive_coroots: tuple     # simple-coroot coords, ints
     rho: tuple                  # (1, ..., 1)
     weyl_order: int
     center: FundamentalGroup

@@ -21,6 +21,9 @@ genuine two-route check:
   center's elements: exp(2 pi i m <lam, psi>) from the Fraction pairing,
   and the class function's value at each element, term by term, with Weyl
   dimensions from the product formula over the positive coroots.
+* The leading term's peak data composed from the second-moment matrix's
+  properties, kappa(A^-1 rho) and det A read one at a time, with the
+  Weyl dimensions from that product formula.
 * Permutations with no increasing subsequence longer than n, by the
   hook-length formula summed over the partitions with at most n rows, and
   Regev's leading term for them.
@@ -67,8 +70,9 @@ from math import comb
 import numpy as np
 
 from liemoments.exactla import mat_vec
+from liemoments.repweights import a_lambda, check_dominant_integral
 from liemoments.rootsys import (dominant_orbit, dominant_representative,
-                                pairing, simple_factors)
+                                pairing, root_lattice_class, simple_factors)
 
 
 def frac_matrix(rows):
@@ -383,6 +387,31 @@ def weyl_dimension_product(rs, lam):
         out *= pairing(shifted, cor) / pairing(rs.rho, cor)
     assert out.denominator == 1
     return int(out)
+
+
+def peak_data_from_second_moment(rs, lam, f):
+    """The fields of ``asymptotics.PeakData`` composed from the public
+    second-moment properties: ``a_lambda`` (its checks and refusals), the
+    dimensions of lam and of each term from the coroot product, kappa and
+    det as ``kappa_rho`` and ``det`` read one at a time, and the floats
+    from those Fractions: ``float``, ``math.sqrt`` and the difference of
+    the logs of numerator and denominator.  Each term of ``f`` is checked
+    by ``check_dominant_integral`` before its dimension is taken."""
+    sm = a_lambda(rs, lam)
+    lam = check_dominant_integral(rs, lam)
+    dim = weyl_dimension_product(rs, lam)
+    kap, det = sm.kappa_rho, sm.det
+    weights = [c * weyl_dimension_product(rs, check_dominant_integral(rs, nu))
+               for nu, c in f.terms]
+    classes = [root_lattice_class(rs, nu) for nu, _ in f.terms]
+
+    def log(q):
+        q = Fraction(q)
+        return math.log(q.numerator) - math.log(q.denominator)
+
+    return (dim, kap, det, root_lattice_class(rs, lam),
+            tuple(zip(classes, weights)),
+            (math.log(dim), float(kap), log(kap), math.sqrt(det), log(det)))
 
 
 def central_value(rs, f, psi):

@@ -559,6 +559,81 @@ def test_vanish_leading_constant_matches_float_assembly(spec):
     assert vanish_leading_constant(rs, h, 0.0, 0.0, 1) == 0.0
 
 
+PEAK_SPECS = ["A1", "A2", "A3", "A4", "B3", "C3", "D4", "G2", "F4", "E6",
+              "A1xA2", "G2xA1", "A1xA1xA1", "B3xA2"]
+
+
+def _peak_outcome(build):
+    """A built peak as its tuple with the hex of its floats, or a refusal
+    as its type and text."""
+    try:
+        peak = tuple(build())
+    except Exception as exc:  # noqa: BLE001 -- the refusal is compared
+        return type(exc), str(exc)
+    return peak, [x.hex() for x in peak[-1]]
+
+
+@st.composite
+def peak_case(draw):
+    """A group, a weight with coordinates in [0, 3] (so vanishing on a
+    factor of a product now and then), and one to three terms of f; one
+    case in five gets a negative coordinate in lam or in a term."""
+    rs = build_root_system(draw(st.sampled_from(PEAK_SPECS)))
+    lam = draw(st.tuples(*[st.integers(0, 3)] * rs.rank))
+    terms = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 2)] * rs.rank),
+                  st.sampled_from([1.0, -2.5, 3, 0.5])),
+        min_size=1, max_size=3))
+    spoil = draw(st.sampled_from([None, None, None, "lam", "term"]))
+    if spoil == "lam":
+        lam = lam[:-1] + (-1,)
+    elif spoil == "term":
+        k = draw(st.integers(0, len(terms) - 1))
+        terms[k] = (terms[k][0][:-1] + (-1,), terms[k][1])
+    return rs, lam, ClassFunction(tuple(terms))
+
+
+_REFUSED_PEAKS = [
+    ("A1xA2", (0, 1, 1), (((0, 0, 0), 1.0),), ValueError,
+     "matrix is singular"),
+    ("B3", (1, -1, 1), (((0, 0, 0), 1.0),), rootsys.ConfigurationError,
+     "highest weight must be dominant integral, got (1, -1, 1)"),
+    ("G2", (1, 1), (((0, 0), 1.0), ((0, -1), 2.0)),
+     rootsys.ConfigurationError,
+     "highest weight must be dominant integral, got (0, -1)"),
+    ("A2", (1, 1), (((1,), 1.0),), rootsys.ConfigurationError,
+     "weight (1,) has wrong rank for A2"),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(peak_case())
+@example((build_root_system("A2xD4xA1"), (1, 1, 0, 0, 0, 0, 2),
+          ClassFunction((((0,) * 7, 1.0),))))
+@example((build_root_system("F4"), (1, 1, 1, 1),
+          ClassFunction((((0, 0, 0, 0), 5.0),))))
+@example((build_root_system("E6"), (1, 0, 2, 1, 1, 3),
+          ClassFunction((((1, 0, 0, 0, 0, 0), -2.5), ((0, 1, 0, 0, 0, 1),
+                                                       3)))))
+def test_peak_data_matches_the_second_moment_properties(case):
+    # the one-pass build against kappa_rho and det read one at a time,
+    # with floats compared bit for bit and every refusal by type and text
+    rs, lam, f = case
+    assert (_peak_outcome(lambda: peak_data(rs, lam, f))
+            == _peak_outcome(lambda: oracles.peak_data_from_second_moment(
+                rs, lam, f)))
+
+
+@pytest.mark.parametrize("spec, lam, terms, kind, text", _REFUSED_PEAKS)
+def test_peak_data_refuses_as_the_second_moment_properties(spec, lam, terms,
+                                                           kind, text):
+    rs, f = build_root_system(spec), ClassFunction(terms)
+    want = (kind, text)
+    assert _peak_outcome(lambda: peak_data(rs, lam, f)) == want
+    assert _peak_outcome(lambda: oracles.peak_data_from_second_moment(
+        rs, lam, f)) == want
+
+
 @pytest.mark.parametrize("spec, lam", [("F4", (1, 2, 1, 1)),
                                        ("E8", (1,) * 8),
                                        ("A1xA2", (1, 1, 2))])

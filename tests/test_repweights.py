@@ -240,9 +240,56 @@ ALL_SPECS = ([f"A{n}" for n in range(1, 9)]
 
 
 @st.composite
-def spec_and_weight(draw):
+def spec_and_weight(draw, top=2):
     rs = build_root_system(draw(st.sampled_from(ALL_SPECS)))
-    return rs, draw(st.tuples(*[st.integers(0, 2)] * rs.rank))
+    return rs, draw(st.tuples(*[st.integers(0, top)] * rs.rank))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec_and_weight(top=4))
+@example((build_root_system("E8xE8"), (4, 0, 1, 2, 3, 0, 4, 1) * 2))
+@example((build_root_system("A1xA1xA1"), (0, 4, 0)))
+def test_weyl_dimension_matches_the_coroot_product(case):
+    # the coroot recurrence against <lam + rho, a^v> / <rho, a^v> taken
+    # coroot by coroot in Fractions, on every type and rank the parser
+    # accepts and on products
+    rs, lam = case
+    assert weyl_dimension(rs, lam) == oracles.weyl_dimension_product(rs, lam)
+
+
+def test_weyl_dimension_of_e8_rho():
+    # dim V_rho = 2^|Phi+|: its character is prod (e^{a/2} + e^{-a/2})
+    rs = build_root_system("E8")
+    assert weyl_dimension(rs, rs.rho) == 2 ** 120
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_coroot_steps_list_each_positive_coroot_once(spec):
+    # replaying the memoised steps from the zero covector gives every
+    # positive coroot once; a simple coroot comes from slot 0, and every
+    # other one from a positive coroot one simple coroot below it
+    rs = build_root_system(spec)
+    covectors = [(0,) * rs.rank]
+    for parent, i in repweights._coroot_steps(rs):
+        assert 0 <= parent < len(covectors)
+        below = covectors[parent]
+        covectors.append(below[:i] + (below[i] + 1,) + below[i + 1:])
+        assert (parent == 0) == (sum(covectors[-1]) == 1)
+    assert sorted(covectors[1:]) == sorted(rs.positive_coroots)
+    assert repweights._coroot_steps(rs) is repweights._coroot_steps(rs)
+
+
+def test_coroot_steps_refuse_a_coroot_with_no_parent():
+    # (2, 1) on A2 is no positive coroot plus a simple coroot
+    rs = build_root_system("A2")
+    corrupted = dataclasses.replace(
+        rs, positive_coroots=rs.positive_coroots[:2] + ((2, 1),))
+    with pytest.raises(RuntimeError,
+                       match="^positive coroot \\(2, 1\\) is no positive "
+                             "coroot plus a simple coroot: corrupted root "
+                             "tables$"):
+        weyl_dimension(corrupted, (1, 0))
+    assert weyl_dimension(rs, (1, 0)) == 3
 
 
 @settings(max_examples=80, deadline=None)
