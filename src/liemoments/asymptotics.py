@@ -160,13 +160,19 @@ def _central_sum(rs, peak, k):
     """|Z| times the sum, in term order, of c dim V_nu over the terms of f
     with k lam + nu in the root lattice: the sum over the center of the
     phase of the k-th dilate of lam times f, by the orthogonality of Z's
-    characters.  A real float, exactly 0.0 when no term survives."""
+    characters.  A real float, exactly 0.0 when no term survives; a sum
+    past the float range is refused with :class:`HypothesisError`."""
     den = rootsys.scaled_cartan_inv(rs)[0]
     total = 0.0
     for cls, weight in peak.f_classes:
         if not any((k * l + c) % den for l, c in zip(peak.lam_class, cls)):
             total += weight
-    return rs.center.order * total
+    total *= rs.center.order
+    if not math.isfinite(total):
+        raise HypothesisError(
+            "the terms of f take the central sum past the float range; "
+            "refusing rather than return a non-finite leading term")
+    return total
 
 
 def _leading_core(rs, num_factors, l_total, pi_sum, n, peak):

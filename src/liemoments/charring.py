@@ -7,10 +7,11 @@ trivial representation.  The exact engine never builds that weight system:
 it applies one Klimyk step per trace factor to a state of highest weights
 with signed multiplicities (:func:`klimyk_step`), and pairs two such
 decompositions for the two-sided moment (:func:`moment_sequence`, which
-extends one chain across a whole N schedule, on each simple factor of a
-product group separately, and takes a class-function term's step once
-where it is also the chain's next step); a one-N value is the one-element
-schedule (:func:`exact_moment`).  No route calls the weight-system convolution
+extends one chain per side across a whole N schedule, on each simple
+factor of a product group separately; each row reads the chains at
+prefixes, a class-function term's step that is a chain's next step
+included); a one-N value is the one-element schedule
+(:func:`exact_moment`).  No route calls the weight-system convolution
 (:func:`product`, :func:`product_all`, :func:`moment_weight_system`) or
 :func:`trivial_multiplicity`: they are the tests' reference for the engine,
 and the benchmark traces them.  Everything here is exact integer
@@ -276,17 +277,19 @@ def moment_sequence(rs, lam, a, b, ns, weights=None):
     step and a lookup per nu.  dec(P_{a n}) is dec(P_{a (n-1)}) extended by
     the |a| trace factors of P_a, so a strictly increasing schedule costs
     max(ns) * (|a| + |b|) chain steps per factor, gaps included;
-    dec(P_{b n}) is dec(P_{a n}) when a == b.  When nu is lam on the
-    factor and a_1 >= 1, the step dec(P_{a n}) (x) V_nu is step
-    n |a| + 1 of the a chain, from the same state with the same memo: the
-    row reads it as its nu step and the next row extends the chain from
-    it, so it is taken once (a refused one is taken again, and refuses
-    again before any work with the same message).  The factor's steps
-    share one memo per character X (lam's Adams factor of each degree,
-    each nu): a highest weight below X's depth is reflected against X only
-    the first time it appears (:func:`klimyk_step`), and the memos of
-    V_lam and V_nu start with dec(V_0 (x) V_kappa) = {kappa: 1}, so step 1
-    from the trivial state reflects nothing.  The memos hold at most
+    dec(P_{b n}) is dec(P_{a n}) when a == b.  Each side is one chain,
+    its factors in rounds, and row n reads the a chain at prefix n |a|
+    and the b chain at n |b|.  When nu is lam on the factor and
+    a_1 >= 1, the step dec(P_{a n}) (x) V_nu is step n |a| + 1 of the a
+    chain, from the same state with the same memo: the row reads the a
+    chain at n |a| + 1 and the next row extends it from there, so the
+    step is taken once, and a refused one is the chain's state.  The
+    factor's steps share one memo per character X (lam's Adams factor of
+    each degree, each nu): a highest weight below X's depth is reflected
+    against X only the first time it appears (:func:`klimyk_step`), and
+    the memos of V_lam and V_nu start with dec(V_0 (x) V_kappa) =
+    {kappa: 1}, so step 1 from the trivial state reflects nothing.  The
+    memos hold at most
     ``_SUPPORT_CAP`` pairs per factor (past that, transitions are found
     again and not stored) and last as long as the call.  Steps are
     numbered along each chain, whose factors come in rounds of P_a's
@@ -352,58 +355,61 @@ def _chain_rows(rs, lam, a, b, ns, weights):
         return memos[key]
 
     def side(t):
+        """The chain of P_t: its factors in round order, the steps taken
+        and its state (dec(P) of the factors stepped, or the
+        :class:`SupportCapExceeded` that stopped it)."""
         factors = []
         for j, aj in enumerate(t.exps, start=1):
             x = adams(ws, j).entries
             factors += [(x, memo(lam if j == 1 else j, x))] * aj
-        return factors
+        return [factors, 0, {zero: 1}]
 
-    sides = [side(a)] if b == a else [side(a), side(b)]
-    decs = [{zero: 1} for _ in sides]   # dec(P^done), or its refusal
-    # a nu step with the memo of P_a's first factor (nu = lam, a_1 >= 1)
-    # is side a's next step: the next row takes its result as that step
-    lead = sides[0][0][1] if sides[0] else None
-    ahead, prev = None, -1
+    def at(chain, k):
+        """``chain``'s state after its first k steps, for k at least the
+        steps taken: extends it a factor at a time, round after round; a
+        refused step is its state from then on."""
+        factors, done, state = chain
+        while done < k and not isinstance(state, SupportCapExceeded):
+            x, x_memo = factors[done % len(factors)]
+            done += 1
+            try:
+                state = klimyk_step(rs, state, x, done, x_memo)
+            except SupportCapExceeded as exc:
+                state = exc
+        chain[1:] = done, state
+        return state
+
+    chain_a = side(a)
+    chain_b = chain_a if b == a else side(b)
+    # an f-term whose memo is that of the a chain's next factor (nu = lam,
+    # a_1 >= 1) reads the a chain one step on, and the next row goes on
+    # from there; any other term is a one-step chain from dec(P_{a n})
+    lead = chain_a[0][0][1] if chain_a[0] else None
+    prev = -1
     for n in ns:
         if n <= prev:
             raise ValueError(
                 f"schedule must be strictly increasing and >= 0: {ns}")
-        done, prev = max(prev, 0), n
-        for i, factors in enumerate(sides):
-            if isinstance(decs[0], SupportCapExceeded):
-                break   # its refusal answers every later row: stop building
-            if isinstance(decs[i], SupportCapExceeded):
-                continue
-            steps = enumerate(factors * (n - done),
-                              start=done * len(factors) + 1)
-            if i == 0 and ahead is not None:
-                next(steps)
-                decs[0], ahead = ahead, None
-            try:
-                for step, (x, x_memo) in steps:
-                    decs[i] = klimyk_step(rs, decs[i], x, step, x_memo)
-            except SupportCapExceeded as exc:
-                decs[i] = exc
-        refusal = next((d for d in decs if isinstance(d, SupportCapExceeded)),
-                       None)
-        if refusal is not None:
-            yield refusal, True
+        prev = n
+        dec_a = at(chain_a, n * a.size)
+        # a refused a side answers every later row: b is not built further
+        dec_b = (dec_a if isinstance(dec_a, SupportCapExceeded)
+                 else at(chain_b, n * b.size))
+        if isinstance(dec_b, SupportCapExceeded):
+            yield dec_b, True
             continue
-        dec_a, dec_b = decs[0], decs[-1]
         out = []
         for nu in weights:
             left = dec_a
             if nu != zero:
                 x = weight_system(rs, nu).entries
                 x_memo = memo(nu, x)
-                try:
-                    left = klimyk_step(rs, dec_a, x, step=n * a.size + 1,
-                                       memo=x_memo)
-                except SupportCapExceeded as exc:
-                    out = exc
+                left = at(chain_a if x_memo is lead
+                          else [[(x, x_memo)], n * a.size, dec_a],
+                          n * a.size + 1)
+                if isinstance(left, SupportCapExceeded):
+                    out = left
                     break
-                if x_memo is lead:
-                    ahead = left
             if len(left) > len(dec_b):
                 left, right = dec_b, left
             else:

@@ -621,7 +621,9 @@ def _band_values(lam, a, b, ns, terms, factors, cells, walks):
     over a list below ``_BINNED_SUM_MIN`` alcove points, exponent bins from
     there on, the same bits either way), real when its integrand has no
     phase and a real and imaginary pair otherwise.
-    Yields per n the float or the imaginary-residual :class:`GridError`.
+    Yields per n the float or the :class:`GridError` of a sum past the
+    float range (``_MAX_LOG`` bounds the integrand, not the terms of f) or
+    of an imaginary residual.
 
     The residual's tolerance is 1e-10 max(1, |value|, S), where the
     integrand's scale S = sum_nu |c_nu| prod_k sum |t_k| / P bounds the
@@ -675,7 +677,11 @@ def _band_values(lam, a, b, ns, terms, factors, cells, walks):
         total = sum(row) / cells
         residual = abs(total.imag)
         scale = sum(mag) / cells if phased else 0.0
-        if residual > 1e-10 * max(1.0, abs(total.real), scale):
+        if not (math.isfinite(total.real) and math.isfinite(residual)):
+            yield GridError(
+                "the terms of f take the quadrature sum past the float "
+                "range; refusing rather than return a non-finite value")
+        elif residual > 1e-10 * max(1.0, abs(total.real), scale):
             yield GridError(
                 f"imaginary residual {residual:.3e} above tolerance for "
                 f"value {total.real:.6e}; quadrature inconsistent")

@@ -351,6 +351,32 @@ def test_shared_step_refuses_as_both_of_its_calls(monkeypatch, first, cap):
     assert notes and len(set(notes)) == 1
 
 
+@pytest.mark.parametrize("first", [True, False])
+def test_refused_shared_step_is_taken_once(monkeypatch, first):
+    # at cap 40 the shared step 4 (8 highest weights times 7 weights)
+    # refuses as row 3's nu step; the refusal is then the chain's state, so
+    # rows 4..6 read it without taking step 4 again
+    rs, lam, a, ns = build_root_system("A2"), (1, 1), CycleType((1,)), \
+        tuple(range(1, 7))
+    terms = [((1, 1), 3.0), ((0, 0), 2.0)]
+    f = harness.ClassFunction(tuple(terms if first else terms[::-1]))
+    monkeypatch.setattr(charring, "_SUPPORT_CAP", 40)
+    want = _one_n_calls(rs, lam, a, f, ns)
+    steps = []
+
+    def counted(*args, **kwargs):
+        steps.append(kwargs.get("step", args[3] if len(args) > 3 else 1))
+        return klimyk_step(*args, **kwargs)
+
+    monkeypatch.setattr(charring, "klimyk_step", counted)
+    got = _exact_column(rs, lam, a, f, ns)
+    assert steps == [1, 2, 3, 4]
+    assert got == want
+    note = ("exact skipped: Klimyk step 4: state of 8 highest weights times "
+            "7 weights is 56 pairs, over support_cap 40",)
+    assert got[:2] == [8, 112] and got[2:] == [note] * 4
+
+
 def test_chain_refusal_persists_to_later_rows(monkeypatch):
     rs = build_root_system("A1")
     one = CycleType((1,))

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 import os
 import resource
@@ -13,7 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from liemoments import charring, repweights, rootsys, torusquad
+from liemoments import charring, harness, repweights, rootsys, torusquad
 from liemoments.asymptotics import ClassFunction
 from liemoments.charring import CycleType, adams, exact_moment
 from liemoments.repweights import WeightSystem, weight_system, weyl_dimension
@@ -650,6 +651,64 @@ def test_byte_budget_refuses_before_allocating(args, message):
         f"error: {message}, byte budget is {torusquad._MAX_BYTES}\n")
     assert "Traceback" not in proc.stderr
     assert "MemoryError" not in proc.stderr
+
+
+# A1 V_(1), a = b = (1): the integrand passes the float budget, but each f
+# takes the sum past the float range.  The true K_2 of the second, -1e308,
+# is finite; exact answers both as integers.
+_PAST_FLOAT_F = ["0:1e308; 2:1e308", "0:1e308; 2:-1e308"]
+_QUAD_PAST_FLOAT = ("the terms of f take the quadrature sum past the float "
+                    "range; refusing rather than return a non-finite value")
+_ASYM_PAST_FLOAT = ("the terms of f take the central sum past the float "
+                    "range; refusing rather than return a non-finite "
+                    "leading term")
+
+
+@pytest.mark.parametrize("f", _PAST_FLOAT_F)
+@pytest.mark.parametrize("command, message", [
+    ("quad", _QUAD_PAST_FLOAT), ("asym", _ASYM_PAST_FLOAT)],
+    ids=["quad", "asym"])
+def test_sum_past_the_float_range_is_refused(command, message, f):
+    # the one-N commands exit 1 with the refusal, not inf or nan
+    proc = _run_in_capped_child(
+        ["-m", "liemoments", command, "--group", "A1", "--lam", "1", "--a",
+         "1", "--b", "1", "--N", "2", "--f", f])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("f", _PAST_FLOAT_F)
+def test_converge_renders_rows_past_the_float_range(tmp_path, f):
+    # the JSON report keeps every row: the exact integers, and the quad and
+    # asymptotic refusals as notes, each that of its one-N call
+    config = tmp_path / "past.cfg"
+    config.write_text(f"group = A1\nlambda = 1\na = 1\nb = 1\nN = 1:3\n"
+                      f"f = {f}\npaths = exact, quad, asymptotic\n"
+                      f"format = json\n")
+    proc = _run_in_capped_child(["-m", "liemoments", "converge",
+                                 str(config)])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    rows = json.loads(proc.stdout)["rows"]
+    assert [row["N"] for row in rows] == [1, 2, 3]
+    rs, one = build_root_system("A1"), CycleType((1,))
+    cf = harness.parse_class_function(f, 1)
+    for row in rows:
+        n = row["N"]
+        exact = harness.route_value("exact", rs, (1,), one, one, n, cf)
+        assert type(row["exact"]) is int and row["exact"] == exact
+        assert row["quad"] is None and row["estimate"] is None
+        notes = []
+        for path in ("quad", "asymptotic"):
+            with pytest.raises(ValueError) as one_n:
+                harness.route_value(path, rs, (1,), one, one, n, cf)
+            notes.append(f"{path} skipped: {one_n.value}")
+        assert row["notes"] == notes == [f"quad skipped: {_QUAD_PAST_FLOAT}",
+                                         f"asymptotic skipped: "
+                                         f"{_ASYM_PAST_FLOAT}"]
+    if f == _PAST_FLOAT_F[0]:
+        assert rows[1]["exact"] == 5 * int(1e308)
 
 
 def test_byte_budget_refuses_caller_points_before_their_phases(monkeypatch):
