@@ -129,9 +129,6 @@ def product(ws1, ws2):
                 out[w] = v
             else:
                 out.pop(w, None)
-    if len(out) > _SUPPORT_CAP:
-        raise SupportCapExceeded(
-            f"convolution support {len(out)} exceeds cap {_SUPPORT_CAP}")
     return WeightSystem(out)
 
 

@@ -281,8 +281,8 @@ def _form_parts(rs):
     scale, sym = _integer_symmetrizers(rs)
     return (math.prod(sum(map(mul, c, sym)) for c in rs.positive_rootcoords),
             scale ** rs.num_positive_roots, scale ** rs.rank, math.prod(sym),
-            tuple((len(block), (dim_factor - len(block)) // 2)
-                  for block, dim_factor in rootsys.factor_blocks(rs)))
+            tuple((rs_k.rank, rs_k.num_positive_roots)
+                  for _, rs_k in rootsys.simple_factors(rs)))
 
 
 def _closed_forms(sm):
@@ -341,7 +341,7 @@ class SecondMoment:
         """A_lam as a rank x rank tuple of Fractions."""
         rs = self.rs
         m = [[Fraction(0)] * rs.rank for _ in range(rs.rank)]
-        for (block, _), s in zip(rootsys.factor_blocks(rs), self.scales):
+        for (block, _), s in zip(rootsys.simple_factors(rs), self.scales):
             for i in block:
                 for j in block:
                     m[i][j] = s * rs.cartan[i][j] / rs.symmetrizers[j]
@@ -387,12 +387,12 @@ def a_lambda(rs, lam):
     scale, sym = _integer_symmetrizers(rs)
     shifted = [l + 2 for l in lam]
     scales = []
-    for block, dim_factor in rootsys.factor_blocks(rs):
+    for block, rs_k in rootsys.simple_factors(rs):
         # den * scale * (lam, lam + 2 rho) restricted to this factor
         lo, hi = block.start, block.stop
         casimir = sum(lam[i] * sym[i] * _dot(inv[i][lo:hi], shifted[lo:hi])
                       for i in block)
-        scales.append(Fraction(casimir, den * scale * dim_factor))
+        scales.append(Fraction(casimir, den * scale * rs_k.dim_group))
     sm = SecondMoment(rs, tuple(scales))
     if is_regular(rs, lam) and not sm.definite:
         raise RuntimeError(f"second-moment matrix for {lam} not positive "

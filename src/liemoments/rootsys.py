@@ -354,31 +354,26 @@ def _fundamental_group(cartan):
                             invariant_factors=tuple(d for d in diag if d > 1))
 
 
-def factor_blocks(rs):
-    """(index range, dimension) of each simple factor, in factor order.
-
-    Every matrix built from the root datum (Cartan matrix, its inverse, the
-    symmetrizers) is block diagonal along these ranges.
-    """
-    off = 0
-    for letter, n in rs.factors:
-        yield range(off, off + n), _dim_simple(letter, n)
-        off += n
-
-
+@cache
 def simple_factors(rs):
-    """(index range, root datum) of each simple factor, in factor order.
+    """``((index range, root datum), ...)``, one pair per simple factor,
+    in factor order; memoised per datum.
 
     For G = G_1 x ... x G_k every weight, covector and root splits along
-    the ranges, so a computation on G can run on each factor's own
-    (memoised) datum.  A simple group is its own one factor: the datum is
-    ``rs`` itself, not a rebuilt one.
+    the ranges, and every matrix built from the root datum (Cartan matrix,
+    its inverse, the symmetrizers) is block diagonal along them, so a
+    computation on G can run on each factor's own (memoised) datum.  A
+    simple group is its own one factor: the datum is ``rs`` itself, not a
+    rebuilt one, so a ``dataclasses.replace``d copy reaches its own
+    cross-checks.
     """
     if len(rs.factors) == 1:
-        yield range(rs.rank), rs
-        return
-    for (block, _dim), factor in zip(factor_blocks(rs), rs.factors):
-        yield block, build_root_system((factor,))
+        return ((range(rs.rank), rs),)
+    out, off = [], 0
+    for letter, n in rs.factors:
+        out.append((range(off, off + n), build_root_system(((letter, n),))))
+        off += n
+    return tuple(out)
 
 
 def pairing(mu, x):

@@ -134,13 +134,6 @@ class TorusGrid:
 
 
 @cache
-def _simple_factors(rs):
-    """:func:`rootsys.simple_factors` of ``rs`` as a tuple, memoised per
-    datum: every row of a sweep reads it (:func:`_factor_grids`)."""
-    return tuple(rootsys.simple_factors(rs))
-
-
-@cache
 def _hull_data(rs):
     """Per simple factor of ``rs``: its axes, Q = D C^-1 in integers
     (:func:`rootsys.scaled_cartan_inv`), Q composed with
@@ -151,7 +144,7 @@ def _hull_data(rs):
     times its coefficient on alpha_j, and column i is D omega_i on the
     simple roots.  -w0 is linear: its column i is dom(-omega_i)."""
     out = []
-    for block, rs_k in _simple_factors(rs):
+    for block, rs_k in rootsys.simple_factors(rs):
         r = rs_k.rank
         _, q = rootsys.scaled_cartan_inv(rs_k)
         duals = [rootsys.dominant_representative(
@@ -521,10 +514,10 @@ def _factor_grids(rs, sizes):
     grid whose sizes within a factor differ so much that this exceeds
     ``_MAX_POINTS``, or a size whose phases could overflow int64, is
     refused before any point is enumerated.  The factors are read from
-    :func:`_simple_factors`, built once per datum.
+    :func:`rootsys.simple_factors`, built once per datum.
     """
     factors = [(block, rs_k, max(sizes[i] for i in block))
-               for block, rs_k in _simple_factors(rs)]
+               for block, rs_k in rootsys.simple_factors(rs)]
     for block, _, m in factors:
         _check_phase_range(len(block), m)
     cells = math.prod(m ** len(block) for block, _, m in factors)
@@ -621,7 +614,14 @@ def _band_values(lam, a, b, ns, terms, factors, cells, walks):
     over a list below ``_BINNED_SUM_MIN`` alcove points, exponent bins from
     there on, the same bits either way), real when its integrand has no
     phase and a real and imaginary pair otherwise.
-    Yields per n the float or the :class:`GridError` of a sum past the
+    The coefficients of f are scaled by 2^-s, s the binary exponent of
+    the largest |c_nu| (0 when it is below 1/2), before the factor
+    products, and each row's total and S by 2^s after the division by P.
+    A power of two scales exactly in the normal range, so the bits are
+    those of the unscaled sums wherever these stay finite, and a row whose
+    value is finite is answered even when sum_nu c_nu prod_k S_k, not yet
+    divided by P, is not.
+    Yields per n the float or the :class:`GridError` of a value past the
     float range (``_MAX_LOG`` bounds the integrand, not the terms of f) or
     of an imaginary residual.
 
@@ -633,10 +633,12 @@ def _band_values(lam, a, b, ns, terms, factors, cells, walks):
     degrees = [(j, min(aj, bj), aj - bj) for j, (aj, bj)
                in enumerate(zip_longest(a.exps, b.exps, fillvalue=0), 1)
                if aj or bj]
-    values = [[c for _, c in terms] for _ in ns]
+    shift = max(0, math.frexp(max((abs(c) for _, c in terms), default=0))[1])
+    coeffs = [math.ldexp(c, -shift) for _, c in terms]
+    values = [list(coeffs) for _ in ns]
     phased = (any(e for _, _, e in degrees)
               or any(any(nu) for nu, _ in terms))
-    mags = [[abs(c) for _, c in terms] for _ in ns]
+    mags = [[abs(c) for c in coeffs] for _ in ns]
     for (block, rs_k, m), walk in zip(factors, walks):
         part = slice(block.start, block.stop)
         # one prefix of the walk's phases and one pair of tables serve
@@ -675,18 +677,27 @@ def _band_values(lam, a, b, ns, terms, factors, cells, walks):
                           for v, (nu, _) in zip(mag, terms)]
     for row, mag in zip(values, mags):
         total = sum(row) / cells
-        residual = abs(total.imag)
         scale = sum(mag) / cells if phased else 0.0
-        if not (math.isfinite(total.real) and math.isfinite(residual)):
+        value, residual, scale = (_ldexp_or_inf(x, shift) for x in
+                                  (total.real, abs(total.imag), scale))
+        if not (math.isfinite(value) and math.isfinite(residual)):
             yield GridError(
                 "the terms of f take the quadrature sum past the float "
                 "range; refusing rather than return a non-finite value")
-        elif residual > 1e-10 * max(1.0, abs(total.real), scale):
+        elif residual > 1e-10 * max(1.0, abs(value), scale):
             yield GridError(
                 f"imaginary residual {residual:.3e} above tolerance for "
-                f"value {total.real:.6e}; quadrature inconsistent")
+                f"value {value:.6e}; quadrature inconsistent")
         else:
-            yield total.real
+            yield value
+
+
+def _ldexp_or_inf(x, k):
+    """x 2^k, exact in the normal range, and inf past the float range."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.inf
 
 
 def quad_sequence(rs, lam, a, b, ns, f=None, grid=None):
@@ -767,26 +778,20 @@ def quad_sequence(rs, lam, a, b, ns, f=None, grid=None):
     yield from (out[i] for i in range(len(ns)))
 
 
-def _one_row(rs, lam, a, b, n, f, grid):
-    """The value at n alone, or its refusal raised; ``quad_I_N`` calls it,
-    not ``quad_K_N``, so a traced one-sided call counts once."""
-    (value,) = quad_sequence(rs, lam, a, b, (n,), f, grid)
-    if isinstance(value, GridError):
-        raise value
-    return value
-
-
 def quad_I_N(rs, lam, a, n, f=None, grid=None):
     """Torus quadrature of the one-sided moment with exponents N * a_j.
 
     Exact up to roundoff on any admissible grid; refuses grids below the
     computed bandwidth and magnitudes beyond the float range.
     """
-    return _one_row(rs, lam, a, CycleType(()), n, f, grid)
+    return quad_K_N(rs, lam, a, CycleType(()), n, f, grid)
 
 
 def quad_K_N(rs, lam, a, b, n, f=None, grid=None):
     """Torus quadrature of the two-sided moment (conjugated b factors): the
     one-element schedule of :func:`quad_sequence`, raising its refusal."""
-    return _one_row(rs, lam, a, b, n, f, grid)
+    (value,) = quad_sequence(rs, lam, a, b, (n,), f, grid)
+    if isinstance(value, GridError):
+        raise value
+    return value
 

@@ -11,7 +11,7 @@ from liemoments.charring import (CycleType, SupportCapExceeded, adams, dual,
                                  exact_moment, klimyk_step, moment_sequence,
                                  product, product_all, trivial_multiplicity)
 from liemoments.cli import main
-from liemoments.repweights import weight_system
+from liemoments.repweights import WeightSystem, weight_system
 from liemoments.rootsys import ConfigurationError, build_root_system
 
 import oracles
@@ -64,6 +64,22 @@ def test_product_clebsch_gordan():
     assert sq.entries == {(2,): 1, (0,): 2, (-2,): 1}
     assert klimyk_step(rs, {(0,): 1}, sq.entries) == {(2,): 1, (0,): 1}
     assert trivial_multiplicity(rs, sq) == 1
+
+
+def test_product_cancels_signed_multiplicities():
+    # (e^1 - e^-1)(e^1 + e^-1) = e^2 - e^-2 on A1: the two e^0 pairs cancel
+    # and leave no zero entry
+    odd = WeightSystem({(1,): 1, (-1,): -1})
+    even = WeightSystem({(1,): 1, (-1,): 1})
+    assert product(odd, even).entries == {(2,): 1, (-2,): -1}
+    assert product(even, odd).entries == {(2,): 1, (-2,): -1}
+
+
+def test_adams_refuses_degree_zero():
+    ws = weight_system(build_root_system("A1"), (1,))
+    with pytest.raises(ValueError,
+                       match="^Adams degree must be >= 1, got 0$"):
+        adams(ws, 0)
 
 
 def test_product_cap(monkeypatch):

@@ -23,7 +23,7 @@ from liemoments import torusquad
 from liemoments.asymptotics import ClassFunction
 from liemoments.charring import CycleType, adams, moment_sequence
 from liemoments.repweights import weight_system, weyl_dimension
-from liemoments.rootsys import (build_root_system, factor_blocks,
+from liemoments.rootsys import (build_root_system,
                                 simple_factors)
 from liemoments.torusquad import (GridError, TorusGrid, _alcove_factor,
                                   _factor_grids, character_at, default_grid,
@@ -102,7 +102,7 @@ def _regular_grid_points(rs, sizes):
 ])
 def test_alcove_points_are_one_per_regular_orbit(spec, factor_sizes):
     rs = build_root_system(spec)
-    blocks = [block for block, _ in factor_blocks(rs)]
+    blocks = [block for block, _ in simple_factors(rs)]
     for per_factor in factor_sizes:
         sizes = tuple(m for m, block in zip(per_factor, blocks)
                       for _ in block)

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from liemoments import asymptotics, repweights, rootsys
 from liemoments.exactla import mat_vec
 from liemoments.rootsys import ConfigurationError, build_root_system
-from liemoments.repweights import (a_lambda, is_regular, weight_system,
-                                   weyl_dimension)
+from liemoments.repweights import (a_lambda, check_dominant_integral,
+                                   is_regular, weight_system, weyl_dimension)
 
 import oracles
 from oracles import reflect_covector, reflect_weight
@@ -67,6 +67,16 @@ def test_rejects_non_dominant():
         weyl_dimension(rs, (-1, 0))
     with pytest.raises(ConfigurationError):
         weight_system(rs, (1,))
+
+
+def test_dominant_integral_check_takes_integral_non_ints_as_ints():
+    rs = build_root_system("A2")
+    lam = check_dominant_integral(rs, (2.0, Fraction(3)))
+    assert lam == (2, 3) and all(type(c) is int for c in lam)
+    with pytest.raises(ConfigurationError,
+                       match="^highest weight must be dominant integral, "
+                             "got \\(1.5, 0\\)$"):
+        check_dominant_integral(rs, (1.5, 0))
 
 
 def test_weight_system_a1():
@@ -368,7 +378,7 @@ def test_closed_forms_match_elimination_oracles_on_products(case):
     rs, lam = case
     _check_closed_forms(rs, lam)
     nonzero = all(any(lam[i] for i in block)
-                  for block, _ in rootsys.factor_blocks(rs))
+                  for block, _ in rootsys.simple_factors(rs))
     assert a_lambda(rs, lam).definite == nonzero
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import runpy
@@ -90,7 +91,18 @@ def test_simple_factors_split_along_the_blocks():
     simple = build_root_system("B3")
     assert [(tuple(b), f) for b, f in simple_factors(simple)] == \
         [((0, 1, 2), simple)]
-    assert next(simple_factors(simple))[1] is simple
+    assert simple_factors(simple)[0][1] is simple
+
+
+def test_simple_factors_are_memoised_per_datum():
+    # one split per datum; a dataclasses.replace'd copy is a datum of its
+    # own, whose split names the copy
+    rs = build_root_system("G2xA1xA2")
+    assert simple_factors(rs) is simple_factors(rs)
+    simple = build_root_system("B3")
+    copy = dataclasses.replace(simple)
+    assert simple_factors(copy) is not simple_factors(simple)
+    assert simple_factors(copy)[0][1] is copy
 
 
 def _rho_covector(rs):

@@ -655,7 +655,7 @@ def test_byte_budget_refuses_before_allocating(args, message):
 
 # A1 V_(1), a = b = (1): the integrand passes the float budget, but each f
 # takes the sum past the float range.  The true K_2 of the second, -1e308,
-# is finite; exact answers both as integers.
+# is finite, and quad answers it; exact answers both as integers.
 _PAST_FLOAT_F = ["0:1e308; 2:1e308", "0:1e308; 2:-1e308"]
 _QUAD_PAST_FLOAT = ("the terms of f take the quadrature sum past the float "
                     "range; refusing rather than return a non-finite value")
@@ -669,10 +669,19 @@ _ASYM_PAST_FLOAT = ("the terms of f take the central sum past the float "
     ("quad", _QUAD_PAST_FLOAT), ("asym", _ASYM_PAST_FLOAT)],
     ids=["quad", "asym"])
 def test_sum_past_the_float_range_is_refused(command, message, f):
-    # the one-N commands exit 1 with the refusal, not inf or nan
+    # the one-N commands exit 1 with the refusal, not inf or nan; quad
+    # answers the finite -1e308, whose unnormalised sum alone is past it
     proc = _run_in_capped_child(
         ["-m", "liemoments", command, "--group", "A1", "--lam", "1", "--a",
          "1", "--b", "1", "--N", "2", "--f", f])
+    if command == "quad" and f == _PAST_FLOAT_F[1]:
+        one = CycleType((1,))
+        exact = harness.route_value("exact", build_root_system("A1"), (1,),
+                                    one, one, 2,
+                                    harness.parse_class_function(f, 1))
+        assert proc.returncode == 0, proc.stderr
+        assert math.isclose(float(proc.stdout), exact, rel_tol=1e-9)
+        return
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == f"error: {message}\n"
@@ -681,7 +690,8 @@ def test_sum_past_the_float_range_is_refused(command, message, f):
 @pytest.mark.parametrize("f", _PAST_FLOAT_F)
 def test_converge_renders_rows_past_the_float_range(tmp_path, f):
     # the JSON report keeps every row: the exact integers, and the quad and
-    # asymptotic refusals as notes, each that of its one-N call
+    # asymptotic refusals as notes, each that of its one-N call; quad
+    # answers the rows of the second f whose value is finite, N = 1 and 2
     config = tmp_path / "past.cfg"
     config.write_text(f"group = A1\nlambda = 1\na = 1\nb = 1\nN = 1:3\n"
                       f"f = {f}\npaths = exact, quad, asymptotic\n"
@@ -694,21 +704,65 @@ def test_converge_renders_rows_past_the_float_range(tmp_path, f):
     assert [row["N"] for row in rows] == [1, 2, 3]
     rs, one = build_root_system("A1"), CycleType((1,))
     cf = harness.parse_class_function(f, 1)
+    scale = sum(abs(c) * weyl_dimension(rs, nu) for nu, c in cf.terms)
+    # K_3 of the second f, -4e308, refuses and tops the band of N = 1..3
+    top = default_grid(rs, (1,), one, one, 3, cf)
     for row in rows:
         n = row["N"]
         exact = harness.route_value("exact", rs, (1,), one, one, n, cf)
         assert type(row["exact"]) is int and row["exact"] == exact
-        assert row["quad"] is None and row["estimate"] is None
+        assert row["estimate"] is None
+        answers = f == _PAST_FLOAT_F[1] and n < 3
+        if answers:
+            # summed on the band top's grid, as quad_sequence documents
+            assert row["quad"] == quad_K_N(rs, (1,), one, one, n, cf,
+                                           grid=top)
+            assert abs(row["quad"] - exact) <= 1e-12 * scale
+            assert abs(quad_K_N(rs, (1,), one, one, n, cf) - exact) \
+                <= 1e-12 * scale
+        else:
+            assert row["quad"] is None
         notes = []
-        for path in ("quad", "asymptotic"):
+        for path in ("quad", "asymptotic")[answers:]:
             with pytest.raises(ValueError) as one_n:
                 harness.route_value(path, rs, (1,), one, one, n, cf)
             notes.append(f"{path} skipped: {one_n.value}")
         assert row["notes"] == notes == [f"quad skipped: {_QUAD_PAST_FLOAT}",
                                          f"asymptotic skipped: "
-                                         f"{_ASYM_PAST_FLOAT}"]
+                                         f"{_ASYM_PAST_FLOAT}"][answers:]
     if f == _PAST_FLOAT_F[0]:
         assert rows[1]["exact"] == 5 * int(1e308)
+
+
+@pytest.mark.parametrize("spec, lam, a, b, terms", [
+    ("A1", (1,), (1,), (1,), (((0,), 1.0), ((2,), -0.75))),
+    # one-sided with nontrivial nu: complex rows and a residual scale
+    ("A2", (1, 0), (1,), (), (((0, 0), 1.0), ((0, 1), -0.75),
+                              ((1, 1), 0.3)))])
+def test_rows_of_f_times_a_power_of_two_are_scaled_rows(spec, lam, a, b,
+                                                         terms):
+    # f 2^k gives the rows of f times 2^k bit for bit, up to the largest k
+    # whose rows are all finite, though its sums before the division by
+    # the grid's points pass the float range long before; one more
+    # doubling refuses the largest row alone
+    rs, a, b = build_root_system(spec), CycleType(a), CycleType(b)
+    ns = range(1, 7)
+    base = list(torusquad.quad_sequence(rs, lam, a, b, ns,
+                                        ClassFunction(terms)))
+    top = max(math.frexp(v)[1] for v in base)
+    largest = [math.frexp(v)[1] == top for v in base]
+    for k in (1, 300, 1024 - top, 1025 - top):
+        f = ClassFunction(tuple((nu, math.ldexp(c, k)) for nu, c in terms))
+        rows = list(torusquad.quad_sequence(rs, lam, a, b, ns, f))
+        if k <= 1024 - top:
+            assert rows == [math.ldexp(v, k) for v in base]
+            continue
+        for row, v, refused in zip(rows, base, largest):
+            if refused:
+                assert isinstance(row, GridError)
+                assert str(row) == _QUAD_PAST_FLOAT
+            else:
+                assert row == math.ldexp(v, k)
 
 
 def test_byte_budget_refuses_caller_points_before_their_phases(monkeypatch):
