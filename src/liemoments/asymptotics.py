@@ -14,31 +14,28 @@ floats only at the very end.  The peak's kappa(A_lam^-1 rho) and det A_lam
 are closed forms in root data (``repweights.SecondMoment``), whose
 lam-free parts are memoised per root datum: one integer pass over the
 Casimir scales of one ``a_lambda`` call gives both, as one reduced
-Fraction each.  A_lam's matrix is never eliminated, and only the Mehta
-closed forms eliminate a caller's form.  A sweep builds one
-:class:`PeakData` for all its N, whose values are all computed when it is
-built: dim V_lam by the coroot recurrence of ``repweights.weyl_dimension``,
-the classes of lam and of each term of f with the term's c dim V_nu, and
-the floats of the exact constants (log dim, kappa, log kappa, sqrt det A,
-log det A), each read off the reduced Fractions.  So a row is float
-arithmetic and one class test per term of f, and its estimate holds
-log |value| as a field.  An estimate is an immutable named tuple, so a row
-builds it in one tuple construction, with no attribute set.
+Fraction each, so A_lam's matrix goes through no Gaussian elimination.
+A sweep builds one :class:`PeakData` for all its N, whose values are all
+computed when it is built: dim V_lam by the coroot recurrence of
+``repweights.weyl_dimension``, the classes of lam and of each term of f
+with the term's c dim V_nu, and the floats of the exact constants (log
+dim, kappa, log kappa, sqrt det A, log det A), each read off the reduced
+Fractions.  So a row is float arithmetic and one class test per term of
+f, and its estimate holds log |value| as a field.  An estimate is an
+immutable named tuple, so a row builds it in one tuple construction, with
+no attribute set.
 """
 
 from __future__ import annotations
 
-import decimal
 import math
 import sys
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import rootsys
 from .charring import CycleType
-from .exactla import eliminate
 from .repweights import (_closed_forms, a_lambda, check_dominant_integral,
                          is_regular, weyl_dimension)
 
@@ -336,139 +333,3 @@ def biane_dimension_estimate(rs, lam, n):
         raise HypothesisError(
             f"highest weight {lam} must lie in the root lattice")
     return leading_term_I(rs, lam, CycleType((1,)), n).value
-
-
-# Entries may be floats: commuting with the Weyl action is checked to this
-# relative tolerance, so a float multiple of an invariant form passes.
-_EQUIVARIANCE_TOL = 1e-9
-
-
-def _integer_form(h):
-    """``(L, L h)``: the lcm L of the denominators of the int or Fraction
-    entries of ``h``, and ``h`` scaled by it to integers."""
-    den = math.lcm(*(x.denominator for row in h for x in row))
-    return den, [[x.numerator * (den // x.denominator) for x in row]
-                 for row in h]
-
-
-def weyl_equivariant(rs, h):
-    """Whether the form ``h`` (covectors -> weights; int or Fraction
-    entries) commutes with the Weyl action: h o s_i equals s_i^* o h for
-    every simple reflection, to the relative tolerance ``_EQUIVARIANCE_TOL``.
-
-    In these coordinates the weight-side reflection matrix is the transpose
-    of the covector-side one, so the condition is  h S_i = S_i^T h.  With
-    c_k = cartan[k][i], entry (j, k) of  h S_i - S_i^T h  is
-    c_j h[i][k] - h[j][i] c_k.  It is checked exactly, in integers, on ``h``
-    scaled by the common denominator of its entries.
-    """
-    return _scaled_equivariant(rs, *_integer_form(h))
-
-
-def _scaled_equivariant(rs, den, m):
-    """:func:`weyl_equivariant` of the form ``m / den``, for ``(den, m)``
-    from :func:`_integer_form`."""
-    n = rs.rank
-    # the differences are integers, so comparing with the floor is exact
-    limit = math.floor(Fraction(_EQUIVARIANCE_TOL) * max(
-        den, max(abs(x) for row in m for x in row)))
-    for i in range(n):
-        c = [rs.cartan[k][i] for k in range(n)]
-        for j in range(n):
-            for k in range(n):
-                if abs(c[j] * m[i][k] - m[j][i] * c[k]) > limit:
-                    return False
-    return True
-
-
-def _checked_form(rs, h):
-    """The quadratic form ``h`` as an exact rank x rank Fraction matrix,
-    h^-1 rho and det h, from the elimination that decides definiteness.
-
-    ``Fraction(x)`` is exact for int, Fraction and float entries alike, so
-    nothing is rounded here.  The form is scaled once to L h, in integers,
-    for L the lcm of the entries' denominators; the equivariance and
-    symmetry checks and the elimination all run on L h, and
-    h^-1 rho = L (L h)^-1 rho and det h = det(L h) / L^rank.  Refused with
-    ValueError, in this order: a shape other than rank x rank, a form that
-    does not commute with the Weyl action, one that is not symmetric, and
-    one that is not positive definite.
-    """
-    try:
-        m = [[Fraction(x) for x in row] for row in h]
-    except (OverflowError, ValueError):
-        raise ValueError("form entries must be finite numbers") from None
-    n = len(m)
-    if n != rs.rank or any(len(r) != n for r in m):
-        raise ValueError(f"form must be {rs.rank} x {rs.rank}")
-    den, scaled = _integer_form(m)
-    if not _scaled_equivariant(rs, den, scaled):
-        raise ValueError(
-            "form does not commute with the Weyl action; the kappa closed "
-            "form does not apply")
-    if any(scaled[i][j] != scaled[j][i] for i in range(n) for j in range(i)):
-        raise ValueError("matrix must be symmetric")
-    done = eliminate(scaled, (rs.rho,))
-    if done is None:
-        raise ValueError("matrix must be positive definite")
-    minors, (x,) = done
-    return m, tuple(den * c for c in x), Fraction(minors[-1], den ** n)
-
-
-def _mehta_parts(rs, h):
-    """kappa(h^{-1} rho) and det h, exact, for a form that passes
-    :func:`_checked_form`; one elimination gives both."""
-    _, x, det = _checked_form(rs, h)
-    return rootsys.kappa(rs, x), det
-
-
-def mehta_closed_form(rs, h):
-    """Closed form of the Gaussian integral of kappa^2 with form ``h``:
-    (2 pi)^{rank/2} |W| kappa(h^{-1} rho) / sqrt(det h).
-
-    The closed form is an identity only for forms commuting with the Weyl
-    action (every Hessian produced by the theory is a positive multiple of
-    the invariant form per simple factor), so anything else is refused.
-    kappa and det h are exact; the value is rounded once, at the end.
-    """
-    kap, det = _mehta_parts(rs, h)
-    return ((2 * math.pi) ** (rs.rank / 2) * rs.weyl_order
-            * float(kap) / math.sqrt(det))
-
-
-def _decimal(q):
-    """The Fraction ``q`` in the current decimal context."""
-    return Decimal(q.numerator) / Decimal(q.denominator)
-
-
-# Forty digits keep the powers of sqrt(2 pi) (exponent 4d + rank, about 1000
-# for E8 x E8) far below float resolution; the exponent range is unbounded.
-_LEADING_CONTEXT = decimal.Context(prec=40, Emax=decimal.MAX_EMAX,
-                                   Emin=decimal.MIN_EMIN)
-
-
-def vanish_leading_constant(rs, h, g0, phi0, n):
-    """Leading constant of a torus integral with vanishing-order amplitude.
-
-    For an integrand g * e^{N Phi} whose amplitude vanishes like kappa^2 at
-    the peak with Hessian form ``h``, the peak contributes
-    (2 pi / N)^{dim G / 2} (2 pi)^d g0 e^{N phi0} |W| kappa(h^{-1} rho)
-    / sqrt(det h), that is (2 pi)^{2d} N^{-dim G / 2} g0 e^{N phi0} times
-    :func:`mehta_closed_form`.  The factors are multiplied in decimal
-    arithmetic with no exponent limit and rounded to float once, so only a
-    final value past the float range raises OverflowError.
-    """
-    if n < 1:
-        raise HypothesisError(f"index N must be >= 1, got {n}")
-    kap, det = _mehta_parts(rs, h)
-    with decimal.localcontext(_LEADING_CONTEXT):
-        value = (Decimal(2 * math.pi).sqrt()
-                 ** (4 * rs.num_positive_roots + rs.rank)
-                 / Decimal(n).sqrt() ** rs.dim_group
-                 * Decimal(float(g0)) * Decimal(float(n * phi0)).exp()
-                 * rs.weyl_order * _decimal(kap) / _decimal(det).sqrt())
-    out = float(value)
-    if math.isinf(out):
-        raise OverflowError(
-            f"leading constant {value:.6e} is past the float range")
-    return out

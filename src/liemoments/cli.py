@@ -157,7 +157,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (rootsys.ConfigurationError, FileNotFoundError) as exc:
+    except (rootsys.ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (asymptotics.HypothesisError, charring.SupportCapExceeded,

@@ -778,20 +778,26 @@ def quad_sequence(rs, lam, a, b, ns, f=None, grid=None):
     yield from (out[i] for i in range(len(ns)))
 
 
+def _one_row(rs, lam, a, b, n, f, grid):
+    """The one-element schedule of :func:`quad_sequence`, raising its
+    refusal."""
+    (value,) = quad_sequence(rs, lam, a, b, (n,), f, grid)
+    if isinstance(value, GridError):
+        raise value
+    return value
+
+
 def quad_I_N(rs, lam, a, n, f=None, grid=None):
     """Torus quadrature of the one-sided moment with exponents N * a_j.
 
     Exact up to roundoff on any admissible grid; refuses grids below the
     computed bandwidth and magnitudes beyond the float range.
     """
-    return quad_K_N(rs, lam, a, CycleType(()), n, f, grid)
+    return _one_row(rs, lam, a, CycleType(()), n, f, grid)
 
 
 def quad_K_N(rs, lam, a, b, n, f=None, grid=None):
     """Torus quadrature of the two-sided moment (conjugated b factors): the
     one-element schedule of :func:`quad_sequence`, raising its refusal."""
-    (value,) = quad_sequence(rs, lam, a, b, (n,), f, grid)
-    if isinstance(value, GridError):
-        raise value
-    return value
+    return _one_row(rs, lam, a, b, n, f, grid)
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from liemoments.asymptotics import (ClassFunction, biane_dimension_estimate,
-                                    leading_term_I, mehta_closed_form)
+                                    leading_term_I)
 from liemoments.charring import (CycleType, exact_moment,
                                  moment_weight_system, product,
                                  trivial_multiplicity)
@@ -25,7 +25,7 @@ from liemoments.rootsys import build_root_system
 from liemoments.torusquad import quad_I_N, quad_K_N
 
 import oracles
-from oracles import (det_fraction, mehta_quadrature,
+from oracles import (det_fraction, mehta_closed_form, mehta_quadrature,
                      permutation_trace_bruteforce)
 
 

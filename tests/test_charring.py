@@ -1,6 +1,7 @@
 import math
 import runpy
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -641,3 +642,52 @@ def test_orthogonal_standard_moments_below_the_epsilon_bound(spec, top, past):
     rows = list(moment_sequence(rs, lam, CycleType((1,)), CycleType(()), ns))
     assert rows == [[math.prod(range(n - 1, 0, -2)) if n % 2 == 0 else 0]
                     for n in range(1, top + 1)] + [[past]]
+
+
+def _schur_invariants(rs, lam, n):
+    """({mu: m_mu for every mu |- n}, I(1^n)), with n! m_mu the sum over
+    the cycle types a of size n of chi^mu(a) I(a) n! / z_a, and I(a) the
+    exact cycle-type moment, Tr(sigma | (V^{(x) n})^G) for sigma of type a.
+    Each m_mu is a Fraction, so a remainder mod n! shows as a denominator."""
+    moments = {a: exact_moment(rs, lam, CycleType(a))
+               for a in oracles.all_cycle_types_with_weight(n)}
+    fact = math.factorial(n)
+    class_sizes = {a: fact // math.prod(j ** aj * math.factorial(aj)
+                                        for j, aj in enumerate(a, start=1))
+                   for a in moments}
+    out = {}
+    for mu in oracles.partitions(n, n):
+        total = sum(oracles.sn_character(mu, a) * moments[a] * class_sizes[a]
+                    for a in moments)
+        out[mu] = Fraction(total, fact)
+    return out, moments[(n,) + (0,) * (n - 1)]
+
+
+@pytest.mark.parametrize("spec, lam, top", [
+    ("A1", (1,), 8), ("A2", (1, 0), 6), ("B2", (1, 0), 6),
+    ("G2", (1, 0), 6), ("A2", (1, 1), 5), ("B3", (1, 0, 0), 5),
+    ("C3", (1, 0, 0), 5), ("A1xA2", (1, 1, 0), 5)])
+def test_cycle_type_moments_give_integral_schur_functor_invariants(spec, lam,
+                                                                    top):
+    # the cycle-type moments of size n are the traces of S_n on the
+    # invariants of V^{(x) n}, so pairing them with the character table
+    # gives each multiplicity dim (S_mu V)^G: a nonnegative integer, and
+    # summed with the degrees f^mu = chi^mu(1) they give back I(1^n)
+    rs = build_root_system(spec)
+    for n in range(1, top + 1):
+        dims, ones = _schur_invariants(rs, lam, n)
+        assert all(m.denominator == 1 and m >= 0 for m in dims.values()), n
+        assert sum(oracles.standard_tableaux(mu) * m
+                   for mu, m in dims.items()) == ones
+
+
+@pytest.mark.parametrize("k, top", [(2, 8), (3, 6)])
+def test_su_k_standard_invariants_are_k_row_rectangles(k, top):
+    # Littlewood: S_mu C^k holds an SU(k) invariant exactly when mu is a
+    # rectangle with k rows, and then exactly one
+    rs = build_root_system(f"A{k - 1}")
+    lam = (1,) + (0,) * (k - 2)
+    for n in range(1, top + 1):
+        dims, _ = _schur_invariants(rs, lam, n)
+        assert dims == {mu: int(len(mu) == k and len(set(mu)) == 1)
+                        for mu in dims}, n

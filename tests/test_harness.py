@@ -707,6 +707,20 @@ def test_cli_error_codes(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_cli_unusable_config_and_output_paths_exit_2(tmp_path, capsys):
+    # a directory where a file is expected is a configuration error, as a
+    # missing config file is, with a one-line message and no traceback
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text("group = A1\nlambda = 1\na = 1\nN = 1:2:1\n"
+                       "paths = exact\n")
+    for args in (["converge", str(tmp_path)],
+                 ["converge", str(cfgfile), "--out", str(tmp_path)]):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 def test_cli_internal_error_exits_3_without_traceback(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("dimension formulas disagree")
@@ -921,7 +935,7 @@ def test_warm_sweep_eliminates_nothing_and_takes_logs_once(monkeypatch):
         logs.append(fr)
         return log_fraction(fr)
 
-    for module in (exactla, asymptotics, repweights, rootsys):
+    for module in (exactla, repweights, rootsys):
         monkeypatch.setattr(module, "eliminate", counted_eliminate)
     monkeypatch.setattr(asymptotics, "_log_fraction", counted_log)
     sweep(8)
