@@ -191,6 +191,13 @@ class ExperimentConfig:
     @staticmethod
     def from_mapping(m):
         m = {str(k).lower(): v for k, v in m.items()}
+        known = ("group", "lambda", "a", "b", "n", "f", "paths", "grid",
+                 "out", "format")
+        for key in m:
+            if key not in known:
+                raise rootsys.ConfigurationError(
+                    f"unknown config key {key!r}; known keys are "
+                    f"{', '.join(known)}")
         group = m.get("group")
         if not group:
             raise rootsys.ConfigurationError("config needs a group")

@@ -36,7 +36,7 @@ class ConfigurationError(ValueError):
     """Raised for malformed group/weight/cycle specifications."""
 
 
-# letter -> (rank check, Weyl order, dim of the group)
+# letter -> (lowest, highest) supported rank
 _RANK_RANGE = {
     "A": (1, 8),
     "B": (2, 8),

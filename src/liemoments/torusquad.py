@@ -51,17 +51,17 @@ coordinates the alcove of size m is z_j >= 1, sum_j a_j z_j <= m - 1 on a
 lattice that does not depend on m, so it is the alcove of any size M >= m
 cut at level m - 1.  A sweep evaluates its bands in order and walks each
 factor's alcove once, at the first band's size (the largest), ordered by
-level, so every band's points are a prefix of the walk.  A refused band
-refuses only its top row, as a one-N call would; the rows below it band
-again on the same walk, which is walked again, at a band top's own size,
-only when it cannot hold that band's phases.  On a caller grid a refusal
-refuses every row.  The walk is one pass over 1-D integer columns.  The
-phases of the whole walk are formed once per vector set (one int64 matrix
-product each, held for the sweep), and every band reads its prefix
-through its tables repeated over the phases' range, with no product or
-reduction of its own.  The rows' certificates share their N-independent
-sums (:func:`_hull_sums`), formed once per sweep.  A one-N call is the
-one-element schedule.
+level, so every band's points are a prefix of the walk.  A band refused
+on a walk of its top's own sizes refuses only its top row, as a one-N call
+would, and the rows below it band again on the same walk; a band refused
+on a larger walk runs again on a walk of its top's own sizes, whatever
+refused it.  On a caller grid a refusal refuses every row.  The walk is
+one pass over 1-D integer columns.  The phases of the whole walk are
+formed once per vector set (one int64 matrix product each, held for the
+sweep), and every band reads its prefix through its tables repeated over
+the phases' range, with no product or reduction of its own.  The rows'
+certificates share their N-independent sums (:func:`_hull_sums`), formed
+once per sweep.  A one-N call is the one-element schedule.
 
 On the alcove the two-sided integrand |Delta|^2 |chi|^(2N) is real and
 nonnegative: each Adams degree's paired part min(a_j, b_j) is raised as
@@ -298,10 +298,15 @@ def _wrapped(table, lo, hi):
     """``table`` repeated so that indexing it at any integer t in [lo, hi]
     reads table[t mod m], m = len(table): it covers 0 .. hi and, by
     numpy's negative indices from its end, lo .. -1, and its length is a
-    multiple of m.  The table itself when [lo, hi] lies in [0, m)."""
+    multiple of m.  The table itself when [lo, hi] lies in [0, m); a
+    repeated table past the byte budget is refused before it is formed."""
     m = len(table)
     reps = -(-max(hi + 1, -lo, 1) // m)
-    return table if reps == 1 else np.concatenate((table,) * reps)
+    if reps == 1:
+        return table
+    _check_bytes(reps * table.nbytes, f"a table of {m} phases repeated over "
+                 f"phases {lo}..{hi}")
+    return np.concatenate((table,) * reps)
 
 
 class _Walk:
@@ -311,10 +316,9 @@ class _Walk:
     points of level <= m - 1, :func:`_alcove_levels`) is a prefix of it.
     The phases <v, k> of all its points are formed on first use, once per
     vector set, and held with their range until the walk is dropped; the
-    int64 guard on them reads the walk's largest |k_i|, taken once.
-    ``refused`` records that the guard or the byte budget refused a set."""
+    int64 guard on them reads the walk's largest |k_i|, taken once."""
 
-    __slots__ = ("points", "levels", "reach", "sets", "refused")
+    __slots__ = ("points", "levels", "reach", "sets")
 
     def __init__(self, rs, m):
         points = _alcove_factor(rs, m)
@@ -326,7 +330,6 @@ class _Walk:
         self.points = np.take(points, order, axis=0)
         self.levels, self.sets = levels[order], {}
         self.reach = int(np.abs(points).max(initial=0))   # max |k_i|
-        self.refused = False
 
     def at(self, m):
         """The alcove of size m <= M, with the tables of m."""
@@ -343,16 +346,12 @@ class _Walk:
                                                              rank)
             top = int(np.abs(vecs).max(initial=0))
             held = sum(t.nbytes for t, _, _ in self.sets.values())
-            try:
-                if rank * self.reach * top > _INT64_MAX:
-                    raise GridError(f"phases of weights up to {top} on an "
-                                    f"alcove walk of rank {rank} could "
-                                    f"overflow int64")
-                _check_bytes(held + 8 * count * len(vectors), f"the phases "
-                             f"held on an alcove walk of {count} points")
-            except GridError:
-                self.refused = True
-                raise
+            if rank * self.reach * top > _INT64_MAX:
+                raise GridError(f"phases of weights up to {top} on an "
+                                f"alcove walk of rank {rank} could overflow "
+                                f"int64")
+            _check_bytes(held + 8 * count * len(vectors), f"the phases held "
+                         f"on an alcove walk of {count} points")
             t = _phases(self.points, vecs)
             self.sets[key] = (t, *((int(t.min()), int(t.max())) if t.size
                                    else (0, 0)))
@@ -718,16 +717,17 @@ def quad_sequence(rs, lam, a, b, ns, f=None, grid=None):
     takes the points of level <= m_k - 1 (:func:`_alcove_levels`), a prefix
     of the walk ordered by level; each vector set's phases are formed once
     on the whole walk and read by every band (:class:`_Walk`).  A band
-    refused with a :class:`GridError` refuses its top row alone, and the
-    rows below band again from the next one, on the same walks and their
-    phases.  Only a walk refusing its own phases is dropped: a band on a
-    walk of its top's own sizes is then refused as a one-N call is, and a
-    band on a larger walk, whose held phases and largest |k_i| a one-N
-    call would not have, walks again at its own sizes.  Every other
-    refusal reads the band's own points and tables, as a one-N call does.
-    So a refused row is a band top and carries the refusal of its one-N
-    call.  A caller grid is every row's grid, so its rows form one band,
-    and a raised refusal, which does not depend on N, refuses them all.
+    refused with a :class:`GridError` on a walk of its top's own sizes,
+    the walk a one-N call of the top takes, refuses its top row alone, and
+    the rows below band again from the next one, on the same walks and
+    their phases.  A band refused on a larger walk, whose points, phase
+    range and tables a one-N call would not have, drops the walks and runs
+    again on walks of its top's own sizes, whatever refused it; its points
+    are a prefix of either walk in the same order, so its values are the
+    same bits on both.  So a refused row is a band top and carries the
+    refusal of its one-N call.  A caller grid is every row's grid, so its
+    rows form one band, and a raised refusal, which does not depend on N,
+    refuses them all.
     Band tops, caller-grid rows and one-element schedules give the bits of
     a one-N call; the other rows are summed on a finer certified grid and
     differ from it at roundoff.
@@ -763,14 +763,15 @@ def quad_sequence(rs, lam, a, b, ns, f=None, grid=None):
                 lam, a, b, [ns[j] for j in rows], terms, factors, cells,
                 walks)))
         except GridError as exc:
-            if any(walk.refused for walk in walks):
-                # a walk refused its own phases, which only a walk of the
-                # band top's own sizes decides: a held one walks again
+            if not own:
+                # a held walk has no fewer points than the band top's own,
+                # so no fewer phases, no narrower range and no smaller
+                # tables: the band runs again on walks of its top's sizes
                 walks = None
-                if not own:
-                    continue
+                continue
             # a raised refusal does not depend on N: on a caller grid it
             # is every row's, otherwise the top's, and the rest band again
+            # on the same walk
             if grid is None:
                 rows = rows[:1]
             out.update(dict.fromkeys(rows, exc))

@@ -721,6 +721,29 @@ def test_cli_unusable_config_and_output_paths_exit_2(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_cli_unknown_config_key_exits_2(tmp_path, capsys, monkeypatch):
+    # a misspelled key is refused before any route runs, not ignored (it
+    # would run every route); keys stay case-insensitive
+    def ran(*args, **kwargs):
+        raise AssertionError("a route ran")
+
+    monkeypatch.setattr(harness, "route_value", ran)
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text("group = A1\nlambda = 1\na = 1\nN = 1:2\n"
+                       "pahts = quad\n")
+    assert main(["converge", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: unknown config key 'pahts'; known keys are group, lambda, "
+        "a, b, n, f, paths, grid, out, format\n")
+    cfg = ExperimentConfig.from_mapping(
+        {"Group": "A1", "LAMBDA": "1", "A": "1", "N": "1", "Paths": "quad",
+         "OUT": "report.json", "Format": "csv", "GRID": "5"})
+    assert (cfg.paths, cfg.out, cfg.fmt, cfg.grid_sizes) == (
+        ("quad",), "report.json", "csv", (5,))
+
+
 def test_cli_internal_error_exits_3_without_traceback(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("dimension formulas disagree")

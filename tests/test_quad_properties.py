@@ -613,6 +613,49 @@ def test_sweep_rows_are_their_one_n_calls(name, max_bytes):
             top_cells = None
 
 
+@st.composite
+def refusal_cases(draw):
+    spec = draw(st.sampled_from(["A1", "A2", "B2", "G2", "A1xA2"]))
+    rs = GROUPS[spec]
+    lam = draw(small_weights(rs.rank))
+    j = draw(st.integers(1, 20))
+    a = draw(st.sampled_from([(0,) * (j - 1) + (1,), (1, 1)]))
+    b = draw(st.sampled_from([(), (1,), a]))
+    ns = tuple(sorted(draw(st.sets(st.integers(0, 6), min_size=1))))
+    max_bytes = draw(st.sampled_from([500, 2000, 8000, 30_000, 10 ** 5,
+                                      10 ** 6]))
+    return rs, lam, CycleType(a), CycleType(b), ns, max_bytes
+
+
+@settings(max_examples=300, deadline=None)
+@given(refusal_cases())
+def test_sweep_refusals_are_their_one_n_refusals(case):
+    # whatever refuses a band (its walk's phases, a gathered table, a
+    # table repeated over the phase range), a row that the sweep or its
+    # one-N call refuses is refused by both with one message, and a band
+    # top has its one-N bits
+    rs, lam, a, b, ns, max_bytes = case
+    tops, band = [], torusquad._band_values
+    with mock.patch.object(torusquad, "_MAX_BYTES", max_bytes):
+        with mock.patch.object(torusquad, "_band_values",
+                               lambda *args: tops.append(args[3][0])
+                               or band(*args)):
+            got = dict(zip(ns, quad_sequence(rs, lam, a, b, ns)))
+        want = {}
+        for n in ns:
+            try:
+                want[n] = quad_K_N(rs, lam, a, b, n)
+            except GridError as exc:
+                want[n] = exc
+    for n in ns:
+        if isinstance(got[n], GridError) or isinstance(want[n], GridError):
+            assert type(got[n]) is type(want[n]) is GridError
+            assert str(got[n]) == str(want[n])
+    for n in tops:
+        if not isinstance(want[n], GridError):
+            assert got[n].hex() == want[n].hex()
+
+
 def test_sequence_checks_every_row_before_it_enumerates(monkeypatch):
     # every row's grid is sized and checked before the one alcove walk,
     # at the largest admitted size, and a negative N anywhere is refused

@@ -641,7 +641,14 @@ except torusquad.GridError as exc:
     (["-c", _A6_RHO_AT_23],
      "the phases of 36961 vectors at 10659 points would take 3151738392 "
      "bytes"),
-], ids=["quad-A2-60-60-K2", "character_at-A6-rho-m23"])
+    # A1 (1), a = e_20000, I_1: the walk's 10,001 points hold small
+    # phases, but the table of m = 20,003 entries repeated over their
+    # range would take 2.98 GiB
+    (["-m", "liemoments", "quad", "--group", "A1", "--lam", "1", "--a",
+      ",".join(["0"] * 19999 + ["1"]), "--N", "1"],
+     "a table of 20003 phases repeated over phases -200020000..200020000 "
+     "would take 3200480000 bytes"),
+], ids=["quad-A2-60-60-K2", "character_at-A6-rho-m23", "quad-A1-e20000"])
 def test_byte_budget_refuses_before_allocating(args, message):
     # each input exits 1 with the byte budget's message under a 2 GiB
     # address space, where the allocation it refuses would fail
@@ -846,6 +853,30 @@ def test_held_walk_refusing_a_new_set_walks_again(monkeypatch):
     assert str(got[1]) == ("a table of 490 phases would take 7840 bytes, "
                            "byte budget is 5600")
     _same_rows(got, _one_n_rows(rs, (1, 1), two, two, ns))
+
+
+@pytest.mark.parametrize("max_bytes", [20_000, 40_000, 80_000, 160_000])
+def test_repeated_table_refusals_are_their_one_n_refusals(monkeypatch,
+                                                          max_bytes):
+    # A1 (1), a = e_50: the phase range grows with the Adams degree, so a
+    # row's table repeated over the range of the walk of N = 8 (-10050..
+    # 10050) is larger than over its own walk's.  A band refused on the
+    # larger walk runs again on its own, so each refused row carries the
+    # range of its one-N call, and each answered row is answered alone
+    rs, a, b = build_root_system("A1"), CycleType((0,) * 49 + (1,)), \
+        CycleType(())
+    monkeypatch.setattr(torusquad, "_MAX_BYTES", max_bytes)
+    ns = (1, 2, 4, 8)
+    got = list(torusquad.quad_sequence(rs, (1,), a, b, ns))
+    want = _one_n_rows(rs, (1,), a, b, ns)
+    assert isinstance(got[-1], GridError)
+    for x, y in zip(got, want):
+        assert type(x) is type(y)
+        if isinstance(y, GridError):
+            assert str(x) == str(y)
+            assert "repeated over phases" in str(y)
+        else:
+            assert x == pytest.approx(y, rel=1e-12, abs=1e-12)
 
 
 def test_refused_caller_grid_band_walks_once(monkeypatch):
