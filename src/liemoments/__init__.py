@@ -12,8 +12,8 @@ on top of exact root data (:mod:`liemoments.rootsys`) and weight systems
 """
 
 from .asymptotics import (AsymptoticEstimate, ClassFunction, HypothesisError,
-                          biane_dimension_estimate, leading_term_I,
-                          leading_term_K)
+                          biane_dimension_estimate, leading_sequence,
+                          leading_term_I, leading_term_K)
 from .charring import (CycleType, SupportCapExceeded, adams, dual,
                        exact_moment, moment_sequence, product,
                        trivial_multiplicity)
@@ -53,8 +53,8 @@ __all__ = [
     "a_lambda", "adams", "biane_dimension_estimate", "build_root_system",
     "character_at", "check_hypotheses", "default_grid",
     "dominant_representative", "dual", "exact_moment", "is_regular",
-    "kappa", "leading_term_I", "leading_term_K", "moment_sequence",
-    "pairing", "product", "quad_I_N", "quad_K_N", "quad_sequence",
-    "run_experiment", "trivial_multiplicity", "weight_system",
-    "weyl_dimension", "weyl_denominator_sq",
+    "kappa", "leading_sequence", "leading_term_I", "leading_term_K",
+    "moment_sequence", "pairing", "product", "quad_I_N", "quad_K_N",
+    "quad_sequence", "run_experiment", "trivial_multiplicity",
+    "weight_system", "weyl_dimension", "weyl_denominator_sq",
 ]

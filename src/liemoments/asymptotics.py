@@ -15,15 +15,19 @@ are closed forms in root data (``repweights.SecondMoment``), whose
 lam-free parts are memoised per root datum: one integer pass over the
 Casimir scales of one ``a_lambda`` call gives both, as one reduced
 Fraction each, so A_lam's matrix goes through no Gaussian elimination.
-A sweep builds one :class:`PeakData` for all its N, whose values are all
-computed when it is built: dim V_lam by the coroot recurrence of
-``repweights.weyl_dimension``, the classes of lam and of each term of f
-with the term's c dim V_nu, and the floats of the exact constants (log
-dim, kappa, log kappa, sqrt det A, log det A), each read off the reduced
-Fractions.  So a row is float arithmetic and one class test per term of
-f, and its estimate holds log |value| as a field.  An estimate is an
-immutable named tuple, so a row builds it in one tuple construction, with
-no attribute set.
+A sweep is one :func:`leading_sequence` call, and a one-N leading term
+its one-element schedule; it builds one :class:`PeakData` for all its N,
+whose values are all computed when it is built: dim V_lam by the coroot
+recurrence of ``repweights.weyl_dimension``, the classes of lam and of
+each term of f with the term's c dim V_nu, and the floats of the exact
+constants (log dim, kappa, log kappa, sqrt det A, log det A), each read
+off the reduced Fractions.  So a row is float arithmetic and one class
+test per term of f, and its estimate holds log |value| as a field.  The
+value is the float product of its factors only when each factor and the
+product are normal floats, else the exponential of the summed logs, so
+no subnormal factor costs it bits; sqrt det A is inf past the float
+range.  An estimate is an immutable named tuple, so a row builds it in
+one tuple construction, with no attribute set.
 """
 
 from __future__ import annotations
@@ -129,8 +133,8 @@ class PeakData(NamedTuple):
 
 def peak_data(rs, lam, f=None):
     """:class:`PeakData` of ``(rs, lam)`` and the class function ``f``
-    (default 1).  None of it depends on N, so a caller evaluating many N
-    builds it once and passes it to the leading terms as ``peak``.
+    (default 1).  None of it depends on N, so :func:`leading_sequence`
+    builds it once for all its rows.
 
     ``kappa_term`` and ``det_a`` are the closed forms of
     :class:`repweights.SecondMoment`, from one :func:`a_lambda` call and
@@ -150,7 +154,15 @@ def peak_data(rs, lam, f=None):
     return PeakData(dim, kap, det, rootsys.root_lattice_class(rs, lam),
                     tuple(zip(classes, weights)),
                     (math.log(dim), float(kap), _log_fraction(kap),
-                     math.sqrt(det), _log_fraction(det)))
+                     _sqrt_or_inf(det), _log_fraction(det)))
+
+
+def _sqrt_or_inf(fr):
+    """sqrt of a positive Fraction, and inf past the float range."""
+    try:
+        return math.sqrt(fr)
+    except OverflowError:
+        return math.inf
 
 
 def _central_sum(rs, peak, k):
@@ -184,8 +196,8 @@ def _leading_core(rs, num_factors, l_total, pi_sum, n, peak):
                         * sqrt_det))
     except OverflowError:
         prefactor = 0.0
-    direct = prefactor >= sys.float_info.min
-    if direct:
+    normal = sys.float_info.min
+    if prefactor >= normal:
         log_prefactor = math.log(prefactor)
     else:
         # (2 pi l N)^{dim G / 2} sqrt(det A) is past the float range (E8
@@ -200,14 +212,16 @@ def _leading_core(rs, num_factors, l_total, pi_sum, n, peak):
     log_abs = (log_dim_power + log_prefactor + log_kappa
                + math.log(abs(pi_sum)) if pi_sum else -math.inf)
     value = math.nan
-    if direct:
+    if min(prefactor, kappa, abs(pi_sum)) >= normal:
         try:
             value = math.exp(log_dim_power) * prefactor * kappa * pi_sum
         except OverflowError:
             pass
-    if not math.isfinite(value):
-        # a factor alone is past the float range while the value need not
-        # be (dim^N for E8 rho from N = 9): add the logs instead
+    if not normal <= abs(value) < math.inf:
+        # a factor or the product is past the float range or subnormal,
+        # while the value need not be (dim^N for E8 rho from N = 9; kappa
+        # for E8 36 rho, whose subnormal bits would cost the product its
+        # precision): add the logs instead
         try:
             value = (math.copysign(math.exp(log_abs), pi_sum) if pi_sum
                      else 0.0)
@@ -215,19 +229,6 @@ def _leading_core(rs, num_factors, l_total, pi_sum, n, peak):
             value = math.copysign(math.inf, pi_sum)
     return AsymptoticEstimate(value, log_dim_power, peak.kappa_term,
                               peak.det_a, pi_sum, prefactor, n, log_abs)
-
-
-def _check_common(rs, lam, n, peak=None):
-    # a caller's peak data was built from a checked lam
-    if peak is None:
-        lam = check_dominant_integral(rs, lam)
-    if not is_regular(rs, lam):
-        raise HypothesisError(
-            f"highest weight {lam} is not regular (every coordinate must be "
-            f">= 1) — the Laplace peaks would degenerate")
-    if n < 1:
-        raise HypothesisError(f"index N must be >= 1, got {n}")
-    return lam
 
 
 @dataclass(frozen=True)
@@ -279,46 +280,78 @@ def check_hypotheses(rs, lam, a, b=CycleType(())):
         problems_one_sided=tuple(p1), problems_two_sided=tuple(p2))
 
 
-def leading_term_I(rs, lam, a, n, f=None, peak=None):
-    """Leading term of the one-sided moment with exponents N * a.
-
-    Requires a regular highest weight and gcd 1 on the supported powers of
-    the cycle type; ``f`` defaults to the constant class function 1.
-    ``peak``, when given, must be :func:`peak_data` of ``(rs, lam, f)``;
-    ``lam`` and ``f`` are then not checked again, only the hypotheses.
-    """
-    lam = _check_common(rs, lam, n, peak)
-    if a.gcd_support != 1:
+def _require_hypotheses(rs, lam, a, b, n, two_sided):
+    """Raise :class:`HypothesisError` on the first hypothesis of the
+    leading term at ``n`` that fails: regularity, N >= 1, balance
+    (two-sided only), then gcd 1 on the supported powers."""
+    if not is_regular(rs, lam):
         raise HypothesisError(
-            f"supported powers {a.support()} must have gcd 1, got gcd "
-            f"{a.gcd_support}")
-    peak = peak_data(rs, lam, f) if peak is None else peak
-    return _leading_core(rs, a.size, a.quad,
-                         _central_sum(rs, peak, n * a.weight), n, peak)
-
-
-def leading_term_K(rs, lam, a, b, n, f=None, peak=None):
-    """Leading term of the two-sided (conjugate-balanced) moment.
-
-    Requires k_a = k_b (else the phases do not cancel and the scaling is
-    different) and gcd 1 over the union of supported powers.  ``peak`` is
-    as for :func:`leading_term_I`.
-    """
-    lam = _check_common(rs, lam, n, peak)
-    if a.weight != b.weight:
+            f"highest weight {lam} is not regular (every coordinate must be "
+            f">= 1) — the Laplace peaks would degenerate")
+    if n < 1:
+        raise HypothesisError(f"index N must be >= 1, got {n}")
+    if two_sided and a.weight != b.weight:
         raise HypothesisError(
             f"total powers must balance: k_a = {a.weight} != k_b = "
             f"{b.weight}")
     g = math.gcd(a.gcd_support, b.gcd_support)
     if g != 1:
+        powers = f"{a.support()} u {b.support()}" if two_sided else a.support()
         raise HypothesisError(
-            f"supported powers {a.support()} u {b.support()} must have "
-            f"gcd 1, got gcd {g}")
-    peak = peak_data(rs, lam, f) if peak is None else peak
-    # k_a = k_b: the phases of lam cancel, so only the terms of f in the
-    # root lattice survive
-    return _leading_core(rs, a.size + b.size, a.quad + b.quad,
-                         _central_sum(rs, peak, 0), n, peak)
+            f"supported powers {powers} must have gcd 1, got gcd {g}")
+
+
+def leading_sequence(rs, lam, a, b, ns, f=None):
+    """The leading term of :func:`leading_term_K` at each N of ``ns``, or
+    of :func:`leading_term_I` when ``b`` is empty.  ``lam`` is checked
+    once, each row's hypotheses at its N, and :func:`peak_data` is built
+    at the first row that passes them; yields per N the estimate or the
+    :class:`HypothesisError` of the one-N call."""
+    return _sequence(rs, lam, a, b, ns, f, bool(b.exps))
+
+
+def _sequence(rs, lam, a, b, ns, f, two_sided):
+    lam = check_dominant_integral(rs, lam)
+    peak = None
+    for n in ns:
+        try:
+            _require_hypotheses(rs, lam, a, b, n, two_sided)
+            peak = peak or peak_data(rs, lam, f)
+            # k_a = k_b: the phases of lam cancel, so only the terms of f
+            # in the root lattice survive
+            pi_sum = _central_sum(rs, peak, 0 if two_sided else n * a.weight)
+            row = _leading_core(rs, a.size + b.size, a.quad + b.quad, pi_sum,
+                                n, peak)
+        except HypothesisError as exc:
+            row = exc
+        yield row
+
+
+def _one_row(rs, lam, a, b, n, f, two_sided):
+    """The one-element schedule of :func:`_sequence`, raising its refusal."""
+    (est,) = _sequence(rs, lam, a, b, (n,), f, two_sided)
+    if isinstance(est, HypothesisError):
+        raise est
+    return est
+
+
+def leading_term_I(rs, lam, a, n, f=None):
+    """Leading term of the one-sided moment with exponents N * a.
+
+    Requires a regular highest weight and gcd 1 on the supported powers of
+    the cycle type; ``f`` defaults to the constant class function 1.
+    """
+    return _one_row(rs, lam, a, CycleType(()), n, f, False)
+
+
+def leading_term_K(rs, lam, a, b, n, f=None):
+    """Leading term of the two-sided (conjugate-balanced) moment.
+
+    Requires k_a = k_b (else the phases do not cancel and the scaling is
+    different; an empty ``b`` is refused so) and gcd 1 over the union of
+    supported powers.
+    """
+    return _one_row(rs, lam, a, b, n, f, True)
 
 
 def biane_dimension_estimate(rs, lam, n):
@@ -328,7 +361,8 @@ def biane_dimension_estimate(rs, lam, n):
     Valid for regular highest weights lying in the root lattice (otherwise
     the center characters make the count oscillate in N).
     """
-    lam = _check_common(rs, lam, n)
+    lam = check_dominant_integral(rs, lam)
+    _require_hypotheses(rs, lam, CycleType((1,)), CycleType(()), n, False)
     if rootsys.order_mod_root_lattice(rs, lam) != 1:
         raise HypothesisError(
             f"highest weight {lam} must lie in the root lattice")

@@ -3,9 +3,13 @@
 An experiment fixes a group, a highest weight, cycle types and a test class
 function, then sweeps the power index N over a schedule, computing whichever
 of the three routes are requested and the ratio of the reference value to the
-leading-order estimate.  Reports serialize deterministically (byte-identical
-reruns); wall-clock timings are kept on the report object and only serialized
-on explicit request.  JSON is written by :func:`_json_text`, the bytes of
+leading-order estimate.  Each route's column is one sequence call, which
+yields per N the value or the route's typed refusal (:func:`_exact_values`,
+``torusquad.quad_sequence``, ``asymptotics.leading_sequence``); the
+hypothesis verdict feeds only the report's ``hypotheses`` block.
+Reports serialize deterministically (byte-identical reruns); wall-clock
+timings are kept on the report object and only serialized on explicit
+request.  JSON is written by :func:`_json_text`, the bytes of
 ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` from the C
 encoder, which ``json.dumps`` itself uses only without ``indent``.  Its
 per-depth encoders are module constants, built at import for the depths a
@@ -19,10 +23,10 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from . import asymptotics, charring, rootsys
-from .asymptotics import (AsymptoticEstimate, ClassFunction, HypothesisError,
-                          HypothesisVerdict, check_hypotheses, leading_term_I,
-                          leading_term_K)
+from . import charring, rootsys
+from .asymptotics import (AsymptoticEstimate, ClassFunction,
+                          HypothesisVerdict, check_hypotheses,
+                          leading_sequence, leading_term_I, leading_term_K)
 from .charring import CycleType
 from .repweights import check_dominant_integral
 
@@ -319,16 +323,26 @@ def _exact_values(rs, lam, a, b, ns, f):
     """Exact moments at each n of ``ns``, with the class-function factor
     folded in, from one Klimyk chain per simple factor
     (:func:`charring.moment_sequence`).
-    Yields per n the value or the :class:`charring.SupportCapExceeded`
-    that refused it."""
+    Yields per n the value, an int while the coefficients of f are
+    integers and else the float sum of c times each integer, or the
+    refusal: the :class:`charring.SupportCapExceeded` of a chain step, or a
+    ValueError when that float sum, or an integer in it, is past the float
+    range."""
     exact_coeffs = all(float(c).is_integer() for _, c in f.terms)
     for mults in charring.moment_sequence(rs, lam, a, b, ns,
                                           [nu for nu, _ in f.terms]):
         if isinstance(mults, charring.SupportCapExceeded):
             yield mults
+        elif exact_coeffs:
+            yield sum(int(c) * mult for (_, c), mult in zip(f.terms, mults))
         else:
-            yield sum((int(c) if exact_coeffs else c) * mult
-                      for (_, c), mult in zip(f.terms, mults))
+            try:
+                value = sum(c * mult for (_, c), mult in zip(f.terms, mults))
+            except OverflowError:   # an integer past the float range
+                value = math.inf
+            yield value if math.isfinite(value) else ValueError(
+                "the terms of f take the exact sum past the float range; "
+                "refusing rather than return a non-finite value")
 
 
 # route -> the ExperimentRow field it fills
@@ -352,50 +366,16 @@ def route_value(path, rs, lam, a, b, n, f, grid_sizes=None):
         # factor order, and so every refusal, is that of
         # exact_moment(rs, lam, a.scaled(n), b.scaled(n))
         (value,) = _exact_values(rs, lam, a.scaled(n), b.scaled(n), (1,), f)
-        if isinstance(value, charring.SupportCapExceeded):
+        if isinstance(value, Exception):
             raise value
         return value
     if path == "quad":
         from . import torusquad  # the only route that needs numpy
         grid = torusquad.TorusGrid(sizes=grid_sizes) if grid_sizes else None
         return torusquad.quad_K_N(rs, lam, a, b, n, f=f, grid=grid)
-    return _leading_term(rs, lam, a, b, n, f)
-
-
-def _leading_term(rs, lam, a, b, n, f, peak=None):
     if b.exps:
-        return leading_term_K(rs, lam, a, b, n, f=f, peak=peak)
-    return leading_term_I(rs, lam, a, n, f=f, peak=peak)
-
-
-def _quad_column(rs, lam, cfg, f):
-    """Quadrature over the schedule from one :func:`torusquad.quad_sequence`
-    call, which walks each simple factor's alcove once and shares each
-    character synthesis across a band of rows; yields per N the value or
-    the :class:`torusquad.GridError`.  Band tops and caller-grid rows equal
-    :func:`route_value`'s bits, and the other rows equal them to
-    roundoff."""
-    from . import torusquad  # the only route that needs numpy
-    grid = (torusquad.TorusGrid(sizes=cfg.grid_sizes) if cfg.grid_sizes
-            else None)
-    return torusquad.quad_sequence(rs, lam, cfg.a, cfg.b, cfg.schedule, f=f,
-                                   grid=grid)
-
-
-def _asymptotic_column(rs, lam, cfg, f, verdict):
-    """Leading terms over the schedule.  When the hypotheses hold, the
-    N-independent peak data (:func:`asymptotics.peak_data`, with the
-    classes mod the root lattice of lam and of each term of ``f``) is built
-    once here, not once per row; otherwise every row refuses as it would
-    alone.  Yields per N the estimate or the :class:`HypothesisError`."""
-    problems = (verdict.problems_two_sided if cfg.b.exps
-                else verdict.problems_one_sided)
-    peak = None if problems else asymptotics.peak_data(rs, lam, f)
-    for n in cfg.schedule:
-        try:
-            yield _leading_term(rs, lam, cfg.a, cfg.b, n, f, peak)
-        except HypothesisError as exc:
-            yield exc
+        return leading_term_K(rs, lam, a, b, n, f=f)
+    return leading_term_I(rs, lam, a, n, f=f)
 
 
 def run_experiment(cfg):
@@ -410,9 +390,14 @@ def run_experiment(cfg):
         columns["exact"] = _exact_values(rs, lam, cfg.a, cfg.b, cfg.schedule,
                                          f)
     if "quad" in cfg.paths:
-        columns["quad"] = _quad_column(rs, lam, cfg, f)
+        from . import torusquad  # the only route that needs numpy
+        grid = (torusquad.TorusGrid(sizes=cfg.grid_sizes) if cfg.grid_sizes
+                else None)
+        columns["quad"] = torusquad.quad_sequence(rs, lam, cfg.a, cfg.b,
+                                                  cfg.schedule, f=f, grid=grid)
     if "asymptotic" in cfg.paths:
-        columns["asymptotic"] = _asymptotic_column(rs, lam, cfg, f, verdict)
+        columns["asymptotic"] = leading_sequence(rs, lam, cfg.a, cfg.b,
+                                                 cfg.schedule, f)
     rows = []
     for n in cfg.schedule:
         row = ExperimentRow(n=n)

@@ -279,11 +279,12 @@ def _phase_tables(m):
             np.concatenate((four_sin_sq, four_sin_sq[back])))
 
 
-def _check_bytes(nbytes, what):
-    """Refuse, before it is formed, an array of more than ``_MAX_BYTES``."""
+def _check_bytes(nbytes, what, *args):
+    """Refuse, before it is formed, an array of more than ``_MAX_BYTES``,
+    named by ``what.format(*args)``, which is formatted only then."""
     if nbytes > _MAX_BYTES:
-        raise GridError(f"{what} would take {nbytes} bytes, byte budget is "
-                        f"{_MAX_BYTES}")
+        raise GridError(f"{what.format(*args)} would take {nbytes} bytes, "
+                        f"byte budget is {_MAX_BYTES}")
 
 
 def _phases(points, vectors):
@@ -304,8 +305,9 @@ def _wrapped(table, lo, hi):
     reps = -(-max(hi + 1, -lo, 1) // m)
     if reps == 1:
         return table
-    _check_bytes(reps * table.nbytes, f"a table of {m} phases repeated over "
-                 f"phases {lo}..{hi}")
+    _check_bytes(reps * table.nbytes,
+                 "a table of {} phases repeated over phases {}..{}", m, lo,
+                 hi)
     return np.concatenate((table,) * reps)
 
 
@@ -350,8 +352,9 @@ class _Walk:
                 raise GridError(f"phases of weights up to {top} on an "
                                 f"alcove walk of rank {rank} could overflow "
                                 f"int64")
-            _check_bytes(held + 8 * count * len(vectors), f"the phases held "
-                         f"on an alcove walk of {count} points")
+            _check_bytes(held + 8 * count * len(vectors),
+                         "the phases held on an alcove walk of {} points",
+                         count)
             t = _phases(self.points, vecs)
             self.sets[key] = (t, *((int(t.min()), int(t.max())) if t.size
                                    else (0, 0)))
@@ -371,8 +374,9 @@ class _Residues:
         vecs = np.array(vectors, dtype=np.int64).reshape(
             len(vectors), self.points.shape[-1])
         count = math.prod(self.points.shape[:-1])
-        _check_bytes(8 * count * len(vectors), f"the phases of "
-                     f"{len(vectors)} vectors at {count} points")
+        _check_bytes(8 * count * len(vectors),
+                     "the phases of {} vectors at {} points", len(vectors),
+                     count)
         t = _phases(self.points, vecs % self.m)
         t %= self.m
         return t, 0, self.m - 1
@@ -418,7 +422,7 @@ class _GridPoints:
         ``vectors``, a last axis of len(vectors)."""
         t, lo, hi = self.source.phases(vectors)
         t = t[:self.count]
-        _check_bytes(t.size * table.itemsize, f"a table of {t.size} phases")
+        _check_bytes(t.size * table.itemsize, "a table of {} phases", t.size)
         return _wrapped(table, lo, hi)[t]
 
 

@@ -1,4 +1,6 @@
+import json
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 
 from liemoments.asymptotics import (ClassFunction, HypothesisError,
                                     biane_dimension_estimate,
-                                    leading_term_I, leading_term_K,
-                                    peak_data)
+                                    leading_sequence, leading_term_I,
+                                    leading_term_K, peak_data)
 from liemoments import (asymptotics, charring, exactla, repweights, rootsys,
                         torusquad)
 from liemoments.charring import CycleType
@@ -153,41 +155,57 @@ def test_leading_term_hypotheses():
     ((1, 1), (2,), (0, 1), 0),          # N before balance
     ((1, 1), (0, 2), (0, 1), 4),        # balance before gcd
 ])
-def test_peak_data_keeps_every_refusal(lam, a, b, n):
-    # with peak data the leading terms skip re-checking lam and f, not the
-    # hypotheses: each refusal is the one raised without it
+def test_peak_data_keeps_every_refusal(monkeypatch, lam, a, b, n):
+    # a sequence checks lam once and builds its peak data once, at the
+    # first row that passes the hypotheses, not again per row; each
+    # refusal is the one its one-N call raises
     rs = build_root_system("A2")
     f = ClassFunction((((0, 0), 2.0), ((1, 1), 3.0)))
-    peak = peak_data(rs, lam, f)
+    a, b_type = CycleType(a), CycleType(b or ())
 
-    def refusal(peak):
-        with pytest.raises(HypothesisError) as info:
-            if b is None:
-                leading_term_I(rs, lam, CycleType(a), n, f=f, peak=peak)
-            else:
-                leading_term_K(rs, lam, CycleType(a), CycleType(b), n, f=f,
-                               peak=peak)
-        return type(info.value), str(info.value)
+    def refusal(row):
+        assert isinstance(row, HypothesisError)
+        return type(row), str(row)
 
-    assert refusal(peak) == refusal(None)
-    assert ("regular" in refusal(peak)[1]) == (min(lam) == 0)
+    with pytest.raises(HypothesisError) as info:
+        if b is None:
+            leading_term_I(rs, lam, a, n, f=f)
+        else:
+            leading_term_K(rs, lam, a, b_type, n, f=f)
+    checks, builds = _count_checks_and_builds(monkeypatch)
+    ns = (0, 3, 4)
+    rows = dict(zip(ns, leading_sequence(rs, lam, a, b_type, ns, f)))
+    assert refusal(rows[n]) == refusal(info.value)
+    assert ("regular" in refusal(rows[n])[1]) == (min(lam) == 0)
+    assert checks == [lam]
+    assert len(builds) == any(not isinstance(row, HypothesisError)
+                              for row in rows.values())
+
+
+def _count_checks_and_builds(monkeypatch):
+    """Lists that record each check of lam and each peak-data build of
+    the asymptotic route from here on."""
+    checks, builds = [], []
+    check, build = asymptotics.check_dominant_integral, asymptotics.peak_data
+    monkeypatch.setattr(asymptotics, "check_dominant_integral",
+                        lambda rs, lam: checks.append(lam) or check(rs, lam))
+    monkeypatch.setattr(asymptotics, "peak_data",
+                        lambda *args: builds.append(args) or build(*args))
+    return checks, builds
 
 
 def test_peak_data_skips_rechecking_lam_and_f(monkeypatch):
     # a sweep's rows reuse its peak data, which checked lam and f once
     rs = build_root_system("A2")
     f = ClassFunction((((0, 0), 2.0), ((1, 1), 3.0)))
-    peak = peak_data(rs, (1, 1), f)
-    a = CycleType((1,))
-    want = (leading_term_I(rs, (1, 1), a, 3, f=f),
-            leading_term_K(rs, (1, 1), a, a, 3, f=f))
-
-    def refuse(rs, lam):
-        raise AssertionError(f"{lam} checked again")
-
-    monkeypatch.setattr(asymptotics, "check_dominant_integral", refuse)
-    assert (leading_term_I(rs, (1, 1), a, 3, f=f, peak=peak),
-            leading_term_K(rs, (1, 1), a, a, 3, f=f, peak=peak)) == want
+    a, ns = CycleType((1,)), (1, 2, 3)
+    want = [(leading_term_I(rs, (1, 1), a, n, f=f),
+             leading_term_K(rs, (1, 1), a, a, n, f=f)) for n in ns]
+    checks, builds = _count_checks_and_builds(monkeypatch)
+    assert list(zip(leading_sequence(rs, (1, 1), a, CycleType(()), ns, f),
+                    leading_sequence(rs, (1, 1), a, a, ns, f))) == want
+    assert checks == [(1, 1)] * 2
+    assert builds == [(rs, (1, 1), f)] * 2
 
 
 @pytest.mark.parametrize("terms, text", [
@@ -199,9 +217,8 @@ def test_peak_data_skips_rechecking_lam_and_f(monkeypatch):
     lambda rs, f, a: peak_data(rs, (1, 1), f),
     lambda rs, f, a: leading_term_I(rs, (1, 1), a, 3, f=f),
     lambda rs, f, a: leading_term_K(rs, (1, 1), a, a, 3, f=f),
-    lambda rs, f, a: leading_term_K(rs, (1, 1), a, a, 3, f=f,
-                                    peak=peak_data(rs, (1, 1), f)),
-], ids=["peak_data", "I", "K", "K_with_peak"])
+    lambda rs, f, a: next(leading_sequence(rs, (1, 1), a, a, (3,), f)),
+], ids=["peak_data", "I", "K", "K_sequence"])
 def test_peak_data_refuses_a_bad_term_of_f(terms, text, call):
     # every highest weight of f is checked once, where the peak is built
     rs = build_root_system("A2")
@@ -744,3 +761,143 @@ def test_leading_term_is_zero_exactly_when_no_term_completes_the_class(row):
         nus = [nu for nu, _ in terms]
         (got,) = charring.moment_sequence(rs, lam, a, b, (n,), weights=nus)
         assert got == [0] * len(nus)
+
+
+# groups with one or two simple factors whose sequences are cheap to draw
+_SEQUENCE_GROUPS = ("A1", "A2", "B2", "G2", "A1xA2")
+
+
+@st.composite
+def _sequence_cases(draw):
+    """(group, lam, a, b, terms of f, schedule): lam with zeros (not
+    regular), a and b that may have gcd 2 or unbalanced powers, b empty
+    (one-sided) or not, gapped schedules from 0, and coefficients up to
+    1e308, whose central sums can pass the float range."""
+    spec = draw(st.sampled_from(_SEQUENCE_GROUPS))
+    rank = build_root_system(spec).rank
+    lam = draw(st.tuples(*[st.integers(0, 2)] * rank))
+    cycle = st.sampled_from([(1,), (2,), (0, 1), (1, 1), (0, 2), (1, 0, 1)])
+    a = draw(cycle)
+    b = draw(st.sampled_from([(), a, draw(cycle)]))
+    nus = draw(st.lists(st.tuples(*[st.integers(0, 2)] * rank),
+                        min_size=1, max_size=3, unique=True))
+    coeffs = draw(st.lists(st.sampled_from([1.0, -2.5, 3.0, 1e308]),
+                           min_size=len(nus), max_size=len(nus)))
+    ns = sorted(draw(st.sets(st.integers(0, 12), min_size=1, max_size=5)))
+    return spec, lam, a, b, tuple(zip(nus, coeffs)), ns
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sequence_cases())
+@example(("A2", (1, 0), (1,), (), (((0, 0), 1.0),), [0, 2, 5]))
+@example(("A2", (1, 1), (0, 1), (0, 1), (((0, 0), 1.0),), [1, 4]))
+@example(("A1xA2", (1, 1, 1), (2,), (1,), (((0, 0, 0), 1.0),), [0, 3]))
+@example(("A1", (1,), (1,), (1,), (((0,), 1e308), ((2,), 1e308)), [0, 1, 2]))
+@example(("A2", (1, 1), (1,), (), (((0, 0), 1e308), ((1, 1), 1e308),
+                                   ((0, 1), 1.0)), [1, 3, 4]))
+def test_sequence_rows_are_their_one_n_calls(case):
+    # every row of a sequence is its one-N call: the same estimate, to its
+    # repr, or the same refusal type and text, whatever the hypotheses, N
+    # or the central sum refuse
+    spec, lam, a, b, terms, ns = case
+    rs = build_root_system(spec)
+    a, b, f = CycleType(a), CycleType(b), ClassFunction(terms)
+    for n, row in zip(ns, leading_sequence(rs, lam, a, b, ns, f),
+                      strict=True):
+        try:
+            one = (leading_term_K(rs, lam, a, b, n, f=f) if b.exps
+                   else leading_term_I(rs, lam, a, n, f=f))
+        except HypothesisError as exc:
+            assert (type(row), str(row)) == (type(exc), str(exc))
+        else:
+            assert repr(row) == repr(one)
+
+
+def _mp_leading(rs, lam, est, num_factors, l_total):
+    """The leading term of ``est`` from its exact peak data in 50-digit
+    mpmath: dim^{N k} (2 pi)^d kappa pi_sum / ((2 pi l N)^{dim G / 2}
+    sqrt(det A))."""
+    dim, kap, det_a, *_ = peak_data(rs, lam)
+    with mpmath.workdps(50):
+        return (mpmath.mpf(dim) ** (est.N * num_factors)
+                * (2 * mpmath.pi) ** rs.num_positive_roots
+                * mpmath.mpf(kap.numerator) / kap.denominator * est.pi_sum
+                / ((2 * mpmath.pi * l_total * est.N)
+                   ** (mpmath.mpf(rs.dim_group) / 2)
+                   * mpmath.sqrt(mpmath.mpf(det_a.numerator)
+                                 / det_a.denominator)))
+
+
+@pytest.mark.parametrize("k", [36, 40])
+def test_leading_term_with_a_subnormal_kappa(k):
+    # kappa(A^-1 rho) of E8 at 36 rho is subnormal (1.02e-318) and at 40
+    # rho below it (0.0 as a float), while the leading term is a normal
+    # float: it comes from the logs, not the product of the factors
+    rs = build_root_system("E8")
+    lam = (k,) * 8
+    est = leading_term_I(rs, lam, CycleType((1,)), 1)
+    assert float(est.kappa_term) < sys.float_info.min
+    want = _mp_leading(rs, lam, est, 1, 1)
+    assert est.value >= sys.float_info.min
+    assert abs(mpmath.mpf(est.value) / want - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("group, lam", [("A1", (10 ** 155,)),
+                                        ("A2", (10 ** 80, 10 ** 80))])
+def test_cli_asym_with_det_a_past_the_float_range(capsys, group, lam):
+    # det A_lam is past the float range, so sqrt(det A) is held as inf and
+    # the prefactor comes from log space; the value is the mpmath one, or
+    # null with a finite log past the float range
+    args = ["asym", "--group", group, "--lam", ",".join(map(str, lam)), "--a",
+            "1", "--b", "1", "--N", "2"]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    data = json.loads(captured.out)
+    rs, one = build_root_system(group), CycleType((1,))
+    est = leading_term_K(rs, lam, one, one, 2)
+    assert est.det_a > 2 ** 1024
+    want = _mp_leading(rs, lam, est, 2, 2)
+    assert abs(mpmath.mpf(data["log_abs_value"]) - mpmath.log(want)) \
+        <= 1e-12 * abs(mpmath.log(want))
+    if data["value"] is None:
+        assert want > sys.float_info.max
+    else:
+        assert abs(mpmath.mpf(data["value"]) / want - 1) <= 1e-12
+
+
+@st.composite
+def _normal_rows(draw):
+    """(group, lam, a, b, N) of a row whose hypotheses hold, with lam up to
+    about 10^6 per coordinate and N up to 10^4, so that dim^N, kappa and
+    the prefactor range far past both ends of the float range."""
+    spec = draw(st.sampled_from(("A1", "A2", "B2", "G2", "A1xA2", "B3")))
+    rank = build_root_system(spec).rank
+    scale = 10 ** draw(st.integers(0, 6))
+    lam = draw(st.tuples(*[st.integers(1, 3).map(lambda c: c * scale)]
+                         * rank))
+    a = draw(st.sampled_from([(1,), (2,), (1, 1)]))
+    b = a if draw(st.booleans()) else ()
+    return spec, lam, a, b, draw(st.integers(1, 10 ** 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_normal_rows())
+@example(("E8", (36,) * 8, (1,), (), 1))
+@example(("E8", (40,) * 8, (1,), (), 1))
+@example(("E8", (1,) * 8, (1,), (), 9))
+def test_value_is_its_log_wherever_that_is_a_normal_float(row):
+    # value == copysign(exp(log_abs), pi_sum) to 1e-12 relative wherever
+    # that is a normal float: the product of the factors is taken only
+    # when it and each factor are normal floats
+    spec, lam, a, b, n = row
+    rs = build_root_system(spec)
+    a, b = CycleType(a), CycleType(b)
+    est = (leading_term_K(rs, lam, a, b, n) if b.exps
+           else leading_term_I(rs, lam, a, n))
+    try:
+        want = math.copysign(math.exp(est.log_abs), est.pi_sum)
+    except OverflowError:
+        want = math.inf
+    if sys.float_info.min <= abs(want) < math.inf:
+        assert math.isclose(est.value, want, rel_tol=1e-12)

@@ -687,6 +687,54 @@ def test_cli_converge_past_the_float_range_prints_strict_json(tmp_path,
         assert math.isfinite(row["estimate"]["log_abs_value"])
 
 
+_EXACT_PAST_FLOAT = ("the terms of f take the exact sum past the float "
+                    "range; refusing rather than return a non-finite value")
+
+
+def _catalan_k(n):
+    """K_N of A1 V_(1), a = b = (1): the Catalan number C_N, exactly."""
+    return math.comb(2 * n, n) // (n + 1)
+
+
+@pytest.mark.parametrize("n, f", [(519, "0:3.5"), (600, "0:0.5")])
+def test_cli_exact_float_sum_past_the_float_range_exits_1(capsys, n, f):
+    # 3.5 C_519 is past the float range, and C_600 is an integer past it:
+    # each row is refused with its message, not printed as inf or ended in
+    # an OverflowError
+    args = ["exact", "--group", "A1", "--lam", "1", "--a", "1", "--b", "1",
+            "--N", str(n), "--f", f]
+    assert main(args) == 1
+    assert capsys.readouterr() == ("", f"error: {_EXACT_PAST_FLOAT}\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_converge_renders_exact_rows_past_the_float_range(tmp_path, capsys,
+                                                          fmt):
+    # the finite float row keeps the bits of 3.5 C_518, the next row is
+    # refused with a note, and integer coefficients stay exact integers
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(f"group = A1\nlambda = 1\na = 1\nb = 1\n"
+                       f"n = 518:519\nf = 0:3.5\npaths = exact\n"
+                       f"format = {fmt}\n")
+    assert main(["converge", str(cfgfile)]) == 0
+    out = capsys.readouterr().out
+    first = 3.5 * _catalan_k(518)
+    note = f"exact skipped: {_EXACT_PAST_FLOAT}"
+    if fmt == "csv":
+        assert out.splitlines()[1:] == [f"518,{first!r},,,,,",
+                                        f"519,,,,,,{note}"]
+        return
+    rows = _strict_json(out)["rows"]
+    assert [(r["exact"], r["notes"]) for r in rows] == [(first, []),
+                                                        (None, [note])]
+    cfgfile.write_text("group = A1\nlambda = 1\na = 1\nb = 1\n"
+                       "n = 518:519\nf = 0:3\npaths = exact\n")
+    assert main(["converge", str(cfgfile)]) == 0
+    rows = _strict_json(capsys.readouterr().out)["rows"]
+    assert [r["exact"] for r in rows] == [3 * _catalan_k(n)
+                                          for n in (518, 519)]
+
+
 @pytest.mark.parametrize("command", ["exact", "quad", "asym"])
 def test_negative_power_index_exits_2_on_every_route(capsys, command):
     args = [command, "--group", "A1", "--lam", "1", "--a", "1", "--N", "-1"]
