@@ -149,12 +149,21 @@ def peak_data(rs, lam, f=None):
     sm = a_lambda(rs, lam)
     dim = weyl_dimension(rs, lam)
     kap, det = _closed_forms(sm)
-    weights = [c * weyl_dimension(rs, nu) for nu, c in f.terms]
+    weights = [_term_weight(c, weyl_dimension(rs, nu)) for nu, c in f.terms]
     classes = (rootsys.root_lattice_class(rs, nu) for nu, _ in f.terms)
     return PeakData(dim, kap, det, rootsys.root_lattice_class(rs, lam),
                     tuple(zip(classes, weights)),
                     (math.log(dim), float(kap), _log_fraction(kap),
                      _sqrt_or_inf(det), _log_fraction(det)))
+
+
+def _term_weight(c, dim):
+    """c dim V_nu as a float: +-inf where dim V_nu alone is past the float
+    range, and 0.0 there when c is 0."""
+    try:
+        return c * dim
+    except OverflowError:
+        return math.copysign(math.inf, c) if c else 0.0
 
 
 def _sqrt_or_inf(fr):
@@ -189,7 +198,14 @@ def _leading_core(rs, num_factors, l_total, pi_sum, n, peak):
     arithmetic on the peak's floats, which do not depend on N."""
     log_dim, kappa, log_kappa, sqrt_det, log_det = peak.floats
     d = rs.num_positive_roots
-    log_dim_power = n * num_factors * log_dim
+    try:
+        log_dim_power = n * num_factors * log_dim
+    except OverflowError:   # N (|a| + |b|) is past the float range
+        log_dim_power = math.inf
+    if log_dim_power == math.inf:
+        raise HypothesisError(
+            "N (|a| + |b|) log dim V_lam is past the float range; refusing "
+            "rather than return a non-finite leading term")
     try:
         prefactor = ((2 * math.pi) ** d
                      / ((2 * math.pi * l_total * n) ** (rs.dim_group / 2)
@@ -201,11 +217,13 @@ def _leading_core(rs, num_factors, l_total, pi_sum, n, peak):
         log_prefactor = math.log(prefactor)
     else:
         # (2 pi l N)^{dim G / 2} sqrt(det A) is past the float range (E8
-        # from N = 46): the prefactor comes from log space
+        # from N = 46): the prefactor comes from log space, and so does
+        # 2 pi l N where it is past the float range too
+        scale = 2 * math.pi * l_total * n
+        log_scale = (math.log(scale) if math.isfinite(scale)
+                     else math.log(2 * math.pi) + math.log(l_total * n))
         log_prefactor = (d * math.log(2 * math.pi)
-                         - rs.dim_group / 2 * math.log(2 * math.pi
-                                                       * l_total * n)
-                         - log_det / 2)
+                         - rs.dim_group / 2 * log_scale - log_det / 2)
         prefactor = math.exp(log_prefactor)
     # log |dim^{N k} * prefactor * kappa * pi_sum| from its logs; -inf at
     # pi_sum = 0

@@ -290,12 +290,11 @@ def moment_sequence(rs, lam, a, b, ns, weights=None):
     ``_SUPPORT_CAP`` pairs per factor (past that, transitions are found
     again and not stored) and last as long as the call.  Steps are
     numbered along each chain, whose factors come in rounds of P_a's
-    factors, one round per unit of n.  For a cycle type with one part
-    (a_j = 0 for all but one j) step k is the same step with the same
-    state as in the one-element schedule ``ns = (n,)``; with two or more
-    parts the order of the trace factors, and so the step at which a cap
-    refuses, differs from that of ``a.scaled(n)`` (all Tr(g) factors
-    first), while the integers agree.
+    factors, one round per unit of n, so step k is the same step with the
+    same state as in the one-element schedule ``ns = (n,)``, which every
+    one-N route call is.  Only :func:`exact_moment` on ``a.scaled(n)``
+    takes all Tr(g) factors first, and so can refuse at another step, with
+    the same integers.
 
     Yields, per n, a list of exact integers (one per nu) or the
     :class:`SupportCapExceeded` that refused the row; on a product group

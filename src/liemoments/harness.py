@@ -5,8 +5,11 @@ function, then sweeps the power index N over a schedule, computing whichever
 of the three routes are requested and the ratio of the reference value to the
 leading-order estimate.  Each route's column is one sequence call, which
 yields per N the value or the route's typed refusal (:func:`_exact_values`,
-``torusquad.quad_sequence``, ``asymptotics.leading_sequence``); the
-hypothesis verdict feeds only the report's ``hypotheses`` block.
+``torusquad.quad_sequence``, ``asymptotics.leading_sequence``), and each
+one-N call (:func:`route_value`) is that sequence's one-element schedule,
+so it takes its sweep row's steps in the same order and gives that row's
+value or refusal; the hypothesis verdict feeds only the report's
+``hypotheses`` block.
 Reports serialize deterministically (byte-identical reruns); wall-clock
 timings are kept on the report object and only serialized on explicit
 request.  JSON is written by :func:`_json_text`, the bytes of
@@ -22,6 +25,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import charring, rootsys
 from .asymptotics import (AsymptoticEstimate, ClassFunction,
@@ -321,13 +325,16 @@ class ConvergenceReport:
 
 def _exact_values(rs, lam, a, b, ns, f):
     """Exact moments at each n of ``ns``, with the class-function factor
-    folded in, from one Klimyk chain per simple factor
-    (:func:`charring.moment_sequence`).
+    folded in, from one Klimyk chain per side and simple factor
+    (:func:`charring.moment_sequence`).  A one-N call
+    (:func:`route_value`) is the one-element schedule ``(n,)``: it takes
+    row n's steps in the same order.
     Yields per n the value, an int while the coefficients of f are
     integers and else the float sum of c times each integer, or the
     refusal: the :class:`charring.SupportCapExceeded` of a chain step, or a
-    ValueError when that float sum, or an integer in it, is past the float
-    range."""
+    ValueError when the value is past the float range.  Where an integer
+    or the float sum passes that range, the sum of Fraction(c) times each
+    integer is taken exactly and rounded once."""
     exact_coeffs = all(float(c).is_integer() for _, c in f.terms)
     for mults in charring.moment_sequence(rs, lam, a, b, ns,
                                           [nu for nu, _ in f.terms]):
@@ -340,9 +347,17 @@ def _exact_values(rs, lam, a, b, ns, f):
                 value = sum(c * mult for (_, c), mult in zip(f.terms, mults))
             except OverflowError:   # an integer past the float range
                 value = math.inf
-            yield value if math.isfinite(value) else ValueError(
-                "the terms of f take the exact sum past the float range; "
-                "refusing rather than return a non-finite value")
+            if not math.isfinite(value):
+                exact = sum(Fraction(c) * mult
+                            for (_, c), mult in zip(f.terms, mults))
+                try:
+                    value = float(exact)
+                except OverflowError:
+                    value = ValueError(
+                        "the terms of f take the exact sum past the float "
+                        "range; refusing rather than return a non-finite "
+                        "value")
+            yield value
 
 
 # route -> the ExperimentRow field it fills
@@ -362,10 +377,7 @@ def route_value(path, rs, lam, a, b, n, f, grid_sizes=None):
         raise rootsys.ConfigurationError(
             f"power index N must be >= 0, got {n}")
     if path == "exact":
-        # one chain of the scaled types, all Tr(g) factors first: the
-        # factor order, and so every refusal, is that of
-        # exact_moment(rs, lam, a.scaled(n), b.scaled(n))
-        (value,) = _exact_values(rs, lam, a.scaled(n), b.scaled(n), (1,), f)
+        (value,) = _exact_values(rs, lam, a, b, (n,), f)
         if isinstance(value, Exception):
             raise value
         return value

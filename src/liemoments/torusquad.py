@@ -538,7 +538,10 @@ def _admit(rs, sums, a, b, n, grid, log_dim):
     :func:`_factor_grids`.  ``sums`` are the sweep's :func:`_hull_sums`.
     Returns the factors and P, or raises the :class:`GridError` that
     refuses the row; enumerates no point."""
-    mag = (a.size + b.size) * n * log_dim
+    try:
+        mag = (a.size + b.size) * n * log_dim
+    except OverflowError:   # N (|a| + |b|) is past the float range
+        mag = math.inf if log_dim else 0.0
     if mag > _MAX_LOG:
         raise GridError(
             f"integrand magnitude exp({mag:.1f}) exceeds the float budget "

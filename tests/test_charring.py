@@ -12,7 +12,7 @@ from liemoments.charring import (CycleType, SupportCapExceeded, adams, dual,
                                  exact_moment, klimyk_step, moment_sequence,
                                  product, product_all, trivial_multiplicity)
 from liemoments.cli import main
-from liemoments.repweights import WeightSystem, weight_system
+from liemoments.repweights import WeightSystem, weight_system, weyl_dimension
 from liemoments.rootsys import ConfigurationError, build_root_system
 
 import oracles
@@ -690,4 +690,41 @@ def test_su_k_standard_invariants_are_k_row_rectangles(k, top):
     for n in range(1, top + 1):
         dims, _ = _schur_invariants(rs, lam, n)
         assert dims == {mu: int(len(mu) == k and len(set(mu)) == 1)
+                        for mu in dims}, n
+
+
+def _columns(mu):
+    """The column lengths of the Young diagram of ``mu``."""
+    return [sum(1 for part in mu if part > i) for i in range(mu[0])]
+
+
+@pytest.mark.parametrize("spec, lam, top", [
+    ("A1", (1,), 8), ("B2", (0, 1), 6), ("C3", (1, 0, 0), 6)])
+def test_sp_standard_invariants_have_even_columns(spec, lam, top):
+    # Littlewood: S_mu C^2r holds an Sp(2r) invariant exactly when every
+    # column of mu has even length and l(mu) <= 2r, and then exactly one
+    # (B2's spin representation is Sp(4)'s standard one)
+    rs = build_root_system(spec)
+    dim = weyl_dimension(rs, lam)
+    for n in range(1, top + 1):
+        dims, _ = _schur_invariants(rs, lam, n)
+        assert dims == {mu: int(len(mu) <= dim and
+                                all(c % 2 == 0 for c in _columns(mu)))
+                        for mu in dims}, n
+
+
+@pytest.mark.parametrize("spec, lam, top", [
+    ("A1", (2,), 6), ("B2", (1, 0), 7), ("B3", (1, 0, 0), 8),
+    ("D4", (1, 0, 0, 0), 8)])
+def test_so_standard_invariants_have_even_rows(spec, lam, top):
+    # Littlewood: S_mu C^m holds one SO(m) invariant for each of: every
+    # part of mu even with l(mu) <= m, and l(mu) = m with every part odd
+    # (A1's adjoint representation is SO(3)'s standard one)
+    rs = build_root_system(spec)
+    m = weyl_dimension(rs, lam)
+    for n in range(1, top + 1):
+        dims, _ = _schur_invariants(rs, lam, n)
+        assert dims == {mu: int(len(mu) <= m and
+                                all(p % 2 == 0 for p in mu))
+                        + int(len(mu) == m and all(p % 2 for p in mu))
                         for mu in dims}, n

@@ -3,7 +3,9 @@ import functools
 import json
 import math
 import runpy
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -707,6 +709,20 @@ def test_cli_exact_float_sum_past_the_float_range_exits_1(capsys, n, f):
     assert capsys.readouterr() == ("", f"error: {_EXACT_PAST_FLOAT}\n")
 
 
+def test_cli_exact_float_sum_inside_the_float_range_is_answered(capsys):
+    # C_519 is an integer past the float range, but (C_519 - M_519) / 2,
+    # with M_N = C(2N, N - 1) - C(2N, N - 2) the multiplicity of V_(2) in
+    # V_(1)^(x) 2N, is not: it is summed exactly and rounded once
+    n = 519
+    mult = math.comb(2 * n, n - 1) - math.comb(2 * n, n - 2)
+    want = float(Fraction(_catalan_k(n) - mult, 2))
+    assert want == -1.3943152516540103e+308
+    args = ["exact", "--group", "A1", "--lam", "1", "--a", "1", "--b", "1",
+            "--N", str(n), "--f", "0:0.5; 2:-0.5"]
+    assert main(args) == 0
+    assert capsys.readouterr() == (f"{want!r}\n", "")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_converge_renders_exact_rows_past_the_float_range(tmp_path, capsys,
                                                           fmt):
@@ -811,18 +827,81 @@ def test_cli_internal_error_exits_3_without_traceback(monkeypatch, capsys):
         "error: Klimyk step 1: over support_cap 0\n")
 
 
-def test_cli_exact_applies_the_factors_of_the_scaled_type(monkeypatch,
-                                                          capsys):
-    # a = (1, 1) at N = 4 is Tr(g)^4 Tr(g^2)^4: the one-N route applies all
-    # Tr(g) factors first, as exact_moment on a.scaled(N) does, so the
-    # refusal names that order's step and state
+def test_cli_exact_refuses_at_the_sweep_rows_step(monkeypatch, capsys):
+    # a = (1, 1) at N = 4 is Tr(g)^4 Tr(g^2)^4: the one-N route is the
+    # sweep's one-element schedule, its trace factors in rounds of
+    # Tr(g) Tr(g^2), so the refusal names the step and state at which a
+    # converge row N = 3 or 4 is refused
     monkeypatch.setattr(charring, "_SUPPORT_CAP", 6)
+    message = ("Klimyk step 5: state of 4 highest weights times 2 weights "
+               "is 8 pairs, over support_cap 6")
     args = ["exact", "--group", "A1", "--lam", "1", "--a", "1,1", "--b",
             "1,1", "--N", "4"]
     assert main(args) == 1
-    assert capsys.readouterr().err == (
-        "error: Klimyk step 6: state of 4 highest weights times 2 weights "
-        "is 8 pairs, over support_cap 6\n")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    cfg = ExperimentConfig(group="A1", lam=(1,), a=CycleType((1, 1)),
+                           b=CycleType((1, 1)), schedule=(3, 4),
+                           paths=("exact",))
+    assert [r.notes for r in run_experiment(cfg).rows] == [
+        (f"exact skipped: {message}",)] * 2
+
+
+# groups whose exact sweeps are cheap to draw; A1xA2 is the product group
+_EXACT_PARITY_GROUPS = ("A1", "A2", "B2", "G2", "A1xA2")
+
+
+@st.composite
+def _exact_route_cases(draw):
+    """(group, lam, a, b, terms of f, schedule, support cap): a and b with
+    one or two parts, f with a nu = 0 term and a nu = lam term (the a
+    chain's next step when a_1 >= 1), gapped schedules from 0, and caps
+    from 6, where most chains refuse, to the default."""
+    spec = draw(st.sampled_from(_EXACT_PARITY_GROUPS))
+    rank = build_root_system(spec).rank
+    lam = draw(st.tuples(*[st.integers(0, 1)] * rank))
+    cycle = st.sampled_from([(1,), (2,), (0, 1), (1, 1), (2, 1), (1, 0, 1)])
+    a = draw(cycle)
+    b = draw(st.sampled_from([a, draw(cycle)]))
+    coeffs = st.sampled_from([1.0, -2.0, 0.5, 3.0])
+    terms = dict.fromkeys([(0,) * rank, lam])
+    terms = tuple((nu, draw(coeffs)) for nu in terms)
+    ns = sorted(draw(st.sets(st.integers(0, 6), min_size=1, max_size=4)))
+    cap = draw(st.sampled_from([6, 20, 100, 1000, 10 ** 7]))
+    return spec, lam, a, b, terms, ns, cap
+
+
+@settings(max_examples=120, deadline=None)
+@given(_exact_route_cases())
+# the rows of test_cli_exact_refuses_at_the_sweep_rows_step
+@example(("A1", (1,), (1, 1), (1, 1), (((0,), 1.0),), [0, 3, 4], 6))
+# row 4's nu = lam term is the a chain's step 5: it refuses row 4, and
+# row 5 reads the refused chain
+@example(("A2", (1, 1), (1,), (1,), (((0, 0), 1.0), ((1, 1), 1.0)),
+          [1, 2, 4, 5], 60))
+# the A2 factor's a chain refuses at its step 4, in row 2, and so every
+# later row
+@example(("A1xA2", (1, 1, 1), (1, 1), (0, 1),
+          (((0, 0, 0), 1.0), ((1, 1, 1), -2.0)), [0, 2, 3], 20))
+def test_exact_rows_are_their_one_n_calls(case):
+    # every row of an exact sweep is its one-N call: the same value, or
+    # the same refusal type and text, whichever step of either chain or of
+    # an f-term refuses it; on a product group the sweep keeps the message
+    # of the factor whose chain refused first, so only the type is compared
+    spec, lam, a, b, terms, ns, cap = case
+    rs = build_root_system(spec)
+    a, b, f = CycleType(a), CycleType(b), harness.ClassFunction(terms)
+    with mock.patch.object(charring, "_SUPPORT_CAP", cap):
+        rows = list(harness._exact_values(rs, lam, a, b, ns, f))
+        assert len(rows) == len(ns)
+        for n, row in zip(ns, rows):
+            try:
+                one = harness.route_value("exact", rs, lam, a, b, n, f)
+            except (SupportCapExceeded, ValueError) as exc:
+                assert type(row) is type(exc)
+                if len(simple_factors(rs)) == 1:
+                    assert str(row) == str(exc)
+            else:
+                assert type(row) is type(one) and row == one
 
 
 @pytest.mark.parametrize("a, builds", [((1,), 1), ((0, 1), 0)])

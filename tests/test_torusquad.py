@@ -694,6 +694,50 @@ def test_sum_past_the_float_range_is_refused(command, message, f):
     assert proc.stderr == f"error: {message}\n"
 
 
+_B = "1" + "0" * 309     # 10^309, an integer past the float range
+_A1 = ["--group", "A1", "--lam", "1", "--a"]
+_LOG_POWER_PAST_FLOAT = ("N (|a| + |b|) log dim V_lam is past the float "
+                         "range; refusing rather than return a non-finite "
+                         "leading term")
+
+
+@pytest.mark.parametrize("command, args, message", [
+    # dim V_nu = 10^309 + 1 is past the float range: c dim V_nu is inf
+    ("asym", _A1 + ["1", "--N", "2", "--f", f"{_B}:1"], _ASYM_PAST_FLOAT),
+    ("asym", ["--group", "E8", "--lam", "1,1,1,1,1,1,1,1", "--a", "1", "--b",
+              "1", "--N", "1", "--f", ",".join(["400"] * 8) + ":1"],
+     _ASYM_PAST_FLOAT),
+    # N or a past the float range, and N log dim V past it at N = 10^308
+    ("asym", _A1 + ["1", "--N", _B], _LOG_POWER_PAST_FLOAT),
+    ("asym", _A1 + [_B, "--N", "1"], _LOG_POWER_PAST_FLOAT),
+    ("asym", ["--group", "A1", "--lam", "10", "--a", "1", "--N", _B[:-1]],
+     _LOG_POWER_PAST_FLOAT),
+    ("quad", _A1 + ["1", "--b", "1", "--N", _B],
+     f"integrand magnitude exp(inf) exceeds the float budget "
+     f"exp({torusquad._MAX_LOG}); refusing rather than overflow"),
+], ids=["asym-f-B", "asym-E8-f-400", "asym-N-B", "asym-a-B",
+        "asym-lam-10-N-1e308", "quad-N-B"])
+def test_inputs_past_the_float_range_are_refused(command, args, message):
+    # each exits 1 with its route's float-range refusal, not an
+    # OverflowError traceback or a JSON encoder error
+    proc = _run_in_capped_child(["-m", "liemoments", command, *args])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("args, value, log_abs", [
+    # at N = 1 the term of dim 10^309 + 1 fails the class test
+    (_A1 + ["1", "--N", "1", "--f", f"{_B}:1"], 0.0, None),
+    # 2 pi l N is past the float range; its log is not
+    (_A1 + ["1", "--N", _B[:-1]], None, 6.931471805599452e+307),
+], ids=["asym-f-B-N-1", "asym-N-1e308"])
+def test_asym_inputs_past_the_float_range_are_answered(args, value, log_abs):
+    proc = _run_in_capped_child(["-m", "liemoments", "asym", *args])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    data = json.loads(proc.stdout)
+    assert (data["value"], data["log_abs_value"]) == (value, log_abs)
+
+
 @pytest.mark.parametrize("f", _PAST_FLOAT_F)
 def test_converge_renders_rows_past_the_float_range(tmp_path, f):
     # the JSON report keeps every row: the exact integers, and the quad and
